@@ -1,18 +1,12 @@
 """Hot numeric kernels: counter-based RNG, tree eliminations, grid projection.
 
-Two backends. The numba path compiles the elimination and projection loops
-with ``@njit``; the pure-numpy path vectorizes the same arithmetic. Select
-with ``CRT_SPECTRA_BACKEND=numpy`` (or ``numba``); default is numba when it
-imports.
-
-All random bits and transcendental math live in vectorized numpy no matter
-which backend runs, and the kernels below stick to +-*/ and comparisons in
-a fixed evaluation order, so both backends produce bit-identical results.
+Everything is vectorized numpy. The random bits and transcendental math
+run on whole arrays of address codes; the eliminations and the projection
+stick to +-*/ and comparisons in a fixed evaluation order, so every count
+and distance is reproducible bit for bit.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -24,30 +18,6 @@ _U64_MASK = (1 << 64) - 1
 # Guard value for exact-zero pivots; the nudged shift makes these
 # unreachable in practice, the replacement just keeps division defined.
 _ZERO_PIVOT = 1e-30
-
-_REQUESTED = os.environ.get("CRT_SPECTRA_BACKEND", "").strip().lower()
-
-try:  # pragma: no cover - exercised implicitly
-    if _REQUESTED == "numpy":
-        raise ImportError("numpy backend forced via CRT_SPECTRA_BACKEND")
-    from numba import njit
-
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):  # type: ignore[misc]
-        def wrap(fn):
-            return fn
-
-        if args and callable(args[0]):
-            return args[0]
-        return wrap
-
-
-def active_backend() -> str:
-    """Name of the backend the counting kernels dispatch to."""
-    return "numba" if HAVE_NUMBA else "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -154,7 +124,7 @@ def uniform_indices(key: np.uint64, salt: int, count: int, bound: int) -> np.nda
 # ---------------------------------------------------------------------------
 
 
-def counts_dendrite_numpy(
+def counts_dendrite(
     mass: np.ndarray,
     conduct: np.ndarray,
     ep0f: np.ndarray,
@@ -163,6 +133,8 @@ def counts_dendrite_numpy(
     depth: int,
     lams: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
+    """(Dirichlet, Neumann) eigenvalue counts <= lambda for each grid value."""
+    lams = np.ascontiguousarray(lams, dtype=np.float64)
     nlam = lams.shape[0]
     nv = mass.shape[0]
     out_d = np.zeros(nlam, dtype=np.int64)
@@ -213,90 +185,6 @@ def counts_dendrite_numpy(
     return out_d, out_n
 
 
-@njit(cache=True, nogil=True)
-def _counts_dendrite_njit(mass, conduct, ep0f, ep1f, offs, depth, lams, out_d, out_n):  # pragma: no cover - numba
-    nv = mass.shape[0]
-    ncells = conduct.shape[0]
-    acc = np.empty(nv)
-    g = np.empty(ncells)
-    g1 = np.empty(ncells // 3 + 1)
-    g2 = np.empty(ncells // 3 + 1)
-    hmv = np.empty(ncells // 3 + 1)
-    piv = np.empty(ncells // 3 + 1)
-    for t in range(lams.shape[0]):
-        lam = lams[t]
-        if lam < 0.0:
-            out_d[t] = 0
-            out_n[t] = 0
-            continue
-        if lam == 0.0:
-            out_d[t] = 0
-            out_n[t] = 1
-            continue
-        lam_eff = lam * (1.0 + 1e-12)
-        for v in range(nv):
-            acc[v] = 0.0
-        for e in range(ncells):
-            g[e] = conduct[e]
-        interior = 0
-        nc = ncells
-        for q in range(depth - 1, -1, -1):
-            nc //= 3
-            vq = nc + 1
-            base = offs[q]
-            for c in range(nc):
-                g1[c] = g[3 * c]
-                g2[c] = g[3 * c + 1]
-            for c in range(nc):
-                g3 = g[3 * c + 2]
-                ht = acc[vq + 2 * c + 1] - lam_eff * mass[vq + 2 * c + 1]
-                pt = g3 + ht
-                if pt == 0.0:
-                    pt = -_ZERO_PIVOT
-                if pt <= 0.0:
-                    interior += 1
-                hmv[c] = acc[vq + 2 * c] + g3 * ht / pt - lam_eff * mass[vq + 2 * c]
-            for c in range(nc):
-                pm = g1[c] + g2[c] + hmv[c]
-                if pm == 0.0:
-                    pm = -_ZERO_PIVOT
-                if pm <= 0.0:
-                    interior += 1
-                piv[c] = pm
-            for c in range(nc):
-                acc[ep0f[base + c]] += g1[c] * hmv[c] / piv[c]
-            for c in range(nc):
-                acc[ep1f[base + c]] += g2[c] * hmv[c] / piv[c]
-            for c in range(nc):
-                g[c] = g1[c] * g2[c] / piv[c]
-        h0 = acc[0] - lam_eff * mass[0]
-        p0 = g[0] + h0
-        if p0 == 0.0:
-            p0 = -_ZERO_PIVOT
-        extra = 0
-        if p0 <= 0.0:
-            extra = 1
-        p1 = acc[1] - lam_eff * mass[1] + g[0] * h0 / p0
-        if p1 == 0.0:
-            p1 = -_ZERO_PIVOT
-        if p1 <= 0.0:
-            extra += 1
-        out_d[t] = interior
-        out_n[t] = interior + extra
-    return 0
-
-
-def counts_dendrite(mass, conduct, ep0f, ep1f, offs, depth, lams):
-    """(Dirichlet, Neumann) eigenvalue counts <= lambda for each grid value."""
-    lams = np.ascontiguousarray(lams, dtype=np.float64)
-    if HAVE_NUMBA:
-        out_d = np.zeros(lams.shape[0], dtype=np.int64)
-        out_n = np.zeros(lams.shape[0], dtype=np.int64)
-        _counts_dendrite_njit(mass, conduct, ep0f, ep1f, offs, depth, lams, out_d, out_n)
-        return out_d, out_n
-    return counts_dendrite_numpy(mass, conduct, ep0f, ep1f, offs, depth, lams)
-
-
 # ---------------------------------------------------------------------------
 # Eigenvalue counting on an arbitrary finite tree (parent-pointer form).
 #
@@ -307,12 +195,15 @@ def counts_dendrite(mass, conduct, ep0f, ep1f, offs, depth, lams):
 # the dendrite pass: pivot(v) = coup(v) + acc(v) - lambda m(v), and the
 # eliminated vertex sends y = coup * h / pivot up to its parent. A deleted
 # boundary vertex leaves its edge behind as a grounded leg (+coup on the
-# parent's accumulator, no coupling). Waves group vertices at equal depth
-# so the numpy path stays vectorized.
+# parent's accumulator, no coupling). Waves group vertices at equal depth,
+# so each wave is one vectorized step; ``np.add.at`` sums a parent's
+# contributions in the order its children appear in the wave.
 # ---------------------------------------------------------------------------
 
 
-def counts_tree_numpy(mass, coup, parent, order, wave_offs, root, other, lams):
+def counts_tree(mass, coup, parent, order, wave_offs, root, other, lams):
+    """(Dirichlet, Neumann) counts for a parent-pointer tree pencil."""
+    lams = np.ascontiguousarray(lams, dtype=np.float64)
     nlam = lams.shape[0]
     nv = mass.shape[0]
     out_d = np.zeros(nlam, dtype=np.int64)
@@ -360,83 +251,19 @@ def counts_tree_numpy(mass, coup, parent, order, wave_offs, root, other, lams):
     return out_d, out_n
 
 
-@njit(cache=True, nogil=True)
-def _counts_tree_njit(mass, coup, parent, order, root, other, lams, out_d, out_n):  # pragma: no cover - numba
-    nv = mass.shape[0]
-    acc = np.empty(nv)
-    for t in range(lams.shape[0]):
-        lam = lams[t]
-        if lam < 0.0:
-            out_d[t] = 0
-            out_n[t] = 0
-            continue
-        if lam == 0.0:
-            out_d[t] = 0
-            out_n[t] = 1
-            continue
-        lam_eff = lam * (1.0 + 1e-12)
-        for v in range(nv):
-            acc[v] = 0.0
-        neg = 0
-        for k in range(order.shape[0]):
-            v = order[k]
-            h = acc[v] - lam_eff * mass[v]
-            p = coup[v] + h
-            if p == 0.0:
-                p = -_ZERO_PIVOT
-            if p <= 0.0:
-                neg += 1
-            acc[parent[v]] += coup[v] * h / p
-        pr = acc[root] - lam_eff * mass[root]
-        if pr == 0.0:
-            pr = -_ZERO_PIVOT
-        nn = neg
-        if pr <= 0.0:
-            nn += 1
-        out_n[t] = nn
-        for v in range(nv):
-            acc[v] = 0.0
-        acc[parent[other]] += coup[other]
-        neg = 0
-        for k in range(order.shape[0]):
-            v = order[k]
-            if v == other:
-                continue
-            h = acc[v] - lam_eff * mass[v]
-            p = coup[v] + h
-            if p == 0.0:
-                p = -_ZERO_PIVOT
-            if p <= 0.0:
-                neg += 1
-            par = parent[v]
-            if par != root and par != other:
-                acc[par] += coup[v] * h / p
-        out_d[t] = neg
-    return 0
-
-
-def counts_tree(mass, coup, parent, order, wave_offs, root, other, lams):
-    """(Dirichlet, Neumann) counts for a parent-pointer tree pencil."""
-    lams = np.ascontiguousarray(lams, dtype=np.float64)
-    if HAVE_NUMBA:
-        out_d = np.zeros(lams.shape[0], dtype=np.int64)
-        out_n = np.zeros(lams.shape[0], dtype=np.int64)
-        _counts_tree_njit(mass, coup, parent, order, root, other, lams, out_d, out_n)
-        return out_d, out_n
-    return counts_tree_numpy(mass, coup, parent, order, wave_offs, root, other, lams)
-
-
 # ---------------------------------------------------------------------------
 # Nearest-vertex projection of excursion grid times onto a spanned subtree.
 # ---------------------------------------------------------------------------
 
 
-def nearest_vertex_numpy(values: np.ndarray, vert_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def nearest_vertex(values: np.ndarray, vert_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(owner index, distance) of the d_f-nearest tree vertex per grid time.
 
     ``vert_idx`` holds the representative grid index of each tree vertex.
     Ties go to the lowest vertex number.
     """
+    values = np.ascontiguousarray(values, dtype=np.float64)
+    vert_idx = np.ascontiguousarray(vert_idx, dtype=np.int64)
     n1 = values.shape[0]
     best = np.full(n1, np.inf)
     best_v = np.zeros(n1, dtype=np.int64)
@@ -450,40 +277,3 @@ def nearest_vertex_numpy(values: np.ndarray, vert_idx: np.ndarray) -> tuple[np.n
         best[upd] = d[upd]
         best_v[upd] = j
     return best_v, best
-
-
-@njit(cache=True, nogil=True)
-def _nearest_vertex_njit(values, vert_idx, best, best_v, m):  # pragma: no cover - numba
-    n1 = values.shape[0]
-    for j in range(vert_idx.shape[0]):
-        tv = vert_idx[j]
-        acc = values[tv]
-        for i in range(tv, -1, -1):
-            if values[i] < acc:
-                acc = values[i]
-            m[i] = acc
-        acc = values[tv]
-        for i in range(tv, n1):
-            if values[i] < acc:
-                acc = values[i]
-            m[i] = acc
-        fv = values[tv]
-        for i in range(n1):
-            d = values[i] + fv - 2.0 * m[i]
-            if d < best[i]:
-                best[i] = d
-                best_v[i] = j
-    return 0
-
-
-def nearest_vertex(values: np.ndarray, vert_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    values = np.ascontiguousarray(values, dtype=np.float64)
-    vert_idx = np.ascontiguousarray(vert_idx, dtype=np.int64)
-    if HAVE_NUMBA:
-        n1 = values.shape[0]
-        best = np.full(n1, np.inf)
-        best_v = np.zeros(n1, dtype=np.int64)
-        m = np.empty(n1)
-        _nearest_vertex_njit(values, vert_idx, best, best_v, m)
-        return best_v, best
-    return nearest_vertex_numpy(values, vert_idx)

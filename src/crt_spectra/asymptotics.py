@@ -14,7 +14,7 @@ from __future__ import annotations
 import hashlib
 import json
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 import numpy as np
@@ -72,20 +72,9 @@ class EnsembleConfig:
         return (self.master_seed * 0x9E3779B97F4A7C15 + 0x51ED2701 + r) % 2**63
 
     def as_dict(self) -> dict:
-        return {
-            "replicas": self.replicas,
-            "depth": self.depth,
-            "master_seed": self.master_seed,
-            "trunc_depth": self.trunc_depth,
-            "lambda_lo": self.lambda_lo,
-            "lambda_hi": self.lambda_hi,
-            "lambda_points": self.lambda_points,
-            "route": self.route,
-            "steps": self.steps,
-            "leaves": self.leaves,
-            "debug_cascade": self.debug_cascade,
-            "lumping": "half",
-        }
+        """Every field that can change a result (the thread count never does)."""
+        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "threads"}
+        return {**doc, "lumping": "half"}
 
 
 @dataclass

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import numpy as np
@@ -91,21 +92,14 @@ def cmd_spectrum(args) -> int:
     return 0
 
 
+# flag defaults of the ensemble commands come from the config they fill
+_DEFAULTS = {f.name: f.default for f in fields(EnsembleConfig) if f.default is not MISSING}
+
+
 def _ensemble_config(args, route: str) -> EnsembleConfig:
-    return EnsembleConfig(
-        replicas=args.replicas,
-        depth=getattr(args, "depth", 0),
-        master_seed=args.seed,
-        trunc_depth=getattr(args, "trunc_depth", 20),
-        lambda_lo=args.lambda_lo,
-        lambda_hi=args.lambda_hi,
-        lambda_points=args.points,
-        route=route,
-        threads=args.threads,
-        steps=getattr(args, "steps", 2**14),
-        leaves=getattr(args, "leaves", 600),
-        debug_cascade=getattr(args, "debug_cascade", False),
-    )
+    # a command without a field's flag leaves that field at its default
+    given = {f.name: getattr(args, f.name) for f in fields(EnsembleConfig) if hasattr(args, f.name)}
+    return EnsembleConfig(**given, master_seed=args.seed, lambda_points=args.points, route=route)
 
 
 def _check_oracle(config: EnsembleConfig) -> None:
@@ -203,12 +197,12 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--replicas", type=int, required=True)
         if with_depth:
             p.add_argument("--depth", type=int, required=True)
-            p.add_argument("--trunc-depth", type=int, default=20)
+            p.add_argument("--trunc-depth", type=int, default=_DEFAULTS["trunc_depth"])
         p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--lambda-lo", type=float, default=1.0)
-        p.add_argument("--lambda-hi", type=float, default=1e8)
-        p.add_argument("--points", type=int, default=97)
-        p.add_argument("--threads", type=int, default=1)
+        p.add_argument("--lambda-lo", type=float, default=_DEFAULTS["lambda_lo"])
+        p.add_argument("--lambda-hi", type=float, default=_DEFAULTS["lambda_hi"])
+        p.add_argument("--points", type=int, default=_DEFAULTS["lambda_points"])
+        p.add_argument("--threads", type=int, default=_DEFAULTS["threads"])
         p.add_argument("--out", required=True)
 
     p = sub.add_parser("ensemble", help="replica ensemble of cascade networks")
@@ -224,9 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("crt-route", help="counting curves from excursion-sampled trees")
     ensemble_args(p, with_depth=False)
-    p.add_argument("--steps", type=int, default=2**14)
-    p.add_argument("--leaves", type=int, default=600)
-    p.set_defaults(fn=cmd_crt_route)
+    p.add_argument("--steps", type=int, default=_DEFAULTS["steps"])
+    p.add_argument("--leaves", type=int, default=_DEFAULTS["leaves"])
+    p.set_defaults(fn=cmd_crt_route, depth=0)  # the excursion route has no cascade depth
     return top
 
 

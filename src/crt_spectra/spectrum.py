@@ -10,14 +10,19 @@ matrix serves as the independent oracle for small problems.
 
 Dirichlet counts delete the two boundary rows and columns; on the dendrite
 both counts come from one elimination because the boundary corners are
-pivoted last.
+pivoted last. A general tree pencil builds its elimination order once, on
+first use, and shares it with its Neumann/Dirichlet twin; the order depends
+only on the edges and the root, never on the shift or the boundary kind.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import shortest_path
 
 from ._kernels import counts_dendrite, counts_tree
 from .cascade import HEIGHT_CONSTANT
@@ -82,7 +87,15 @@ class Pencil:
         return cls(eu.astype(np.int64), nonroot, ec, np.maximum(tree.mass, 1e-300), boundary, kind)
 
     def with_kind(self, kind: str) -> "Pencil":
-        return Pencil(self.edge_u, self.edge_v, self.edge_c, self.mass, self.boundary, kind)
+        twin = Pencil(self.edge_u, self.edge_v, self.edge_c, self.mass, self.boundary, kind)
+        if "tree_order" in self.__dict__:
+            twin.tree_order = self.tree_order
+        return twin
+
+    @cached_property
+    def tree_order(self) -> "_TreeOrder":
+        """Leaf-first elimination order, built on first use."""
+        return _TreeOrder(self)
 
 
 def dense_matrices(pencil: Pencil) -> tuple[np.ndarray, np.ndarray]:
@@ -123,51 +136,36 @@ def dense_count_below(pencil: Pencil, lam: float) -> int:
 
 
 class _TreeOrder:
-    """Leaf-first elimination order of a pencil's tree, rooted at boundary[0]."""
+    """Leaf-first elimination order of a pencil's tree, rooted at boundary[0].
+
+    Vertices are sorted by hop depth, deepest first; inside one depth wave
+    the children of each parent come in ascending order of their edge index,
+    which fixes the order in which the kernel sums a parent's accumulator.
+    """
 
     def __init__(self, pencil: Pencil):
         nv = pencil.n_vertices
         root = pencil.boundary[0]
-        adj_head = np.full(nv, -1, dtype=np.int64)
-        nedge = pencil.edge_u.shape[0]
-        nxt = np.empty(2 * nedge, dtype=np.int64)
-        to = np.empty(2 * nedge, dtype=np.int64)
-        cw = np.empty(2 * nedge)
-        for i in range(nedge):
-            u, v, c = int(pencil.edge_u[i]), int(pencil.edge_v[i]), float(pencil.edge_c[i])
-            to[2 * i], cw[2 * i], nxt[2 * i] = v, c, adj_head[u]
-            adj_head[u] = 2 * i
-            to[2 * i + 1], cw[2 * i + 1], nxt[2 * i + 1] = u, c, adj_head[v]
-            adj_head[v] = 2 * i + 1
-        parent = np.full(nv, -1, dtype=np.int64)
-        coup = np.zeros(nv)
-        depth = np.full(nv, -1, dtype=np.int64)
-        depth[root] = 0
-        frontier = [root]
-        bfs_order = [root]
-        while frontier:
-            nextf = []
-            for v in frontier:
-                e = adj_head[v]
-                while e != -1:
-                    w = int(to[e])
-                    if depth[w] < 0:
-                        depth[w] = depth[v] + 1
-                        parent[w] = v
-                        coup[w] = cw[e]
-                        nextf.append(w)
-                        bfs_order.append(w)
-                    e = nxt[e]
-            frontier = nextf
-        if (depth < 0).any():
+        eu, ev = pencil.edge_u, pencil.edge_v
+        nedge = eu.shape[0]
+        adj = coo_matrix((np.ones(nedge), (eu, ev)), shape=(nv, nv)).tocsr()
+        hops = shortest_path(adj, method="D", directed=False, unweighted=True, indices=root)
+        if not np.isfinite(hops).all():
             raise ValueError("pencil graph is not connected")
-        nonroot = np.array([v for v in bfs_order if v != root], dtype=np.int64)
-        order = nonroot[np.argsort(depth[nonroot], kind="stable")[::-1]]
+        if nedge != nv - 1:
+            raise ValueError("pencil graph is not a tree")
+        depth = hops.astype(np.int64)
+        child = np.where(depth[ev] > depth[eu], ev, eu)
+        parent = np.full(nv, -1, dtype=np.int64)
+        parent[child] = np.where(child == ev, eu, ev)
+        coup = np.zeros(nv)
+        coup[child] = pencil.edge_c
+        # child[k] hangs from edge k: a stable sort keeps edge order inside a wave
+        order = child[np.argsort(-depth[child], kind="stable")]
         # wave boundaries: runs of equal depth in the (descending) order
-        d = depth[order]
-        cuts = np.nonzero(np.diff(d))[0] + 1
-        self.order = np.ascontiguousarray(order)
-        self.wave_offs = np.concatenate(([0], cuts, [order.shape[0]])).astype(np.int64)
+        cuts = np.nonzero(np.diff(depth[order]))[0] + 1
+        self.order = order
+        self.wave_offs = np.concatenate(([0], cuts, [nedge])).astype(np.int64)
         self.parent = parent
         self.coup = coup
         self.root = root
@@ -175,17 +173,8 @@ class _TreeOrder:
 
 def count_pair(pencil: Pencil, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Dirichlet, Neumann) counts at each lambda by tree inertia."""
-    to = _TreeOrder(pencil)
-    return counts_tree(
-        pencil.mass,
-        to.coup,
-        to.parent,
-        to.order,
-        to.wave_offs,
-        to.root,
-        pencil.boundary[1],
-        np.asarray(lams, dtype=np.float64),
-    )
+    to = pencil.tree_order
+    return counts_tree(pencil.mass, to.coup, to.parent, to.order, to.wave_offs, to.root, pencil.boundary[1], lams)
 
 
 def count_below(pencil: Pencil, lam: float) -> int:
@@ -199,35 +188,20 @@ def count_below(pencil: Pencil, lam: float) -> int:
 # -- dendrite networks: specialized level-pass engine -------------------------
 
 
-def _block_prep(level: int, conduct: np.ndarray, cell_mass: np.ndarray):
+def block_counts(level: int, conduct: np.ndarray, cell_mass: np.ndarray, lams: np.ndarray):
+    """Counts for a bare (conductance, cell-mass) block on the level graph."""
     st = structure(level)
     e0, e1 = st.ep0_levels[level], st.ep1_levels[level]
     nv = st.n_vertices
     half = 0.5 * cell_mass
     mass = np.bincount(e0, weights=half, minlength=nv) + np.bincount(e1, weights=half, minlength=nv)
-    return st, mass
-
-
-def block_counts(level: int, conduct: np.ndarray, cell_mass: np.ndarray, lams: np.ndarray):
-    """Counts for a bare (conductance, cell-mass) block on the level graph."""
-    st, mass = _block_prep(level, conduct, cell_mass)
-    return counts_dendrite(
-        mass, conduct, st.ep0_flat, st.ep1_flat, st.pass_offsets, level, np.asarray(lams, dtype=np.float64)
-    )
+    return counts_dendrite(mass, conduct, st.ep0_flat, st.ep1_flat, st.pass_offsets, level, lams)
 
 
 def network_counts(net: ResistanceNetwork, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Dirichlet, Neumann) counting-function samples for a network."""
     st = net.structure
-    return counts_dendrite(
-        net.vertex_mass,
-        net.conductance,
-        st.ep0_flat,
-        st.ep1_flat,
-        st.pass_offsets,
-        net.level,
-        np.asarray(lams, dtype=np.float64),
-    )
+    return counts_dendrite(net.vertex_mass, net.conductance, st.ep0_flat, st.ep1_flat, st.pass_offsets, net.level, lams)
 
 
 # ---------------------------------------------------------------------------
@@ -318,18 +292,8 @@ def eigenvalues_up_to(pencil: Pencil, lam_max: float, tol: float, cap: int = 200
     """
     if lam_max <= 0 or tol <= 0:
         raise ValueError("lam_max and tol must be positive")
-    to = _TreeOrder(pencil)
-    dirichlet = pencil.kind == "dirichlet"
-
-    def count(lam: float) -> int:
-        nd, nn = counts_tree(
-            pencil.mass, to.coup, to.parent, to.order, to.wave_offs, to.root, pencil.boundary[1],
-            np.array([lam]),
-        )
-        return int(nd[0] if dirichlet else nn[0])
-
     lo0 = -tol
-    n_lo, n_hi = count(lo0), count(lam_max)
+    n_lo, n_hi = count_below(pencil, lo0), count_below(pencil, lam_max)
     if n_hi - n_lo > cap:
         raise CapacityError(f"{n_hi - n_lo} eigenvalues below {lam_max} exceed cap {cap}")
     out: list[tuple[float, int]] = []
@@ -342,7 +306,7 @@ def eigenvalues_up_to(pencil: Pencil, lam_max: float, tol: float, cap: int = 200
             out.append((0.5 * (lo + hi), chi - clo))
             continue
         mid = 0.5 * (lo + hi)
-        cmid = count(mid)
+        cmid = count_below(pencil, mid)
         stack.append((lo, mid, clo, cmid))
         stack.append((mid, hi, cmid, chi))
     out.sort()

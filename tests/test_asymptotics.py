@@ -33,6 +33,14 @@ def test_config_validation():
     assert (np.diff(grid) > 0).all()
 
 
+def test_config_hash_covers_results_not_threads():
+    def h(**kw):
+        return asymptotics.config_hash(small_config(**kw).as_dict())
+
+    assert h(ceiling_deficit=0.03) != h(ceiling_deficit=0.05)
+    assert h(threads=1) == h(threads=2)
+
+
 def test_run_ensemble_shapes_and_counts():
     res = run_ensemble(small_config())
     assert res.dirichlet.shape == (6, 49)

@@ -1,17 +1,12 @@
-"""Backend parity: the numba and numpy kernel paths are bit-identical.
+"""Kernel checks: RNG reference values and the projection against a brute-force oracle.
 
-All randomness and transcendentals run in vectorized numpy regardless of
-backend; the kernels stick to rational arithmetic in a fixed order, so even
-the float intermediates agree exactly.
+The counting kernels are checked against the dense solver in test_spectrum.
 """
 
 import numpy as np
 
 from crt_spectra import _kernels, excursion
 from crt_spectra.dendrite import structure
-from crt_spectra.spectrum import Pencil, _TreeOrder
-
-from conftest import small_network
 
 
 def test_mix64_reference_values():
@@ -37,36 +32,21 @@ def test_triples_deterministic_and_vector_scalar_match():
     np.testing.assert_array_equal(one[0], t1[7])
 
 
-def test_dendrite_backends_identical():
-    net = small_network(5, seed=3)
-    st = net.structure
-    lams = np.concatenate([[-1.0, 0.0], np.geomspace(1e-3, 1e8, 40)])
-    args = (net.vertex_mass, net.conductance, st.ep0_flat, st.ep1_flat, st.pass_offsets, net.level, lams)
-    d_np, n_np = _kernels.counts_dendrite_numpy(*args)
-    d_any, n_any = _kernels.counts_dendrite(*args)
-    np.testing.assert_array_equal(d_np, d_any)
-    np.testing.assert_array_equal(n_np, n_any)
-
-
-def test_tree_backends_identical():
-    net = small_network(4, seed=9)
-    pen = Pencil.from_network(net)
-    to = _TreeOrder(pen)
-    lams = np.concatenate([[-1.0, 0.0], np.geomspace(1e-2, 1e7, 40)])
-    args = (pen.mass, to.coup, to.parent, to.order, to.wave_offs, to.root, pen.boundary[1], lams)
-    d_np, n_np = _kernels.counts_tree_numpy(*args)
-    d_any, n_any = _kernels.counts_tree(*args)
-    np.testing.assert_array_equal(d_np, d_any)
-    np.testing.assert_array_equal(n_np, n_any)
-
-
-def test_projection_backends_identical():
-    path = excursion.sample_excursion(2048, 7)
+def test_nearest_vertex_matches_brute_force():
+    path = excursion.sample_excursion(2**10, 7)
     tree = excursion.reduced_tree(path, 30, seed=5)
-    o_np, b_np = _kernels.nearest_vertex_numpy(path.values, tree.time_idx)
-    o_any, b_any = _kernels.nearest_vertex(path.values, tree.time_idx)
-    np.testing.assert_array_equal(o_np, o_any)
-    np.testing.assert_array_equal(b_np, b_any)
+    f = path.values
+    # every vertex twice: a higher-numbered duplicate must never win its tie
+    tv = np.concatenate([tree.time_idx, tree.time_idx[::-1]])
+    # d(i, v) = f(i) + f(t_v) - 2 min f over [i, t_v], one slice minimum per pair
+    dist = np.empty((f.shape[0], tv.shape[0]))
+    for i in range(f.shape[0]):
+        for v, t in enumerate(tv):
+            lo, hi = min(i, t), max(i, t)
+            dist[i, v] = f[i] + f[t] - 2.0 * f[lo : hi + 1].min()
+    owner, best = _kernels.nearest_vertex(f, tv)
+    np.testing.assert_array_equal(owner, dist.argmin(axis=1))  # argmin: ties to the lowest vertex
+    np.testing.assert_array_equal(best, dist.min(axis=1))
 
 
 def test_structure_flat_offsets():

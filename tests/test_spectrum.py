@@ -76,6 +76,15 @@ def test_tree_engine_matches_dense_on_excursion_trees():
         assert spectrum.dense_count_below(pen, float(lam)) == tn[i]
 
 
+def test_count_pair_rejects_non_tree_pencils():
+    two_parts = Pencil(np.array([0, 2]), np.array([1, 3]), np.ones(2), np.ones(4), (0, 1))
+    with pytest.raises(ValueError, match="not connected"):
+        spectrum.count_pair(two_parts, np.array([1.0]))
+    cycle = Pencil(np.array([0, 1, 2]), np.array([1, 2, 0]), np.ones(3), np.ones(3), (0, 1))
+    with pytest.raises(ValueError, match="not a tree"):
+        spectrum.count_pair(cycle, np.array([1.0]))
+
+
 # -- structural properties ------------------------------------------------------------
 
 
