@@ -8,7 +8,11 @@ and distance is reproducible bit for bit.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
+from scipy.sparse import coo_matrix
+from scipy.sparse.csgraph import connected_components
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -104,12 +108,17 @@ def uniform_indices(key: np.uint64, salt: int, count: int, bound: int) -> np.nda
 
 
 # ---------------------------------------------------------------------------
-# Eigenvalue counting on the self-similar dendrite.
+# Eigenvalue counting on a finite tree by Sylvester inertia.
 #
-# One elimination pass per refinement level, deepest first: each cell's tip
-# is a dangling leaf, its midpoint then has degree two, and eliminating both
-# leaves a single fill edge on the parent cell. The tree order guarantees
-# zero fill beyond that, so a full factorization of L - lambda*M costs O(V).
+# A contraction schedule (Miller and Reif 1985) eliminates every vertex but
+# the two boundary vertices in O(log V) rounds on trees of bounded degree.
+# A round rakes leaves, at most one per target (its highest-numbered), then
+# compresses the degree-two vertices whose mix64 priority beats every
+# degree-two neighbour's, each into a fill edge between its neighbours.
+# Nothing else fills in, so factoring L - lambda*M costs O(V) per shift. On
+# the dendrite's numbering a round is one refinement level, deepest first:
+# tips are raked and midpoints compressed in cell order, which reproduces
+# the pivots of a level-by-level pass bit for bit.
 #
 # Pivots are carried in excess-admittance form: each vertex accumulates
 # acc[v] = sum of y-terms from eliminated neighbors, where a neighbor with
@@ -118,136 +127,136 @@ def uniform_indices(key: np.uint64, salt: int, count: int, bound: int) -> np.nda
 # This avoids forming the degree sum and subtracting nearly equal fills,
 # which loses the pivot's sign when the local conductance scale exceeds the
 # effective one by ~1/eps (large depths, lambda near or below the spectral
-# floor). Boundary vertices (ids 0 and 1) are pivoted last; interior pivots
-# are shared between the Neumann problem and the Dirichlet problem, so one
-# sweep yields both counts.
+# floor). The boundary vertices are pivoted last, so the interior pivots
+# factor the Dirichlet block as well and one sweep yields both counts.
 # ---------------------------------------------------------------------------
 
 
-def counts_dendrite(
-    mass: np.ndarray,
-    conduct: np.ndarray,
-    ep0f: np.ndarray,
-    ep1f: np.ndarray,
-    offs: np.ndarray,
-    depth: int,
-    lams: np.ndarray,
+@dataclass(frozen=True)
+class ContractionSchedule:
+    """Rounds ``(leaf, target, leaf_slot, mid, a, b, slot_a, slot_b, fill)``.
+
+    Raked leaves with their targets and edge slots, then compressed vertices
+    with their neighbours (``a`` through the lower slot) and edge slots; the
+    i-th fill edge of a round takes slot ``fill + i``. An index set is an
+    int64 array, or a slice where it is an arithmetic progression (every
+    set on the dendrite but ``a`` and ``b``), which keeps the schedule as
+    small as the level graph and lets the kernel read views.
+    """
+
+    rounds: tuple[tuple, ...]
+    n_slots: int
+    final: int  # the slot joining b0 and b1
+    b0: int
+    b1: int
+
+
+def _strided(idx: np.ndarray):
+    if idx.shape[0] > 1:
+        step = int(idx[1] - idx[0])
+        if step > 0 and (np.diff(idx) == step).all():
+            return slice(int(idx[0]), int(idx[-1]) + 1, step)
+    return idx
+
+
+def _ends(lu: np.ndarray, lv: np.ndarray, ls: np.ndarray, cand: np.ndarray):
+    # (vertex, neighbour, slot) for each end of a live edge at a candidate vertex
+    cu, cv = cand[lu], cand[lv]
+    return np.concatenate((lu[cu], lv[cv])), np.concatenate((lv[cu], lu[cv])), np.concatenate((ls[cu], ls[cv]))
+
+
+def contraction_schedule(edge_u, edge_v, n_vertices: int, b0: int, b1: int) -> ContractionSchedule:
+    """Rake/compress rounds that eliminate every vertex of a tree but b0 and b1."""
+    # int32 halves the build's transient memory; the schedule keeps int64
+    lu = np.asarray(edge_u).astype(np.int32)
+    lv = np.asarray(edge_v).astype(np.int32)
+    nv, ne = int(n_vertices), lu.shape[0]
+    if connected_components(coo_matrix((np.ones(ne), (lu, lv)), shape=(nv, nv)), return_labels=False) != 1:
+        raise ValueError("pencil graph is not connected")
+    if ne != nv - 1:
+        raise ValueError("pencil graph is not a tree")
+    inner = np.isin(np.arange(nv), (b0, b1), invert=True)
+    deg = np.bincount(lu, minlength=nv) + np.bincount(lv, minlength=nv)  # kept for live vertices only
+    dead = np.zeros(ne + nv, dtype=bool)
+    ls = np.arange(ne, dtype=np.int32)  # live edges: endpoints lu, lv and slot ls; fills append slots
+    n_slots, rounds = ne, []
+    while ls.shape[0] > 1:
+        # rake the inner leaves, at most one per target: its highest-numbered
+        leaf, target, leaf_slot = _ends(lu, lv, ls, inner & (deg == 1))
+        o = np.lexsort((-leaf, target))
+        o = o[np.unique(target[o], return_index=True)[1]]
+        leaf, target, leaf_slot = leaf[o], target[o], leaf_slot[o]
+        deg[target] -= 1
+        dead[leaf_slot] = True
+        keep = ~dead[ls]
+        lu, lv, ls = lu[keep], lv[keep], ls[keep]
+
+        # compress the degree-two inner vertices that outrank their degree-two
+        # neighbours; a is the neighbour through the lower slot
+        cand = inner & (deg == 2)
+        mid, nbr, slot = _ends(lu, lv, ls, cand)
+        o = np.lexsort((slot, mid))
+        lo, hi = o[0::2], o[1::2]
+        mid, a, b, slot_a, slot_b = mid[lo], nbr[lo], nbr[hi], slot[lo], slot[hi]
+        pm = mix64(mid.astype(np.uint64))
+        win = (~cand[a] | (pm > mix64(a.astype(np.uint64)))) & (~cand[b] | (pm > mix64(b.astype(np.uint64))))
+        mid, a, b, slot_a, slot_b = mid[win], a[win], b[win], slot_a[win], slot_b[win]
+        dead[slot_a] = dead[slot_b] = True
+        keep = ~dead[ls]
+        fill = np.arange(n_slots, n_slots + mid.shape[0], dtype=np.int32)
+        lu, lv, ls = np.concatenate((lu[keep], a)), np.concatenate((lv[keep], b)), np.concatenate((ls[keep], fill))
+        parts = (leaf, target, leaf_slot, mid, a, b, slot_a, slot_b)
+        rounds.append((*(_strided(x.astype(np.int64)) for x in parts), n_slots))
+        n_slots += mid.shape[0]
+    return ContractionSchedule(tuple(rounds), n_slots, int(ls[0]), int(b0), int(b1))
+
+
+def inertia_counts(
+    sched: ContractionSchedule, mass: np.ndarray, conduct: np.ndarray, lams: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """(Dirichlet, Neumann) eigenvalue counts <= lambda for each grid value."""
     lams = np.ascontiguousarray(lams, dtype=np.float64)
-    nlam = lams.shape[0]
-    nv = mass.shape[0]
-    out_d = np.zeros(nlam, dtype=np.int64)
-    out_n = np.zeros(nlam, dtype=np.int64)
-    for t in range(nlam):
-        lam = lams[t]
+    b0, b1 = sched.b0, sched.b1
+    out_d = np.zeros(lams.shape[0], dtype=np.int64)
+    out_n = np.zeros(lams.shape[0], dtype=np.int64)
+    for t, lam in enumerate(lams):
         if lam < 0.0:
             continue
         if lam == 0.0:
             out_n[t] = 1  # constant eigenfunction on a connected tree
             continue
         lam_eff = lam * (1.0 + 1e-12)
-        acc = np.zeros(nv)
-        g = conduct.copy()
+        acc = np.zeros(mass.shape[0])
+        g = np.empty(sched.n_slots)
+        g[: conduct.shape[0]] = conduct
         interior = 0
-        nc = conduct.shape[0]
-        for q in range(depth - 1, -1, -1):
-            nc //= 3
-            vq = nc + 1
-            g1 = g[0 : 3 * nc : 3].copy()
-            g2 = g[1 : 3 * nc : 3].copy()
-            g3 = g[2 : 3 * nc : 3]
-            mids = vq + 2 * np.arange(nc)
-            ht = acc[mids + 1] - lam_eff * mass[mids + 1]
-            pt = g3 + ht
-            pt = np.where(pt == 0.0, -_ZERO_PIVOT, pt)
-            interior += int((pt <= 0.0).sum())
-            hm = acc[mids] + g3 * ht / pt - lam_eff * mass[mids]
-            pm = g1 + g2 + hm
-            pm = np.where(pm == 0.0, -_ZERO_PIVOT, pm)
-            interior += int((pm <= 0.0).sum())
-            e0 = ep0f[offs[q] : offs[q + 1]]
-            e1 = ep1f[offs[q] : offs[q + 1]]
-            np.add.at(acc, e0, g1 * hm / pm)
-            np.add.at(acc, e1, g2 * hm / pm)
-            g[:nc] = g1 * g2 / pm
-        h0 = acc[0] - lam_eff * mass[0]
-        p0 = g[0] + h0
+        for leaf, target, leaf_slot, mid, a, b, slot_a, slot_b, fill in sched.rounds:
+            c = g[leaf_slot]
+            h = acc[leaf] - lam_eff * mass[leaf]
+            p = c + h
+            p = np.where(p == 0.0, -_ZERO_PIVOT, p)
+            interior += int((p <= 0.0).sum())
+            acc[target] += c * h / p
+            ga, gb = g[slot_a], g[slot_b]
+            h = acc[mid] - lam_eff * mass[mid]
+            p = ga + gb + h
+            p = np.where(p == 0.0, -_ZERO_PIVOT, p)
+            interior += int((p <= 0.0).sum())
+            np.add.at(acc, a, ga * h / p)
+            np.add.at(acc, b, gb * h / p)
+            g[fill : fill + ga.shape[0]] = ga * gb / p
+        gf = g[sched.final]
+        h0 = acc[b0] - lam_eff * mass[b0]
+        p0 = gf + h0
         if p0 == 0.0:
             p0 = -_ZERO_PIVOT
         extra = 1 if p0 <= 0.0 else 0
-        p1 = acc[1] - lam_eff * mass[1] + g[0] * h0 / p0
+        p1 = acc[b1] - lam_eff * mass[b1] + gf * h0 / p0
         if p1 == 0.0:
             p1 = -_ZERO_PIVOT
         extra += 1 if p1 <= 0.0 else 0
         out_d[t] = interior
         out_n[t] = interior + extra
-    return out_d, out_n
-
-
-# ---------------------------------------------------------------------------
-# Eigenvalue counting on an arbitrary finite tree (parent-pointer form).
-#
-# The Neumann count eliminates every vertex leaf-first toward the root; the
-# Dirichlet count runs the same order with both boundary vertices (root and
-# one marked vertex) deleted, which splits the tree into a forest and never
-# creates fill. Pivots are carried in the same excess-admittance form as
-# the dendrite pass: pivot(v) = coup(v) + acc(v) - lambda m(v), and the
-# eliminated vertex sends y = coup * h / pivot up to its parent. A deleted
-# boundary vertex leaves its edge behind as a grounded leg (+coup on the
-# parent's accumulator, no coupling). Waves group vertices at equal depth,
-# so each wave is one vectorized step; ``np.add.at`` sums a parent's
-# contributions in the order its children appear in the wave.
-# ---------------------------------------------------------------------------
-
-
-def counts_tree(mass, coup, parent, order, wave_offs, root, other, lams):
-    """(Dirichlet, Neumann) counts for a parent-pointer tree pencil."""
-    lams = np.ascontiguousarray(lams, dtype=np.float64)
-    nlam = lams.shape[0]
-    nv = mass.shape[0]
-    out_d = np.zeros(nlam, dtype=np.int64)
-    out_n = np.zeros(nlam, dtype=np.int64)
-    nwaves = wave_offs.shape[0] - 1
-    for t in range(nlam):
-        lam = lams[t]
-        if lam < 0.0:
-            continue
-        if lam == 0.0:
-            out_n[t] = 1
-            continue
-        lam_eff = lam * (1.0 + 1e-12)
-        # Neumann: full elimination into the root
-        acc = np.zeros(nv)
-        neg = 0
-        for w in range(nwaves):
-            vs = order[wave_offs[w] : wave_offs[w + 1]]
-            h = acc[vs] - lam_eff * mass[vs]
-            p = coup[vs] + h
-            p = np.where(p == 0.0, -_ZERO_PIVOT, p)
-            neg += int((p <= 0.0).sum())
-            np.add.at(acc, parent[vs], coup[vs] * h / p)
-        pr = acc[root] - lam_eff * mass[root]
-        if pr == 0.0:
-            pr = -_ZERO_PIVOT
-        out_n[t] = neg + (1 if pr <= 0.0 else 0)
-        # Dirichlet: boundary rows/columns removed, edges to them grounded
-        acc = np.zeros(nv)
-        acc[parent[other]] += coup[other]
-        neg = 0
-        for w in range(nwaves):
-            vs = order[wave_offs[w] : wave_offs[w + 1]]
-            vs = vs[vs != other]
-            if vs.shape[0] == 0:
-                continue
-            h = acc[vs] - lam_eff * mass[vs]
-            p = coup[vs] + h
-            p = np.where(p == 0.0, -_ZERO_PIVOT, p)
-            neg += int((p <= 0.0).sum())
-            par = parent[vs]
-            keep = (par != root) & (par != other)
-            np.add.at(acc, par[keep], (coup[vs] * h / p)[keep])
-        out_d[t] = neg
     return out_d, out_n
 
 

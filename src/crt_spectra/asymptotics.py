@@ -363,7 +363,7 @@ def estimate_renewal_constant(
     """Monte-Carlo u(t) on a grid, trapezoid integral, ratio estimate.
 
     u(t) = exp(-2t/3) E eta(t) vanishes for t below -ln(diameter) (exact
-    zeros) and decays like exp(-2t/3) above, since eta is bounded by 6. The
+    zeros) and decays like exp(-2t/3) above, since eta is bounded by 2. The
     upper grid end stays below the discretization ceiling ln(lambda_hi).
     Raises TailError when u has not decayed at the window edges.
     """

@@ -15,10 +15,11 @@ the midpoint/tip pair created for cell ordinal p at level q get ids
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
+from ._kernels import ContractionSchedule, contraction_schedule
 from .cascade import Address
 from .errors import CapacityError
 from .settings import cell_budget
@@ -70,7 +71,7 @@ class DendriteStructure:
     """Combinatorial skeleton of the level-n graph, shared by all cascades.
 
     Holds, per level q, the endpoint ids of each cell (``F_i(0,0)`` image
-    first), plus flattened copies consumed by the counting kernels.
+    first), and the level graph's contraction schedule.
     """
 
     def __init__(self, level: int):
@@ -94,13 +95,11 @@ class DendriteStructure:
         self.ep0_levels = ep0
         self.ep1_levels = ep1
         self.n_vertices = 3**level + 1
-        # passes 0..level-1 consume the parent-level endpoint arrays
-        self.ep0_flat = np.concatenate(ep0[:level]) if level else np.zeros(0, dtype=np.int64)
-        self.ep1_flat = np.concatenate(ep1[:level]) if level else np.zeros(0, dtype=np.int64)
-        offs = np.zeros(level + 1, dtype=np.int64)
-        for q in range(level):
-            offs[q + 1] = offs[q] + 3**q
-        self.pass_offsets = offs
+
+    @cached_property
+    def schedule(self) -> ContractionSchedule:
+        """Elimination rounds of the level graph with corners 0 and 1 kept, built on first use."""
+        return contraction_schedule(self.ep0_levels[self.level], self.ep1_levels[self.level], self.n_vertices, 0, 1)
 
 
 @lru_cache(maxsize=32)

@@ -370,29 +370,6 @@ class MetricTree:
             anc = int(self.parent[anc])
         return float(depth[a] + depth[b] - 2.0 * depth[anc])
 
-    def _distances_from(self, source: int, children: list[list[int]]) -> np.ndarray:
-        dist = np.full(self.n_vertices, -1.0)
-        dist[source] = 0.0
-        stack = [source]
-        while stack:
-            v = stack.pop()
-            nbrs = list(children[v])
-            if v != self.root:
-                nbrs.append(int(self.parent[v]))
-            for w in nbrs:
-                if dist[w] < 0:
-                    edge = self.edge_len[w] if self.parent[w] == v else self.edge_len[v]
-                    dist[w] = dist[v] + edge
-                    stack.append(w)
-        return dist
-
-    def diameter(self) -> float:
-        """Largest path distance between vertices (double-sweep)."""
-        children = self.children_lists()
-        d0 = self._distances_from(self.root, children)
-        far = int(np.argmax(d0))
-        return float(self._distances_from(far, children).max())
-
 
 def reduced_tree(f: ExcursionPath, k: int, seed) -> MetricTree:
     """Metric tree spanned by the root and k uniform grid times."""

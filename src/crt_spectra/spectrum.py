@@ -8,11 +8,13 @@ deterministically, and lambda = 0 is special-cased (the Laplacian of a
 connected tree has a simple kernel). A dense solver on the mass-normalized
 matrix serves as the independent oracle for small problems.
 
-Dirichlet counts delete the two boundary rows and columns; on the dendrite
-both counts come from one elimination because the boundary corners are
-pivoted last. A general tree pencil builds its elimination order once, on
-first use, and shares it with its Neumann/Dirichlet twin; the order depends
-only on the edges and the root, never on the shift or the boundary kind.
+Dirichlet counts delete the two boundary rows and columns. One engine
+counts every tree, dendrite network or excursion pencil: a rake/compress
+contraction schedule that pivots the two boundary vertices last, so one
+sweep yields both counts. The schedule depends only on the edges and the
+boundary, never on the shift or the boundary kind; it is built once per
+dendrite level (shared by every replica) and once per pencil (shared with
+the pencil's Neumann/Dirichlet twin).
 """
 
 from __future__ import annotations
@@ -21,10 +23,8 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import shortest_path
 
-from ._kernels import counts_dendrite, counts_tree
+from ._kernels import ContractionSchedule, contraction_schedule, inertia_counts
 from .cascade import HEIGHT_CONSTANT
 from .dendrite import structure
 from .errors import CapacityError, TruncationError
@@ -62,6 +62,9 @@ class Pencil:
             raise ValueError("kind must be 'neumann' or 'dirichlet'")
         if (self.mass <= 0).any():
             raise ValueError("mass diagonal must be positive")
+        b0, b1 = self.boundary
+        if b0 == b1 or not (0 <= b0 < self.n_vertices and 0 <= b1 < self.n_vertices):
+            raise ValueError("boundary must be two distinct vertex ids")
 
     @property
     def n_vertices(self) -> int:
@@ -77,25 +80,23 @@ class Pencil:
         return cls(e0.copy(), e1.copy(), net.conductance.copy(), net.vertex_mass.copy(), net.boundary, kind)
 
     @classmethod
-    def from_tree(cls, tree: MetricTree, kind: str = "neumann", boundary: tuple[int, int] | None = None) -> "Pencil":
+    def from_tree(cls, tree: MetricTree, kind: str = "neumann") -> "Pencil":
+        """Pencil bounded by the tree root and the first inserted leaf (a mu-random vertex)."""
         nonroot = np.array([v for v in range(tree.n_vertices) if v != tree.root], dtype=np.int64)
         eu = tree.parent[nonroot]
         ec = 1.0 / tree.edge_len[nonroot]
-        if boundary is None:
-            # the tree root and the first inserted leaf (a mu-random vertex)
-            boundary = (tree.root, 1 if tree.n_vertices > 1 else tree.root)
-        return cls(eu.astype(np.int64), nonroot, ec, np.maximum(tree.mass, 1e-300), boundary, kind)
+        return cls(eu.astype(np.int64), nonroot, ec, np.maximum(tree.mass, 1e-300), (tree.root, 1), kind)
 
     def with_kind(self, kind: str) -> "Pencil":
         twin = Pencil(self.edge_u, self.edge_v, self.edge_c, self.mass, self.boundary, kind)
-        if "tree_order" in self.__dict__:
-            twin.tree_order = self.tree_order
+        if "schedule" in self.__dict__:
+            twin.schedule = self.schedule
         return twin
 
     @cached_property
-    def tree_order(self) -> "_TreeOrder":
-        """Leaf-first elimination order, built on first use."""
-        return _TreeOrder(self)
+    def schedule(self) -> ContractionSchedule:
+        """Contraction schedule with the boundary pivoted last, built on first use."""
+        return contraction_schedule(self.edge_u, self.edge_v, self.n_vertices, *self.boundary)
 
 
 def dense_matrices(pencil: Pencil) -> tuple[np.ndarray, np.ndarray]:
@@ -135,46 +136,9 @@ def dense_count_below(pencil: Pencil, lam: float) -> int:
 # -- fast inertia path -------------------------------------------------------
 
 
-class _TreeOrder:
-    """Leaf-first elimination order of a pencil's tree, rooted at boundary[0].
-
-    Vertices are sorted by hop depth, deepest first; inside one depth wave
-    the children of each parent come in ascending order of their edge index,
-    which fixes the order in which the kernel sums a parent's accumulator.
-    """
-
-    def __init__(self, pencil: Pencil):
-        nv = pencil.n_vertices
-        root = pencil.boundary[0]
-        eu, ev = pencil.edge_u, pencil.edge_v
-        nedge = eu.shape[0]
-        adj = coo_matrix((np.ones(nedge), (eu, ev)), shape=(nv, nv)).tocsr()
-        hops = shortest_path(adj, method="D", directed=False, unweighted=True, indices=root)
-        if not np.isfinite(hops).all():
-            raise ValueError("pencil graph is not connected")
-        if nedge != nv - 1:
-            raise ValueError("pencil graph is not a tree")
-        depth = hops.astype(np.int64)
-        child = np.where(depth[ev] > depth[eu], ev, eu)
-        parent = np.full(nv, -1, dtype=np.int64)
-        parent[child] = np.where(child == ev, eu, ev)
-        coup = np.zeros(nv)
-        coup[child] = pencil.edge_c
-        # child[k] hangs from edge k: a stable sort keeps edge order inside a wave
-        order = child[np.argsort(-depth[child], kind="stable")]
-        # wave boundaries: runs of equal depth in the (descending) order
-        cuts = np.nonzero(np.diff(depth[order]))[0] + 1
-        self.order = order
-        self.wave_offs = np.concatenate(([0], cuts, [nedge])).astype(np.int64)
-        self.parent = parent
-        self.coup = coup
-        self.root = root
-
-
 def count_pair(pencil: Pencil, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Dirichlet, Neumann) counts at each lambda by tree inertia."""
-    to = pencil.tree_order
-    return counts_tree(pencil.mass, to.coup, to.parent, to.order, to.wave_offs, to.root, pencil.boundary[1], lams)
+    return inertia_counts(pencil.schedule, pencil.mass, pencil.edge_c, lams)
 
 
 def count_below(pencil: Pencil, lam: float) -> int:
@@ -185,9 +149,6 @@ def count_below(pencil: Pencil, lam: float) -> int:
     return int(nd[0] if pencil.kind == "dirichlet" else nn[0])
 
 
-# -- dendrite networks: specialized level-pass engine -------------------------
-
-
 def block_counts(level: int, conduct: np.ndarray, cell_mass: np.ndarray, lams: np.ndarray):
     """Counts for a bare (conductance, cell-mass) block on the level graph."""
     st = structure(level)
@@ -195,13 +156,12 @@ def block_counts(level: int, conduct: np.ndarray, cell_mass: np.ndarray, lams: n
     nv = st.n_vertices
     half = 0.5 * cell_mass
     mass = np.bincount(e0, weights=half, minlength=nv) + np.bincount(e1, weights=half, minlength=nv)
-    return counts_dendrite(mass, conduct, st.ep0_flat, st.ep1_flat, st.pass_offsets, level, lams)
+    return inertia_counts(st.schedule, mass, conduct, lams)
 
 
 def network_counts(net: ResistanceNetwork, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Dirichlet, Neumann) counting-function samples for a network."""
-    st = net.structure
-    return counts_dendrite(net.vertex_mass, net.conductance, st.ep0_flat, st.ep1_flat, st.pass_offsets, net.level, lams)
+    return inertia_counts(net.structure.schedule, net.vertex_mass, net.conductance, lams)
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +371,11 @@ def bracketing_check(net: ResistanceNetwork, lams: np.ndarray) -> list[BracketRe
 
 
 def eta_many(net: ResistanceNetwork, ts: np.ndarray, method: str = "embedded") -> np.ndarray:
-    """eta(t) = N_D(e**t) - sum_j N_D,j(e**t w(j)**3), an integer in [0, 6].
+    """eta(t) = N_D(e**t) - sum_j N_D,j(e**t w(j)**3), an integer in [0, 2].
+
+    The three cell blocks form the full Dirichlet matrix with the rows and
+    columns of vertices 2 and 3 (the level-1 midpoint and tip) deleted, so
+    Cauchy interlacing bounds eta by 0 and 2.
 
     ``embedded`` counts the cell sub-blocks of the assembled pencil
     directly at e**t (bit-exact principal submatrices); ``fresh``

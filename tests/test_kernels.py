@@ -6,7 +6,6 @@ The counting kernels are checked against the dense solver in test_spectrum.
 import numpy as np
 
 from crt_spectra import _kernels, excursion
-from crt_spectra.dendrite import structure
 
 
 def test_mix64_reference_values():
@@ -47,11 +46,3 @@ def test_nearest_vertex_matches_brute_force():
     owner, best = _kernels.nearest_vertex(f, tv)
     np.testing.assert_array_equal(owner, dist.argmin(axis=1))  # argmin: ties to the lowest vertex
     np.testing.assert_array_equal(best, dist.min(axis=1))
-
-
-def test_structure_flat_offsets():
-    st = structure(4)
-    assert st.ep0_flat.shape[0] == (3**4 - 1) // 2
-    for q in range(4):
-        lo, hi = st.pass_offsets[q], st.pass_offsets[q + 1]
-        np.testing.assert_array_equal(st.ep0_flat[lo:hi], st.ep0_levels[q])

@@ -1,8 +1,11 @@
+import mpmath
 import numpy as np
 import pytest
 
 from crt_spectra import cascade, excursion, forms, spectrum
+from crt_spectra._kernels import contraction_schedule
 from crt_spectra.cascade import Address, CascadeTree, HEIGHT_CONSTANT, PerturbationTable
+from crt_spectra.dendrite import structure
 from crt_spectra.errors import CapacityError, TruncationError
 from crt_spectra.spectrum import Pencil
 
@@ -41,27 +44,100 @@ def test_neumann_zero_count():
 # -- oracle equivalence -------------------------------------------------------------
 
 
-@pytest.mark.parametrize("depth", [1, 2, 3, 4])
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6, 7])
 def test_inertia_matches_dense_oracle(depth):
+    # eigvalsh errs by about eps * lambda_max, and random cascades reach
+    # lambda_max ~ 1e17 from depth 5 on; past depth 4 only the uniform
+    # cascade leaves the dense solver accurate enough to serve as the oracle
     lams = np.geomspace(0.3, 3e5, 20)
-    for seed in range(3):
-        net = small_network(depth, seed=seed + 10 * depth)
+    nets = [small_network(depth, seed=seed + 10 * depth) for seed in range(3)] if depth <= 4 else [debug_network(depth)]
+    for net in nets:
         nd, nn = spectrum.network_counts(net, lams)
-        pd = Pencil.from_network(net, "dirichlet")
-        pn = Pencil.from_network(net, "neumann")
-        for i, lam in enumerate(lams):
-            assert spectrum.dense_count_below(pd, float(lam)) == nd[i]
-            assert spectrum.dense_count_below(pn, float(lam)) == nn[i]
+        for kind, counts in (("dirichlet", nd), ("neumann", nn)):
+            eigs = spectrum.dense_eigenvalues(Pencil.from_network(net, kind))
+            np.testing.assert_array_equal((eigs[:, None] <= lams * (1.0 + 1e-12)).sum(axis=0), counts)
 
 
-def test_tree_engine_matches_dendrite_engine():
-    lams = np.geomspace(0.3, 3e5, 25)
-    for depth in (1, 3, 5):
-        net = small_network(depth, seed=depth)
-        nd, nn = spectrum.network_counts(net, lams)
-        td, tn = spectrum.count_pair(Pencil.from_network(net), lams)
-        np.testing.assert_array_equal(td, nd)
-        np.testing.assert_array_equal(tn, nn)
+def _mp_counts(pen: Pencil, lam: float) -> tuple[int, int]:
+    """(Dirichlet, Neumann) counts by a 60-digit leaf-first elimination.
+
+    Plain Schur-complement form, pivot = diagonal - sum of c**2 / child
+    pivot, in a breadth-first order from boundary[0] reversed; the Dirichlet
+    pass skips both boundary rows, so their edges stay on the diagonal.
+    """
+    with mpmath.workdps(60):
+        nv = pen.n_vertices
+        nbrs = [[] for _ in range(nv)]
+        for u, v, c in zip(pen.edge_u.tolist(), pen.edge_v.tolist(), pen.edge_c.tolist()):
+            nbrs[u].append((v, mpmath.mpf(c)))
+            nbrs[v].append((u, mpmath.mpf(c)))
+        shift = mpmath.mpf(lam * (1.0 + 1e-12))
+        diag = [sum(c for _, c in nbrs[v]) - shift * mpmath.mpf(float(pen.mass[v])) for v in range(nv)]
+        root, other = pen.boundary
+        parent, coup, order = [-1] * nv, [None] * nv, [root]
+        for v in order:
+            for w, c in nbrs[v]:
+                if w != root and parent[w] < 0:
+                    parent[w], coup[w] = v, c
+                    order.append(w)
+        counts = []
+        for skip in ((root, other), ()):
+            d = list(diag)
+            neg = 0
+            for v in reversed(order):
+                if v in skip:
+                    continue
+                neg += d[v] <= 0
+                if v != root and parent[v] not in skip:
+                    d[parent[v]] -= coup[v] ** 2 / d[v]
+            counts.append(neg)
+        return counts[0], counts[1]
+
+
+def test_inertia_matches_mpmath_past_dense_cap():
+    net = small_network(8, seed=3)
+    pen = Pencil.from_network(net)
+    with pytest.raises(CapacityError):
+        spectrum.dense_matrices(pen)
+    floor = spectrum.dirichlet_floor(net)
+    lams = np.geomspace(floor * (1.0 + 1e-6), 1e12, 12)
+    nd, nn = spectrum.count_pair(pen, lams)
+    assert nd[0] == 1
+    for i, lam in enumerate(lams):
+        assert _mp_counts(pen, float(lam)) == (nd[i], nn[i])
+
+
+def _relabelled(pen: Pencil, rng) -> Pencil:
+    # new vertex ids and a new edge order; the boundary maps along
+    perm = rng.permutation(pen.n_vertices)
+    eperm = rng.permutation(pen.edge_u.shape[0])
+    mass = np.empty_like(pen.mass)
+    mass[perm] = pen.mass
+    bnd = (int(perm[pen.boundary[0]]), int(perm[pen.boundary[1]]))
+    return Pencil(perm[pen.edge_u[eperm]], perm[pen.edge_v[eperm]], pen.edge_c[eperm], mass, bnd)
+
+
+def test_counts_independent_of_elimination_order():
+    rng = np.random.default_rng(4)
+    tree = excursion.reduced_tree(excursion.sample_excursion(2**12, 41), 150, seed=3)
+    cases = [
+        (Pencil.from_network(small_network(5, seed=5)), np.geomspace(0.3, 3e5, 40)),
+        (Pencil.from_tree(tree), np.geomspace(1.0, 1e7, 40)),
+    ]
+    for pen, lams in cases:
+        shuffled = _relabelled(pen, rng)
+        nd, nn = spectrum.count_pair(pen, lams)
+        sd, sn = spectrum.count_pair(shuffled, lams)
+        assert 0 < nn[0] and nn[-1] > nn[0]
+        np.testing.assert_array_equal(sd, nd)
+        np.testing.assert_array_equal(sn, nn)
+    # a level-n dendrite contracts one refinement level per round
+    for level in range(1, 7):
+        assert len(structure(level).schedule.rounds) == level
+    # a path contracts by compressing alone, in O(log V) rounds
+    n = 2**14
+    path = contraction_schedule(np.arange(n - 1), np.arange(1, n), n, 0, n - 1)
+    assert len(path.rounds) <= 40
 
 
 def test_tree_engine_matches_dense_on_excursion_trees():
@@ -74,6 +150,13 @@ def test_tree_engine_matches_dense_on_excursion_trees():
     for i, lam in enumerate(lams):
         assert spectrum.dense_count_below(pd, float(lam)) == td[i]
         assert spectrum.dense_count_below(pen, float(lam)) == tn[i]
+
+
+def test_pencil_rejects_bad_boundary():
+    eu, ev = np.array([0, 1]), np.array([1, 2])
+    for bnd in ((0, 0), (2, 2), (0, 3), (-1, 2)):
+        with pytest.raises(ValueError, match="boundary"):
+            Pencil(eu, ev, np.ones(2), np.ones(3), bnd)
 
 
 def test_count_pair_rejects_non_tree_pencils():
@@ -177,7 +260,7 @@ def test_eta_bounded_and_zero_below_floor():
         diam = forms.diameter(net)
         ts = np.linspace(-2.0, 12.0, 60)
         etas = spectrum.eta_many(net, ts)
-        assert ((etas >= 0) & (etas <= 6)).all()
+        assert ((etas >= 0) & (etas <= 2)).all()
         below = ts < -np.log(diam)
         assert (etas[below] == 0).all()
 
