@@ -213,12 +213,18 @@ def contraction_schedule(edge_u, edge_v, n_vertices: int, b0: int, b1: int) -> C
 
 def inertia_counts(
     sched: ContractionSchedule, mass: np.ndarray, conduct: np.ndarray, lams: np.ndarray
-) -> tuple[np.ndarray, np.ndarray]:
-    """(Dirichlet, Neumann) eigenvalue counts <= lambda for each grid value."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Dirichlet, Neumann, final-round) counts <= lambda for each grid value.
+
+    The third array counts the nonpositive pivots of the schedule's last
+    round alone; on a dendrite level graph that round pivots the level-1
+    midpoint and tip, so it is the branching increment eta.
+    """
     lams = np.ascontiguousarray(lams, dtype=np.float64)
     b0, b1 = sched.b0, sched.b1
     out_d = np.zeros(lams.shape[0], dtype=np.int64)
     out_n = np.zeros(lams.shape[0], dtype=np.int64)
+    out_last = np.zeros(lams.shape[0], dtype=np.int64)
     for t, lam in enumerate(lams):
         if lam < 0.0:
             continue
@@ -229,19 +235,20 @@ def inertia_counts(
         acc = np.zeros(mass.shape[0])
         g = np.empty(sched.n_slots)
         g[: conduct.shape[0]] = conduct
-        interior = 0
+        interior = last = 0
         for leaf, target, leaf_slot, mid, a, b, slot_a, slot_b, fill in sched.rounds:
             c = g[leaf_slot]
             h = acc[leaf] - lam_eff * mass[leaf]
             p = c + h
             p = np.where(p == 0.0, -_ZERO_PIVOT, p)
-            interior += int((p <= 0.0).sum())
+            last = int((p <= 0.0).sum())
             acc[target] += c * h / p
             ga, gb = g[slot_a], g[slot_b]
             h = acc[mid] - lam_eff * mass[mid]
             p = ga + gb + h
             p = np.where(p == 0.0, -_ZERO_PIVOT, p)
-            interior += int((p <= 0.0).sum())
+            last += int((p <= 0.0).sum())
+            interior += last
             np.add.at(acc, a, ga * h / p)
             np.add.at(acc, b, gb * h / p)
             g[fill : fill + ga.shape[0]] = ga * gb / p
@@ -257,7 +264,8 @@ def inertia_counts(
         extra += 1 if p1 <= 0.0 else 0
         out_d[t] = interior
         out_n[t] = interior + extra
-    return out_d, out_n
+        out_last[t] = last
+    return out_d, out_n, out_last
 
 
 # ---------------------------------------------------------------------------

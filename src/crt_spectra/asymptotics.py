@@ -5,8 +5,11 @@ self-similar cascade networks should satisfy N(lambda) ~ C0 lambda**(2/3)
 (plateau of the rescaled mean curve over an automatically selected window),
 and the renewal route integrates the discounted mean branching increment
 u(t) = exp(-2t/3) E eta(t), whose integral over the tilted split measure's
-unit first moment equals the same constant. A third route builds reduced
-trees from sampled excursions and counts with the same engine.
+unit first moment equals the same constant. Both share one replica loop:
+:func:`run_ensemble` builds each cascade network once and, given renewal
+shifts, reads the replica's eta row off one more sweep of that network. A
+third route builds reduced trees from sampled excursions and counts with
+the same engine.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ class EnsembleConfig:
             raise ValueError("lambda grid must be increasing")
         if self.route not in ("selfsimilar", "excursion"):
             raise ValueError("route must be 'selfsimilar' or 'excursion'")
+        if self.route == "excursion" and not 1 <= self.leaves <= self.steps - 1:
+            raise ValueError("the excursion route needs 1 <= leaves <= steps - 1")
 
     @property
     def lambda_grid(self) -> np.ndarray:
@@ -86,6 +91,7 @@ class EnsembleResult:
     floors: np.ndarray  # first Dirichlet eigenvalue per replica
     resolutions: np.ndarray  # per replica, estimated ceiling of the resolved range
     n_vertices: int
+    eta: np.ndarray | None = None  # (replicas, shifts) branching increments, renewal runs only
 
     def mean_curve(self, boundary: str = "neumann") -> np.ndarray:
         if boundary == "midpoint":
@@ -143,7 +149,7 @@ def _weighted_quantile(x: np.ndarray, w: np.ndarray, q: float) -> float:
     return float(x[order[min(i, x.shape[0] - 1)]])
 
 
-def _selfsimilar_replica(config: EnsembleConfig, r: int):
+def _selfsimilar_replica(config: EnsembleConfig, r: int, ts: np.ndarray | None):
     from .forms import diameter as net_diameter
 
     net = build_network(config.depth, config.replica_seed(r), config.trunc_depth, config.debug_cascade)
@@ -158,7 +164,7 @@ def _selfsimilar_replica(config: EnsembleConfig, r: int):
     l_arr = net.cascade.l_levels()[net.level] if net.cascade is not None else np.ones(1)
     neg3logl = -3.0 * np.log(l_arr)
     resolution = floor * np.exp(_weighted_quantile(neg3logl, l_arr**2, config.ceiling_deficit))
-    return nd, nn, floor, resolution
+    return nd, nn, floor, resolution, net.n_vertices, None if ts is None else eta_many(net, ts)
 
 
 def _excursion_replica(config: EnsembleConfig, r: int):
@@ -180,38 +186,36 @@ def _excursion_replica(config: EnsembleConfig, r: int):
     return nd, nn, floor, resolution, tree.n_vertices
 
 
-def run_ensemble(config: EnsembleConfig) -> EnsembleResult:
+def run_ensemble(config: EnsembleConfig, ts: np.ndarray | None = None) -> EnsembleResult:
     """Independent replicas on the lambda grid; deterministic in the config.
 
-    Results are keyed by replica index, so the worker-thread count never
-    changes any byte of the output.
+    Each replica is built once. Given renewal shifts ``ts`` (self-similar
+    route only), the same network also yields the replica's eta row. Rows
+    are keyed by replica index, so the worker-thread count never changes
+    any byte of the output.
     """
+    if ts is not None and config.route != "selfsimilar":
+        raise ValueError("eta needs the self-similar route")
     if config.route == "selfsimilar" and 3**config.depth * config.replicas > cell_budget():
         raise CapacityError(
             f"3**{config.depth} cells x {config.replicas} replicas exceeds budget {cell_budget()}"
         )
-    k = config.lambda_points
-    nd = np.zeros((config.replicas, k), dtype=np.int64)
-    nn = np.zeros((config.replicas, k), dtype=np.int64)
-    floors = np.zeros(config.replicas)
-    resolutions = np.zeros(config.replicas)
-    sizes = np.zeros(config.replicas, dtype=np.int64)
 
     def work(r: int):
         if config.route == "selfsimilar":
-            d, n, f, q = _selfsimilar_replica(config, r)
-            return r, d, n, f, q, 3**config.depth + 1
-        return (r, *_excursion_replica(config, r))
+            return _selfsimilar_replica(config, r, ts)
+        return (*_excursion_replica(config, r), None)
 
     if config.threads > 1:
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            for r, d, n, f, q, nv in pool.map(work, range(config.replicas)):
-                nd[r], nn[r], floors[r], resolutions[r], sizes[r] = d, n, f, q, nv
+            rows = list(pool.map(work, range(config.replicas)))
     else:
-        for r in range(config.replicas):
-            r, d, n, f, q, nv = work(r)
-            nd[r], nn[r], floors[r], resolutions[r], sizes[r] = d, n, f, q, nv
-    return EnsembleResult(config, config.lambda_grid, nd, nn, floors, resolutions, int(sizes.max()))
+        rows = [work(r) for r in range(config.replicas)]
+    nd, nn, floors, resolutions, sizes, etas = zip(*rows)
+    return EnsembleResult(
+        config, config.lambda_grid, np.array(nd), np.array(nn), np.array(floors), np.array(resolutions),
+        int(max(sizes)), None if ts is None else np.array(etas),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -302,52 +306,6 @@ def fit_scaling(
     )
 
 
-def almost_sure_check(
-    depths: tuple[int, ...],
-    ensemble: EnsembleResult,
-    ensemble_fit: ScalingFit,
-) -> dict:
-    """Single fixed-seed replica across depths against the ensemble plateau.
-
-    Replica 0 of the ensemble's seed is refined through the listed depths
-    (the per-address streams make deeper cascades extensions of the same
-    realization). Its plateau should drift toward the ensemble value and,
-    at the deepest level, sit within three replica-dispersion sigmas: the
-    almost-sure limit makes single realizations indistinguishable from the
-    mean at large lambda.
-    """
-    per_depth = []
-    config = ensemble.config
-    for depth in depths:
-        cfg = EnsembleConfig(
-            replicas=1,
-            depth=depth,
-            master_seed=config.master_seed,
-            trunc_depth=config.trunc_depth,
-            lambda_lo=config.lambda_lo,
-            lambda_hi=config.lambda_hi,
-            lambda_points=config.lambda_points,
-            ceiling_deficit=config.ceiling_deficit,
-        )
-        single = run_ensemble(cfg)
-        lo, hi = auto_window(single)
-        mask = (single.lambdas >= lo) & (single.lambdas <= hi)
-        mid = single.mean_curve("midpoint")
-        plateau = float((mid[mask] * single.lambdas[mask] ** (-GAMMA_EXPONENT)).mean())
-        per_depth.append({"depth": depth, "plateau": plateau, "window": [lo, hi]})
-    final = per_depth[-1]["plateau"]
-    sigma = max(ensemble_fit.replica_plateau_std, 1e-12)
-    drifts = [abs(d["plateau"] - ensemble_fit.plateau) for d in per_depth]
-    return {
-        "per_depth": per_depth,
-        "ensemble_plateau": ensemble_fit.plateau,
-        "final_distance": abs(final - ensemble_fit.plateau),
-        "sigma": sigma,
-        "within_3_sigma": bool(abs(final - ensemble_fit.plateau) <= 3.0 * sigma),
-        "drift_sequence": drifts,
-    }
-
-
 # ---------------------------------------------------------------------------
 # Renewal route
 # ---------------------------------------------------------------------------
@@ -359,29 +317,28 @@ def estimate_renewal_constant(
     t_hi: float | None = None,
     t_points: int = 241,
     tail_tol: float = 1e-3,
-) -> RenewalEstimate:
-    """Monte-Carlo u(t) on a grid, trapezoid integral, ratio estimate.
+) -> tuple[EnsembleResult, RenewalEstimate]:
+    """The ensemble with eta rows, and the renewal estimate they give.
 
-    u(t) = exp(-2t/3) E eta(t) vanishes for t below -ln(diameter) (exact
-    zeros) and decays like exp(-2t/3) above, since eta is bounded by 2. The
-    upper grid end stays below the discretization ceiling ln(lambda_hi).
-    Raises TailError when u has not decayed at the window edges.
+    One :func:`run_ensemble` call builds each replica once for its counting
+    curves and its eta on the t grid. The Monte-Carlo mean of u(t) =
+    exp(-2t/3) E eta(t) is integrated by the trapezoid rule and divided by
+    the tilted split measure's first moment. u vanishes for t below
+    -ln(diameter) (exact zeros) and decays like exp(-2t/3) above, since
+    eta is bounded by 2. The upper grid end stays below the discretization
+    ceiling ln(lambda_hi). Raises TailError when u has not decayed at the
+    window edges.
     """
     if t_hi is None:
         t_hi = float(np.log(config.lambda_hi))
     ts = np.linspace(t_lo, t_hi, t_points)
-    acc = np.zeros(t_points)
-    for r in range(config.replicas):
-        net = build_network(config.depth, config.replica_seed(r), config.trunc_depth, config.debug_cascade)
-        acc += eta_many(net, ts)
-    mean_eta = acc / config.replicas
-    u = np.exp(-GAMMA_EXPONENT * ts) * mean_eta
+    result = run_ensemble(config, ts)
+    u = np.exp(-GAMMA_EXPONENT * ts) * result.eta.mean(axis=0)
     if u[0] > tail_tol or u[-1] > tail_tol:
         raise TailError(f"u at the window edges ({u[0]}, {u[-1]}) above {tail_tol}")
     integral = float(np.trapezoid(u, ts))
-    total, first = nu_gamma_moments()
-    del total
-    return RenewalEstimate(
+    _, first = nu_gamma_moments()
+    return result, RenewalEstimate(
         t_grid=ts,
         u_values=u,
         nu_first_moment=first,

@@ -107,9 +107,6 @@ class MassTriple:
         if not (abs(s - 1.0) <= 1e-12 and self.d1 > 0 and self.d2 > 0 and self.d3 > 0):
             raise ValueError(f"not a valid mass triple: {(self.d1, self.d2, self.d3)}")
 
-    def as_array(self) -> np.ndarray:
-        return np.array([self.d1, self.d2, self.d3])
-
 
 def sample_dirichlet_half(seed: int) -> MassTriple:
     """One exact Dirichlet(1/2,1/2,1/2) triple, deterministic in the seed."""
@@ -268,10 +265,6 @@ class PerturbationTable:
 
     def value_at(self, address: Address) -> float:
         return float(self.r_levels[len(address)][address.ordinal])
-
-    def height_at(self, address: Address) -> float:
-        """D_i = R_i / H, the normalized boundary-to-boundary height."""
-        return self.value_at(address) / HEIGHT_CONSTANT
 
     def heights(self, level: int) -> np.ndarray:
         return self.r_levels[level] / HEIGHT_CONSTANT

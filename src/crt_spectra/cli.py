@@ -1,10 +1,13 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 usage error, 3 capacity exceeded, 4 numerical
-guard tripped (tail/truncation/window failures, oracle or bracketing
-mismatch). Everything is deterministic in (seed, config): re-running a
-command reproduces the numeric payloads byte for byte, whatever the thread
-count.
+Exit codes: 0 success, 2 usage error (a bad flag value or a flag
+combination that describes no valid run), 3 capacity exceeded, 4
+numerical guard tripped (tail/truncation/window failures, oracle or
+bracketing mismatch). Everything is deterministic in (seed, config):
+re-running a command reproduces the numeric payloads byte for byte,
+whatever the thread count. ``--threads`` spreads the replicas of
+``ensemble``, ``renewal`` and ``crt-route`` over worker threads; ``renewal``
+builds each replica once, for its counting curves and its eta row.
 """
 
 from __future__ import annotations
@@ -37,6 +40,10 @@ class GuardError(CrtSpectraError):
     """A validation the CLI promised to gate on has failed."""
 
 
+class UsageError(CrtSpectraError):
+    """Flag values that describe no valid run."""
+
+
 def _meta(seed: int, params: dict) -> dict:
     return {"seed": seed, "config_hash": config_hash(params), "version": __version__, **params}
 
@@ -64,6 +71,8 @@ def cmd_sample_cascade(args) -> int:
 def cmd_spectrum(args) -> int:
     from .asymptotics import build_network
 
+    if args.check_bracketing and args.depth < 1:
+        raise UsageError("--check-bracketing needs --depth >= 1")
     net = build_network(args.depth, args.seed, args.trunc_depth)
     lams = np.geomspace(args.lambda_lo, args.lambda_hi, args.points)
     curve_d, curve_n = network_curves(net, lams)
@@ -83,8 +92,6 @@ def cmd_spectrum(args) -> int:
     if args.boundary in ("neumann", "both"):
         (outdir / "spectrum_neumann.csv").write_text(curve_n.to_csv())
     if args.check_bracketing:
-        if args.depth < 1:
-            raise GuardError("bracketing needs depth >= 1")
         reports = bracketing_check(net, lams)
         bad = [r for r in reports if not (r.chain_ok and r.gap_ok)]
         if bad:
@@ -99,12 +106,15 @@ _DEFAULTS = {f.name: f.default for f in fields(EnsembleConfig) if f.default is n
 def _ensemble_config(args, route: str) -> EnsembleConfig:
     # a command without a field's flag leaves that field at its default
     given = {f.name: getattr(args, f.name) for f in fields(EnsembleConfig) if hasattr(args, f.name)}
-    return EnsembleConfig(**given, master_seed=args.seed, lambda_points=args.points, route=route)
+    try:
+        return EnsembleConfig(**given, master_seed=args.seed, lambda_points=args.points, route=route)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def _check_oracle(config: EnsembleConfig) -> None:
     if config.depth > 4:
-        raise GuardError("--oracle is limited to depth <= 4 (dense solver)")
+        raise UsageError("--oracle is limited to depth <= 4 (dense solver)")
     from .asymptotics import build_network
 
     lams = np.geomspace(config.lambda_lo, config.lambda_hi, 7)
@@ -138,13 +148,14 @@ def cmd_ensemble(args) -> int:
 
 def cmd_renewal(args) -> int:
     config = _ensemble_config(args, "selfsimilar")
-    result = run_ensemble(config)
+    if config.depth < 1:
+        raise UsageError("renewal needs --depth >= 1 (eta lives on the first refinement)")
+    result, renewal = estimate_renewal_constant(config)
     fit = None
     try:
         fit = fit_scaling(result)
     except WindowUnresolved:
         pass
-    renewal = estimate_renewal_constant(config)
     extra = {"m_infinity": format(renewal.m_infinity, ".17g")}
     write_results(args.out, result, fit, renewal=renewal, extra=extra if fit else None)
     return 0
@@ -225,9 +236,12 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
     try:
         return args.fn(args)
+    except UsageError as exc:
+        parser.error(f"{args.command}: {exc}")  # exits 2, as argparse does for a bad flag
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3

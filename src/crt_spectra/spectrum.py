@@ -29,7 +29,7 @@ from .cascade import HEIGHT_CONSTANT
 from .dendrite import structure
 from .errors import CapacityError, TruncationError
 from .excursion import MetricTree
-from .forms import ResistanceNetwork, cell_block, subnetwork_fresh
+from .forms import ResistanceNetwork, subnetwork_fresh
 
 _NUDGE = 1e-12
 
@@ -138,7 +138,7 @@ def dense_count_below(pencil: Pencil, lam: float) -> int:
 
 def count_pair(pencil: Pencil, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Dirichlet, Neumann) counts at each lambda by tree inertia."""
-    return inertia_counts(pencil.schedule, pencil.mass, pencil.edge_c, lams)
+    return inertia_counts(pencil.schedule, pencil.mass, pencil.edge_c, lams)[:2]
 
 
 def count_below(pencil: Pencil, lam: float) -> int:
@@ -150,18 +150,22 @@ def count_below(pencil: Pencil, lam: float) -> int:
 
 
 def block_counts(level: int, conduct: np.ndarray, cell_mass: np.ndarray, lams: np.ndarray):
-    """Counts for a bare (conductance, cell-mass) block on the level graph."""
+    """(Dirichlet, Neumann) counts for a bare (conductance, cell-mass) block on the level graph.
+
+    Counted in a sweep of its own: the reference for the eta that
+    :func:`eta_many` reads off the full network's sweep.
+    """
     st = structure(level)
     e0, e1 = st.ep0_levels[level], st.ep1_levels[level]
     nv = st.n_vertices
     half = 0.5 * cell_mass
     mass = np.bincount(e0, weights=half, minlength=nv) + np.bincount(e1, weights=half, minlength=nv)
-    return inertia_counts(st.schedule, mass, conduct, lams)
+    return inertia_counts(st.schedule, mass, conduct, lams)[:2]
 
 
 def network_counts(net: ResistanceNetwork, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """(Dirichlet, Neumann) counting-function samples for a network."""
-    return inertia_counts(net.structure.schedule, net.vertex_mass, net.conductance, lams)
+    return inertia_counts(net.structure.schedule, net.vertex_mass, net.conductance, lams)[:2]
 
 
 # ---------------------------------------------------------------------------
@@ -377,58 +381,37 @@ def eta_many(net: ResistanceNetwork, ts: np.ndarray, method: str = "embedded") -
     columns of vertices 2 and 3 (the level-1 midpoint and tip) deleted, so
     Cauchy interlacing bounds eta by 0 and 2.
 
-    ``embedded`` counts the cell sub-blocks of the assembled pencil
-    directly at e**t (bit-exact principal submatrices); ``fresh``
-    re-assembles each cell from the shifted cascade and counts at the
-    rescaled shift. The two agree except on a measure-zero set of shifts.
+    ``embedded`` takes one sweep of the assembled network. Its contraction
+    schedule pivots every vertex inside a first-generation cell before the
+    final round, and those pivots factor the cell's Dirichlet block; the
+    final round rakes the tip into the midpoint and compresses the midpoint
+    between the corners, so eta is that round's nonpositive-pivot count.
+    ``fresh`` re-assembles each cell from the shifted cascade and counts
+    N_D - sum_j N_D,j at the rescaled shifts, the independent cross-check
+    of the evolution identity. The two agree except on a measure-zero set
+    of shifts.
     """
     if net.level < 1:
         raise ValueError("eta needs at least one refinement level")
     ts = np.asarray(ts, dtype=np.float64)
     lams = np.exp(ts)
-    full_d, _ = network_counts(net, lams)
-    sub = np.zeros(ts.shape[0], dtype=np.int64)
     if method == "embedded":
-        for j in (1, 2, 3):
-            conduct, cmass = cell_block(net, j)
-            d, _ = block_counts(net.level - 1, conduct, cmass, lams)
-            sub += d
-    elif method == "fresh":
-        w1 = net.cascade.w_levels()[1]
-        for j in (1, 2, 3):
-            d, _ = network_counts(subnetwork_fresh(net, j), lams * float(w1[j - 1]) ** 3)
-            sub += d
-    else:
+        return inertia_counts(net.structure.schedule, net.vertex_mass, net.conductance, lams)[2]
+    if method != "fresh":
         raise ValueError("method must be 'embedded' or 'fresh'")
-    return full_d - sub
-
-
-def eta(net: ResistanceNetwork, t: float, method: str = "embedded") -> int:
-    return int(eta_many(net, np.array([t]), method)[0])
-
-
-def evolution_identity_gap(net: ResistanceNetwork, ts: np.ndarray) -> np.ndarray:
-    """N_D(e**t) - [eta(t) + sum_j N_D,j(e**t w(j)**3)] with fresh subcounts.
-
-    Zero everywhere the discrete evolution identity holds exactly (it can
-    only fail on shifts that collide with an eigenvalue to rounding).
-    """
-    ts = np.asarray(ts, dtype=np.float64)
-    lams = np.exp(ts)
     full_d, _ = network_counts(net, lams)
-    rhs = eta_many(net, ts, method="embedded").astype(np.int64)
     w1 = net.cascade.w_levels()[1]
     for j in (1, 2, 3):
         d, _ = network_counts(subnetwork_fresh(net, j), lams * float(w1[j - 1]) ** 3)
-        rhs += d
-    return full_d - rhs
+        full_d -= d
+    return full_d
 
 
 def telescoping_identity_gap(net: ResistanceNetwork, ts: np.ndarray, k_max: int) -> np.ndarray:
     """Check X(t) = sum_{|i|<k} eta_i(t + 3 ln l(i)) + level-k boundary sum.
 
     All per-address terms are computed on freshly assembled subnetworks at
-    the rescaled shifts, independently of the embedded-block path used by
+    the rescaled shifts, independently of the one-sweep path used by
     :func:`eta_many`, so the telescoping is a real cross-check rather than
     array algebra. Returns the integer gaps (zero when the identity holds).
     """

@@ -29,6 +29,8 @@ def test_config_validation():
         small_config(lambda_hi=0.1)
     with pytest.raises(ValueError):
         small_config(route="wat")
+    with pytest.raises(ValueError):
+        small_config(route="excursion", steps=4, leaves=4)
     grid = small_config().lambda_grid
     assert (np.diff(grid) > 0).all()
 
@@ -110,7 +112,7 @@ def test_debug_cascade_smoke_slope():
 
 def test_renewal_pieces():
     cfg = small_config(replicas=8, depth=5)
-    est = asymptotics.estimate_renewal_constant(cfg, t_lo=-2.0, t_hi=np.log(cfg.lambda_hi), t_points=121)
+    _, est = asymptotics.estimate_renewal_constant(cfg, t_lo=-2.0, t_hi=np.log(cfg.lambda_hi), t_points=121)
     assert abs(est.nu_first_moment - 1.0) < 1e-6
     assert est.m_infinity > 0
     assert est.tail_lo == 0.0  # exact zeros below the floor
@@ -122,6 +124,21 @@ def test_renewal_tail_guard():
     cfg = small_config(replicas=2, depth=4)
     with pytest.raises(TailError):
         asymptotics.estimate_renewal_constant(cfg, t_lo=1.5, t_hi=3.0, t_points=11)
+
+
+def test_ensemble_eta_rows_match_per_replica_eta():
+    cfg = small_config(replicas=3, depth=4)
+    ts = np.linspace(-2.0, 12.0, 30)
+    with_eta = run_ensemble(cfg, ts)
+    plain = run_ensemble(cfg)
+    assert plain.eta is None and with_eta.eta.shape == (3, 30)
+    np.testing.assert_array_equal(with_eta.dirichlet, plain.dirichlet)
+    np.testing.assert_array_equal(with_eta.floors, plain.floors)
+    for r in range(cfg.replicas):
+        net = asymptotics.build_network(cfg.depth, cfg.replica_seed(r), cfg.trunc_depth)
+        np.testing.assert_array_equal(with_eta.eta[r], spectrum.eta_many(net, ts))
+    with pytest.raises(ValueError):
+        run_ensemble(small_config(route="excursion", replicas=1, steps=2**8, leaves=10), ts)
 
 
 def test_eta_exact_zero_below_diameter_per_replica():

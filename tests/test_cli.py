@@ -43,10 +43,24 @@ def test_sample_cascade_binary_roundtrip(tmp_path):
     assert casc.depth == 3
 
 
-def test_usage_error_exit_code():
-    with pytest.raises(SystemExit) as exc:
-        run(["sample-cascade", "--depth", "not-an-int", "--out", "x"])
-    assert exc.value.code == 2
+def test_usage_error_exit_code(tmp_path, monkeypatch):
+    from crt_spectra import asymptotics
+
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(asymptotics, "build_network", None)  # rejected before any replica is built
+    for argv in (
+        ["sample-cascade", "--depth", "not-an-int", "--out", "x"],
+        ["ensemble", "--replicas", "0", "--depth", "3", "--out", "x"],
+        ["renewal", "--replicas", "0", "--depth", "3", "--out", "x"],
+        ["renewal", "--replicas", "2", "--depth", "0", "--out", "x"],
+        ["crt-route", "--replicas", "1", "--steps", "4", "--leaves", "10", "--out", "x"],
+        ["spectrum", "--depth", "0", "--check-bracketing", "--out", "x"],
+        ["ensemble", "--replicas", "1", "--depth", "5", "--oracle", "--out", "x"],
+    ):
+        with pytest.raises(SystemExit) as exc:
+            run(argv)
+        assert exc.value.code == 2, argv
+        assert not (tmp_path / "x").exists(), argv
 
 
 def test_capacity_exit_code(tmp_path, capsys):
@@ -113,6 +127,28 @@ def test_renewal_command(tmp_path):
     doc = json.loads((out / "renewal.json").read_text())
     assert abs(float(doc["nu_first_moment"]) - 1.0) < 1e-6
     assert float(doc["m_infinity"]) > 0
+
+
+RENEWAL_ARGS = ["renewal", "--replicas", "3", "--depth", "4", "--trunc-depth", "8", "--seed", "17",
+                "--lambda-lo", "0.5", "--lambda-hi", "1e6", "--points", "25"]
+
+
+def test_renewal_builds_each_replica_once(tmp_path, monkeypatch):
+    from crt_spectra import asymptotics
+
+    calls = []
+    build = asymptotics.build_network
+    monkeypatch.setattr(asymptotics, "build_network", lambda *a, **k: calls.append(a) or build(*a, **k))
+    assert run(RENEWAL_ARGS + ["--out", str(tmp_path / "ren")]) == 0
+    assert len(calls) == 3
+    assert len(set(calls)) == 3
+
+
+def test_renewal_determinism_across_threads(tmp_path):
+    run(RENEWAL_ARGS + ["--threads", "1", "--out", str(tmp_path / "t1")])
+    run(RENEWAL_ARGS + ["--threads", "2", "--out", str(tmp_path / "t2")])
+    for name in ("renewal.json", "curves.csv"):
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
 
 
 def test_crt_route_command(tmp_path):

@@ -265,21 +265,43 @@ def test_eta_bounded_and_zero_below_floor():
         assert (etas[below] == 0).all()
 
 
-def test_eta_methods_agree():
-    net = small_network(4, seed=71)
-    ts = np.linspace(-1.0, 10.0, 80)
-    np.testing.assert_array_equal(
-        spectrum.eta_many(net, ts, "embedded"), spectrum.eta_many(net, ts, "fresh")
-    )
+def test_evolution_identity_eta_methods_agree():
+    # N_D(e**t) = eta(t) + sum_j N_D,j(e**t w(j)**3): the one-sweep eta
+    # against fresh cell assemblies counted at the rescaled shifts
+    cases = [(4, 71, np.linspace(-1.0, 10.0, 80))]
+    cases += [(5, seed, np.linspace(-1.0, 11.0, 40)) for seed in (5, 6)]
+    for depth, seed, ts in cases:
+        net = small_network(depth, seed=seed)
+        np.testing.assert_array_equal(
+            spectrum.eta_many(net, ts, "embedded"), spectrum.eta_many(net, ts, "fresh")
+        )
     with pytest.raises(ValueError):
         spectrum.eta_many(net, ts, "nope")
 
 
-def test_evolution_identity_exact():
-    for seed in (5, 6):
-        net = small_network(5, seed=seed)
-        ts = np.linspace(-1.0, 11.0, 40)
-        np.testing.assert_array_equal(spectrum.evolution_identity_gap(net, ts), 0)
+@pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6, 7, 8])
+def test_one_sweep_eta_matches_cell_block_sweeps(depth):
+    # eta read off the final contraction round equals the full Dirichlet
+    # count minus the three embedded cell blocks, each in a sweep of its own
+    ts = np.linspace(-3.0, np.log(1e8), 241)
+    lams = np.exp(ts)
+    for seed in range(4):
+        net = small_network(depth, seed=100 * depth + seed)
+        want, _ = spectrum.network_counts(net, lams)
+        for j in (1, 2, 3):
+            want -= spectrum.block_counts(depth - 1, *forms.cell_block(net, j), lams)[0]
+        np.testing.assert_array_equal(spectrum.eta_many(net, ts), want)
+
+
+def test_dendrite_schedule_final_round_pivots_midpoint_and_tip():
+    for n in range(1, 9):
+        sched = structure(n).schedule
+        assert len(sched.rounds) == n
+        leaf, target, _, mid, a, b, _, _, _ = sched.rounds[-1]
+        ids = np.arange(structure(n).n_vertices)  # resolves slice-stored index sets
+        assert ids[leaf].tolist() == [3] and ids[target].tolist() == [2]
+        assert ids[mid].tolist() == [2]
+        assert sorted(ids[a].tolist() + ids[b].tolist()) == [0, 1]
 
 
 def test_telescoping_identity_exact():
