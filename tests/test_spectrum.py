@@ -265,18 +265,30 @@ def test_eta_bounded_and_zero_below_floor():
         assert (etas[below] == 0).all()
 
 
-def test_evolution_identity_eta_methods_agree():
-    # N_D(e**t) = eta(t) + sum_j N_D,j(e**t w(j)**3): the one-sweep eta
-    # against fresh cell assemblies counted at the rescaled shifts
-    cases = [(4, 71, np.linspace(-1.0, 10.0, 80))]
-    cases += [(5, seed, np.linspace(-1.0, 11.0, 40)) for seed in (5, 6)]
-    for depth, seed, ts in cases:
-        net = small_network(depth, seed=seed)
-        np.testing.assert_array_equal(
-            spectrum.eta_many(net, ts, "embedded"), spectrum.eta_many(net, ts, "fresh")
-        )
+def test_eta_methods_agree():
+    net = small_network(4, seed=71)
+    ts = np.linspace(-1.0, 10.0, 80)
+    np.testing.assert_array_equal(
+        spectrum.eta_many(net, ts, "embedded"), spectrum.eta_many(net, ts, "fresh")
+    )
     with pytest.raises(ValueError):
         spectrum.eta_many(net, ts, "nope")
+
+
+def test_evolution_identity_exact():
+    # N_D(e**t) = eta(t) + sum_j N_D,j(e**t w(j)**3): the one-sweep eta
+    # plus fresh cell assemblies counted at the rescaled shifts
+    for seed in (5, 6):
+        net = small_network(5, seed=seed)
+        ts = np.linspace(-1.0, 11.0, 40)
+        lams = np.exp(ts)
+        gap, _ = spectrum.network_counts(net, lams)
+        gap -= spectrum.eta_many(net, ts)
+        w1 = net.cascade.w_levels()[1]
+        for j in (1, 2, 3):
+            sub = forms.subnetwork_fresh(net, j)
+            gap -= spectrum.network_counts(sub, lams * float(w1[j - 1]) ** 3)[0]
+        np.testing.assert_array_equal(gap, 0)
 
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6, 7, 8])
