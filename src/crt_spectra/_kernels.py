@@ -11,8 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import coo_matrix
-from scipy.sparse.csgraph import connected_components
 
 _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
@@ -35,11 +33,11 @@ _ZERO_PIVOT = 1e-30
 
 def mix64(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
     """splitmix64 finalizer, vectorized over uint64 arrays."""
-    z = (x + _GOLD).astype(np.uint64) if isinstance(x, np.ndarray) else np.uint64((int(x) + int(_GOLD)) & _U64_MASK)
+    z = x + _GOLD if isinstance(x, np.ndarray) else np.uint64((int(x) + int(_GOLD)) & _U64_MASK)
     z = z ^ (z >> np.uint64(30))
-    z = (z * _MIX1).astype(np.uint64) if isinstance(z, np.ndarray) else np.uint64((int(z) * int(_MIX1)) & _U64_MASK)
+    z = z * _MIX1 if isinstance(z, np.ndarray) else np.uint64((int(z) * int(_MIX1)) & _U64_MASK)
     z = z ^ (z >> np.uint64(27))
-    z = (z * _MIX2).astype(np.uint64) if isinstance(z, np.ndarray) else np.uint64((int(z) * int(_MIX2)) & _U64_MASK)
+    z = z * _MIX2 if isinstance(z, np.ndarray) else np.uint64((int(z) * int(_MIX2)) & _U64_MASK)
     z = z ^ (z >> np.uint64(31))
     return z
 
@@ -62,7 +60,7 @@ def _raw_normals(key: np.uint64, codes: np.ndarray, salt: int) -> np.ndarray:
     base = mix64(codes + mix64(np.uint64((int(key) + salt * int(_GOLD)) & _U64_MASK)))
     u = np.empty((codes.shape[0], 4))
     for j in range(4):
-        base = (base + _GOLD).astype(np.uint64)
+        base = base + _GOLD
         u[:, j] = _unit_open(mix64(base))
     r1 = np.sqrt(-2.0 * np.log(u[:, 0]))
     a1 = 2.0 * np.pi * u[:, 1]
@@ -166,15 +164,21 @@ def _ends(lu: np.ndarray, lv: np.ndarray, ls: np.ndarray, cand: np.ndarray):
 
 
 def contraction_schedule(edge_u, edge_v, n_vertices: int, b0: int, b1: int) -> ContractionSchedule:
-    """Rake/compress rounds that eliminate every vertex of a tree but b0 and b1."""
-    # int32 halves the build's transient memory; the schedule keeps int64
-    lu = np.asarray(edge_u).astype(np.int32)
-    lv = np.asarray(edge_v).astype(np.int32)
-    nv, ne = int(n_vertices), lu.shape[0]
-    if connected_components(coo_matrix((np.ones(ne), (lu, lv)), shape=(nv, nv)), return_labels=False) != 1:
-        raise ValueError("pencil graph is not connected")
+    """Rake/compress rounds that eliminate every vertex of a tree but b0 and b1.
+
+    Raises ValueError unless the edges form a tree on the vertex ids. With
+    V - 1 edges, a round that removes nothing means a cycle beside a second
+    part; a run that ends on one b0-b1 edge replays backwards (add a pendant
+    leaf, subdivide an edge) into the input, so the input is a tree.
+    """
+    nv, edge_u, edge_v = int(n_vertices), np.asarray(edge_u), np.asarray(edge_v)
+    if edge_u.shape != edge_v.shape or ((edge_u < 0) | (edge_u >= nv) | (edge_v < 0) | (edge_v >= nv)).any():
+        raise ValueError("pencil edge endpoints must be vertex ids")
+    ne = edge_u.shape[0]
     if ne != nv - 1:
-        raise ValueError("pencil graph is not a tree")
+        raise ValueError("pencil graph is not a tree" if ne > nv - 1 else "pencil graph is not connected")
+    # int32 halves the build's transient memory; the schedule keeps int64
+    lu, lv = edge_u.astype(np.int32), edge_v.astype(np.int32)
     inner = np.isin(np.arange(nv), (b0, b1), invert=True)
     deg = np.bincount(lu, minlength=nv) + np.bincount(lv, minlength=nv)  # kept for live vertices only
     dead = np.zeros(ne + nv, dtype=bool)
@@ -201,6 +205,8 @@ def contraction_schedule(edge_u, edge_v, n_vertices: int, b0: int, b1: int) -> C
         pm = mix64(mid.astype(np.uint64))
         win = (~cand[a] | (pm > mix64(a.astype(np.uint64)))) & (~cand[b] | (pm > mix64(b.astype(np.uint64))))
         mid, a, b, slot_a, slot_b = mid[win], a[win], b[win], slot_a[win], slot_b[win]
+        if leaf.shape[0] == 0 and mid.shape[0] == 0:
+            raise ValueError("pencil graph is not connected")
         dead[slot_a] = dead[slot_b] = True
         keep = ~dead[ls]
         fill = np.arange(n_slots, n_slots + mid.shape[0], dtype=np.int32)
@@ -208,6 +214,8 @@ def contraction_schedule(edge_u, edge_v, n_vertices: int, b0: int, b1: int) -> C
         parts = (leaf, target, leaf_slot, mid, a, b, slot_a, slot_b)
         rounds.append((*(_strided(x.astype(np.int64)) for x in parts), n_slots))
         n_slots += mid.shape[0]
+    if ls.shape[0] != 1 or {int(lu[0]), int(lv[0])} != {b0, b1}:
+        raise ValueError("pencil graph is not connected")
     return ContractionSchedule(tuple(rounds), n_slots, int(ls[0]), int(b0), int(b1))
 
 

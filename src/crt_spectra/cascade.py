@@ -19,7 +19,6 @@ import struct
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
 
 from ._kernels import derive_key, dirichlet_half_triples, uniform_indices
 from .errors import CapacityError, IncompleteCascade
@@ -434,19 +433,17 @@ def branch_count_below(seed: int, t_grid: np.ndarray, max_nodes: int = 5_000_000
 
 
 def beta_half_one_moment(s: float) -> float:
-    """E[X**s] for X ~ Beta(1/2, 1), by adaptive quadrature (closed form 1/(2s+1))."""
-    val, _ = quad(lambda x: 0.5 * x ** (s - 0.5), 0.0, 1.0, limit=200)
-    return val
+    """E[X**s] for X ~ Beta(1/2, 1): (1/2) int_0^1 x**(s - 1/2) dx = 1/(2s + 1)."""
+    return 1.0 / (2.0 * s + 1.0)
 
 
 def nu_gamma_moments() -> tuple[float, float]:
-    """(total mass, first moment) of the exponentially tilted split measure.
+    """(total mass, first moment) of the exponentially tilted split measure: (1, 1).
 
     The split measure puts mass at -3 ln w(i) = -(3/2) ln mass_i for the
-    three components; tilting by exp(-(2/3) t) makes it a probability
-    measure with unit first moment. Both integrals are evaluated against
-    the Beta(1/2,1) marginal density x -> x**(-1/2)/2.
+    three components, whose common marginal X is Beta(1/2, 1). Tilting by
+    exp(-(2/3) t) weights each piece by its mass, so the total mass is
+    3 E[X] = 1 and the first moment is
+    3 E[X * (-(3/2) ln X)] = -(9/4) int_0^1 x**(1/2) ln x dx = (9/4)(4/9) = 1.
     """
-    total, _ = quad(lambda x: 3.0 * x * 0.5 * x**-0.5, 0.0, 1.0, limit=200)
-    first, _ = quad(lambda x: 3.0 * (-1.5 * np.log(x)) * x * 0.5 * x**-0.5, 0.0, 1.0, limit=200)
-    return total, first
+    return 1.0, 1.0

@@ -70,36 +70,34 @@ def project(sys: ContractionSystem, word: Address, depth: int) -> tuple[float, f
 class DendriteStructure:
     """Combinatorial skeleton of the level-n graph, shared by all cascades.
 
-    Holds, per level q, the endpoint ids of each cell (``F_i(0,0)`` image
-    first), and the level graph's contraction schedule.
+    Holds the endpoint ids of each level-n cell (``F_i(0,0)`` image first)
+    and the level graph's contraction schedule.
     """
 
     def __init__(self, level: int):
         self.level = level
-        ep0 = [np.zeros(1, dtype=np.int64)]
-        ep1 = [np.ones(1, dtype=np.int64)]
+        ep0 = np.zeros(1, dtype=np.int64)
+        ep1 = np.ones(1, dtype=np.int64)
         for q in range(level):
             nc = 3**q
             mids = (nc + 1) + 2 * np.arange(nc, dtype=np.int64)
-            tips = mids + 1
-            e0 = np.empty(3 * nc, dtype=np.int64)
             e1 = np.empty(3 * nc, dtype=np.int64)
-            e0[0::3] = mids
-            e0[1::3] = mids
-            e0[2::3] = mids
-            e1[0::3] = ep0[q]
-            e1[1::3] = ep1[q]
-            e1[2::3] = tips
-            ep0.append(e0)
-            ep1.append(e1)
-        self.ep0_levels = ep0
-        self.ep1_levels = ep1
+            e1[0::3] = ep0
+            e1[1::3] = ep1
+            e1[2::3] = mids + 1
+            ep0, ep1 = np.repeat(mids, 3), e1
+        self.ep0, self.ep1 = ep0, ep1
         self.n_vertices = 3**level + 1
+
+    def lump(self, cell_mass: np.ndarray) -> np.ndarray:
+        """Vertex masses with each cell's mass split half/half onto its endpoints."""
+        half, nv = 0.5 * cell_mass, self.n_vertices
+        return np.bincount(self.ep0, weights=half, minlength=nv) + np.bincount(self.ep1, weights=half, minlength=nv)
 
     @cached_property
     def schedule(self) -> ContractionSchedule:
         """Elimination rounds of the level graph with corners 0 and 1 kept, built on first use."""
-        return contraction_schedule(self.ep0_levels[self.level], self.ep1_levels[self.level], self.n_vertices, 0, 1)
+        return contraction_schedule(self.ep0, self.ep1, self.n_vertices, 0, 1)
 
 
 @lru_cache(maxsize=32)
@@ -161,7 +159,7 @@ class DendriteGraph:
         return 3**self.level
 
     def edge_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.structure.ep0_levels[self.level], self.structure.ep1_levels[self.level]
+        return self.structure.ep0, self.structure.ep1
 
     def cell_address(self, ordinal: int) -> Address:
         return Address.from_ordinal(self.level, ordinal)

@@ -37,14 +37,7 @@ class ResistanceNetwork:
         self.cascade = cascade
         self.perturbations = perturbations
         self.graph = graph
-        e0 = self.structure.ep0_levels[level]
-        e1 = self.structure.ep1_levels[level]
-        nv = self.structure.n_vertices
-        self.vertex_degree = np.bincount(e0, weights=conductance, minlength=nv) + np.bincount(
-            e1, weights=conductance, minlength=nv
-        )
-        half = 0.5 * cell_mass
-        self.vertex_mass = np.bincount(e0, weights=half, minlength=nv) + np.bincount(e1, weights=half, minlength=nv)
+        self.vertex_mass = self.structure.lump(cell_mass)
         if not (conductance > 0).all():
             raise ValueError("conductances must be positive")
         if abs(self.vertex_mass.sum() - 1.0) > 1e-9:
@@ -66,7 +59,7 @@ class ResistanceNetwork:
 
     def dump_csv(self) -> str:
         lines = ["cell,conductance,mass0,mass1"]
-        e0, e1 = self.structure.ep0_levels[self.level], self.structure.ep1_levels[self.level]
+        e0, e1 = self.structure.ep0, self.structure.ep1
         from .cascade import Address
 
         for p in range(self.conductance.shape[0]):
@@ -78,13 +71,14 @@ class ResistanceNetwork:
 
     def matrix_coo(self) -> str:
         """Stiffness and mass entries as 'matrix,row,col,value' lines."""
-        e0, e1 = self.structure.ep0_levels[self.level], self.structure.ep1_levels[self.level]
+        e0, e1, c, nv = self.structure.ep0, self.structure.ep1, self.conductance, self.n_vertices
+        degree = np.bincount(e0, weights=c, minlength=nv) + np.bincount(e1, weights=c, minlength=nv)
         lines = ["matrix,row,col,value"]
-        for v in range(self.n_vertices):
-            lines.append(f"L,{v},{v},{self.vertex_degree[v]:.17g}")
+        for v in range(nv):
+            lines.append(f"L,{v},{v},{degree[v]:.17g}")
         for p in range(self.conductance.shape[0]):
             lines.append(f"L,{int(e0[p])},{int(e1[p])},{-self.conductance[p]:.17g}")
-        for v in range(self.n_vertices):
+        for v in range(nv):
             lines.append(f"M,{v},{v},{self.vertex_mass[v]:.17g}")
         return "\n".join(lines) + "\n"
 
@@ -243,7 +237,7 @@ def _parent_array(net: ResistanceNetwork) -> np.ndarray:
     """Parent pointers toward corner 0 in the level-n graph."""
     nv = net.n_vertices
     parent = np.full(nv, -1, dtype=np.int64)
-    e0, e1 = net.structure.ep0_levels[net.level], net.structure.ep1_levels[net.level]
+    e0, e1 = net.structure.ep0, net.structure.ep1
     adj: list[list[int]] = [[] for _ in range(nv)]
     for p in range(e0.shape[0]):
         a, b = int(e0[p]), int(e1[p])

@@ -76,7 +76,7 @@ class Pencil:
 
     @classmethod
     def from_network(cls, net: ResistanceNetwork, kind: str = "neumann") -> "Pencil":
-        e0, e1 = net.structure.ep0_levels[net.level], net.structure.ep1_levels[net.level]
+        e0, e1 = net.structure.ep0, net.structure.ep1
         return cls(e0.copy(), e1.copy(), net.conductance.copy(), net.vertex_mass.copy(), net.boundary, kind)
 
     @classmethod
@@ -156,11 +156,7 @@ def block_counts(level: int, conduct: np.ndarray, cell_mass: np.ndarray, lams: n
     :func:`eta_many` reads off the full network's sweep.
     """
     st = structure(level)
-    e0, e1 = st.ep0_levels[level], st.ep1_levels[level]
-    nv = st.n_vertices
-    half = 0.5 * cell_mass
-    mass = np.bincount(e0, weights=half, minlength=nv) + np.bincount(e1, weights=half, minlength=nv)
-    return inertia_counts(st.schedule, mass, conduct, lams)[:2]
+    return inertia_counts(st.schedule, st.lump(cell_mass), conduct, lams)[:2]
 
 
 def network_counts(net: ResistanceNetwork, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

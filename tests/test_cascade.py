@@ -1,6 +1,6 @@
+import mpmath
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
 from crt_spectra import cascade
 from crt_spectra.cascade import Address, CascadeTree, MassTriple
@@ -42,12 +42,19 @@ def test_sample_dirichlet_half_sum_and_determinism():
     assert t != cascade.sample_dirichlet_half(124)
 
 
+def beta_half_one_quad(s: float) -> float:
+    # E X**s against the Beta(1/2, 1) marginal density x**(-1/2)/2, by quadrature
+    return float(mpmath.quad(lambda x: x ** (s - 0.5) / 2, [0, 1]))
+
+
 def test_dirichlet_moments():
     # oracle: E X**s for the Beta(1/2, 1) marginal by quadrature = 1/(2s+1)
     m1 = cascade.beta_half_one_moment(1.0)
     m2 = cascade.beta_half_one_moment(2.0)
     assert abs(m1 - 1.0 / 3.0) < 1e-9
     assert abs(m2 - 1.0 / 5.0) < 1e-9
+    assert abs(m1 - beta_half_one_quad(1.0)) < 1e-12
+    assert abs(m2 - beta_half_one_quad(2.0)) < 1e-12
     key = cascade.derive_key(99, 0x7A31)
     t = cascade.dirichlet_half_triples(key, np.arange(100_000, dtype=np.uint64))
     assert abs(t[:, 0].mean() - m1) < 0.005
@@ -73,6 +80,7 @@ def test_cascade_cubic_mean():
     # E sum l(i)**3 at depth 8 = (3 E mass**1.5)**8 = (3/4)**8; MC oracle
     target = (3.0 * cascade.beta_half_one_moment(1.5)) ** 8
     assert abs(target - 0.75**8) < 1e-9
+    assert abs(cascade.beta_half_one_moment(1.5) - beta_half_one_quad(1.5)) < 1e-12
     vals = []
     for seed in range(100):
         casc = CascadeTree.sample(8, seed=seed)
@@ -249,8 +257,11 @@ def test_nu_gamma_moments():
     total, first = cascade.nu_gamma_moments()
     assert abs(total - 1.0) < 1e-9
     assert abs(first - 1.0) < 1e-6
+    # both against the Beta(1/2, 1) marginal density x**(-1/2)/2, tilted by the mass x
+    assert abs(total - float(mpmath.quad(lambda x: 3 * x * x**-0.5 / 2, [0, 1]))) < 1e-12
+    assert abs(first - float(mpmath.quad(lambda x: 3 * (-1.5 * mpmath.log(x)) * x * x**-0.5 / 2, [0, 1]))) < 1e-12
     # the first moment decomposes through int x**a ln x dx = -1/(a+1)**2
-    check, _ = quad(lambda x: -np.log(x) * x**0.5, 0.0, 1.0)
+    check = float(mpmath.quad(lambda x: -mpmath.log(x) * x**0.5, [0, 1]))
     assert abs(check - 4.0 / 9.0) < 1e-12
 
 

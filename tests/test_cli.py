@@ -1,5 +1,8 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -61,6 +64,16 @@ def test_usage_error_exit_code(tmp_path, monkeypatch):
             run(argv)
         assert exc.value.code == 2, argv
         assert not (tmp_path / "x").exists(), argv
+
+
+def test_cli_import_loads_no_scipy():
+    # the runtime needs numpy and the standard library only; a fresh interpreter shows what the import loads
+    src = str(Path(cli.__file__).resolve().parents[1])
+    code = "import sys, crt_spectra.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_capacity_exit_code(tmp_path, capsys):

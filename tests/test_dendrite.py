@@ -75,8 +75,8 @@ def test_endpoint_convention():
     # cell k1 joins the midpoint to F_k(0,0), k2 to F_k(1,0), k3 to the tip
     g2 = DendriteGraph.build(2)
     e0, e1 = g2.edge_endpoints()
-    st = g2.structure
-    e0p, e1p = st.ep0_levels[1], st.ep1_levels[1]
+    st = dendrite.structure(1)
+    e0p, e1p = st.ep0, st.ep1
     for parent in range(3):
         mid = 3 + 1 + 2 * parent
         assert e0[3 * parent] == mid and e1[3 * parent] == e0p[parent]

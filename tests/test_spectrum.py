@@ -166,6 +166,18 @@ def test_count_pair_rejects_non_tree_pencils():
     cycle = Pencil(np.array([0, 1, 2]), np.array([1, 2, 0]), np.ones(3), np.ones(3), (0, 1))
     with pytest.raises(ValueError, match="not a tree"):
         spectrum.count_pair(cycle, np.array([1.0]))
+    # V - 1 edges each: a triangle through b0 with b1 isolated, and a self-loop
+    # at b0 with b1 isolated, end on a last edge that misses b1; a triangle
+    # through each of b0 and b1 beside an isolated vertex shrinks to two
+    # self-loops, and the contraction stalls
+    for u, v, nv in (([0, 2, 3], [2, 3, 0], 4), ([0], [0], 2), ([0, 2, 3, 1, 4, 5], [2, 3, 0, 4, 5, 1], 7)):
+        not_tree = Pencil(np.array(u), np.array(v), np.ones(len(u)), np.ones(nv), (0, 1))
+        with pytest.raises(ValueError, match="not connected"):
+            spectrum.count_pair(not_tree, np.array([1.0]))
+    for u, v in (([0, 1], [2, 3]), ([0, -1], [1, 2])):
+        out_of_range = Pencil(np.array(u), np.array(v), np.ones(2), np.ones(3), (0, 1))
+        with pytest.raises(ValueError, match="endpoints"):
+            spectrum.count_pair(out_of_range, np.array([1.0]))
 
 
 # -- structural properties ------------------------------------------------------------
