@@ -278,27 +278,85 @@ def inertia_counts(
 
 # ---------------------------------------------------------------------------
 # Nearest-vertex projection of excursion grid times onto a spanned subtree.
+#
+# The vertices' grid times cut the path into gaps. A grid time i in the gap
+# between time-adjacent vertices L and R hangs off the subtree at depth
+# h = max(min f[L..i], min f[i..R]), on the root path of L when the left
+# minimum wins (ties included) and of R otherwise; the end of the path,
+# at height 0, closes the last gap at the root. The hang point lies on the
+# edge from a, the highest ancestor of that vertex with depth >= h, to its
+# parent, so one of the two is the nearest vertex. Per-gap running minima
+# take one pass over the path, and vectorised binary lifting over a table of
+# 2^j-th ancestors finds every a at once. With H the tree's height in edges
+# (about sqrt(V) on excursion trees) that takes O((n + V) log H) time in
+# log2(H) numpy passes, and O(n + V log H) memory: no O(n log n)
+# range-minimum table.
 # ---------------------------------------------------------------------------
 
 
-def nearest_vertex(values: np.ndarray, vert_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _gap_minima(values: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running minima of ``values`` within each gap [lo[g], lo[g + 1]].
+
+    The last gap ends at the end of the path. Forward minima start at the
+    gap's left end, backward minima at its right end; a gap's right end
+    belongs to the next gap, which overwrites it.
+    """
+    pre = np.empty_like(values)
+    suf = np.empty_like(values)
+    ends = lo[1:].tolist() + [values.shape[0] - 1]
+    for a, b in zip(lo.tolist(), ends):
+        seg = values[a : b + 1]
+        np.minimum.accumulate(seg, out=pre[a : b + 1])
+        np.minimum.accumulate(seg[::-1], out=suf[a : b + 1][::-1])
+    return pre, suf
+
+
+def nearest_vertex(
+    values: np.ndarray, vert_idx: np.ndarray, parent: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """(owner index, distance) of the d_f-nearest tree vertex per grid time.
 
-    ``vert_idx`` holds the representative grid index of each tree vertex.
-    Ties go to the lowest vertex number.
+    ``vert_idx`` holds the grid time of each tree vertex, distinct times,
+    and ``parent`` links the vertices into the tree they span, rooted at
+    the vertex of grid time 0 (parent -1). A vertex's depth is
+    ``values[vert_idx]``. Distances are ``values + values[tv] - 2.0 * m``
+    with m the path minimum between the grid time and the vertex's time,
+    as a scan over every vertex would compute them; ties go to the lowest
+    vertex number. The section comment above gives the algorithm and its
+    cost.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
     vert_idx = np.ascontiguousarray(vert_idx, dtype=np.int64)
-    n1 = values.shape[0]
-    best = np.full(n1, np.inf)
-    best_v = np.zeros(n1, dtype=np.int64)
-    m = np.empty(n1)
-    for j in range(vert_idx.shape[0]):
-        tv = vert_idx[j]
-        m[: tv + 1] = np.minimum.accumulate(values[: tv + 1][::-1])[::-1]
-        m[tv:] = np.minimum.accumulate(values[tv:])
-        d = values + values[tv] - 2.0 * m
-        upd = d < best
-        best[upd] = d[upd]
-        best_v[upd] = j
-    return best_v, best
+    parent = np.ascontiguousarray(parent, dtype=np.int64)
+    nv = vert_idx.shape[0]
+    depth = values[vert_idx]
+    root = int(np.argmin(parent))
+    order = np.argsort(vert_idx, kind="stable")
+    lo = vert_idx[order]
+    if lo[0] != 0 or parent[root] != -1 or vert_idx[root] != 0:
+        raise ValueError("the tree must be rooted at the vertex of grid time 0")
+    pre, suf = _gap_minima(values, lo)
+    gap = np.repeat(np.arange(nv), np.diff(np.append(lo, values.shape[0])))
+    left = pre >= suf
+    h = np.where(left, pre, suf)
+    del pre, suf
+    a = np.where(left, order[gap], np.append(order[1:], root)[gap])
+    del left, gap
+
+    # ancestor table up[j][v] = 2**j-th ancestor, the root its own parent;
+    # it stops growing once one level maps every vertex to the root
+    up = [np.where(parent < 0, root, parent)]
+    while (up[-1] != root).any():
+        up.append(up[-1][up[-1]])
+    for step in reversed(up):
+        cand = step[a]
+        a = np.where(depth[cand] >= h, cand, a)
+
+    pa = parent[a]
+    at_root = pa < 0
+    pa[at_root] = root
+    d_a = values + values[vert_idx[a]] - 2.0 * h
+    d_p = values + values[vert_idx[pa]] - 2.0 * depth[pa]
+    d_p[at_root] = np.inf
+    owner = np.where(d_p < d_a, pa, np.where(d_a < d_p, a, np.minimum(a, pa)))
+    return owner, np.minimum(d_a, d_p)

@@ -149,10 +149,12 @@ def _weighted_quantile(x: np.ndarray, w: np.ndarray, q: float) -> float:
     return float(x[order[min(i, x.shape[0] - 1)]])
 
 
-def _selfsimilar_replica(config: EnsembleConfig, r: int, ts: np.ndarray | None):
+def _selfsimilar_replica(config: EnsembleConfig, r: int, ts: np.ndarray | None, check):
     from .forms import diameter as net_diameter
 
     net = build_network(config.depth, config.replica_seed(r), config.trunc_depth, config.debug_cascade)
+    if check is not None:
+        check(r, net)
     nd, nn = network_counts(net, config.lambda_grid)
     if net.level >= 1:
         floor = dirichlet_floor(net, diameter=net_diameter(net))
@@ -186,13 +188,14 @@ def _excursion_replica(config: EnsembleConfig, r: int):
     return nd, nn, floor, resolution, tree.n_vertices
 
 
-def run_ensemble(config: EnsembleConfig, ts: np.ndarray | None = None) -> EnsembleResult:
+def run_ensemble(config: EnsembleConfig, ts: np.ndarray | None = None, check=None) -> EnsembleResult:
     """Independent replicas on the lambda grid; deterministic in the config.
 
     Each replica is built once. Given renewal shifts ``ts`` (self-similar
-    route only), the same network also yields the replica's eta row. Rows
-    are keyed by replica index, so the worker-thread count never changes
-    any byte of the output.
+    route only), the same network also yields the replica's eta row; given
+    ``check``, ``check(r, net)`` sees each self-similar network before it
+    is counted and may raise. Rows are keyed by replica index, so the
+    worker-thread count never changes any byte of the output.
     """
     if ts is not None and config.route != "selfsimilar":
         raise ValueError("eta needs the self-similar route")
@@ -203,7 +206,7 @@ def run_ensemble(config: EnsembleConfig, ts: np.ndarray | None = None) -> Ensemb
 
     def work(r: int):
         if config.route == "selfsimilar":
-            return _selfsimilar_replica(config, r, ts)
+            return _selfsimilar_replica(config, r, ts, check)
         return (*_excursion_replica(config, r), None)
 
     if config.threads > 1:

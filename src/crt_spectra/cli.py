@@ -112,14 +112,15 @@ def _ensemble_config(args, route: str) -> EnsembleConfig:
         raise UsageError(str(exc)) from None
 
 
-def _check_oracle(config: EnsembleConfig) -> None:
+def _oracle_check(config: EnsembleConfig):
+    """Dense-solver check of replicas 0-2, run on the networks the ensemble builds."""
     if config.depth > 4:
         raise UsageError("--oracle is limited to depth <= 4 (dense solver)")
-    from .asymptotics import build_network
-
     lams = np.geomspace(config.lambda_lo, config.lambda_hi, 7)
-    for r in range(min(config.replicas, 3)):
-        net = build_network(config.depth, config.replica_seed(r), config.trunc_depth, config.debug_cascade)
+
+    def check(r: int, net) -> None:
+        if r >= 3:
+            return
         nd, nn = network_counts(net, lams)
         pd = Pencil.from_network(net, "dirichlet")
         pn = Pencil.from_network(net, "neumann")
@@ -129,12 +130,12 @@ def _check_oracle(config: EnsembleConfig) -> None:
             if dense_count_below(pn, float(lam)) != int(nn[i]):
                 raise GuardError(f"oracle mismatch (neumann) at lambda={lam}")
 
+    return check
+
 
 def cmd_ensemble(args) -> int:
     config = _ensemble_config(args, "selfsimilar")
-    if args.oracle:
-        _check_oracle(config)
-    result = run_ensemble(config)
+    result = run_ensemble(config, check=_oracle_check(config) if args.oracle else None)
     fit = None
     try:
         fit = fit_scaling(result)

@@ -383,37 +383,70 @@ def reduced_tree(f: ExcursionPath, k: int, seed) -> MetricTree:
     return spanned_tree(f, leaf_idx)
 
 
+def _insertion_neighbours(times: list[int]) -> tuple[list[int], list[int]]:
+    """Per leaf j, the latest-time and earliest-time leaves among 0..j-1 around it.
+
+    Returns (before, after) as leaf indices, -1 where there is none; ties
+    in time sort by index. Found offline in O(k log k): sort once, then
+    unlink the leaves from a doubly linked list in reverse insertion order.
+    """
+    k = len(times)
+    order = [-1] + np.argsort(np.asarray(times, dtype=np.int64), kind="stable").tolist() + [-1]
+    pos = [0] * k
+    for p in range(1, k + 1):
+        pos[order[p]] = p
+    prev, nxt = list(range(-1, k + 1)), list(range(1, k + 3))
+    before, after = [-1] * k, [-1] * k
+    for j in range(k - 1, -1, -1):
+        p = pos[j]
+        lo, hi = prev[p], nxt[p]
+        before[j], after[j] = order[lo], order[hi]
+        nxt[lo], prev[hi] = hi, lo
+    return before, after
+
+
 def spanned_tree(f: ExcursionPath, leaf_idx: np.ndarray) -> MetricTree:
     """Tree spanned by the root and the given interior grid times.
 
-    Leaves insert one at a time at the deepest meet with the existing
-    spanned leaves (the meet depth of two times is just the running minimum
-    of the path between them). Vertex masses count the grid times whose
-    nearest tree vertex, in the path pseudo-metric, is that vertex.
+    Leaves insert one at a time, in the given order, at the deepest meet
+    with the leaves inserted before them; the meet depth of two times is
+    the minimum of the path between them. Range minima only shrink as the
+    range grows, so that meet is attained at a time-adjacent inserted leaf,
+    and each leaf takes two slice minima, to its neighbours in time; equal
+    meets on both sides go to the earlier-inserted leaf. A new branch
+    vertex takes the first argmin between the leaf and its target as its
+    grid time, so a vertex's depth is ``values[time_idx]``. Vertex masses
+    count the grid times whose nearest tree vertex, in the path
+    pseudo-metric, is that vertex (``nearest_vertex``).
+
+    Cost: O(k log k) to find the neighbours, about n ln k element
+    operations of slice minima for random leaf order, the walks up each
+    target's root path, and O(n + k) memory; the projection adds its own.
     """
+    values = f.values
+    leaf_idx = [int(t) for t in leaf_idx]
+    before, after = _insertion_neighbours(leaf_idx)
     parent = [-1]
     edge_len = [0.0]
     time_idx = [0]
     depth = [0.0]
-    leaf_vertices: list[int] = []
+    entry: list[int] = []  # the vertex each inserted leaf landed on
 
-    values = f.values
-    for ti in leaf_idx:
+    for j, ti in enumerate(leaf_idx):
         fi = values[ti]
-        if not leaf_vertices:
+        if j == 0:
             parent.append(0)
             edge_len.append(fi)
-            time_idx.append(int(ti))
+            time_idx.append(ti)
             depth.append(fi)
-            leaf_vertices.append(1)
+            entry.append(1)
             continue
-        left_min = np.minimum.accumulate(values[: ti + 1][::-1])[::-1]
-        right_min = np.minimum.accumulate(values[ti:])
-        lts = np.array([time_idx[lv] for lv in leaf_vertices])
-        meets = np.where(lts < ti, left_min[np.minimum(lts, ti)], right_min[np.maximum(lts - ti, 0)])
-        j = int(np.argmax(meets))
-        dstar = float(meets[j])
-        target = leaf_vertices[j]
+        lj, rj = before[j], after[j]
+        ml = values[leaf_idx[lj] : ti + 1].min() if lj >= 0 else -np.inf
+        mr = values[ti : leaf_idx[rj] + 1].min() if rj >= 0 else -np.inf
+        near = lj if ml > mr or (ml == mr and lj < rj) else rj
+        dstar = float(max(ml, mr))
+        target = entry[near]
         # walk up the root path of the chosen leaf to bracket depth dstar
         a = target
         while depth[parent[a]] > dstar:
@@ -424,7 +457,7 @@ def spanned_tree(f: ExcursionPath, leaf_idx: np.ndarray) -> MetricTree:
         elif depth[a] == dstar:
             attach = a
         else:
-            lo_t, hi_t = (int(lts[j]), int(ti)) if lts[j] < ti else (int(ti), int(lts[j]))
+            lo_t, hi_t = sorted((time_idx[target], ti))
             rep = lo_t + int(np.argmin(values[lo_t : hi_t + 1]))
             attach = len(parent)
             parent.append(b)
@@ -437,14 +470,14 @@ def spanned_tree(f: ExcursionPath, leaf_idx: np.ndarray) -> MetricTree:
             leaf_v = len(parent)
             parent.append(attach)
             edge_len.append(fi - dstar)
-            time_idx.append(int(ti))
+            time_idx.append(ti)
             depth.append(fi)
-            leaf_vertices.append(leaf_v)
+            entry.append(leaf_v)
         else:  # the new time projects exactly onto the attach vertex
-            leaf_vertices.append(attach)
+            entry.append(attach)
 
     vert_idx = np.asarray(time_idx, dtype=np.int64)
-    owner, proj_dist = nearest_vertex(values, vert_idx)
+    owner, proj_dist = nearest_vertex(values, vert_idx, np.asarray(parent, dtype=np.int64))
     counts = np.bincount(owner, minlength=len(parent)).astype(np.float64)
     mass = counts / counts.sum()
     extent = np.zeros(len(parent))

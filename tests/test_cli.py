@@ -122,6 +122,22 @@ def test_ensemble_with_oracle(tmp_path):
     assert doc["replicas"] == 2
 
 
+def test_oracle_builds_each_replica_once(tmp_path, monkeypatch):
+    from crt_spectra import asymptotics
+
+    args = ["ensemble", "--replicas", "3", "--depth", "3", "--trunc-depth", "6", "--seed", "11",
+            "--lambda-lo", "0.5", "--lambda-hi", "1e5", "--points", "17"]
+    assert run(args + ["--out", str(tmp_path / "plain")]) == 0
+    calls = []
+    build = asymptotics.build_network
+    monkeypatch.setattr(asymptotics, "build_network", lambda *a, **k: calls.append(a) or build(*a, **k))
+    assert run(args + ["--oracle", "--out", str(tmp_path / "oracle")]) == 0
+    assert len(calls) == 3
+    assert len(set(calls)) == 3
+    for name in ("config.json", "curves.csv"):
+        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes()
+
+
 def test_ensemble_determinism_across_threads(tmp_path):
     argbase = ["ensemble", "--replicas", "3", "--depth", "3", "--trunc-depth", "6", "--seed", "13",
                "--points", "17", "--lambda-lo", "0.5", "--lambda-hi", "1e5"]

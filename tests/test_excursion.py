@@ -4,6 +4,7 @@ import pytest
 from crt_spectra import excursion
 from crt_spectra.errors import DegenerateSplit
 
+import excursion_oracle
 from conftest import tent_path
 
 
@@ -221,6 +222,36 @@ def test_reduced_tree_masses_partition():
         tr = excursion.reduced_tree(p, k, seed=k)
         assert abs(tr.mass.sum() - 1.0) < 1e-9
         assert (tr.edge_len[1:] > 0).all()
+
+
+@pytest.mark.parametrize("lattice", [False, True], ids=["gaussian", "lattice"])
+@pytest.mark.parametrize("log_n", range(3, 13))
+def test_spanned_tree_matches_oracle(log_n, lattice):
+    # the insertion-scan builder and the per-vertex projection, bit for bit;
+    # lattice paths tie meets, branch depths and projection distances exactly
+    n = 2**log_n
+    path = excursion_oracle.lattice_path(n, log_n) if lattice else excursion.sample_excursion(n, log_n)
+    rng = np.random.default_rng(log_n + 100 * lattice)
+    for k in (1, n - 1, int(rng.integers(1, n))):
+        leaves = rng.choice(n - 1, size=k, replace=False) + 1
+        got = excursion.spanned_tree(path, leaves)
+        want = excursion_oracle.spanned_tree(path, leaves)
+        for name in ("parent", "edge_len", "mass", "time_idx", "lump_extent"):
+            np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=f"k={k} {name}")
+
+
+def test_spanned_tree_at_scale():
+    # 2^20 steps and 10^4 leaves: about 10^10 element operations for an
+    # insertion scan, well under a second here
+    path = excursion.sample_excursion(2**20, 4)
+    leaves = np.random.default_rng(4).choice(2**20 - 1, size=10_000, replace=False) + 1
+    tree = excursion.spanned_tree(path, leaves)
+    assert abs(tree.mass.sum() - 1.0) < 1e-9
+    assert (tree.edge_len[1:] > 0).all()
+    assert np.isin(leaves, tree.time_idx).all()
+    assert (tree.lump_extent >= 0).all()
+    # edge lengths are height differences, so summed depths agree to rounding
+    np.testing.assert_allclose(tree.depth_from_root(), path.values[tree.time_idx], rtol=0, atol=1e-12)
 
 
 def test_reduced_tree_rejects_bad_k():

@@ -4,8 +4,10 @@ The counting kernels are checked against the dense solver in test_spectrum.
 """
 
 import numpy as np
+import pytest
 
 from crt_spectra import _kernels, excursion
+from excursion_oracle import lattice_path
 
 
 def test_mix64_reference_values():
@@ -32,17 +34,23 @@ def test_triples_deterministic_and_vector_scalar_match():
 
 
 def test_nearest_vertex_matches_brute_force():
-    path = excursion.sample_excursion(2**10, 7)
-    tree = excursion.reduced_tree(path, 30, seed=5)
-    f = path.values
-    # every vertex twice: a higher-numbered duplicate must never win its tie
-    tv = np.concatenate([tree.time_idx, tree.time_idx[::-1]])
+    # integer heights: some grid times sit exactly midway between a vertex
+    # and its parent, so the lowest-number tie rule decides the owner
+    path = lattice_path(2**9, 1)
+    tree = excursion.reduced_tree(path, 20, seed=1)
+    f, tv = path.values, tree.time_idx
     # d(i, v) = f(i) + f(t_v) - 2 min f over [i, t_v], one slice minimum per pair
     dist = np.empty((f.shape[0], tv.shape[0]))
     for i in range(f.shape[0]):
         for v, t in enumerate(tv):
             lo, hi = min(i, t), max(i, t)
             dist[i, v] = f[i] + f[t] - 2.0 * f[lo : hi + 1].min()
-    owner, best = _kernels.nearest_vertex(f, tv)
+    best = dist.min(axis=1, keepdims=True)
+    child = np.arange(1, tree.n_vertices)
+    tied = (dist[:, child] == best) & (dist[:, tree.parent[child]] == best)
+    assert tied.any()
+    owner, proj = _kernels.nearest_vertex(f, tv, tree.parent)
     np.testing.assert_array_equal(owner, dist.argmin(axis=1))  # argmin: ties to the lowest vertex
-    np.testing.assert_array_equal(best, dist.min(axis=1))
+    np.testing.assert_array_equal(proj, dist.min(axis=1))
+    with pytest.raises(ValueError, match="rooted"):
+        _kernels.nearest_vertex(f, tv[1:], tree.parent[1:] - 1)
