@@ -13,10 +13,8 @@ __version__ = "0.1.0"
 from . import asymptotics, cascade, dendrite, excursion, forms, spectrum
 from .errors import (
     CapacityError,
-    DegenerateSplit,
     IncompleteCascade,
     TailError,
-    TruncationError,
     WindowUnresolved,
 )
 
@@ -28,10 +26,8 @@ __all__ = [
     "forms",
     "spectrum",
     "CapacityError",
-    "DegenerateSplit",
     "IncompleteCascade",
     "TailError",
-    "TruncationError",
     "WindowUnresolved",
     "__version__",
 ]

@@ -35,7 +35,6 @@ from .spectrum import (
     dirichlet_floor,
     eta_many,
     network_counts,
-    trace_from_curve,
 )
 
 _BOOT_RESAMPLES = 1000
@@ -88,7 +87,6 @@ class EnsembleResult:
     lambdas: np.ndarray
     dirichlet: np.ndarray  # (replicas, points) integer counts
     neumann: np.ndarray
-    floors: np.ndarray  # first Dirichlet eigenvalue per replica
     resolutions: np.ndarray  # per replica, estimated ceiling of the resolved range
     n_vertices: int
     eta: np.ndarray | None = None  # (replicas, shifts) branching increments, renewal runs only
@@ -166,7 +164,7 @@ def _selfsimilar_replica(config: EnsembleConfig, r: int, ts: np.ndarray | None, 
     l_arr = net.cascade.l_levels()[net.level] if net.cascade is not None else np.ones(1)
     neg3logl = -3.0 * np.log(l_arr)
     resolution = floor * np.exp(_weighted_quantile(neg3logl, l_arr**2, config.ceiling_deficit))
-    return nd, nn, floor, resolution, net.n_vertices, None if ts is None else eta_many(net, ts)
+    return nd, nn, resolution, net.n_vertices, None if ts is None else eta_many(net, ts)
 
 
 def _excursion_replica(config: EnsembleConfig, r: int):
@@ -176,7 +174,6 @@ def _excursion_replica(config: EnsembleConfig, r: int):
     tree = reduced_tree(path, config.leaves, tree_seed)
     pencil = Pencil.from_tree(tree)
     nd, nn = count_pair(pencil, config.lambda_grid)
-    floor = dirichlet_floor(pencil)
     # unresolved hanging mass: modes inside the forest lumped onto vertex v
     # start no lower than 1/(mass * extent)
     hang = tree.lump_extent > 0
@@ -185,7 +182,7 @@ def _excursion_replica(config: EnsembleConfig, r: int):
         resolution = _weighted_quantile(est, tree.mass[hang], config.ceiling_deficit)
     else:  # pragma: no cover - every grid time on the tree
         resolution = float(config.lambda_hi)
-    return nd, nn, floor, resolution, tree.n_vertices
+    return nd, nn, resolution, tree.n_vertices
 
 
 def run_ensemble(config: EnsembleConfig, ts: np.ndarray | None = None, check=None) -> EnsembleResult:
@@ -214,10 +211,10 @@ def run_ensemble(config: EnsembleConfig, ts: np.ndarray | None = None, check=Non
             rows = list(pool.map(work, range(config.replicas)))
     else:
         rows = [work(r) for r in range(config.replicas)]
-    nd, nn, floors, resolutions, sizes, etas = zip(*rows)
+    nd, nn, resolutions, sizes, etas = zip(*rows)
     return EnsembleResult(
-        config, config.lambda_grid, np.array(nd), np.array(nn), np.array(floors), np.array(resolutions),
-        int(max(sizes)), None if ts is None else np.array(etas),
+        config, config.lambda_grid, np.array(nd), np.array(nn), np.array(resolutions), int(max(sizes)),
+        None if ts is None else np.array(etas),
     )
 
 
@@ -349,37 +346,6 @@ def estimate_renewal_constant(
         tail_lo=float(u[0]),
         tail_hi=float(u[-1]),
     )
-
-
-# ---------------------------------------------------------------------------
-# Heat-trace plateau
-# ---------------------------------------------------------------------------
-
-
-def trace_plateau(result: EnsembleResult, window: tuple[float, float], t_points: int = 33) -> dict:
-    """Plateau of t**(2/3) x mean Neumann heat trace over the mapped window.
-
-    Times map to the resolved lambda window through t = 1/lambda; the trace
-    comes from the mean counting curve with certified placement bounds.
-    """
-    lo, hi = window
-    ts = 1.0 / np.geomspace(hi, lo, t_points)
-    mean_n = result.mean_curve("neumann")
-    n_total = result.n_vertices
-    values = []
-    bounds = []
-    for t in ts:
-        v, b = trace_from_curve(result.lambdas, mean_n, float(t), n_total)
-        values.append(v)
-        bounds.append(b)
-    values = np.array(values)
-    scaled = ts ** (2.0 / 3.0) * values
-    return {
-        "t_grid": ts.tolist(),
-        "scaled_trace": scaled.tolist(),
-        "plateau": float(scaled.mean()),
-        "max_error_bound": float(max(bounds)),
-    }
 
 
 # ---------------------------------------------------------------------------

@@ -29,7 +29,6 @@ HEIGHT_CONSTANT = float(np.sqrt(8.0 / np.pi))  # normalizes edge resistances
 _TAG_TRIPLES = 0x7A31
 _TAG_POOL_W = 0x7A32
 _TAG_POOL_IDX = 0x7A33
-_TAG_SINGLE = 0x7A44
 
 _CASCADE_MAGIC = b"CRTC"
 
@@ -44,45 +43,8 @@ class Address:
         if any(d not in (1, 2, 3) for d in self.word):
             raise ValueError(f"address digits must be in {{1,2,3}}: {self.word}")
 
-    def __len__(self) -> int:
-        return len(self.word)
-
     def __str__(self) -> str:
         return "".join(str(d) for d in self.word)
-
-    @classmethod
-    def parse(cls, text: str) -> "Address":
-        return cls(tuple(int(ch) for ch in text))
-
-    def truncate(self, m: int) -> "Address":
-        if m > len(self.word):
-            raise ValueError("cannot truncate beyond own length")
-        return Address(self.word[:m])
-
-    def concat(self, other: "Address | int") -> "Address":
-        if isinstance(other, int):
-            return Address(self.word + (other,))
-        return Address(self.word + other.word)
-
-    def shift(self) -> "Address":
-        """Drop the leading letter."""
-        return Address(self.word[1:])
-
-    @property
-    def ordinal(self) -> int:
-        """Lexicographic index among words of the same length."""
-        k = 0
-        for d in self.word:
-            k = 3 * k + (d - 1)
-        return k
-
-    @property
-    def code(self) -> int:
-        """Injective integer code used to key the per-address RNG stream."""
-        k = 0
-        for d in self.word:
-            k = 3 * k + d
-        return k
 
     @classmethod
     def from_ordinal(cls, level: int, ordinal: int) -> "Address":
@@ -91,27 +53,6 @@ class Address:
             digits.append(ordinal % 3 + 1)
             ordinal //= 3
         return cls(tuple(reversed(digits)))
-
-
-@dataclass(frozen=True)
-class MassTriple:
-    """One Dirichlet(1/2,1/2,1/2) split of unit mass."""
-
-    d1: float
-    d2: float
-    d3: float
-
-    def __post_init__(self):
-        s = self.d1 + self.d2 + self.d3
-        if not (abs(s - 1.0) <= 1e-12 and self.d1 > 0 and self.d2 > 0 and self.d3 > 0):
-            raise ValueError(f"not a valid mass triple: {(self.d1, self.d2, self.d3)}")
-
-
-def sample_dirichlet_half(seed: int) -> MassTriple:
-    """One exact Dirichlet(1/2,1/2,1/2) triple, deterministic in the seed."""
-    key = derive_key(seed, _TAG_SINGLE)
-    t = dirichlet_half_triples(key, np.zeros(1, dtype=np.uint64))[0]
-    return MassTriple(float(t[0]), float(t[1]), float(t[2]))
 
 
 def level_codes(depth: int) -> list[np.ndarray]:
@@ -177,15 +118,6 @@ class CascadeTree:
             self._l = out
         return self._l
 
-    def triple_at(self, address: Address) -> MassTriple:
-        if len(address) >= self.depth:
-            raise IncompleteCascade(f"cascade depth {self.depth} has no triple at {address}")
-        row = self.triples[len(address)][address.ordinal]
-        return MassTriple(float(row[0]), float(row[1]), float(row[2]))
-
-    def l_at(self, address: Address) -> float:
-        return float(self.l_levels()[len(address)][address.ordinal])
-
     def subtree(self, j: int) -> "CascadeTree":
         """The depth-(n-1) cascade rooted at first-generation cell j."""
         if self.depth < 1:
@@ -215,35 +147,11 @@ class CascadeTree:
         }
         return json.dumps(doc, sort_keys=True, separators=(",", ":"))
 
-    @classmethod
-    def from_json(cls, text: str) -> "CascadeTree":
-        doc = json.loads(text)
-        depth = doc["depth"]
-        triples = [np.empty((3**q, 3)) for q in range(depth)]
-        for key, row in doc["triples"].items():
-            addr = Address.parse(key)
-            triples[len(addr)][addr.ordinal] = row
-        return cls(depth, triples, doc["master_seed"])
-
     def to_binary(self) -> bytes:
         seed = self.master_seed if self.master_seed is not None else 0
         head = _CASCADE_MAGIC + struct.pack("<IQ", self.depth, seed & (2**64 - 1))
         body = b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes() for t in self.triples)
         return head + body
-
-    @classmethod
-    def from_binary(cls, blob: bytes) -> "CascadeTree":
-        if blob[:4] != _CASCADE_MAGIC:
-            raise ValueError("not a cascade dump")
-        depth, seed = struct.unpack("<IQ", blob[4:16])
-        off = 16
-        triples = []
-        for q in range(depth):
-            count = 3**q * 3
-            arr = np.frombuffer(blob[off : off + 8 * count], dtype="<f8").reshape(3**q, 3)
-            triples.append(arr.astype(np.float64))
-            off += 8 * count
-        return cls(depth, triples, seed)
 
 
 class PerturbationTable:
@@ -261,12 +169,6 @@ class PerturbationTable:
         self.trunc_depth = trunc_depth
         self.method = method
         self.r_levels = r_levels
-
-    def value_at(self, address: Address) -> float:
-        return float(self.r_levels[len(address)][address.ordinal])
-
-    def heights(self, level: int) -> np.ndarray:
-        return self.r_levels[level] / HEIGHT_CONSTANT
 
     def subtree(self, j: int) -> "PerturbationTable":
         if self.base_depth < 1:
@@ -369,72 +271,8 @@ def perturbations_pooled(cascade: CascadeTree, trunc_depth: int) -> Perturbation
 
 
 # ---------------------------------------------------------------------------
-# Cut sets and branching counts
+# The tilted split measure nu_gamma
 # ---------------------------------------------------------------------------
-
-
-def cut_set(cascade: CascadeTree, t: float) -> set[Address]:
-    """First-crossing antichain: -3 ln l(i) >= t > -3 ln l(parent(i)).
-
-    Every infinite word has exactly one prefix in the result. Raises
-    CapacityError when some branch is still above the threshold at the
-    cascade's maximum depth.
-    """
-    if t <= 0:
-        raise ValueError("threshold must be positive")
-    ll = cascade.l_levels()
-    out: set[Address] = set()
-    alive = np.zeros(1)  # -3 ln l of still-uncrossed addresses, root only
-    alive_ord = np.zeros(1, dtype=np.int64)
-    for q in range(1, cascade.depth + 1):
-        child_ord = (3 * alive_ord[:, None] + np.arange(3)).reshape(-1)
-        s = -3.0 * np.log(ll[q][child_ord])
-        crossed = s >= t
-        for o in child_ord[crossed]:
-            out.add(Address.from_ordinal(q, int(o)))
-        alive_ord = child_ord[~crossed]
-        if alive_ord.shape[0] == 0:
-            return out
-    raise CapacityError(f"{alive_ord.shape[0]} branches above threshold at depth {cascade.depth}")
-
-
-def branch_count_below(seed: int, t_grid: np.ndarray, max_nodes: int = 5_000_000) -> np.ndarray:
-    """#{addresses i with -ln l(i) < t} for each t, by pruned expansion.
-
-    The count grows like exp(2t) (Malthusian exponent 2 = the m solving
-    3 E[w**m] = 1), so the frontier is pruned at max(t_grid).
-    """
-    t_max = float(np.max(t_grid))
-    key = derive_key(seed, _TAG_TRIPLES)
-    values = [np.zeros(1)]  # root has -ln l = 0
-    codes = np.zeros(1, dtype=np.uint64)
-    neglogl = np.zeros(1)
-    total = 1
-    while codes.shape[0]:
-        t = dirichlet_half_triples(key, codes)
-        child_codes = (3 * np.repeat(codes, 3) + np.tile(np.arange(1, 4, dtype=np.uint64), codes.shape[0])).astype(
-            np.uint64
-        )
-        child_vals = np.repeat(neglogl, 3) - 0.5 * np.log(t.reshape(-1))
-        keep = child_vals < t_max
-        values.append(child_vals[keep])
-        total += int(keep.sum())
-        if total > max_nodes:
-            raise CapacityError(f"branching population exceeded {max_nodes} nodes")
-        codes = child_codes[keep]
-        neglogl = child_vals[keep]
-    allv = np.sort(np.concatenate(values))
-    return np.searchsorted(allv, np.asarray(t_grid, dtype=np.float64), side="left").astype(np.int64)
-
-
-# ---------------------------------------------------------------------------
-# The measure nu_gamma and Beta(1/2, 1) moments
-# ---------------------------------------------------------------------------
-
-
-def beta_half_one_moment(s: float) -> float:
-    """E[X**s] for X ~ Beta(1/2, 1): (1/2) int_0^1 x**(s - 1/2) dx = 1/(2s + 1)."""
-    return 1.0 / (2.0 * s + 1.0)
 
 
 def nu_gamma_moments() -> tuple[float, float]:

@@ -2,8 +2,8 @@
 
 Exit codes: 0 success, 2 usage error (a bad flag value or a flag
 combination that describes no valid run), 3 capacity exceeded, 4
-numerical guard tripped (tail/truncation/window failures, oracle or
-bracketing mismatch). Everything is deterministic in (seed, config):
+numerical guard tripped (tail or window failures, oracle or bracketing
+mismatch). Everything is deterministic in (seed, config):
 re-running a command reproduces the numeric payloads byte for byte,
 whatever the thread count. ``--threads`` spreads the replicas of
 ``ensemble``, ``renewal`` and ``crt-route`` over worker threads; ``renewal``
@@ -30,9 +30,8 @@ from .asymptotics import (
     write_results,
 )
 from .cascade import CascadeTree
-from .errors import CapacityError, CrtSpectraError, TailError, TruncationError, WindowUnresolved
+from .errors import CapacityError, CrtSpectraError, TailError, WindowUnresolved
 from .excursion import sample_excursion
-from .forms import assemble
 from .spectrum import Pencil, bracketing_check, dense_count_below, network_counts, network_curves
 
 
@@ -246,7 +245,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
-    except (GuardError, TailError, TruncationError, WindowUnresolved, AssertionError) as exc:
+    except (GuardError, TailError, WindowUnresolved, AssertionError) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 4
 

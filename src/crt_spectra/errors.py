@@ -9,20 +9,12 @@ class CapacityError(CrtSpectraError):
     """A requested computation exceeds the configured cell budget."""
 
 
-class DegenerateSplit(CrtSpectraError):
-    """An excursion split produced a piece too small to carry information."""
-
-
 class IncompleteCascade(CrtSpectraError):
     """A network assembly is missing cascade or perturbation values."""
 
 
 class TailError(CrtSpectraError):
     """A renewal integrand has not decayed at the window edges."""
-
-
-class TruncationError(CrtSpectraError):
-    """A heat-trace remainder bound exceeds the requested accuracy."""
 
 
 class WindowUnresolved(CrtSpectraError):

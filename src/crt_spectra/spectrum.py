@@ -5,16 +5,18 @@ along the tree, which factors L - lambda M with zero fill in O(V); the
 number of nonpositive pivots equals the number of eigenvalues <= lambda.
 The shift is nudged to lambda (1 + 1e-12) so exact jump points resolve
 deterministically, and lambda = 0 is special-cased (the Laplacian of a
-connected tree has a simple kernel). A dense solver on the mass-normalized
-matrix serves as the independent oracle for small problems.
+connected tree has a simple kernel). The independent oracle for small
+problems is a dense Sylvester count: M is diagonal and positive, so the
+number of eigenvalues <= lambda is the number of nonpositive eigenvalues of
+the dense, unscaled L - lambda M, which the symmetric solver resolves on the
+scale of L.
 
 Dirichlet counts delete the two boundary rows and columns. One engine
 counts every tree, dendrite network or excursion pencil: a rake/compress
 contraction schedule that pivots the two boundary vertices last, so one
 sweep yields both counts. The schedule depends only on the edges and the
 boundary, never on the shift or the boundary kind; it is built once per
-dendrite level (shared by every replica) and once per pencil (shared with
-the pencil's Neumann/Dirichlet twin).
+dendrite level (shared by every replica) and once per pencil.
 """
 
 from __future__ import annotations
@@ -25,9 +27,8 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import ContractionSchedule, contraction_schedule, inertia_counts
-from .cascade import HEIGHT_CONSTANT
 from .dendrite import structure
-from .errors import CapacityError, TruncationError
+from .errors import CapacityError
 from .excursion import MetricTree
 from .forms import ResistanceNetwork, subnetwork_fresh
 
@@ -70,10 +71,6 @@ class Pencil:
     def n_vertices(self) -> int:
         return self.mass.shape[0]
 
-    @property
-    def n_eigenvalues(self) -> int:
-        return self.n_vertices - (2 if self.kind == "dirichlet" else 0)
-
     @classmethod
     def from_network(cls, net: ResistanceNetwork, kind: str = "neumann") -> "Pencil":
         e0, e1 = net.structure.ep0, net.structure.ep1
@@ -86,12 +83,6 @@ class Pencil:
         eu = tree.parent[nonroot]
         ec = 1.0 / tree.edge_len[nonroot]
         return cls(eu.astype(np.int64), nonroot, ec, np.maximum(tree.mass, 1e-300), (tree.root, 1), kind)
-
-    def with_kind(self, kind: str) -> "Pencil":
-        twin = Pencil(self.edge_u, self.edge_v, self.edge_c, self.mass, self.boundary, kind)
-        if "schedule" in self.__dict__:
-            twin.schedule = self.schedule
-        return twin
 
     @cached_property
     def schedule(self) -> ContractionSchedule:
@@ -118,19 +109,19 @@ def dense_matrices(pencil: Pencil) -> tuple[np.ndarray, np.ndarray]:
     return stiff, mass
 
 
-def dense_eigenvalues(pencil: Pencil) -> np.ndarray:
-    """All eigenvalues via the dense symmetric solver (test oracle path)."""
-    stiff, mass = dense_matrices(pencil)
-    if stiff.shape[0] == 0:
-        return np.zeros(0)
-    s = 1.0 / np.sqrt(mass)
-    sym = stiff * s[:, None] * s[None, :]
-    return np.linalg.eigvalsh(sym)
-
-
 def dense_count_below(pencil: Pencil, lam: float) -> int:
-    eigs = dense_eigenvalues(pencil)
-    return int((eigs <= lam * (1.0 + _NUDGE)).sum())
+    """Number of pencil eigenvalues <= lambda, by a dense Sylvester count (the oracle path).
+
+    M is diagonal and positive, so by Sylvester's law of inertia the count
+    equals the number of nonpositive eigenvalues of L - lambda (1 + 1e-12) M
+    itself. eigvalsh errs by about eps times the matrix norm; scaling by
+    M**-1/2 would multiply that norm by up to 1 / min(M), which on random
+    cascades swamps the eigenvalues near lambda. Meant for lambda > 0: at
+    lambda = 0 the kernel of the Neumann L rounds to either sign.
+    """
+    stiff, mass = dense_matrices(pencil)
+    shifted = stiff - np.diag(lam * (1.0 + _NUDGE) * mass)
+    return int((np.linalg.eigvalsh(shifted) <= 0.0).sum())
 
 
 # -- fast inertia path -------------------------------------------------------
@@ -197,34 +188,30 @@ def network_curves(net: ResistanceNetwork, lams: np.ndarray) -> tuple[CountingCu
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet floor and eigenvalue extraction by bisection
+# Dirichlet floor by bisection
 # ---------------------------------------------------------------------------
 
 
-def _dirichlet_count_fn(obj):
-    if isinstance(obj, ResistanceNetwork):
-        return lambda lam: int(network_counts(obj, np.array([lam]))[0][0]), obj.n_vertices - 2
-    pencil = obj.with_kind("dirichlet") if obj.kind != "dirichlet" else obj
-    return lambda lam: count_below(pencil, lam), pencil.n_eigenvalues
-
-
-def dirichlet_floor(obj, diameter: float | None = None, rtol: float = 1e-12) -> float:
+def dirichlet_floor(net: ResistanceNetwork, diameter: float | None = None, rtol: float = 1e-12) -> float:
     """Smallest Dirichlet eigenvalue, by bisection on the counting function.
 
     A mass-one network bounds its first Dirichlet eigenvalue below by the
-    inverse resistance diameter, so with a diameter supplied the bracket
-    starts there (which also keeps the unpivoted elimination away from the
-    cancellation-prone region far below the floor) and the bound is
+    inverse resistance diameter (computed unless supplied), so the bracket
+    starts there, which also keeps the unpivoted elimination away from the
+    cancellation-prone region far below the floor, and the bound is
     verified on the result.
     """
-    count, n_eigs = _dirichlet_count_fn(obj)
-    if n_eigs <= 0:
+    if net.n_vertices <= 2:
         raise ValueError("problem has no Dirichlet eigenvalues")
-    if isinstance(obj, ResistanceNetwork) and diameter is None:
+    if diameter is None:
         from .forms import diameter as net_diameter
 
-        diameter = net_diameter(obj)
-    lo = 0.0 if diameter is None else (1.0 - 1e-9) / diameter
+        diameter = net_diameter(net)
+
+    def count(lam: float) -> int:
+        return int(network_counts(net, np.array([lam]))[0][0])
+
+    lo = (1.0 - 1e-9) / diameter
     hi = max(1.0, 2.0 * lo)
     while count(hi) < 1:
         hi *= 8.0
@@ -238,88 +225,9 @@ def dirichlet_floor(obj, diameter: float | None = None, rtol: float = 1e-12) -> 
             hi = mid
         else:
             lo = mid
-    if diameter is not None and hi * diameter < 1.0 - 1e-9:
+    if hi * diameter < 1.0 - 1e-9:
         raise AssertionError(f"Dirichlet floor {hi} below 1/diameter {1.0 / diameter}")
     return hi
-
-
-def eigenvalues_up_to(pencil: Pencil, lam_max: float, tol: float, cap: int = 200_000) -> np.ndarray:
-    """All eigenvalues <= lam_max, each within +-tol, with multiplicities.
-
-    Pure bisection on the exact counts: robust to clustering, no inverse
-    iteration. Raises CapacityError when more than ``cap`` eigenvalues lie
-    below lam_max.
-    """
-    if lam_max <= 0 or tol <= 0:
-        raise ValueError("lam_max and tol must be positive")
-    lo0 = -tol
-    n_lo, n_hi = count_below(pencil, lo0), count_below(pencil, lam_max)
-    if n_hi - n_lo > cap:
-        raise CapacityError(f"{n_hi - n_lo} eigenvalues below {lam_max} exceed cap {cap}")
-    out: list[tuple[float, int]] = []
-    stack = [(lo0, lam_max, n_lo, n_hi)]
-    while stack:
-        lo, hi, clo, chi = stack.pop()
-        if chi == clo:
-            continue
-        if hi - lo <= 2.0 * tol:
-            out.append((0.5 * (lo + hi), chi - clo))
-            continue
-        mid = 0.5 * (lo + hi)
-        cmid = count_below(pencil, mid)
-        stack.append((lo, mid, clo, cmid))
-        stack.append((mid, hi, cmid, chi))
-    out.sort()
-    return np.repeat([v for v, _ in out], [m for _, m in out])
-
-
-# ---------------------------------------------------------------------------
-# Heat traces
-# ---------------------------------------------------------------------------
-
-
-def heat_trace(
-    eigs: np.ndarray,
-    t: float,
-    lam_max: float | None = None,
-    n_above: int | None = None,
-    max_remainder: float | None = None,
-) -> tuple[float, float]:
-    """(sum of exp(-lambda t), certified truncation remainder bound).
-
-    The bound counts the ``n_above`` eigenvalues beyond ``lam_max`` at the
-    cutoff weight exp(-lam_max t). Raises TruncationError when it exceeds
-    ``max_remainder``.
-    """
-    if t <= 0:
-        raise ValueError("time must be positive")
-    value = float(np.exp(-np.asarray(eigs) * t).sum())
-    bound = 0.0
-    if lam_max is not None and n_above:
-        bound = float(n_above * np.exp(-lam_max * t))
-    if max_remainder is not None and bound > max_remainder:
-        raise TruncationError(f"remainder bound {bound} exceeds {max_remainder}")
-    return value, bound
-
-
-def trace_from_curve(lambdas: np.ndarray, counts: np.ndarray, t: float, n_total: int) -> tuple[float, float]:
-    """Heat trace from counting samples, jumps placed at interval midpoints.
-
-    Eigenvalues inside each grid cell sit at the geometric mean of the cell
-    ends (log-placement error <= half the cell's log width); everything
-    below the first grid point is weighted 1, everything above the last is
-    bounded at the cutoff. Returns (value, error bound).
-    """
-    lambdas = np.asarray(lambdas, dtype=np.float64)
-    counts = np.asarray(counts, dtype=np.float64)
-    jumps = np.diff(counts)
-    mids = np.sqrt(lambdas[:-1] * lambdas[1:])
-    value = float(counts[0] + (jumps * np.exp(-mids * t)).sum())
-    # in-cell placement error: |exp(-a t) - exp(-m t)| <= t (m - a) at worst
-    cell_err = float((jumps * np.abs(np.exp(-lambdas[:-1] * t) - np.exp(-lambdas[1:] * t))).sum())
-    low_err = float(counts[0] * (1.0 - np.exp(-lambdas[0] * t)))
-    tail = float((n_total - counts[-1]) * np.exp(-lambdas[-1] * t))
-    return value, cell_err + low_err + tail
 
 
 # ---------------------------------------------------------------------------
@@ -401,36 +309,3 @@ def eta_many(net: ResistanceNetwork, ts: np.ndarray, method: str = "embedded") -
         d, _ = network_counts(subnetwork_fresh(net, j), lams * float(w1[j - 1]) ** 3)
         full_d -= d
     return full_d
-
-
-def telescoping_identity_gap(net: ResistanceNetwork, ts: np.ndarray, k_max: int) -> np.ndarray:
-    """Check X(t) = sum_{|i|<k} eta_i(t + 3 ln l(i)) + level-k boundary sum.
-
-    All per-address terms are computed on freshly assembled subnetworks at
-    the rescaled shifts, independently of the one-sweep path used by
-    :func:`eta_many`, so the telescoping is a real cross-check rather than
-    array algebra. Returns the integer gaps (zero when the identity holds).
-    """
-    ts = np.asarray(ts, dtype=np.float64)
-    full_d, _ = network_counts(net, np.exp(ts))
-    acc = np.zeros(ts.shape[0], dtype=np.int64)
-
-    def visit(sub: ResistanceNetwork, l_i: float, depth: int) -> None:
-        nonlocal acc
-        lams_i = np.exp(ts) * l_i**3
-        if depth == k_max or sub.level == 0:
-            d, _ = network_counts(sub, lams_i)
-            acc += d
-            return
-        acc += eta_many(sub, ts + 3.0 * np.log(l_i), method="fresh")
-        w1 = sub.cascade.w_levels()[1]
-        for j in (1, 2, 3):
-            visit(subnetwork_fresh(sub, j), l_i * float(w1[j - 1]), depth + 1)
-
-    visit(net, 1.0, 0)
-    return full_d - acc
-
-
-def level0_neumann_eigenvalues(r_root: float) -> np.ndarray:
-    """Closed-form level-0 Neumann spectrum: {0, 4 H / R}."""
-    return np.array([0.0, 4.0 * HEIGHT_CONSTANT / r_root])

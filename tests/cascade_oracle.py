@@ -1,0 +1,115 @@
+"""Test oracles for the cascade: dump readers, address ordinals, branching counts, moments.
+
+``cascade_from_json`` and ``cascade_from_binary`` read the dumps of
+``sample-cascade`` back, so the round-trip tests check the writers.
+``cut_set`` and ``branch_count_below`` give the cascade's branching
+structure: first-crossing antichains partition the mass, and the number of
+addresses with -ln l(i) < t grows like exp(2t), the Malthusian exponent.
+``beta_half_one_moment`` is the closed-form moment of a Dirichlet(1/2,1/2,1/2)
+component, the reference for the sampled triples.
+"""
+
+from __future__ import annotations
+
+import json
+import struct
+
+import numpy as np
+
+from crt_spectra._kernels import derive_key, dirichlet_half_triples
+from crt_spectra.cascade import _CASCADE_MAGIC, _TAG_TRIPLES, Address, CascadeTree
+from crt_spectra.errors import CapacityError
+
+
+def parse_address(text: str) -> Address:
+    return Address(tuple(int(ch) for ch in text))
+
+
+def ordinal(address: Address) -> int:
+    """Lexicographic index among words of the same length (inverts ``Address.from_ordinal``)."""
+    k = 0
+    for d in address.word:
+        k = 3 * k + (d - 1)
+    return k
+
+
+def cascade_from_json(text: str) -> CascadeTree:
+    doc = json.loads(text)
+    depth = doc["depth"]
+    triples = [np.empty((3**q, 3)) for q in range(depth)]
+    for key, row in doc["triples"].items():
+        addr = parse_address(key)
+        triples[len(addr.word)][ordinal(addr)] = row
+    return CascadeTree(depth, triples, doc["master_seed"])
+
+
+def cascade_from_binary(blob: bytes) -> CascadeTree:
+    if blob[:4] != _CASCADE_MAGIC:
+        raise ValueError("not a cascade dump")
+    depth, seed = struct.unpack("<IQ", blob[4:16])
+    off = 16
+    triples = []
+    for q in range(depth):
+        count = 3**q * 3
+        arr = np.frombuffer(blob[off : off + 8 * count], dtype="<f8").reshape(3**q, 3)
+        triples.append(arr.astype(np.float64))
+        off += 8 * count
+    return CascadeTree(depth, triples, seed)
+
+
+def beta_half_one_moment(s: float) -> float:
+    """E[X**s] for X ~ Beta(1/2, 1): (1/2) int_0^1 x**(s - 1/2) dx = 1/(2s + 1)."""
+    return 1.0 / (2.0 * s + 1.0)
+
+
+def cut_set(cascade: CascadeTree, t: float) -> set[Address]:
+    """First-crossing antichain: -3 ln l(i) >= t > -3 ln l(parent(i)).
+
+    Every infinite word has exactly one prefix in the result. Raises
+    CapacityError when some branch is still above the threshold at the
+    cascade's maximum depth.
+    """
+    if t <= 0:
+        raise ValueError("threshold must be positive")
+    ll = cascade.l_levels()
+    out: set[Address] = set()
+    alive_ord = np.zeros(1, dtype=np.int64)  # ordinals of still-uncrossed addresses, root only
+    for q in range(1, cascade.depth + 1):
+        child_ord = (3 * alive_ord[:, None] + np.arange(3)).reshape(-1)
+        s = -3.0 * np.log(ll[q][child_ord])
+        crossed = s >= t
+        for o in child_ord[crossed]:
+            out.add(Address.from_ordinal(q, int(o)))
+        alive_ord = child_ord[~crossed]
+        if alive_ord.shape[0] == 0:
+            return out
+    raise CapacityError(f"{alive_ord.shape[0]} branches above threshold at depth {cascade.depth}")
+
+
+def branch_count_below(seed: int, t_grid: np.ndarray, max_nodes: int = 5_000_000) -> np.ndarray:
+    """#{addresses i with -ln l(i) < t} for each t, by pruned expansion.
+
+    The count grows like exp(2t) (Malthusian exponent 2 = the m solving
+    3 E[w**m] = 1), so the frontier is pruned at max(t_grid).
+    """
+    t_max = float(np.max(t_grid))
+    key = derive_key(seed, _TAG_TRIPLES)
+    values = [np.zeros(1)]  # root has -ln l = 0
+    codes = np.zeros(1, dtype=np.uint64)
+    neglogl = np.zeros(1)
+    total = 1
+    while codes.shape[0]:
+        t = dirichlet_half_triples(key, codes)
+        child_codes = (3 * np.repeat(codes, 3) + np.tile(np.arange(1, 4, dtype=np.uint64), codes.shape[0])).astype(
+            np.uint64
+        )
+        child_vals = np.repeat(neglogl, 3) - 0.5 * np.log(t.reshape(-1))
+        keep = child_vals < t_max
+        values.append(child_vals[keep])
+        total += int(keep.sum())
+        if total > max_nodes:
+            raise CapacityError(f"branching population exceeded {max_nodes} nodes")
+        codes = child_codes[keep]
+        neglogl = child_vals[keep]
+    allv = np.sort(np.concatenate(values))
+    return np.searchsorted(allv, np.asarray(t_grid, dtype=np.float64), side="left").astype(np.int64)

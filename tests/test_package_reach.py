@@ -1,0 +1,88 @@
+"""Every function and method in the package is reached by a command.
+
+The commands below cover each subcommand and flag at small sizes: both
+dump formats, bracketing, the dense oracle, worker threads, the debug
+cascade, a binary and a pooled perturbation build, and the renewal and
+excursion routes. A definition none of them calls belongs in a test module.
+"""
+
+import ast
+import sys
+import threading
+from pathlib import Path
+
+from crt_spectra import cli, dendrite
+
+SRC = Path(cli.__file__).resolve().parent
+
+# perfbench/layers.py probes these; the commands reach neither
+PROBE_ONLY = {("spectrum.py", "block_counts"), ("spectrum.py", "count_below")}
+
+
+def commands(tmp: Path) -> list[list[str]]:
+    ens = ["--lambda-lo", "0.5", "--lambda-hi", "1e5", "--points", "17"]
+    return [
+        ["sample-excursion", "--steps", "64", "--seed", "1", "--out", str(tmp / "e.csv")],
+        ["sample-excursion", "--steps", "64", "--seed", "1", "--binary", "--out", str(tmp / "e.bin")],
+        ["sample-cascade", "--depth", "2", "--seed", "1", "--out", str(tmp / "c.json")],
+        ["sample-cascade", "--depth", "2", "--seed", "1", "--binary", "--out", str(tmp / "c.bin")],
+        ["spectrum", "--depth", "2", "--seed", "1", "--points", "9", "--trunc-depth", "6",
+         "--check-bracketing", "--out", str(tmp / "spec")],
+        # binary perturbations, the dense oracle and two worker threads
+        ["ensemble", "--replicas", "2", "--depth", "3", "--trunc-depth", "6", "--seed", "0",
+         "--threads", "2", "--oracle", *ens, "--out", str(tmp / "ens")],
+        # pooled perturbations (3**3 * 2**20 slots exceed the binary budget)
+        ["ensemble", "--replicas", "1", "--depth", "3", "--seed", "0", *ens, "--out", str(tmp / "pool")],
+        # the uniform cascade resolves a fit window from depth 4 on
+        ["ensemble", "--replicas", "1", "--depth", "4", "--debug-cascade", "--require-fit", *ens,
+         "--out", str(tmp / "dbg")],
+        ["renewal", "--replicas", "2", "--depth", "3", "--trunc-depth", "6", "--seed", "0", *ens,
+         "--out", str(tmp / "ren")],
+        ["crt-route", "--replicas", "2", "--steps", "512", "--leaves", "20", "--seed", "0", "--threads", "2",
+         *ens, "--out", str(tmp / "crt")],
+    ]
+
+
+def definitions() -> dict[tuple[Path, int], str]:
+    """(file, first line of the code object) -> qualified name, for every def in the package."""
+    out = {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text())
+        scopes = [(tree, "")]
+        while scopes:
+            node, prefix = scopes.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                    name = prefix + child.name
+                    if not isinstance(child, ast.ClassDef):
+                        # a decorated function's code object starts at its first decorator
+                        first = min([child.lineno] + [d.lineno for d in child.decorator_list])
+                        out[(path, first)] = name
+                    scopes.append((child, name + "."))
+    return out
+
+
+def test_every_definition_is_reached_by_a_command(tmp_path):
+    defs = definitions()
+    called = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            called.add(frame.f_code)
+
+    dendrite.structure.cache_clear()  # schedules cached by earlier tests would hide their builders
+    sys.setprofile(profile)
+    threading.setprofile(profile)
+    try:
+        codes = [cli.main(argv) for argv in commands(tmp_path)]
+    finally:
+        sys.setprofile(None)
+        threading.setprofile(None)
+    assert codes == [0] * len(codes)
+    reached = {(Path(code.co_filename).resolve(), code.co_firstlineno) for code in called}
+    missed = sorted(
+        f"{path.name}:{line} {name}"
+        for (path, line), name in defs.items()
+        if (path, line) not in reached and (path.name, name) not in PROBE_ONLY
+    )
+    assert not missed, "defined in src/ but reached by no command:\n" + "\n".join(missed)

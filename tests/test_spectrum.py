@@ -2,14 +2,17 @@ import mpmath
 import numpy as np
 import pytest
 
-from crt_spectra import cascade, excursion, forms, spectrum
+from crt_spectra import excursion, forms, spectrum
 from crt_spectra._kernels import contraction_schedule
-from crt_spectra.cascade import Address, CascadeTree, HEIGHT_CONSTANT, PerturbationTable
+from crt_spectra.cascade import CascadeTree, HEIGHT_CONSTANT, PerturbationTable
 from crt_spectra.dendrite import structure
-from crt_spectra.errors import CapacityError, TruncationError
+from crt_spectra.errors import CapacityError
 from crt_spectra.spectrum import Pencil
 
+import spectrum_oracle
 from conftest import small_network
+from forms_oracle import cell_block
+from spectrum_oracle import TruncationError
 
 
 def debug_network(depth):
@@ -20,11 +23,12 @@ def debug_network(depth):
 
 
 def test_level0_closed_form_spectrum():
+    # level 0 is one edge of conductance H/R between two half masses: {0, 4 H / R}
     net = small_network(0, seed=1)
-    r = net.perturbations.value_at(Address())
+    r = net.perturbations.r_levels[0][0]
     pen = Pencil.from_network(net, "neumann")
-    dense = spectrum.dense_eigenvalues(pen)
-    want = spectrum.level0_neumann_eigenvalues(r)
+    dense = spectrum_oracle.dense_eigenvalues(pen)
+    want = np.array([0.0, 4.0 * HEIGHT_CONSTANT / r])
     np.testing.assert_allclose(dense, want, atol=1e-12)
     jump = 4.0 * HEIGHT_CONSTANT / r
     lams = np.array([0.0, 0.9 * jump, jump, 1.1 * jump])
@@ -46,16 +50,24 @@ def test_neumann_zero_count():
 
 @pytest.mark.parametrize("depth", [1, 2, 3, 4, 5, 6, 7])
 def test_inertia_matches_dense_oracle(depth):
-    # eigvalsh errs by about eps * lambda_max, and random cascades reach
-    # lambda_max ~ 1e17 from depth 5 on; past depth 4 only the uniform
-    # cascade leaves the dense solver accurate enough to serve as the oracle
+    # random cascades through depth 6 against the dense Sylvester count, one
+    # eigvalsh of L - lambda M per shift; at depth 7 that takes 13-27 s per
+    # pencil, so the uniform cascade, whose mass-normalized matrix is well
+    # scaled, is checked against one dense spectrum instead
     lams = np.geomspace(0.3, 3e5, 20)
-    nets = [small_network(depth, seed=seed + 10 * depth) for seed in range(3)] if depth <= 4 else [debug_network(depth)]
-    for net in nets:
+    if depth == 7:
+        net = debug_network(depth)
         nd, nn = spectrum.network_counts(net, lams)
         for kind, counts in (("dirichlet", nd), ("neumann", nn)):
-            eigs = spectrum.dense_eigenvalues(Pencil.from_network(net, kind))
+            eigs = spectrum_oracle.dense_eigenvalues(Pencil.from_network(net, kind))
             np.testing.assert_array_equal((eigs[:, None] <= lams * (1.0 + 1e-12)).sum(axis=0), counts)
+        return
+    for seed in range(3):
+        net = small_network(depth, seed=seed + 10 * depth)
+        nd, nn = spectrum.network_counts(net, lams)
+        for kind, counts in (("dirichlet", nd), ("neumann", nn)):
+            pen = Pencil.from_network(net, kind)
+            np.testing.assert_array_equal([spectrum.dense_count_below(pen, float(lam)) for lam in lams], counts)
 
 
 def _mp_counts(pen: Pencil, lam: float) -> tuple[int, int]:
@@ -146,7 +158,7 @@ def test_tree_engine_matches_dense_on_excursion_trees():
     pen = Pencil.from_tree(tree)
     lams = np.geomspace(0.5, 1e4, 15)
     td, tn = spectrum.count_pair(pen, lams)
-    pd = pen.with_kind("dirichlet")
+    pd = Pencil.from_tree(tree, "dirichlet")
     for i, lam in enumerate(lams):
         assert spectrum.dense_count_below(pd, float(lam)) == td[i]
         assert spectrum.dense_count_below(pen, float(lam)) == tn[i]
@@ -204,29 +216,13 @@ def test_homogeneity_of_counts():
     np.testing.assert_array_equal(nn0, nn1)
 
 
-def test_counts_independent_of_plot_constant():
-    # c enters coordinates only; counting output is byte-identical
-    casc = CascadeTree.sample(4, seed=6)
-    table = cascade.perturbations(casc, 6)
-    lams = np.geomspace(0.5, 1e5, 40)
-    from crt_spectra.dendrite import ContractionSystem, DendriteGraph
-
-    out = []
-    for c in (0.2, 0.4):
-        g = DendriteGraph.build(4, ContractionSystem(c))
-        net = forms.assemble(g, casc, table)
-        out.append(spectrum.network_counts(net, lams))
-    np.testing.assert_array_equal(out[0][0], out[1][0])
-    np.testing.assert_array_equal(out[0][1], out[1][1])
-
-
 # -- Dirichlet floor ---------------------------------------------------------------
 
 
 def test_dirichlet_floor_debug_against_dense():
     net = debug_network(1)
     pen = Pencil.from_network(net, "dirichlet")
-    dense = spectrum.dense_eigenvalues(pen)
+    dense = spectrum_oracle.dense_eigenvalues(pen)
     floor = spectrum.dirichlet_floor(net)
     assert abs(floor - dense[0]) < 1e-8 * dense[0]
 
@@ -238,12 +234,13 @@ def test_dirichlet_floor_diameter_bound():
 
 
 def test_floor_scaling_in_mass():
+    # L - lambda M is homogeneous: conductances times 4 (or masses divided
+    # by 4, which a mass-one network cannot take) multiply the floor by 4
     net = small_network(3, seed=9)
-    pen = Pencil.from_network(net, "dirichlet")
-    floor = spectrum.dirichlet_floor(pen)
-    heavy = Pencil(pen.edge_u, pen.edge_v, pen.edge_c, pen.mass * 4.0, pen.boundary, "dirichlet")
-    floor4 = spectrum.dirichlet_floor(heavy)
-    assert abs(floor4 * 4.0 / floor - 1.0) < 1e-9
+    floor = spectrum.dirichlet_floor(net)
+    stiff = forms.ResistanceNetwork(3, net.conductance * 4.0, net.cell_mass)
+    floor4 = spectrum.dirichlet_floor(stiff)
+    assert abs(floor4 / (4.0 * floor) - 1.0) < 1e-9
 
 
 # -- bracketing and eta ----------------------------------------------------------------
@@ -313,7 +310,7 @@ def test_one_sweep_eta_matches_cell_block_sweeps(depth):
         net = small_network(depth, seed=100 * depth + seed)
         want, _ = spectrum.network_counts(net, lams)
         for j in (1, 2, 3):
-            want -= spectrum.block_counts(depth - 1, *forms.cell_block(net, j), lams)[0]
+            want -= spectrum.block_counts(depth - 1, *cell_block(net, j), lams)[0]
         np.testing.assert_array_equal(spectrum.eta_many(net, ts), want)
 
 
@@ -332,7 +329,7 @@ def test_telescoping_identity_exact():
     net = small_network(5, seed=77)
     ts = np.linspace(0.0, 10.0, 9)
     for k in (1, 2, 3):
-        np.testing.assert_array_equal(spectrum.telescoping_identity_gap(net, ts, k), 0)
+        np.testing.assert_array_equal(spectrum_oracle.telescoping_identity_gap(net, ts, k), 0)
 
 
 # -- eigenvalue extraction ---------------------------------------------------------------
@@ -340,10 +337,10 @@ def test_telescoping_identity_exact():
 
 def test_eigenvalues_level0():
     net = small_network(0, seed=21)
-    r = net.perturbations.value_at(Address())
+    r = net.perturbations.r_levels[0][0]
     pen = Pencil.from_network(net, "neumann")
     top = 4.0 * HEIGHT_CONSTANT / r
-    eigs = spectrum.eigenvalues_up_to(pen, 1.5 * top, tol=1e-10)
+    eigs = spectrum_oracle.eigenvalues_up_to(pen, 1.5 * top, tol=1e-10)
     np.testing.assert_allclose(eigs, [0.0, top], atol=1e-9)
 
 
@@ -351,9 +348,9 @@ def test_eigenvalues_match_debug_dense():
     # well-conditioned problem: the dense oracle is accurate here
     net = debug_network(3)
     pen = Pencil.from_network(net, "neumann")
-    dense = spectrum.dense_eigenvalues(pen)
+    dense = spectrum_oracle.dense_eigenvalues(pen)
     lam_max = float(dense[-1] * 1.01)
-    fast = spectrum.eigenvalues_up_to(pen, lam_max, tol=1e-8 * lam_max)
+    fast = spectrum_oracle.eigenvalues_up_to(pen, lam_max, tol=1e-8 * lam_max)
     assert fast.shape[0] == dense.shape[0]
     np.testing.assert_allclose(fast[1:], dense[1:], rtol=1e-6)
 
@@ -363,9 +360,9 @@ def test_eigenvalues_match_random_dense_scale_aware():
     # error of order eps * lambda_max, so compare with a mixed tolerance
     net = small_network(4, seed=23)
     pen = Pencil.from_network(net, "neumann")
-    dense = spectrum.dense_eigenvalues(pen)
+    dense = spectrum_oracle.dense_eigenvalues(pen)
     lam_max = float(dense[30] * 1.0001)
-    fast = spectrum.eigenvalues_up_to(pen, lam_max, tol=1e-9 * lam_max)
+    fast = spectrum_oracle.eigenvalues_up_to(pen, lam_max, tol=1e-9 * lam_max)
     dsel = dense[dense <= lam_max * (1 + 1e-12)]
     assert fast.shape[0] == dsel.shape[0]
     tol = 1e-6 * np.abs(dsel) + 1e-12 * float(dense[-1])
@@ -375,7 +372,7 @@ def test_eigenvalues_match_random_dense_scale_aware():
 def test_eigenvalues_consistent_with_counts():
     net = small_network(3, seed=25)
     pen = Pencil.from_network(net, "dirichlet")
-    eigs = spectrum.eigenvalues_up_to(pen, 500.0, tol=1e-9)
+    eigs = spectrum_oracle.eigenvalues_up_to(pen, 500.0, tol=1e-9)
     assert (np.diff(eigs) >= 0).all()
     for lam in (0.5, 5.0, 50.0, 499.0):
         assert (eigs <= lam).sum() == spectrum.count_below(pen, lam)
@@ -385,7 +382,7 @@ def test_eigenvalues_cap():
     net = small_network(3, seed=26)
     pen = Pencil.from_network(net, "neumann")
     with pytest.raises(CapacityError):
-        spectrum.eigenvalues_up_to(pen, 1e12, tol=1.0, cap=5)
+        spectrum_oracle.eigenvalues_up_to(pen, 1e12, tol=1.0, cap=5)
 
 
 # -- heat traces ----------------------------------------------------------------------
@@ -393,29 +390,29 @@ def test_eigenvalues_cap():
 
 def test_heat_trace_limits():
     eigs = np.array([0.0, 2.0, 5.0])
-    big, _ = spectrum.heat_trace(eigs, 1e3)
+    big, _ = spectrum_oracle.heat_trace(eigs, 1e3)
     assert abs(big - 1.0) < 1e-12  # Neumann: only the kernel survives
-    small_d, _ = spectrum.heat_trace(np.array([2.0, 5.0]), 1e3)
+    small_d, _ = spectrum_oracle.heat_trace(np.array([2.0, 5.0]), 1e3)
     assert small_d < 1e-100  # Dirichlet: everything decays
 
 
 def test_heat_trace_remainder_guard():
     eigs = np.array([0.0, 1.0])
-    val, bound = spectrum.heat_trace(eigs, 0.5, lam_max=10.0, n_above=100)
+    val, bound = spectrum_oracle.heat_trace(eigs, 0.5, lam_max=10.0, n_above=100)
     assert bound == pytest.approx(100 * np.exp(-5.0))
     with pytest.raises(TruncationError):
-        spectrum.heat_trace(eigs, 0.5, lam_max=10.0, n_above=100, max_remainder=1e-6)
+        spectrum_oracle.heat_trace(eigs, 0.5, lam_max=10.0, n_above=100, max_remainder=1e-6)
 
 
 def test_trace_from_curve_matches_exact_list():
     net = small_network(3, seed=29)
     pen = Pencil.from_network(net, "neumann")
-    eigs = spectrum.dense_eigenvalues(pen)
+    eigs = spectrum_oracle.dense_eigenvalues(pen)
     lams = np.geomspace(1e-2, 10 * eigs[-1], 400)
     _, nn = spectrum.network_counts(net, lams)
     for t in (1e-4, 1e-3, 1e-2):
         exact = float(np.exp(-np.clip(eigs, 0, None) * t).sum())
-        approx, bound = spectrum.trace_from_curve(lams, nn, t, net.n_vertices)
+        approx, bound = spectrum_oracle.trace_from_curve(lams, nn, t, net.n_vertices)
         assert abs(approx - exact) <= bound + 1e-9 * exact
         assert abs(approx / exact - 1.0) < 0.02
 
