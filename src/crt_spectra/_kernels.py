@@ -1,9 +1,9 @@
 """Hot numeric kernels: counter-based RNG, tree eliminations, grid projection.
 
-Everything is vectorized numpy. The random bits and transcendental math
-run on whole arrays of address codes; the eliminations and the projection
-stick to +-*/ and comparisons in a fixed evaluation order, so every count
-and distance is reproducible bit for bit.
+Everything is vectorized numpy. The random bits and the sampler's
+trigonometry run on whole arrays of address codes; the eliminations and
+the projection stick to +-*/ and comparisons in a fixed evaluation order,
+so every count and distance is reproducible bit for bit.
 """
 
 from __future__ import annotations
@@ -16,6 +16,7 @@ _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
+_RNG_BLOCK = 1 << 14  # codes per pass of the triple sampler
 
 # Guard value for exact-zero pivots; the nudged shift makes these
 # unreachable in practice, the replacement just keeps division defined.
@@ -23,12 +24,17 @@ _ZERO_PIVOT = 1e-30
 
 
 # ---------------------------------------------------------------------------
-# Counter-based RNG (splitmix64 finalizer).
+# Counter-based RNG (splitmix64 finalizer; Salmon et al. 2011).
 #
 # Cascade triples are keyed by (stream key, address code), so any address is
 # reproducible without sampling its siblings and independent of traversal
-# order or thread count.
+# order or thread count. Each code hashes to two uniforms, which the
+# Archimedes map of the sphere turns into one Dirichlet(1/2,1/2,1/2) triple.
+# TRIPLE_STREAM names that map; it changes whenever a seed would draw
+# different triples, and run records carry it.
 # ---------------------------------------------------------------------------
+
+TRIPLE_STREAM = "splitmix64-archimedes"
 
 
 def mix64(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
@@ -51,49 +57,49 @@ def derive_key(*parts: int) -> np.uint64:
 
 
 def _unit_open(x: np.ndarray) -> np.ndarray:
-    # uniforms in the open interval (0, 1): safe for log and angle maps
+    # uniforms from the top 53 bits, never 0 (so z**2 > 0); the largest bit
+    # pattern rounds to exactly 1 (probability 2**-53), which leaves a zero
+    # component that the triple guard redraws
     return ((x >> np.uint64(11)).astype(np.float64) + 0.5) * (2.0 ** -53)
 
 
-def _raw_normals(key: np.uint64, codes: np.ndarray, salt: int) -> np.ndarray:
-    """Three standard normals per code via Box-Muller, shape (len(codes), 3)."""
-    base = mix64(codes + mix64(np.uint64((int(key) + salt * int(_GOLD)) & _U64_MASK)))
-    u = np.empty((codes.shape[0], 4))
-    for j in range(4):
-        base = base + _GOLD
-        u[:, j] = _unit_open(mix64(base))
-    r1 = np.sqrt(-2.0 * np.log(u[:, 0]))
-    a1 = 2.0 * np.pi * u[:, 1]
-    r2 = np.sqrt(-2.0 * np.log(u[:, 2]))
-    a2 = 2.0 * np.pi * u[:, 3]
-    z = np.empty((codes.shape[0], 3))
-    z[:, 0] = r1 * np.cos(a1)
-    z[:, 1] = r1 * np.sin(a1)
-    z[:, 2] = r2 * np.cos(a2)
-    return z
+def _archimedes(key: np.uint64, codes: np.ndarray, salt: int) -> np.ndarray:
+    """((1 - z**2) cos**2 phi, (1 - z**2) sin**2 phi, z**2) per code, shape (len(codes), 3).
+
+    z is the code's first uniform and phi is pi/2 times its second. Codes
+    go in blocks so the temporaries stay in cache; every value is
+    elementwise, so the block size changes no bit.
+    """
+    k = mix64(np.uint64((int(key) + salt * int(_GOLD)) & _U64_MASK))
+    out = np.empty((codes.shape[0], 3))
+    for lo in range(0, codes.shape[0], _RNG_BLOCK):
+        base = mix64(codes[lo : lo + _RNG_BLOCK] + k) + _GOLD
+        zz = _unit_open(mix64(base)) ** 2
+        phi = (0.5 * np.pi) * _unit_open(mix64(base + _GOLD))
+        rest = 1.0 - zz
+        c, s = np.cos(phi), np.sin(phi)
+        out[lo : lo + _RNG_BLOCK] = np.stack((rest * (c * c), rest * (s * s), zz), axis=1)
+    return out
 
 
 def dirichlet_half_triples(key: np.uint64, codes: np.ndarray) -> np.ndarray:
     """Exact Dirichlet(1/2,1/2,1/2) triples keyed per address code.
 
-    Gamma(1/2, 1) variates are realized as Z**2 / 2 with Z standard normal
-    (the chi-square(1) representation), which is exact in law and consumes a
-    fixed number of uniforms per draw -- a requirement for counter-based
-    streams. Degenerate draws (an exact floating-point zero component) are
-    redrawn with a bumped salt.
+    If (x, y, z) is uniform on the sphere, then (x**2, y**2, z**2) is
+    Dirichlet(1/2,1/2,1/2), and by Archimedes' theorem z is uniform on
+    (-1, 1) and independent of the azimuth phi (Marsaglia 1972). Only |z|
+    and phi modulo pi/2 enter the squares, so each triple takes two
+    uniforms, a fixed count per draw as a counter-based stream requires.
+    Degenerate draws (a component that is not positive) are redrawn with a
+    bumped salt; every component lies in [0, 1] by construction, and a NaN
+    would fail the same test.
     """
     codes = np.ascontiguousarray(codes, dtype=np.uint64)
-    z = _raw_normals(key, codes, 0)
-    g = 0.5 * z * z
-    tot = g.sum(axis=1)
-    out = g / tot[:, None]
-    bad = ~np.isfinite(out).all(axis=1) | (out <= 0.0).any(axis=1)
+    out = _archimedes(key, codes, 0)
     salt = 1
-    while bad.any():  # pragma: no cover - probability ~ 0
-        zb = _raw_normals(key, codes[bad], salt)
-        gb = 0.5 * zb * zb
-        out[bad] = gb / gb.sum(axis=1)[:, None]
-        bad = ~np.isfinite(out).all(axis=1) | (out <= 0.0).any(axis=1)
+    while not (out > 0.0).all():  # pragma: no cover - probability ~ 2**-53 per triple
+        bad = ~(out > 0.0).all(axis=1)
+        out[bad] = _archimedes(key, codes[bad], salt)
         salt += 1
     return out
 

@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _VERSION
+from ._kernels import TRIPLE_STREAM
 from .cascade import CascadeTree, nu_gamma_moments, perturbations, perturbations_pooled
 from .errors import CapacityError, TailError, WindowUnresolved
 from .excursion import reduced_tree, sample_excursion
@@ -61,8 +62,8 @@ class EnsembleConfig:
     def __post_init__(self):
         if self.replicas < 1:
             raise ValueError("need at least one replica")
-        if self.lambda_hi <= self.lambda_lo:
-            raise ValueError("lambda grid must be increasing")
+        if not 0.0 < self.lambda_lo < self.lambda_hi:
+            raise ValueError("lambda grid must be positive and increasing")
         if self.route not in ("selfsimilar", "excursion"):
             raise ValueError("route must be 'selfsimilar' or 'excursion'")
         if self.route == "excursion" and not 1 <= self.leaves <= self.steps - 1:
@@ -76,9 +77,14 @@ class EnsembleConfig:
         return (self.master_seed * 0x9E3779B97F4A7C15 + 0x51ED2701 + r) % 2**63
 
     def as_dict(self) -> dict:
-        """Every field that can change a result (the thread count never does)."""
+        """Every field that can change a result (the thread count never does).
+
+        The constants ``lumping`` and ``stream`` name the mass lumping and
+        the random stream, so runs of the same config under different
+        versions of either never share a hash.
+        """
         doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "threads"}
-        return {**doc, "lumping": "half"}
+        return {**doc, "lumping": "half", "stream": TRIPLE_STREAM}
 
 
 @dataclass

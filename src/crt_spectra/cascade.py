@@ -3,7 +3,11 @@
 Addresses are words over {1,2,3}. Each address ``i`` with ``len(i) < depth``
 carries the mass triple of its three children; the derived weight of a child
 is ``w = sqrt(mass)`` and ``l(i)`` is the product of weights along the path
-from the root, so ``sum(l(i)**2) == 1`` on every level.
+from the root, so ``sum(l(i)**2) == 1`` on every level. A triple is the
+squared coordinates of a uniform point on the sphere, drawn by the
+Archimedes map from two counter-based uniforms per address
+(``_kernels.dirichlet_half_triples``); serialized cascades name that
+stream through their format, ``crt-spectra-cascade-v2``.
 
 Resistance perturbations correct the tail fluctuations of the random
 weights: ``R_i`` is the limit of sums of ``l(ij)/l(i)`` over binary words
@@ -140,7 +144,7 @@ class CascadeTree:
                 addr = Address.from_ordinal(q, ordinal)
                 entries[str(addr)] = [float(x) for x in self.triples[q][ordinal]]
         doc = {
-            "format": "crt-spectra-cascade-v1",
+            "format": "crt-spectra-cascade-v2",
             "master_seed": self.master_seed,
             "depth": self.depth,
             "triples": entries,

@@ -21,6 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
+from ._kernels import TRIPLE_STREAM
 from .asymptotics import (
     EnsembleConfig,
     config_hash,
@@ -72,6 +73,8 @@ def cmd_spectrum(args) -> int:
 
     if args.check_bracketing and args.depth < 1:
         raise UsageError("--check-bracketing needs --depth >= 1")
+    if not 0.0 < args.lambda_lo < args.lambda_hi:
+        raise UsageError("need 0 < --lambda-lo < --lambda-hi")
     net = build_network(args.depth, args.seed, args.trunc_depth)
     lams = np.geomspace(args.lambda_lo, args.lambda_hi, args.points)
     curve_d, curve_n = network_curves(net, lams)
@@ -84,6 +87,7 @@ def cmd_spectrum(args) -> int:
         "points": args.points,
         "boundary": args.boundary,
         "trunc_depth": args.trunc_depth,
+        "stream": TRIPLE_STREAM,
     }
     (outdir / "meta.json").write_text(json.dumps(_meta(args.seed, params), sort_keys=True, indent=1) + "\n")
     if args.boundary in ("dirichlet", "both"):

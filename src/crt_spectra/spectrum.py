@@ -116,9 +116,13 @@ def dense_count_below(pencil: Pencil, lam: float) -> int:
     equals the number of nonpositive eigenvalues of L - lambda (1 + 1e-12) M
     itself. eigvalsh errs by about eps times the matrix norm; scaling by
     M**-1/2 would multiply that norm by up to 1 / min(M), which on random
-    cascades swamps the eigenvalues near lambda. Meant for lambda > 0: at
-    lambda = 0 the kernel of the Neumann L rounds to either sign.
+    cascades swamps the eigenvalues near lambda. For lambda <= 0 the count
+    is exact, as in the fast path: L is positive semidefinite with the
+    constants as its Neumann kernel on a connected tree, and eigvalsh
+    would round that zero eigenvalue to either sign.
     """
+    if lam <= 0.0:
+        return int(lam == 0.0 and pencil.kind == "neumann")
     stiff, mass = dense_matrices(pencil)
     shifted = stiff - np.diag(lam * (1.0 + _NUDGE) * mass)
     return int((np.linalg.eigvalsh(shifted) <= 0.0).sum())

@@ -37,12 +37,16 @@ def test_config_validation():
     assert (np.diff(grid) > 0).all()
 
 
-def test_config_hash_covers_results_not_threads():
+def test_config_hash_covers_results_not_threads(monkeypatch):
     def h(**kw):
         return asymptotics.config_hash(small_config(**kw).as_dict())
 
     assert h(ceiling_deficit=0.03) != h(ceiling_deficit=0.05)
     assert h(threads=1) == h(threads=2)
+    # the same config on another random stream names another realization
+    before = h()
+    monkeypatch.setattr(asymptotics, "TRIPLE_STREAM", "another-stream")
+    assert h() != before
 
 
 def test_run_ensemble_shapes_and_counts():

@@ -56,6 +56,25 @@ def test_dirichlet_moments():
     assert np.allclose(t.sum(axis=1), 1.0, atol=1e-12)
 
 
+def test_dirichlet_marginals_and_cross_moment():
+    # every component is Beta(1/2, 1), CDF sqrt(x): Kolmogorov-Smirnov
+    # statistic against its 5 % critical value 1.36 / sqrt(n); and the
+    # components are exchangeable with E m1 m2 = (1/4) / ((3/2)(5/2)) = 1/15
+    n = 100_000
+    key = cascade.derive_key(99, 0x7A31)
+    t = cascade.dirichlet_half_triples(key, np.arange(n, dtype=np.uint64))
+    ecdf_hi = np.arange(1, n + 1) / n
+    for j in range(3):
+        cdf = np.sqrt(np.sort(t[:, j]))
+        ks = max((ecdf_hi - cdf).max(), (cdf - (ecdf_hi - 1.0 / n)).max())
+        assert ks < 1.36 / np.sqrt(n), (j, ks)
+    means = t.mean(axis=0)
+    # standard errors: 0.00094 per mean, 0.0016 per difference, 0.00023 for m1 m2
+    assert np.abs(means - 1.0 / 3.0).max() < 0.005
+    assert means.max() - means.min() < 0.008
+    assert abs((t[:, 0] * t[:, 1]).mean() - 1.0 / 15.0) < 0.0012
+
+
 def test_cascade_level_mass_conservation():
     casc = CascadeTree.sample(8, seed=5)
     for level, larr in enumerate(casc.l_levels()):

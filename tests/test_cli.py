@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from crt_spectra import cli
+from crt_spectra._kernels import TRIPLE_STREAM
 
 
 def run(args):
@@ -35,6 +36,7 @@ def test_sample_cascade_depth0(tmp_path):
     doc = json.loads(out.read_text())
     assert doc["triples"] == {}
     assert doc["master_seed"] == 1
+    assert doc["format"] == "crt-spectra-cascade-v2"  # v1 seeds drew Box-Muller triples
 
 
 def test_sample_cascade_binary_roundtrip(tmp_path):
@@ -59,6 +61,11 @@ def test_usage_error_exit_code(tmp_path, monkeypatch):
         ["crt-route", "--replicas", "1", "--steps", "4", "--leaves", "10", "--out", "x"],
         ["spectrum", "--depth", "0", "--check-bracketing", "--out", "x"],
         ["ensemble", "--replicas", "1", "--depth", "5", "--oracle", "--out", "x"],
+        ["ensemble", "--replicas", "1", "--depth", "2", "--lambda-lo", "0", "--out", "x"],
+        ["renewal", "--replicas", "1", "--depth", "2", "--lambda-lo", "-1", "--out", "x"],
+        ["crt-route", "--replicas", "1", "--lambda-lo", "0", "--out", "x"],
+        ["spectrum", "--depth", "2", "--lambda-lo", "0", "--out", "x"],
+        ["spectrum", "--depth", "2", "--lambda-lo", "10", "--lambda-hi", "10", "--out", "x"],
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -100,6 +107,7 @@ def test_spectrum_command_curves(tmp_path):
     assert set(gaps) <= {0, 1, 2}
     meta = json.loads((out / "meta.json").read_text())
     assert meta["seed"] == 3 and "config_hash" in meta
+    assert meta["stream"] == TRIPLE_STREAM
 
 
 def test_spectrum_check_bracketing(tmp_path):

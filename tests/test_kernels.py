@@ -33,6 +33,24 @@ def test_triples_deterministic_and_vector_scalar_match():
     np.testing.assert_array_equal(one[0], t1[7])
 
 
+def test_degenerate_triples_are_redrawn(monkeypatch):
+    # z rounding to 1 zeroes two components; only that row is redrawn, from the next salt
+    draw = _kernels._archimedes
+    key, codes = _kernels.derive_key(5, 77), np.arange(8, dtype=np.uint64)
+
+    def degenerate_at_salt_0(k, c, salt):
+        t = draw(k, c, salt)
+        if salt == 0:
+            t[3] = (0.0, 0.0, 1.0)
+        return t
+
+    monkeypatch.setattr(_kernels, "_archimedes", degenerate_at_salt_0)
+    t = _kernels.dirichlet_half_triples(key, codes)
+    clean = draw(key, codes, 0)
+    np.testing.assert_array_equal(np.delete(t, 3, axis=0), np.delete(clean, 3, axis=0))
+    np.testing.assert_array_equal(t[3], draw(key, codes[3:4], 1)[0])
+
+
 def test_nearest_vertex_matches_brute_force():
     # integer heights: some grid times sit exactly midway between a vertex
     # and its parent, so the lowest-number tie rule decides the owner

@@ -45,6 +45,18 @@ def test_neumann_zero_count():
         np.testing.assert_array_equal(nn, [0, 1])
 
 
+def test_dense_count_at_and_below_zero():
+    # eigvalsh rounds the Neumann kernel of L to either sign; the oracle
+    # counts exactly at lambda <= 0, as the engine does
+    for depth in range(1, 5):
+        for seed in range(20):
+            net = small_network(depth, seed=seed)
+            nd, nn = spectrum.network_counts(net, np.array([-1.0, 0.0]))
+            for kind, counts in (("dirichlet", nd), ("neumann", nn)):
+                pen = Pencil.from_network(net, kind)
+                assert [spectrum.dense_count_below(pen, lam) for lam in (-1.0, 0.0)] == counts.tolist()
+
+
 # -- oracle equivalence -------------------------------------------------------------
 
 
