@@ -18,6 +18,10 @@ _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 _RNG_BLOCK = 1 << 14  # codes per pass of the triple sampler
 
+# Every count <= lambda pivots at lambda (1 + NUDGE), so an eigenvalue at
+# exactly lambda is counted whatever the rounding.
+NUDGE = 1e-12
+
 # Guard value for exact-zero pivots; the nudged shift makes these
 # unreachable in practice, the replacement just keeps division defined.
 _ZERO_PIVOT = 1e-30
@@ -245,7 +249,7 @@ def inertia_counts(
         if lam == 0.0:
             out_n[t] = 1  # constant eigenfunction on a connected tree
             continue
-        lam_eff = lam * (1.0 + 1e-12)
+        lam_eff = lam * (1.0 + NUDGE)
         acc = np.zeros(mass.shape[0])
         g = np.empty(sched.n_slots)
         g[: conduct.shape[0]] = conduct

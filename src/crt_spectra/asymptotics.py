@@ -39,6 +39,8 @@ from .spectrum import (
 )
 
 _BOOT_RESAMPLES = 1000
+_MIN_COUNT = 6.0  # mean count at the window's lower end
+_TAIL_TOL = 1e-3  # largest u allowed at the renewal window's edges
 
 
 @dataclass(frozen=True)
@@ -77,14 +79,8 @@ class EnsembleConfig:
         return (self.master_seed * 0x9E3779B97F4A7C15 + 0x51ED2701 + r) % 2**63
 
     def as_dict(self) -> dict:
-        """Every field that can change a result (the thread count never does).
-
-        The constants ``lumping`` and ``stream`` name the mass lumping and
-        the random stream, so runs of the same config under different
-        versions of either never share a hash.
-        """
-        doc = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "threads"}
-        return {**doc, "lumping": "half", "stream": TRIPLE_STREAM}
+        """Every field that can change a result (the thread count never does)."""
+        return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "threads"}
 
 
 @dataclass
@@ -106,7 +102,8 @@ class EnsembleResult:
 
 @dataclass(frozen=True)
 class ScalingFit:
-    window: tuple[float, float]
+    window_lo: float
+    window_hi: float
     slope: float
     plateau: float
     stderr: float
@@ -118,7 +115,7 @@ class ScalingFit:
 @dataclass
 class RenewalEstimate:
     t_grid: np.ndarray
-    u_values: np.ndarray
+    u: np.ndarray
     nu_first_moment: float
     m_infinity: float
     tail_lo: float
@@ -161,7 +158,7 @@ def _selfsimilar_replica(config: EnsembleConfig, r: int, ts: np.ndarray | None, 
         check(r, net)
     nd, nn = network_counts(net, config.lambda_grid)
     if net.level >= 1:
-        floor = dirichlet_floor(net, diameter=net_diameter(net))
+        floor = dirichlet_floor(net, net_diameter(net))
     else:
         floor = np.inf
     # resolution ceiling: the lambda at which the requested fraction of
@@ -229,21 +226,21 @@ def run_ensemble(config: EnsembleConfig, ts: np.ndarray | None = None, check=Non
 # ---------------------------------------------------------------------------
 
 
-def auto_window(result: EnsembleResult, min_count: float = 6.0):
+def auto_window(result: EnsembleResult):
     """Resolved fitting window [lambda at a minimum mean count, ceiling].
 
     The lower end keeps the bounded boundary corrections (the counting
-    functions differ from the continuum by O(1)) below a 1/min_count
-    relative effect; the upper end is the median per-replica resolution
+    functions differ from the continuum by O(1)) below a 1/6 relative
+    effect; the upper end is the median per-replica resolution
     ceiling, the lambda at which an estimated ``ceiling_deficit`` fraction
     of spectral mass sits in cells whose internal modes the lumped model
     cannot represent. Raises WindowUnresolved when the window collapses.
     """
     lams = result.lambdas
     mid = result.mean_curve("midpoint")
-    above = np.nonzero(mid >= min_count)[0]
+    above = np.nonzero(mid >= _MIN_COUNT)[0]
     if above.size == 0:
-        raise WindowUnresolved(f"mean count never reaches {min_count}")
+        raise WindowUnresolved(f"mean count never reaches {_MIN_COUNT}")
     lo = float(lams[above[0]])
     hi = float(np.median(result.resolutions))
     if hi > lams[-1]:
@@ -253,15 +250,10 @@ def auto_window(result: EnsembleResult, min_count: float = 6.0):
     return lo, hi
 
 
-def fit_scaling(
-    result: EnsembleResult,
-    window: tuple[float, float] | None = None,
-    boundary: str = "midpoint",
-    boot_seed: int = 0,
-) -> ScalingFit:
+def fit_scaling(result: EnsembleResult, window: tuple[float, float] | None = None) -> ScalingFit:
     """Log-log slope and rescaled plateau of the mean curve over a window.
 
-    The default fits the midpoint of the Dirichlet and Neumann curves: the
+    The fit takes the midpoint of the Dirichlet and Neumann curves: the
     continuum counting function sits between the two (they differ by at
     most 2), so the midpoint cancels most of the O(1) boundary correction
     that biases the slope at moderate counts. The plateau is the window
@@ -275,10 +267,7 @@ def fit_scaling(
     mask = (lams >= lo) & (lams <= hi)
     if mask.sum() < 4:
         raise WindowUnresolved("fewer than 4 grid points in the window")
-    if boundary == "midpoint":
-        counts = 0.5 * (result.neumann + result.dirichlet)[:, mask].astype(np.float64)
-    else:
-        counts = (result.neumann if boundary == "neumann" else result.dirichlet)[:, mask].astype(np.float64)
+    counts = 0.5 * (result.neumann + result.dirichlet)[:, mask].astype(np.float64)
     lamw = lams[mask]
     mean_counts = counts.mean(axis=0)
     x = np.log(lamw)
@@ -291,7 +280,7 @@ def fit_scaling(
 
     nrep = counts.shape[0]
     if nrep > 1:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=abs(boot_seed) % 2**63, spawn_key=(0xB007,)))
+        rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(0xB007,)))
         idx = rng.integers(0, nrep, size=(_BOOT_RESAMPLES, nrep))
         boot_plateau = plateau_r[idx].mean(axis=1)
         ylog = np.log(counts[idx].mean(axis=1))  # (B, K)
@@ -302,7 +291,8 @@ def fit_scaling(
     else:
         stderr = slope_stderr = replica_sd = 0.0
     return ScalingFit(
-        window=(float(lo), float(hi)),
+        window_lo=float(lo),
+        window_hi=float(hi),
         slope=slope,
         plateau=plateau,
         stderr=stderr,
@@ -322,7 +312,6 @@ def estimate_renewal_constant(
     t_lo: float = -3.0,
     t_hi: float | None = None,
     t_points: int = 241,
-    tail_tol: float = 1e-3,
 ) -> tuple[EnsembleResult, RenewalEstimate]:
     """The ensemble with eta rows, and the renewal estimate they give.
 
@@ -340,13 +329,13 @@ def estimate_renewal_constant(
     ts = np.linspace(t_lo, t_hi, t_points)
     result = run_ensemble(config, ts)
     u = np.exp(-GAMMA_EXPONENT * ts) * result.eta.mean(axis=0)
-    if u[0] > tail_tol or u[-1] > tail_tol:
-        raise TailError(f"u at the window edges ({u[0]}, {u[-1]}) above {tail_tol}")
+    if u[0] > _TAIL_TOL or u[-1] > _TAIL_TOL:
+        raise TailError(f"u at the window edges ({u[0]}, {u[-1]}) above {_TAIL_TOL}")
     integral = float(np.trapezoid(u, ts))
     _, first = nu_gamma_moments()
     return result, RenewalEstimate(
         t_grid=ts,
-        u_values=u,
+        u=u,
         nu_first_moment=first,
         m_infinity=integral / first,
         tail_lo=float(u[0]),
@@ -363,24 +352,45 @@ def _fmt(x) -> str:
     return format(float(x), ".17g")
 
 
-def config_hash(doc: dict) -> str:
-    return hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:16]
+def _record(obj) -> dict:
+    """Each field of a result dataclass under its name: numbers as ``_fmt`` strings, arrays as lists of them."""
+    doc = {}
+    for f in fields(obj):
+        value = getattr(obj, f.name)
+        doc[f.name] = [_fmt(x) for x in value] if isinstance(value, np.ndarray) else _fmt(value)
+    return doc
+
+
+def write_json(path: Path, doc: dict) -> None:
+    path.write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+
+
+def provenance(settings: dict) -> dict:
+    """A run's settings with the constants ``lumping`` and ``stream``, the version and ``config_hash``.
+
+    The hash covers everything but the version. ``lumping`` and ``stream``
+    name the mass lumping and the random stream, so runs of the same
+    settings under different versions of either never share a hash.
+    """
+    doc = {**settings, "lumping": "half", "stream": TRIPLE_STREAM}
+    digest = hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:16]
+    return {**doc, "version": _VERSION, "config_hash": digest}
 
 
 def write_results(
-    outdir: str | Path,
-    result: EnsembleResult,
-    fit: ScalingFit | None,
-    renewal: RenewalEstimate | None = None,
-    extra: dict | None = None,
+    outdir: str | Path, result: EnsembleResult, fit: ScalingFit | None, renewal: RenewalEstimate | None = None
 ) -> Path:
-    """config.json, curves.csv, fit.json (and renewal.json) in a run directory."""
+    """Write a run directory.
+
+    - ``config.json``: the :func:`provenance` record of the config, every
+      field but the thread count;
+    - ``curves.csv``: lambda and the mean Dirichlet and Neumann counts;
+    - ``fit.json``: the :class:`ScalingFit` fields, when a window resolved;
+    - ``renewal.json``: the :class:`RenewalEstimate` fields, renewal runs only.
+    """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
-    doc = result.config.as_dict()
-    doc["version"] = _VERSION
-    doc["config_hash"] = config_hash(result.config.as_dict())
-    (outdir / "config.json").write_text(json.dumps(doc, sort_keys=True, indent=1) + "\n")
+    write_json(outdir / "config.json", provenance(result.config.as_dict()))
 
     lines = ["lambda,mean_dirichlet,mean_neumann"]
     md = result.dirichlet.mean(axis=0)
@@ -390,27 +400,7 @@ def write_results(
     (outdir / "curves.csv").write_text("\n".join(lines) + "\n")
 
     if fit is not None:
-        fdoc = {
-            "window_lo": _fmt(fit.window[0]),
-            "window_hi": _fmt(fit.window[1]),
-            "slope": _fmt(fit.slope),
-            "plateau": _fmt(fit.plateau),
-            "stderr": _fmt(fit.stderr),
-            "slope_stderr": _fmt(fit.slope_stderr),
-            "spectral_dimension": _fmt(fit.spectral_dimension),
-            "replica_plateau_std": _fmt(fit.replica_plateau_std),
-        }
-        if extra:
-            fdoc.update(extra)
-        (outdir / "fit.json").write_text(json.dumps(fdoc, sort_keys=True, indent=1) + "\n")
+        write_json(outdir / "fit.json", _record(fit))
     if renewal is not None:
-        rdoc = {
-            "nu_first_moment": _fmt(renewal.nu_first_moment),
-            "m_infinity": _fmt(renewal.m_infinity),
-            "tail_lo": _fmt(renewal.tail_lo),
-            "tail_hi": _fmt(renewal.tail_hi),
-            "t_grid": [_fmt(t) for t in renewal.t_grid],
-            "u": [_fmt(u) for u in renewal.u_values],
-        }
-        (outdir / "renewal.json").write_text(json.dumps(rdoc, sort_keys=True, indent=1) + "\n")
+        write_json(outdir / "renewal.json", _record(renewal))
     return outdir

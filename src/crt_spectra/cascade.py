@@ -6,8 +6,9 @@ is ``w = sqrt(mass)`` and ``l(i)`` is the product of weights along the path
 from the root, so ``sum(l(i)**2) == 1`` on every level. A triple is the
 squared coordinates of a uniform point on the sphere, drawn by the
 Archimedes map from two counter-based uniforms per address
-(``_kernels.dirichlet_half_triples``); serialized cascades name that
-stream through their format, ``crt-spectra-cascade-v2``.
+(``_kernels.dirichlet_half_triples``); both dumps name that stream
+through their format version: ``crt-spectra-cascade-v2`` in JSON, and
+version 2 after the ``CRTC`` magic in binary.
 
 Resistance perturbations correct the tail fluctuations of the random
 weights: ``R_i`` is the limit of sums of ``l(ij)/l(i)`` over binary words
@@ -35,6 +36,7 @@ _TAG_POOL_W = 0x7A32
 _TAG_POOL_IDX = 0x7A33
 
 _CASCADE_MAGIC = b"CRTC"
+_CASCADE_VERSION = 2  # v1 seeds drew Box-Muller triples
 
 
 @dataclass(frozen=True)
@@ -144,7 +146,7 @@ class CascadeTree:
                 addr = Address.from_ordinal(q, ordinal)
                 entries[str(addr)] = [float(x) for x in self.triples[q][ordinal]]
         doc = {
-            "format": "crt-spectra-cascade-v2",
+            "format": f"crt-spectra-cascade-v{_CASCADE_VERSION}",
             "master_seed": self.master_seed,
             "depth": self.depth,
             "triples": entries,
@@ -153,7 +155,7 @@ class CascadeTree:
 
     def to_binary(self) -> bytes:
         seed = self.master_seed if self.master_seed is not None else 0
-        head = _CASCADE_MAGIC + struct.pack("<IQ", self.depth, seed & (2**64 - 1))
+        head = _CASCADE_MAGIC + struct.pack("<IIQ", _CASCADE_VERSION, self.depth, seed & (2**64 - 1))
         body = b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes() for t in self.triples)
         return head + body
 

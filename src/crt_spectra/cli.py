@@ -8,12 +8,18 @@ re-running a command reproduces the numeric payloads byte for byte,
 whatever the thread count. ``--threads`` spreads the replicas of
 ``ensemble``, ``renewal`` and ``crt-route`` over worker threads; ``renewal``
 builds each replica once, for its counting curves and its eta row.
+
+Run records: the ensemble commands write ``config.json`` (the config and
+its provenance), ``curves.csv`` (the mean counting curves), ``fit.json``
+(the scaling fit, when a window resolves; otherwise a warning goes to
+stderr) and, for ``renewal``, ``renewal.json`` (the renewal estimate with
+``m_infinity``). ``spectrum`` writes ``meta.json``, the provenance of every
+flag but ``--out`` and ``--check-bracketing``, next to its curves.
 """
 
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
@@ -21,13 +27,14 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__
-from ._kernels import TRIPLE_STREAM
 from .asymptotics import (
     EnsembleConfig,
-    config_hash,
+    ScalingFit,
     estimate_renewal_constant,
     fit_scaling,
+    provenance,
     run_ensemble,
+    write_json,
     write_results,
 )
 from .cascade import CascadeTree
@@ -42,10 +49,6 @@ class GuardError(CrtSpectraError):
 
 class UsageError(CrtSpectraError):
     """Flag values that describe no valid run."""
-
-
-def _meta(seed: int, params: dict) -> dict:
-    return {"seed": seed, "config_hash": config_hash(params), "version": __version__, **params}
 
 
 def cmd_sample_excursion(args) -> int:
@@ -80,16 +83,9 @@ def cmd_spectrum(args) -> int:
     curve_d, curve_n = network_curves(net, lams)
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
-    params = {
-        "depth": args.depth,
-        "lambda_lo": args.lambda_lo,
-        "lambda_hi": args.lambda_hi,
-        "points": args.points,
-        "boundary": args.boundary,
-        "trunc_depth": args.trunc_depth,
-        "stream": TRIPLE_STREAM,
-    }
-    (outdir / "meta.json").write_text(json.dumps(_meta(args.seed, params), sort_keys=True, indent=1) + "\n")
+    # every flag that can change the curves: not the output path, nor a check that writes nothing
+    settings = {k: v for k, v in vars(args).items() if k not in ("command", "fn", "out", "check_bracketing")}
+    write_json(outdir / "meta.json", provenance(settings))
     if args.boundary in ("dirichlet", "both"):
         (outdir / "spectrum_dirichlet.csv").write_text(curve_d.to_csv())
     if args.boundary in ("neumann", "both"):
@@ -136,17 +132,21 @@ def _oracle_check(config: EnsembleConfig):
     return check
 
 
+def _fit(result, require: bool) -> ScalingFit | None:
+    """The scaling fit, or None with a warning when no window resolves (unless one is required)."""
+    try:
+        return fit_scaling(result)
+    except WindowUnresolved as exc:
+        if require:
+            raise
+        print(f"warning: no resolved window ({exc}); curves written without fit", file=sys.stderr)
+        return None
+
+
 def cmd_ensemble(args) -> int:
     config = _ensemble_config(args, "selfsimilar")
     result = run_ensemble(config, check=_oracle_check(config) if args.oracle else None)
-    fit = None
-    try:
-        fit = fit_scaling(result)
-    except WindowUnresolved as exc:
-        if args.require_fit:
-            raise
-        print(f"warning: no resolved window ({exc}); curves written without fit", file=sys.stderr)
-    write_results(args.out, result, fit)
+    write_results(args.out, result, _fit(result, args.require_fit))
     return 0
 
 
@@ -155,25 +155,14 @@ def cmd_renewal(args) -> int:
     if config.depth < 1:
         raise UsageError("renewal needs --depth >= 1 (eta lives on the first refinement)")
     result, renewal = estimate_renewal_constant(config)
-    fit = None
-    try:
-        fit = fit_scaling(result)
-    except WindowUnresolved:
-        pass
-    extra = {"m_infinity": format(renewal.m_infinity, ".17g")}
-    write_results(args.out, result, fit, renewal=renewal, extra=extra if fit else None)
+    write_results(args.out, result, _fit(result, False), renewal=renewal)
     return 0
 
 
 def cmd_crt_route(args) -> int:
     config = _ensemble_config(args, "excursion")
     result = run_ensemble(config)
-    fit = None
-    try:
-        fit = fit_scaling(result)
-    except WindowUnresolved as exc:
-        print(f"warning: no resolved window ({exc})", file=sys.stderr)
-    write_results(args.out, result, fit)
+    write_results(args.out, result, _fit(result, False))
     return 0
 
 

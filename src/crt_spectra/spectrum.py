@@ -26,13 +26,11 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import ContractionSchedule, contraction_schedule, inertia_counts
+from ._kernels import NUDGE, ContractionSchedule, contraction_schedule, inertia_counts
 from .dendrite import structure
 from .errors import CapacityError
 from .excursion import MetricTree
 from .forms import ResistanceNetwork, subnetwork_fresh
-
-_NUDGE = 1e-12
 
 GAMMA_EXPONENT = 2.0 / 3.0  # lambda**(-2/3) is the normalized counting scale
 
@@ -79,7 +77,8 @@ class Pencil:
     @classmethod
     def from_tree(cls, tree: MetricTree, kind: str = "neumann") -> "Pencil":
         """Pencil bounded by the tree root and the first inserted leaf (a mu-random vertex)."""
-        nonroot = np.array([v for v in range(tree.n_vertices) if v != tree.root], dtype=np.int64)
+        nonroot = np.arange(tree.n_vertices - 1, dtype=np.int64)
+        nonroot[tree.root :] += 1
         eu = tree.parent[nonroot]
         ec = 1.0 / tree.edge_len[nonroot]
         return cls(eu.astype(np.int64), nonroot, ec, np.maximum(tree.mass, 1e-300), (tree.root, 1), kind)
@@ -124,7 +123,7 @@ def dense_count_below(pencil: Pencil, lam: float) -> int:
     if lam <= 0.0:
         return int(lam == 0.0 and pencil.kind == "neumann")
     stiff, mass = dense_matrices(pencil)
-    shifted = stiff - np.diag(lam * (1.0 + _NUDGE) * mass)
+    shifted = stiff - np.diag(lam * (1.0 + NUDGE) * mass)
     return int((np.linalg.eigvalsh(shifted) <= 0.0).sum())
 
 
@@ -196,21 +195,17 @@ def network_curves(net: ResistanceNetwork, lams: np.ndarray) -> tuple[CountingCu
 # ---------------------------------------------------------------------------
 
 
-def dirichlet_floor(net: ResistanceNetwork, diameter: float | None = None, rtol: float = 1e-12) -> float:
-    """Smallest Dirichlet eigenvalue, by bisection on the counting function.
+def dirichlet_floor(net: ResistanceNetwork, diameter: float) -> float:
+    """Smallest Dirichlet eigenvalue, by bisection on the counting function to relative 1e-12.
 
     A mass-one network bounds its first Dirichlet eigenvalue below by the
-    inverse resistance diameter (computed unless supplied), so the bracket
-    starts there, which also keeps the unpivoted elimination away from the
+    inverse of its resistance ``diameter``, so the bracket starts there,
+    which also keeps the unpivoted elimination away from the
     cancellation-prone region far below the floor, and the bound is
     verified on the result.
     """
     if net.n_vertices <= 2:
         raise ValueError("problem has no Dirichlet eigenvalues")
-    if diameter is None:
-        from .forms import diameter as net_diameter
-
-        diameter = net_diameter(net)
 
     def count(lam: float) -> int:
         return int(network_counts(net, np.array([lam]))[0][0])
@@ -222,7 +217,7 @@ def dirichlet_floor(net: ResistanceNetwork, diameter: float | None = None, rtol:
     if count(lo) >= 1:  # the bound can only fail through rounding; fall back
         lo = 0.0
     for _ in range(200):
-        if hi - lo <= rtol * hi:
+        if hi - lo <= 1e-12 * hi:
             break
         mid = 0.5 * (lo + hi)
         if count(mid) >= 1:
@@ -282,34 +277,20 @@ def bracketing_check(net: ResistanceNetwork, lams: np.ndarray) -> list[BracketRe
     ]
 
 
-def eta_many(net: ResistanceNetwork, ts: np.ndarray, method: str = "embedded") -> np.ndarray:
+def eta_many(net: ResistanceNetwork, ts: np.ndarray) -> np.ndarray:
     """eta(t) = N_D(e**t) - sum_j N_D,j(e**t w(j)**3), an integer in [0, 2].
 
     The three cell blocks form the full Dirichlet matrix with the rows and
     columns of vertices 2 and 3 (the level-1 midpoint and tip) deleted, so
     Cauchy interlacing bounds eta by 0 and 2.
 
-    ``embedded`` takes one sweep of the assembled network. Its contraction
-    schedule pivots every vertex inside a first-generation cell before the
-    final round, and those pivots factor the cell's Dirichlet block; the
-    final round rakes the tip into the midpoint and compresses the midpoint
+    One sweep of the assembled network gives eta. Its contraction schedule
+    pivots every vertex inside a first-generation cell before the final
+    round, and those pivots factor the cell's Dirichlet block; the final
+    round rakes the tip into the midpoint and compresses the midpoint
     between the corners, so eta is that round's nonpositive-pivot count.
-    ``fresh`` re-assembles each cell from the shifted cascade and counts
-    N_D - sum_j N_D,j at the rescaled shifts, the independent cross-check
-    of the evolution identity. The two agree except on a measure-zero set
-    of shifts.
     """
     if net.level < 1:
         raise ValueError("eta needs at least one refinement level")
-    ts = np.asarray(ts, dtype=np.float64)
-    lams = np.exp(ts)
-    if method == "embedded":
-        return inertia_counts(net.structure.schedule, net.vertex_mass, net.conductance, lams)[2]
-    if method != "fresh":
-        raise ValueError("method must be 'embedded' or 'fresh'")
-    full_d, _ = network_counts(net, lams)
-    w1 = net.cascade.w_levels()[1]
-    for j in (1, 2, 3):
-        d, _ = network_counts(subnetwork_fresh(net, j), lams * float(w1[j - 1]) ** 3)
-        full_d -= d
-    return full_d
+    lams = np.exp(np.asarray(ts, dtype=np.float64))
+    return inertia_counts(net.structure.schedule, net.vertex_mass, net.conductance, lams)[2]

@@ -17,7 +17,7 @@ import struct
 import numpy as np
 
 from crt_spectra._kernels import derive_key, dirichlet_half_triples
-from crt_spectra.cascade import _CASCADE_MAGIC, _TAG_TRIPLES, Address, CascadeTree
+from crt_spectra.cascade import _CASCADE_MAGIC, _CASCADE_VERSION, _TAG_TRIPLES, Address, CascadeTree
 from crt_spectra.errors import CapacityError
 
 
@@ -46,8 +46,10 @@ def cascade_from_json(text: str) -> CascadeTree:
 def cascade_from_binary(blob: bytes) -> CascadeTree:
     if blob[:4] != _CASCADE_MAGIC:
         raise ValueError("not a cascade dump")
-    depth, seed = struct.unpack("<IQ", blob[4:16])
-    off = 16
+    version, depth, seed = struct.unpack("<IIQ", blob[4:20])
+    if version != _CASCADE_VERSION:
+        raise ValueError(f"cascade dump format v{version}, expected v{_CASCADE_VERSION}")
+    off = 20
     triples = []
     for q in range(depth):
         count = 3**q * 3

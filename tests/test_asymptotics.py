@@ -1,4 +1,5 @@
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -39,7 +40,7 @@ def test_config_validation():
 
 def test_config_hash_covers_results_not_threads(monkeypatch):
     def h(**kw):
-        return asymptotics.config_hash(small_config(**kw).as_dict())
+        return asymptotics.provenance(small_config(**kw).as_dict())["config_hash"]
 
     assert h(ceiling_deficit=0.03) != h(ceiling_deficit=0.05)
     assert h(threads=1) == h(threads=2)
@@ -121,7 +122,7 @@ def test_renewal_pieces():
     assert est.m_infinity > 0
     assert est.tail_lo == 0.0  # exact zeros below the floor
     assert est.tail_hi < 1e-3
-    assert (est.u_values >= 0).all()
+    assert (est.u >= 0).all()
 
 
 def test_renewal_tail_guard():
@@ -192,3 +193,20 @@ def test_write_results_deterministic(tmp_path):
     assert doc["master_seed"] == 321
     assert doc["lumping"] == "half"
     assert "config_hash" in doc and "version" in doc
+
+
+def test_records_hold_their_dataclass_fields(tmp_path):
+    # each record is its dataclass, field by field, so m_infinity is written once, in renewal.json
+    cfg = small_config(replicas=3)
+    lams = cfg.lambda_grid
+    counts = np.maximum((0.37 * lams ** (2.0 / 3.0)).astype(np.int64), 0)[None, :].repeat(3, 0)
+    res = asymptotics.EnsembleResult(cfg, lams, counts, counts, np.full(3, 1e6), 10**6)
+    fit = asymptotics.fit_scaling(res, window=(1e2, 1e5))
+    ren = asymptotics.RenewalEstimate(np.array([0.0, 1.0]), np.array([0.5, 0.25]), 1.0, 0.375, 0.5, 0.25)
+    out = asymptotics.write_results(tmp_path, res, fit, ren)
+    fdoc = json.loads((out / "fit.json").read_text())
+    rdoc = json.loads((out / "renewal.json").read_text())
+    assert set(fdoc) == {f.name for f in fields(asymptotics.ScalingFit)}
+    assert set(rdoc) == {f.name for f in fields(asymptotics.RenewalEstimate)}
+    assert (fdoc["window_lo"], fdoc["window_hi"]) == ("100", "100000")
+    assert rdoc["u"] == ["0.5", "0.25"] and rdoc["m_infinity"] == "0.375"

@@ -303,3 +303,13 @@ def test_cascade_binary_roundtrip():
     assert back.depth == 4
     for q in range(4):
         np.testing.assert_array_equal(back.triples[q], casc.triples[q])
+
+
+def test_cascade_binary_names_its_format():
+    # the header carries the format version after the magic; a reader
+    # meeting any other version refuses the dump rather than misread it
+    blob = CascadeTree.sample(2, seed=23).to_binary()
+    assert blob[:8] == b"CRTC" + (2).to_bytes(4, "little")
+    for version in (1, 3):
+        with pytest.raises(ValueError, match="format"):
+            cascade_oracle.cascade_from_binary(blob[:4] + version.to_bytes(4, "little") + blob[8:])

@@ -110,6 +110,19 @@ def test_spectrum_command_curves(tmp_path):
     assert meta["stream"] == TRIPLE_STREAM
 
 
+def test_spectrum_meta_hash_covers_the_seed(tmp_path):
+    def meta(seed, name):
+        argv = ["spectrum", "--depth", "2", "--trunc-depth", "6", "--seed", str(seed), "--out", str(tmp_path / name)]
+        assert run(argv) == 0
+        return json.loads((tmp_path / name / "meta.json").read_text())
+
+    a, again, b = meta(1, "a"), meta(1, "again"), meta(2, "b")
+    assert a == again
+    assert a["config_hash"] != b["config_hash"]
+    assert a["lumping"] == "half" and a["stream"] == TRIPLE_STREAM
+    assert "out" not in a and "check_bracketing" not in a
+
+
 def test_spectrum_check_bracketing(tmp_path):
     code = run(
         ["spectrum", "--depth", "3", "--seed", "4", "--points", "15", "--trunc-depth", "6",
@@ -173,6 +186,17 @@ def test_renewal_command(tmp_path):
     doc = json.loads((out / "renewal.json").read_text())
     assert abs(float(doc["nu_first_moment"]) - 1.0) < 1e-6
     assert float(doc["m_infinity"]) > 0
+
+
+def test_renewal_warns_when_no_window_resolves(tmp_path, capsys):
+    # this shallow ensemble's resolution ceiling falls below its count-6 lambda
+    out = tmp_path / "ren"
+    argv = ["renewal", "--replicas", "2", "--depth", "3", "--trunc-depth", "6", "--seed", "0",
+            "--out", str(out)]
+    assert run(argv) == 0
+    assert "warning: no resolved window" in capsys.readouterr().err
+    assert not (out / "fit.json").exists()
+    assert float(json.loads((out / "renewal.json").read_text())["m_infinity"]) > 0
 
 
 RENEWAL_ARGS = ["renewal", "--replicas", "3", "--depth", "4", "--trunc-depth", "8", "--seed", "17",

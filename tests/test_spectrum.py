@@ -123,7 +123,7 @@ def test_inertia_matches_mpmath_past_dense_cap():
     pen = Pencil.from_network(net)
     with pytest.raises(CapacityError):
         spectrum.dense_matrices(pen)
-    floor = spectrum.dirichlet_floor(net)
+    floor = spectrum.dirichlet_floor(net, forms.diameter(net))
     lams = np.geomspace(floor * (1.0 + 1e-6), 1e12, 12)
     nd, nn = spectrum.count_pair(pen, lams)
     assert nd[0] == 1
@@ -235,23 +235,23 @@ def test_dirichlet_floor_debug_against_dense():
     net = debug_network(1)
     pen = Pencil.from_network(net, "dirichlet")
     dense = spectrum_oracle.dense_eigenvalues(pen)
-    floor = spectrum.dirichlet_floor(net)
+    floor = spectrum.dirichlet_floor(net, forms.diameter(net))
     assert abs(floor - dense[0]) < 1e-8 * dense[0]
 
 
 def test_dirichlet_floor_diameter_bound():
     for seed in range(20):
         net = small_network(4, seed=seed)
-        spectrum.dirichlet_floor(net, diameter=forms.diameter(net))  # raises on violation
+        spectrum.dirichlet_floor(net, forms.diameter(net))  # raises on violation
 
 
 def test_floor_scaling_in_mass():
     # L - lambda M is homogeneous: conductances times 4 (or masses divided
     # by 4, which a mass-one network cannot take) multiply the floor by 4
     net = small_network(3, seed=9)
-    floor = spectrum.dirichlet_floor(net)
+    floor = spectrum.dirichlet_floor(net, forms.diameter(net))
     stiff = forms.ResistanceNetwork(3, net.conductance * 4.0, net.cell_mass)
-    floor4 = spectrum.dirichlet_floor(stiff)
+    floor4 = spectrum.dirichlet_floor(stiff, forms.diameter(stiff))
     assert abs(floor4 / (4.0 * floor) - 1.0) < 1e-9
 
 
@@ -260,7 +260,7 @@ def test_floor_scaling_in_mass():
 
 def test_bracketing_trivial_below_floor():
     net = small_network(3, seed=11)
-    floor = spectrum.dirichlet_floor(net)
+    floor = spectrum.dirichlet_floor(net, forms.diameter(net))
     rep = spectrum.bracketing_check(net, np.array([0.5 * floor]))[0]
     assert rep.sub_dirichlet == 0 and rep.full_dirichlet == 0
     assert rep.full_neumann >= 1 and rep.chain_ok and rep.gap_ok
@@ -289,11 +289,7 @@ def test_eta_bounded_and_zero_below_floor():
 def test_eta_methods_agree():
     net = small_network(4, seed=71)
     ts = np.linspace(-1.0, 10.0, 80)
-    np.testing.assert_array_equal(
-        spectrum.eta_many(net, ts, "embedded"), spectrum.eta_many(net, ts, "fresh")
-    )
-    with pytest.raises(ValueError):
-        spectrum.eta_many(net, ts, "nope")
+    np.testing.assert_array_equal(spectrum.eta_many(net, ts), spectrum_oracle.eta_fresh(net, ts))
 
 
 def test_evolution_identity_exact():
