@@ -8,6 +8,7 @@ so every count and distance is reproducible bit for bit.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -17,6 +18,7 @@ _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
 _RNG_BLOCK = 1 << 14  # codes per pass of the triple sampler
+_SHIFT_BLOCK_BYTES = 1 << 20  # acc and g bytes per pass of the counting sweep
 
 # Every count <= lambda pivots at lambda (1 + NUDGE), so an eigenvalue at
 # exactly lambda is counted whatever the rounding.
@@ -137,6 +139,20 @@ def uniform_indices(key: np.uint64, salt: int, count: int, bound: int) -> np.nda
 # effective one by ~1/eps (large depths, lambda near or below the spectral
 # floor). The boundary vertices are pivoted last, so the interior pivots
 # factor the Dirichlet block as well and one sweep yields both counts.
+#
+# A sweep counts a block of shifts at once. acc and g are shift-major
+# (block width x vertices) and (block width x slots) arrays, so each round's
+# twenty-odd numpy calls serve the whole block, not one shift; on pencils of
+# a few thousand vertices that per-call overhead is most of the cost. The
+# width is the number of acc and g rows that fit a 1 MiB budget: a block's
+# working rows stay in cache between rounds, and a deep dendrite, whose one
+# row already exceeds the budget, sweeps one shift at a time. The per-round
+# scratch arrays are allocated once per call and written with ``out=``, so
+# blocks reuse them; nothing lives on the schedule, which replica threads
+# share. Every pivot is the same elementwise expression as in a one-shift
+# sweep. The compress scatters stay np.add.at, in index order, on acc's flat
+# view at row * V + vertex: each row receives its terms in the one-shift
+# order, so every count is bit-identical whatever the block width.
 # ---------------------------------------------------------------------------
 
 
@@ -153,10 +169,16 @@ class ContractionSchedule:
     """
 
     rounds: tuple[tuple, ...]
+    n_vertices: int
     n_slots: int
     final: int  # the slot joining b0 and b1
     b0: int
     b1: int
+
+    @property
+    def block_width(self) -> int:
+        """Shifts per counting pass: the acc and g columns that fit the block budget, at least 1."""
+        return max(1, _SHIFT_BLOCK_BYTES // (8 * (self.n_vertices + self.n_slots)))
 
 
 def _strided(idx: np.ndarray):
@@ -226,7 +248,34 @@ def contraction_schedule(edge_u, edge_v, n_vertices: int, b0: int, b1: int) -> C
         n_slots += mid.shape[0]
     if ls.shape[0] != 1 or {int(lu[0]), int(lv[0])} != {b0, b1}:
         raise ValueError("pencil graph is not connected")
-    return ContractionSchedule(tuple(rounds), n_slots, int(ls[0]), int(b0), int(b1))
+    return ContractionSchedule(tuple(rounds), nv, n_slots, int(ls[0]), int(b0), int(b1))
+
+
+def _cols(x: np.ndarray, idx, buf, k: int, n: int):
+    """A reader of x[:, idx]: the view itself for a slice, else a gather into buf(k, n)."""
+    if isinstance(idx, slice):
+        view = x[:, idx]
+        return lambda: view
+    return functools.partial(x.take, idx, 1, buf(k, n), "clip")
+
+
+def _adder(x: np.ndarray, idx, flat_index):
+    """An in-place x[:, idx] += y for distinct idx; an index array goes through x's flat view."""
+    if isinstance(idx, slice):
+        view = x[:, idx]
+        return lambda y: np.add(view, y, out=view)
+    flat, at = x.reshape(-1), flat_index(idx)
+
+    def add(y):
+        flat[at] += y.reshape(-1)
+
+    return add
+
+
+def _nonpositive(p: np.ndarray, z: np.ndarray):
+    # per-row count of p <= 0; one row counts without the slower axis reduction
+    np.less_equal(p, 0.0, out=z)
+    return np.count_nonzero(z) if z.shape[0] == 1 else np.count_nonzero(z, axis=1)
 
 
 def inertia_counts(
@@ -236,53 +285,107 @@ def inertia_counts(
 
     The third array counts the nonpositive pivots of the schedule's last
     round alone; on a dendrite level graph that round pivots the level-1
-    midpoint and tip, so it is the branching increment eta.
+    midpoint and tip, so it is the branching increment eta. The positive
+    shifts are swept in equal blocks of at most ``sched.block_width``, the
+    last one padded with copies of its final shift.
     """
     lams = np.ascontiguousarray(lams, dtype=np.float64)
-    b0, b1 = sched.b0, sched.b1
+    nv, b0, b1 = mass.shape[0], sched.b0, sched.b1
     out_d = np.zeros(lams.shape[0], dtype=np.int64)
     out_n = np.zeros(lams.shape[0], dtype=np.int64)
     out_last = np.zeros(lams.shape[0], dtype=np.int64)
-    for t, lam in enumerate(lams):
-        if lam < 0.0:
-            continue
-        if lam == 0.0:
-            out_n[t] = 1  # constant eigenfunction on a connected tree
-            continue
-        lam_eff = lam * (1.0 + NUDGE)
-        acc = np.zeros(mass.shape[0])
-        g = np.empty(sched.n_slots)
-        g[: conduct.shape[0]] = conduct
-        interior = last = 0
-        for leaf, target, leaf_slot, mid, a, b, slot_a, slot_b, fill in sched.rounds:
-            c = g[leaf_slot]
-            h = acc[leaf] - lam_eff * mass[leaf]
-            p = c + h
-            p = np.where(p == 0.0, -_ZERO_PIVOT, p)
-            last = int((p <= 0.0).sum())
-            acc[target] += c * h / p
-            ga, gb = g[slot_a], g[slot_b]
-            h = acc[mid] - lam_eff * mass[mid]
-            p = ga + gb + h
-            p = np.where(p == 0.0, -_ZERO_PIVOT, p)
-            last += int((p <= 0.0).sum())
+    out_n[lams == 0.0] = 1  # constant eigenfunction on a connected tree
+    todo = np.flatnonzero(~(lams <= 0.0))
+    if todo.shape[0] == 0:
+        return out_d, out_n, out_last
+    n_blocks = -(-todo.shape[0] // sched.block_width)
+    width = -(-todo.shape[0] // n_blocks)
+    todo = np.append(todo, np.full(n_blocks * width - todo.shape[0], todo[-1]))
+
+    # once per call: the rounds' masses, and the views of acc, g and the
+    # scratch rows that every block reuses
+    masses = [(mass[r[0]], mass[r[3]]) for r in sched.rounds]
+    widest = max([1] + [m.shape[0] for pair in masses for m in pair])
+    acc = np.empty((width, nv))
+    g = np.empty((width, sched.n_slots))
+    rows = np.arange(width)[:, None] * nv
+    scratch: dict[int, np.ndarray] = {}
+    views: dict[tuple[int, int], np.ndarray] = {}
+
+    def buf(k: int, n: int) -> np.ndarray:
+        # scratch row k (the bool mask for k = -1) as a (width, n) array; a
+        # row is allocated on first use, apart from the others, so a deep
+        # dendrite, whose gathers are all views, takes three float rows
+        if (k, n) not in views:
+            if k not in scratch:
+                scratch[k] = np.empty(width * widest, dtype=bool if k < 0 else np.float64)
+            views[k, n] = scratch[k][: width * n].reshape(width, n)
+        return views[k, n]
+
+    def flat_index(idx) -> np.ndarray:
+        if isinstance(idx, slice):
+            idx = np.arange(idx.start, idx.stop, idx.step)
+        return idx if width == 1 else (rows + idx).reshape(-1)
+
+    plan = []
+    for (leaf, target, leaf_slot, mid, a, b, slot_a, slot_b, fill), (m_leaf, m_mid) in zip(sched.rounds, masses):
+        n = m_leaf.shape[0]
+        rake = (_cols(g, leaf_slot, buf, 0, n), _cols(acc, leaf, buf, 1, n), m_leaf, buf(2, n), buf(3, n),
+                buf(-1, n), _adder(acc, target, flat_index))
+        n = m_mid.shape[0]
+        compress = (_cols(g, slot_a, buf, 0, n), _cols(g, slot_b, buf, 1, n), _cols(acc, mid, buf, 4, n), m_mid,
+                    buf(2, n), buf(3, n), buf(4, n), buf(-1, n), flat_index(a), flat_index(b),
+                    g[:, fill : fill + n])
+        plan.append((rake, compress))
+    flat = acc.reshape(-1)
+
+    for start in range(0, todo.shape[0], width):
+        sel = todo[start : start + width]
+        lam_eff = lams[sel] * (1.0 + NUDGE)
+        lam_col = lam_eff[:, None]
+        acc.fill(0.0)
+        g[:, : conduct.shape[0]] = conduct
+        interior = np.zeros(width, dtype=np.int64)
+        last = 0
+        for rake, compress in plan:
+            # rake: h = acc - lambda m, p = c + h, and c h / p onto the target
+            c, acc_leaf, m_leaf, h, p, z, to_target = rake
+            c = c()
+            np.multiply(lam_col, m_leaf, out=h)
+            np.subtract(acc_leaf(), h, out=h)
+            np.add(c, h, out=p)
+            np.copyto(p, -_ZERO_PIVOT, where=np.equal(p, 0.0, out=z))
+            last = _nonpositive(p, z)
+            np.multiply(c, h, out=h)
+            np.divide(h, p, out=h)
+            to_target(h)
+            # compress: p = ga + gb + h, g h / p onto a and b, and ga gb / p fills
+            ga, gb, acc_mid, m_mid, h, p, y, z, ia, ib, g_fill = compress
+            ga, gb = ga(), gb()
+            np.multiply(lam_col, m_mid, out=h)
+            np.subtract(acc_mid(), h, out=h)
+            np.add(ga, gb, out=p)
+            np.add(p, h, out=p)
+            np.copyto(p, -_ZERO_PIVOT, where=np.equal(p, 0.0, out=z))
+            last += _nonpositive(p, z)
             interior += last
-            np.add.at(acc, a, ga * h / p)
-            np.add.at(acc, b, gb * h / p)
-            g[fill : fill + ga.shape[0]] = ga * gb / p
-        gf = g[sched.final]
-        h0 = acc[b0] - lam_eff * mass[b0]
+            np.multiply(ga, h, out=y)
+            np.divide(y, p, out=y)
+            np.add.at(flat, ia, y.reshape(-1))
+            np.multiply(gb, h, out=y)
+            np.divide(y, p, out=y)
+            np.add.at(flat, ib, y.reshape(-1))
+            np.multiply(ga, gb, out=y)
+            np.divide(y, p, out=g_fill)
+        gf = g[:, sched.final]
+        h0 = acc[:, b0] - lam_eff * mass[b0]
         p0 = gf + h0
-        if p0 == 0.0:
-            p0 = -_ZERO_PIVOT
-        extra = 1 if p0 <= 0.0 else 0
-        p1 = acc[b1] - lam_eff * mass[b1] + gf * h0 / p0
-        if p1 == 0.0:
-            p1 = -_ZERO_PIVOT
-        extra += 1 if p1 <= 0.0 else 0
-        out_d[t] = interior
-        out_n[t] = interior + extra
-        out_last[t] = last
+        p0[p0 == 0.0] = -_ZERO_PIVOT
+        p1 = acc[:, b1] - lam_eff * mass[b1] + gf * h0 / p0
+        p1[p1 == 0.0] = -_ZERO_PIVOT
+        out_d[sel] = interior
+        out_n[sel] = interior + (p0 <= 0.0).astype(np.int64) + (p1 <= 0.0).astype(np.int64)
+        out_last[sel] = last
     return out_d, out_n, out_last
 
 

@@ -234,7 +234,8 @@ def auto_window(result: EnsembleResult):
     effect; the upper end is the median per-replica resolution
     ceiling, the lambda at which an estimated ``ceiling_deficit`` fraction
     of spectral mass sits in cells whose internal modes the lumped model
-    cannot represent. Raises WindowUnresolved when the window collapses.
+    cannot represent. Raises WindowUnresolved when the window collapses,
+    naming the ceiling when it lies below the lower end.
     """
     lams = result.lambdas
     mid = result.mean_curve("midpoint")
@@ -245,6 +246,10 @@ def auto_window(result: EnsembleResult):
     hi = float(np.median(result.resolutions))
     if hi > lams[-1]:
         hi = float(lams[-1])
+    if hi < lo:
+        raise WindowUnresolved(
+            f"resolution ceiling {hi} lies below {lo}, the lambda where the mean count reaches {_MIN_COUNT:g}"
+        )
     if hi < 3.0 * lo:
         raise WindowUnresolved(f"window [{lo}, {hi}] spans less than half a decade")
     return lo, hi

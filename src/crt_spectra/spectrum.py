@@ -195,6 +195,22 @@ def network_curves(net: ResistanceNetwork, lams: np.ndarray) -> tuple[CountingCu
 # ---------------------------------------------------------------------------
 
 
+# Bisection levels per floor sweep. A sweep of 2**j - 1 midpoints buys j
+# steps; past about 64 shifts a block's work outgrows the sweep's fixed
+# per-round cost, so a seventh level would double the sweep for one step.
+_FLOOR_LEVELS = 6
+
+
+def _nested_midpoints(lo: float, hi: float, levels: int, out: list[float]) -> list[float]:
+    """Every midpoint the next ``levels`` bisection steps from [lo, hi] can visit, none past the stopping test."""
+    if levels and hi - lo > 1e-12 * hi:
+        mid = 0.5 * (lo + hi)
+        out.append(mid)
+        _nested_midpoints(lo, mid, levels - 1, out)
+        _nested_midpoints(mid, hi, levels - 1, out)
+    return out
+
+
 def dirichlet_floor(net: ResistanceNetwork, diameter: float) -> float:
     """Smallest Dirichlet eigenvalue, by bisection on the counting function to relative 1e-12.
 
@@ -203,27 +219,56 @@ def dirichlet_floor(net: ResistanceNetwork, diameter: float) -> float:
     which also keeps the unpivoted elimination away from the
     cancellation-prone region far below the floor, and the bound is
     verified on the result.
+
+    Each sweep counts one block of shifts, at most the schedule's block
+    width w: first lo and the bracket's upper ends hi * 8**i, up to the
+    first past an upper bound on the floor, then the 2**j - 1 <= w nested
+    midpoints that the next j <= 6 bisection steps can visit. The steps
+    replay one at a time, with the stopping test before each, so the floor
+    is the one a bisection sweeping one midpoint at a time returns; at
+    width 1 it is that bisection, sweep for sweep.
     """
     if net.n_vertices <= 2:
         raise ValueError("problem has no Dirichlet eigenvalues")
+    width = net.structure.schedule.block_width
+    # the Rayleigh quotient of the interior indicator bounds the floor above
+    cut = (net.structure.ep0 < 2) != (net.structure.ep1 < 2)
+    upper = net.conductance[cut].sum() / net.vertex_mass[2:].sum()
 
-    def count(lam: float) -> int:
-        return int(network_counts(net, np.array([lam]))[0][0])
+    def counts(lams: list[float]) -> list[int]:
+        return network_counts(net, np.array(lams))[0].tolist()
 
     lo = (1.0 - 1e-9) / diameter
     hi = max(1.0, 2.0 * lo)
-    while count(hi) < 1:
-        hi *= 8.0
-    if count(lo) >= 1:  # the bound can only fail through rounding; fall back
-        lo = 0.0
-    for _ in range(200):
-        if hi - lo <= 1e-12 * hi:
+    while True:
+        ends = [hi]
+        while len(ends) < width - 1 and ends[-1] < upper:
+            ends.append(ends[-1] * 8.0)
+        found = counts(ends + [lo] if width > 1 else ends)
+        hits = [e for e, n in zip(ends, found) if n >= 1]
+        if hits:
+            hi = hits[0]
             break
-        mid = 0.5 * (lo + hi)
-        if count(mid) >= 1:
-            hi = mid
-        else:
-            lo = mid
+        hi = ends[-1] * 8.0
+    lo_count = found[-1] if width > 1 else counts([lo])[0]
+    if lo_count >= 1:  # the bound can only fail through rounding; fall back
+        lo = 0.0
+
+    levels = min((width + 1).bit_length() - 1, _FLOOR_LEVELS)  # 2**levels - 1 <= width
+    steps = 0
+    while steps < 200 and hi - lo > 1e-12 * hi:
+        depth = min(levels, 200 - steps)
+        mids = _nested_midpoints(lo, hi, depth, [])
+        count_at = dict(zip(mids, counts(mids)))
+        for _ in range(depth):
+            if hi - lo <= 1e-12 * hi:
+                break
+            mid = 0.5 * (lo + hi)
+            if count_at[mid] >= 1:
+                hi = mid
+            else:
+                lo = mid
+            steps += 1
     if hi * diameter < 1.0 - 1e-9:
         raise AssertionError(f"Dirichlet floor {hi} below 1/diameter {1.0 / diameter}")
     return hi

@@ -6,13 +6,18 @@ counts by bisection. The heat-trace functions turn spectra and counting
 curves into t**(2/3) tr P_t, which tends to Gamma(5/3) C0.
 ``eta_fresh`` counts eta on freshly assembled cells, the reference for the
 package's one-sweep eta, and ``telescoping_identity_gap`` checks the
-embedded telescoping identity with it.
+embedded telescoping identity with it. ``inertia_counts_per_shift`` sweeps
+one shift at a time and ``dirichlet_floor_sequential`` bisects one
+midpoint per sweep: the references for the package's shift-blocked
+counting kernel and floor.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from crt_spectra import spectrum
+from crt_spectra._kernels import _ZERO_PIVOT, NUDGE, ContractionSchedule
 from crt_spectra.asymptotics import EnsembleResult
 from crt_spectra.errors import CapacityError
 from crt_spectra.forms import ResistanceNetwork, subnetwork_fresh
@@ -110,6 +115,85 @@ def trace_from_curve(lambdas: np.ndarray, counts: np.ndarray, t: float, n_total:
     low_err = float(counts[0] * (1.0 - np.exp(-lambdas[0] * t)))
     tail = float((n_total - counts[-1]) * np.exp(-lambdas[-1] * t))
     return value, cell_err + low_err + tail
+
+
+def inertia_counts_per_shift(
+    sched: ContractionSchedule, mass: np.ndarray, conduct: np.ndarray, lams: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(Dirichlet, Neumann, final-round) counts <= lambda, one contraction sweep per shift.
+
+    The reference for the package's shift-blocked ``inertia_counts``, which
+    must return the same three arrays bit for bit.
+    """
+    lams = np.ascontiguousarray(lams, dtype=np.float64)
+    b0, b1 = sched.b0, sched.b1
+    out_d = np.zeros(lams.shape[0], dtype=np.int64)
+    out_n = np.zeros(lams.shape[0], dtype=np.int64)
+    out_last = np.zeros(lams.shape[0], dtype=np.int64)
+    for t, lam in enumerate(lams):
+        if lam < 0.0:
+            continue
+        if lam == 0.0:
+            out_n[t] = 1  # constant eigenfunction on a connected tree
+            continue
+        lam_eff = lam * (1.0 + NUDGE)
+        acc = np.zeros(mass.shape[0])
+        g = np.empty(sched.n_slots)
+        g[: conduct.shape[0]] = conduct
+        interior = last = 0
+        for leaf, target, leaf_slot, mid, a, b, slot_a, slot_b, fill in sched.rounds:
+            c = g[leaf_slot]
+            h = acc[leaf] - lam_eff * mass[leaf]
+            p = c + h
+            p = np.where(p == 0.0, -_ZERO_PIVOT, p)
+            last = int((p <= 0.0).sum())
+            acc[target] += c * h / p
+            ga, gb = g[slot_a], g[slot_b]
+            h = acc[mid] - lam_eff * mass[mid]
+            p = ga + gb + h
+            p = np.where(p == 0.0, -_ZERO_PIVOT, p)
+            last += int((p <= 0.0).sum())
+            interior += last
+            np.add.at(acc, a, ga * h / p)
+            np.add.at(acc, b, gb * h / p)
+            g[fill : fill + ga.shape[0]] = ga * gb / p
+        gf = g[sched.final]
+        h0 = acc[b0] - lam_eff * mass[b0]
+        p0 = gf + h0
+        if p0 == 0.0:
+            p0 = -_ZERO_PIVOT
+        extra = 1 if p0 <= 0.0 else 0
+        p1 = acc[b1] - lam_eff * mass[b1] + gf * h0 / p0
+        if p1 == 0.0:
+            p1 = -_ZERO_PIVOT
+        extra += 1 if p1 <= 0.0 else 0
+        out_d[t] = interior
+        out_n[t] = interior + extra
+        out_last[t] = last
+    return out_d, out_n, out_last
+
+
+def dirichlet_floor_sequential(net: ResistanceNetwork, diameter: float) -> float:
+    """Smallest Dirichlet eigenvalue by plain bisection, one single-shift sweep per step."""
+
+    def count(lam: float) -> int:
+        return int(spectrum.network_counts(net, np.array([lam]))[0][0])
+
+    lo = (1.0 - 1e-9) / diameter
+    hi = max(1.0, 2.0 * lo)
+    while count(hi) < 1:
+        hi *= 8.0
+    if count(lo) >= 1:
+        lo = 0.0
+    for _ in range(200):
+        if hi - lo <= 1e-12 * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        if count(mid) >= 1:
+            hi = mid
+        else:
+            lo = mid
+    return hi
 
 
 def eta_fresh(net: ResistanceNetwork, ts: np.ndarray) -> np.ndarray:

@@ -6,7 +6,7 @@ import pytest
 
 from crt_spectra import asymptotics, cascade, spectrum
 from crt_spectra.asymptotics import EnsembleConfig, run_ensemble
-from crt_spectra.errors import CapacityError, TailError
+from crt_spectra.errors import CapacityError, TailError, WindowUnresolved
 
 from spectrum_oracle import trace_plateau
 
@@ -96,6 +96,21 @@ def test_fit_scaling_on_synthetic_power_law():
     assert abs(fit.slope - 2.0 / 3.0) < 0.01
     assert abs(fit.plateau - 0.37) < 0.02
     assert fit.spectral_dimension == pytest.approx(2.0 * fit.slope)
+
+
+def test_auto_window_names_why_it_collapses():
+    # the same power-law counts with the median ceiling below the count-6
+    # lambda, then between it and three times it
+    cfg = small_config(replicas=3)
+    lams = cfg.lambda_grid
+    counts = np.maximum((0.37 * lams ** (2.0 / 3.0)).astype(np.int64), 0)[None, :].repeat(3, 0)
+    lo = float(lams[np.nonzero(counts[0] >= 6)[0][0]])
+    below = asymptotics.EnsembleResult(cfg, lams, counts, counts, np.full(3, 0.5 * lo), 10**6)
+    with pytest.raises(WindowUnresolved, match=r"resolution ceiling .* lies below .*mean count reaches 6$"):
+        asymptotics.auto_window(below)
+    narrow = asymptotics.EnsembleResult(cfg, lams, counts, counts, np.full(3, 2.0 * lo), 10**6)
+    with pytest.raises(WindowUnresolved, match="spans less than half a decade"):
+        asymptotics.auto_window(narrow)
 
 
 def test_debug_cascade_smoke_slope():

@@ -194,7 +194,11 @@ def test_renewal_warns_when_no_window_resolves(tmp_path, capsys):
     argv = ["renewal", "--replicas", "2", "--depth", "3", "--trunc-depth", "6", "--seed", "0",
             "--out", str(out)]
     assert run(argv) == 0
-    assert "warning: no resolved window" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "warning: no resolved window" in err
+    # the ceiling (22.8) is what failed, not the window's width
+    assert "resolution ceiling 22.8" in err and "lies below 261.0" in err
+    assert "half a decade" not in err
     assert not (out / "fit.json").exists()
     assert float(json.loads((out / "renewal.json").read_text())["m_infinity"]) > 0
 
@@ -229,6 +233,19 @@ def test_crt_route_command(tmp_path):
     )
     assert code == 0
     assert (out / "curves.csv").exists()
+
+
+def test_crt_route_determinism_across_threads(tmp_path):
+    # three replicas over two threads, each counting its own pencil in blocks
+    argbase = ["crt-route", "--replicas", "3", "--seed", "19", "--steps", "8192", "--leaves", "400",
+               "--lambda-lo", "0.5", "--lambda-hi", "1e5", "--points", "29"]
+    run(argbase + ["--threads", "1", "--out", str(tmp_path / "t1")])
+    run(argbase + ["--threads", "2", "--out", str(tmp_path / "t2")])
+    names = sorted(p.name for p in (tmp_path / "t1").iterdir())
+    assert names == ["config.json", "curves.csv", "fit.json"]
+    assert names == sorted(p.name for p in (tmp_path / "t2").iterdir())
+    for name in names:
+        assert (tmp_path / "t1" / name).read_bytes() == (tmp_path / "t2" / name).read_bytes()
 
 
 def test_budget_env_override(tmp_path, monkeypatch):

@@ -1,13 +1,19 @@
-"""Kernel checks: RNG reference values and the projection against a brute-force oracle.
+"""Kernel checks: RNG reference values, the shift-blocked counting sweep
+against one sweep per shift, and the projection against a brute-force oracle.
 
-The counting kernels are checked against the dense solver in test_spectrum.
+The counts themselves are checked against the dense solver in test_spectrum.
 """
 
 import numpy as np
 import pytest
 
-from crt_spectra import _kernels, excursion
+from crt_spectra import _kernels, excursion, forms
+from crt_spectra.cascade import CascadeTree, PerturbationTable
+from crt_spectra.dendrite import structure
+from crt_spectra.spectrum import Pencil
+from conftest import small_network
 from excursion_oracle import lattice_path
+from spectrum_oracle import inertia_counts_per_shift
 
 
 def test_mix64_reference_values():
@@ -72,3 +78,45 @@ def test_nearest_vertex_matches_brute_force():
     np.testing.assert_array_equal(proj, dist.min(axis=1))
     with pytest.raises(ValueError, match="rooted"):
         _kernels.nearest_vertex(f, tv[1:], tree.parent[1:] - 1)
+
+
+# -- shift-blocked counting sweep ---------------------------------------------------
+
+
+def _pencils():
+    for depth in range(9):
+        net = small_network(depth, seed=depth)
+        yield f"random-{depth}", net.structure.schedule, net.vertex_mass, net.conductance
+        net = forms.assemble(depth, CascadeTree.debug(depth), PerturbationTable.ones(depth))
+        yield f"debug-{depth}", net.structure.schedule, net.vertex_mass, net.conductance
+    for name, path in (("gaussian", excursion.sample_excursion(4096, 3)), ("lattice", lattice_path(4096, 5))):
+        pen = Pencil.from_tree(excursion.reduced_tree(path, 60, seed=1))
+        yield name, pen.schedule, pen.mass, pen.edge_c
+
+
+def test_blocked_counts_match_one_sweep_per_shift():
+    # grids of length 0, 1, w - 1, w and w + 1 for the pencil's width w, drawn
+    # unsorted and with repeats from values that include negatives and 0; the
+    # one-shift oracle runs once per distinct value
+    rng = np.random.default_rng(0)
+    values = np.concatenate(([-3.0, -1e-300, 0.0, -0.0, 1e-300], np.geomspace(0.25, 1e6, 48)))
+    for name, sched, mass, conduct in _pencils():
+        w = sched.block_width
+        ref = inertia_counts_per_shift(sched, mass, conduct, values)
+        for n in sorted({0, 1, w - 1, w, w + 1}):
+            pick = rng.integers(0, values.shape[0], size=n)
+            got = _kernels.inertia_counts(sched, mass, conduct, values[pick])
+            for kind, out, want in zip(("dirichlet", "neumann", "final"), got, ref):
+                assert out.dtype == np.int64
+                np.testing.assert_array_equal(out, want[pick], err_msg=f"{name}, {n} shifts, {kind}")
+
+
+def test_block_width_fits_the_budget():
+    scheds = [structure(d).schedule for d in (0, 4, 8, 10)]
+    scheds += [Pencil.from_tree(excursion.reduced_tree(excursion.sample_excursion(4096, 3), 60, seed=1)).schedule]
+    for sched in scheds:
+        w, column = sched.block_width, 8 * (sched.n_vertices + sched.n_slots)
+        assert w >= 1
+        assert w * column <= _kernels._SHIFT_BLOCK_BYTES or w == 1
+        assert (w + 1) * column > _kernels._SHIFT_BLOCK_BYTES
+    assert structure(10).schedule.block_width == 1

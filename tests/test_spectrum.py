@@ -2,7 +2,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from crt_spectra import excursion, forms, spectrum
+from crt_spectra import _kernels, excursion, forms, spectrum
 from crt_spectra._kernels import contraction_schedule
 from crt_spectra.cascade import CascadeTree, HEIGHT_CONSTANT, PerturbationTable
 from crt_spectra.dendrite import structure
@@ -243,6 +243,39 @@ def test_dirichlet_floor_diameter_bound():
     for seed in range(20):
         net = small_network(4, seed=seed)
         spectrum.dirichlet_floor(net, forms.diameter(net))  # raises on violation
+
+
+def test_blocked_floor_matches_sequential_bisection():
+    # one sweep per bisection step is the reference; the blocked floor must
+    # return the same float, at widths from 7 (depth 8) to 16384 (depth 1)
+    for depth in range(1, 9):
+        nets = [small_network(depth, seed=seed) for seed in range(10)] + [debug_network(depth)]
+        for net in nets:
+            d = forms.diameter(net)
+            assert spectrum.dirichlet_floor(net, d) == spectrum_oracle.dirichlet_floor_sequential(net, d)
+
+
+def test_floor_sweeps_at_width_one_are_sequential(monkeypatch):
+    # at width 1 the floor asks for one shift per sweep, the bisection's own sequence
+    net = small_network(4, seed=3)
+    d = forms.diameter(net)
+    seen = []
+    counts = spectrum.network_counts
+
+    def record(n, lams):
+        seen.append(list(lams))
+        return counts(n, lams)
+
+    monkeypatch.setattr(spectrum, "network_counts", record)
+    blocked = spectrum.dirichlet_floor(net, d)
+    assert max(len(x) for x in seen) > 1
+    monkeypatch.setattr(_kernels, "_SHIFT_BLOCK_BYTES", 1)
+    seen.clear()
+    assert spectrum.dirichlet_floor(net, d) == blocked
+    one_by_one = list(seen)
+    seen.clear()
+    assert spectrum_oracle.dirichlet_floor_sequential(net, d) == blocked
+    assert one_by_one == seen
 
 
 def test_floor_scaling_in_mass():
