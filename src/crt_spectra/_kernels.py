@@ -32,15 +32,17 @@ _ZERO_PIVOT = 1e-30
 # ---------------------------------------------------------------------------
 # Counter-based RNG (splitmix64 finalizer; Salmon et al. 2011).
 #
-# Cascade triples are keyed by (stream key, address code), so any address is
-# reproducible without sampling its siblings and independent of traversal
-# order or thread count. Each code hashes to two uniforms, which the
-# Archimedes map of the sphere turns into one Dirichlet(1/2,1/2,1/2) triple.
-# TRIPLE_STREAM names that map; it changes whenever a seed would draw
-# different triples, and run records carry it.
+# Cascade triples and base-level perturbations are keyed by (stream key,
+# address code), so any address is reproducible without sampling its
+# siblings and independent of traversal order or thread count. For a triple
+# each code hashes to two uniforms, which the Archimedes map of the sphere
+# turns into one Dirichlet(1/2,1/2,1/2) triple; for a perturbation it
+# hashes to one uniform, which the inverse Rayleigh CDF turns into R.
+# RANDOM_STREAM names both maps; it changes whenever a seed would draw
+# different triples or perturbations, and run records carry it.
 # ---------------------------------------------------------------------------
 
-TRIPLE_STREAM = "splitmix64-archimedes"
+RANDOM_STREAM = "splitmix64-archimedes-rayleigh"
 
 
 def mix64(x: np.ndarray | np.uint64) -> np.ndarray | np.uint64:
@@ -110,11 +112,26 @@ def dirichlet_half_triples(key: np.uint64, codes: np.ndarray) -> np.ndarray:
     return out
 
 
-def uniform_indices(key: np.uint64, salt: int, count: int, bound: int) -> np.ndarray:
-    """Deterministic pseudo-uniform indices in [0, bound)."""
-    codes = np.arange(count, dtype=np.uint64)
-    h = mix64(codes + mix64(np.uint64((int(key) + salt * int(_GOLD)) & _U64_MASK)))
-    return (h % np.uint64(bound)).astype(np.int64)
+def rayleigh_perturbations(key: np.uint64, codes: np.ndarray) -> np.ndarray:
+    """Exact resistance perturbations keyed per address code: R = sqrt(-(4/pi) ln u).
+
+    R is the fixed point of R = w1 R1 + w2 R2 with Dirichlet(1/2,1/2,1/2)
+    weights w = sqrt(mass). R/H (H = sqrt(8/pi)) is the height of a
+    mass-uniform point of the continuum random tree coded by the standard
+    excursion: that height is Rayleigh (Aldous 1991) and splits by the same
+    Dirichlet masses (Aldous 1994). So P(R <= r) = 1 - exp(-pi r**2 / 4),
+    and E R**k = 1, 4/pi, 6/pi, 32/pi**2 for k = 1..4. u lies strictly
+    inside (0, 1), so every R is finite and positive.
+    """
+    codes = np.ascontiguousarray(codes, dtype=np.uint64)
+    return _rayleigh(mix64(mix64(codes + key)))
+
+
+def _rayleigh(bits: np.ndarray) -> np.ndarray:
+    # the uniform takes the top 52 bits, strictly inside (0, 1): the extreme
+    # bit patterns give 2**-53 and 1 - 2**-53, both exact in float64
+    u = ((bits >> np.uint64(12)).astype(np.float64) + 0.5) * (2.0 ** -52)
+    return np.sqrt((-4.0 / np.pi) * np.log(u))
 
 
 # ---------------------------------------------------------------------------

@@ -23,8 +23,8 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__ as _VERSION
-from ._kernels import TRIPLE_STREAM
-from .cascade import CascadeTree, nu_gamma_moments, perturbations, perturbations_pooled
+from ._kernels import RANDOM_STREAM
+from .cascade import CascadeTree, PerturbationTable, nu_gamma_moments, perturbations
 from .errors import CapacityError, TailError, WindowUnresolved
 from .excursion import reduced_tree, sample_excursion
 from .forms import ResistanceNetwork, assemble
@@ -42,6 +42,9 @@ _BOOT_RESAMPLES = 1000
 _MIN_COUNT = 6.0  # mean count at the window's lower end
 _TAIL_TOL = 1e-3  # largest u allowed at the renewal window's edges
 
+# perfbench/layers.py probes this name as well as perturbations (span cascade.perturb)
+perturbations_pooled = perturbations
+
 
 @dataclass(frozen=True)
 class EnsembleConfig:
@@ -50,7 +53,6 @@ class EnsembleConfig:
     replicas: int
     depth: int
     master_seed: int
-    trunc_depth: int = 20
     lambda_lo: float = 1.0
     lambda_hi: float = 1e8
     lambda_points: int = 97
@@ -120,6 +122,8 @@ class RenewalEstimate:
     m_infinity: float
     tail_lo: float
     tail_hi: float
+    replica_integral: np.ndarray  # per replica, the integral of exp(-2t/3) eta(t) dt
+    m_infinity_stderr: float
 
 
 # ---------------------------------------------------------------------------
@@ -127,20 +131,12 @@ class RenewalEstimate:
 # ---------------------------------------------------------------------------
 
 
-def build_network(depth: int, seed: int, trunc_depth: int = 20, debug: bool = False) -> ResistanceNetwork:
-    """Cascade network at a depth; pooled perturbations unless tiny."""
+def build_network(depth: int, seed: int, debug: bool = False) -> ResistanceNetwork:
+    """Cascade network at a depth with exact perturbations; the uniform cascade with R = 1 when debugging."""
     if debug:
-        from .cascade import PerturbationTable
-
-        casc = CascadeTree.debug(depth)
-        table = PerturbationTable.ones(depth)
-        return assemble(depth, casc, table)
+        return assemble(depth, CascadeTree.debug(depth), PerturbationTable.ones(depth))
     casc = CascadeTree.sample(depth, seed)
-    if 3**depth * 2**trunc_depth <= 2**22:
-        table = perturbations(casc, trunc_depth)
-    else:
-        table = perturbations_pooled(casc, trunc_depth)
-    return assemble(depth, casc, table)
+    return assemble(depth, casc, perturbations(casc))
 
 
 def _weighted_quantile(x: np.ndarray, w: np.ndarray, q: float) -> float:
@@ -153,7 +149,7 @@ def _weighted_quantile(x: np.ndarray, w: np.ndarray, q: float) -> float:
 def _selfsimilar_replica(config: EnsembleConfig, r: int, ts: np.ndarray | None, check):
     from .forms import diameter as net_diameter
 
-    net = build_network(config.depth, config.replica_seed(r), config.trunc_depth, config.debug_cascade)
+    net = build_network(config.depth, config.replica_seed(r), config.debug_cascade)
     if check is not None:
         check(r, net)
     nd, nn = network_counts(net, config.lambda_grid)
@@ -255,6 +251,14 @@ def auto_window(result: EnsembleResult):
     return lo, hi
 
 
+def _bootstrap_means(per_replica: np.ndarray) -> np.ndarray:
+    """Means of ``per_replica`` (replicas first) over a fixed set of resamples of the replicas, with replacement."""
+    nrep = per_replica.shape[0]
+    rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(0xB007,)))
+    idx = rng.integers(0, nrep, size=(_BOOT_RESAMPLES, nrep))
+    return per_replica[idx].mean(axis=1)
+
+
 def fit_scaling(result: EnsembleResult, window: tuple[float, float] | None = None) -> ScalingFit:
     """Log-log slope and rescaled plateau of the mean curve over a window.
 
@@ -285,10 +289,8 @@ def fit_scaling(result: EnsembleResult, window: tuple[float, float] | None = Non
 
     nrep = counts.shape[0]
     if nrep > 1:
-        rng = np.random.default_rng(np.random.SeedSequence(entropy=0, spawn_key=(0xB007,)))
-        idx = rng.integers(0, nrep, size=(_BOOT_RESAMPLES, nrep))
-        boot_plateau = plateau_r[idx].mean(axis=1)
-        ylog = np.log(counts[idx].mean(axis=1))  # (B, K)
+        boot_plateau = _bootstrap_means(plateau_r)
+        ylog = np.log(_bootstrap_means(counts))  # (B, K)
         boot_slope = (ylog * xc).sum(axis=1) / (xc * xc).sum()
         stderr = float(boot_plateau.std(ddof=1))
         slope_stderr = float(boot_slope.std(ddof=1))
@@ -321,9 +323,11 @@ def estimate_renewal_constant(
     """The ensemble with eta rows, and the renewal estimate they give.
 
     One :func:`run_ensemble` call builds each replica once for its counting
-    curves and its eta on the t grid. The Monte-Carlo mean of u(t) =
-    exp(-2t/3) E eta(t) is integrated by the trapezoid rule and divided by
-    the tilted split measure's first moment. u vanishes for t below
+    curves and its eta on the t grid. Each replica's exp(-2t/3) eta(t) is
+    integrated by the trapezoid rule; the mean of those integrals over the
+    tilted split measure's first moment is the estimate, and resampling
+    them as :func:`fit_scaling` does gives its standard error. The mean
+    integrand u(t) = exp(-2t/3) E eta(t) vanishes for t below
     -ln(diameter) (exact zeros) and decays like exp(-2t/3) above, since
     eta is bounded by 2. The upper grid end stays below the discretization
     ceiling ln(lambda_hi). Raises TailError when u has not decayed at the
@@ -336,15 +340,18 @@ def estimate_renewal_constant(
     u = np.exp(-GAMMA_EXPONENT * ts) * result.eta.mean(axis=0)
     if u[0] > _TAIL_TOL or u[-1] > _TAIL_TOL:
         raise TailError(f"u at the window edges ({u[0]}, {u[-1]}) above {_TAIL_TOL}")
-    integral = float(np.trapezoid(u, ts))
+    per_replica = np.trapezoid(np.exp(-GAMMA_EXPONENT * ts) * result.eta, ts, axis=1)
     _, first = nu_gamma_moments()
+    stderr = float(_bootstrap_means(per_replica).std(ddof=1)) / first if config.replicas > 1 else 0.0
     return result, RenewalEstimate(
         t_grid=ts,
         u=u,
         nu_first_moment=first,
-        m_infinity=integral / first,
+        m_infinity=float(per_replica.mean()) / first,
         tail_lo=float(u[0]),
         tail_hi=float(u[-1]),
+        replica_integral=per_replica,
+        m_infinity_stderr=stderr,
     )
 
 
@@ -377,7 +384,7 @@ def provenance(settings: dict) -> dict:
     name the mass lumping and the random stream, so runs of the same
     settings under different versions of either never share a hash.
     """
-    doc = {**settings, "lumping": "half", "stream": TRIPLE_STREAM}
+    doc = {**settings, "lumping": "half", "stream": RANDOM_STREAM}
     digest = hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":")).encode()).hexdigest()[:16]
     return {**doc, "version": _VERSION, "config_hash": digest}
 

@@ -13,8 +13,11 @@ version 2 after the ``CRTC`` magic in binary.
 Resistance perturbations correct the tail fluctuations of the random
 weights: ``R_i`` is the limit of sums of ``l(ij)/l(i)`` over binary words
 ``j`` and satisfies the exact recursion ``R_i = w(i1) R_i1 + w(i2) R_i2``.
-Tables here hold truncated versions built so the recursion is exact by
-construction across levels.
+Its law is known in closed form, a scaled Rayleigh variable
+(``_kernels.rayleigh_perturbations``), and base-level values depend only on
+the triples below their address, so a table draws each base value exactly
+and independently, keyed by (seed, address code), and derives every
+shallower level through the recursion.
 """
 
 from __future__ import annotations
@@ -25,15 +28,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import derive_key, dirichlet_half_triples, uniform_indices
+from ._kernels import derive_key, dirichlet_half_triples, rayleigh_perturbations
 from .errors import CapacityError, IncompleteCascade
 from .settings import cell_budget
 
 HEIGHT_CONSTANT = float(np.sqrt(8.0 / np.pi))  # normalizes edge resistances
 
 _TAG_TRIPLES = 0x7A31
-_TAG_POOL_W = 0x7A32
-_TAG_POOL_IDX = 0x7A33
+_TAG_PERTURB = 0x7A34
 
 _CASCADE_MAGIC = b"CRTC"
 _CASCADE_VERSION = 2  # v1 seeds drew Box-Muller triples
@@ -161,19 +163,16 @@ class CascadeTree:
 
 
 class PerturbationTable:
-    """Truncated resistance perturbations R_i on every level of a cascade.
+    """Resistance perturbations R_i on every level of a cascade.
 
-    ``r_levels[q]`` holds R at each address of length q. Values at the base
-    level carry the nominal truncation depth; every shallower level is
-    derived through the exact recursion, so the whole table is consistent
-    with a single truncation horizon and the Schur-complement compatibility
-    identity holds to rounding.
+    ``r_levels[q]`` holds R at each address of length q. Every shallower
+    level is derived from the base level through the exact recursion, so
+    the Schur-complement compatibility identity holds to rounding whatever
+    the base values are.
     """
 
-    def __init__(self, base_depth: int, trunc_depth: int, method: str, r_levels: list[np.ndarray]):
+    def __init__(self, base_depth: int, r_levels: list[np.ndarray]):
         self.base_depth = base_depth
-        self.trunc_depth = trunc_depth
-        self.method = method
         self.r_levels = r_levels
 
     def subtree(self, j: int) -> "PerturbationTable":
@@ -183,12 +182,12 @@ class PerturbationTable:
         for q in range(1, self.base_depth + 1):
             block = 3 ** (q - 1)
             levels.append(self.r_levels[q][(j - 1) * block : j * block])
-        return PerturbationTable(self.base_depth - 1, self.trunc_depth, self.method, levels)
+        return PerturbationTable(self.base_depth - 1, levels)
 
     @classmethod
     def ones(cls, base_depth: int) -> "PerturbationTable":
-        """Truncation-0 table (all R = 1); also the debug-cascade table."""
-        return cls(base_depth, 0, "ones", [np.ones(3**q) for q in range(base_depth + 1)])
+        """All R = 1: the debug-cascade table."""
+        return cls(base_depth, [np.ones(3**q) for q in range(base_depth + 1)])
 
 
 def _lift_through_cascade(cascade: CascadeTree, r_base: np.ndarray) -> list[np.ndarray]:
@@ -203,77 +202,20 @@ def _lift_through_cascade(cascade: CascadeTree, r_base: np.ndarray) -> list[np.n
     return levels
 
 
-def perturbations(cascade: CascadeTree, trunc_depth: int) -> PerturbationTable:
-    """Truncated perturbations by literal binary extension of the cascade.
+def perturbations(cascade: CascadeTree) -> PerturbationTable:
+    """Exact perturbation table: one Rayleigh draw per base cell, lifted by the recursion.
 
-    Computes ``R_i = sum over binary words j of length m of l(ij)/l(i)`` for
-    every base-level address, extending the cascade on demand along
-    {1,2}-only descendants (the extension reuses the per-address stream, so
-    a deeper sample of the same seed agrees with it). Cost grows like
-    3**depth * 2**m; large runs should use :func:`perturbations_pooled`.
-    """
-    n, m = cascade.depth, trunc_depth
-    if m < 0:
-        raise ValueError("truncation depth must be >= 0")
-    if 3**n * 2**m > cell_budget():
-        raise CapacityError(
-            f"binary extension needs 3**{n} * 2**{m} cells; over budget {cell_budget()} "
-            "(use perturbations_pooled)"
-        )
-    if m == 0:
-        return PerturbationTable(n, 0, "binary", _lift_through_cascade(cascade, np.ones(3**n)))
-    if cascade.master_seed is None:
-        raise IncompleteCascade("cascade has no seed; cannot extend along binary branches")
-    key = derive_key(cascade.master_seed, _TAG_TRIPLES)
-
-    codes = level_codes(n)[n]
-    ext_codes = [codes]
-    for _ in range(m - 1):
-        prev = ext_codes[-1]
-        child = 3 * np.repeat(prev, 2) + np.tile(np.arange(1, 3, dtype=np.uint64), prev.shape[0])
-        ext_codes.append(child.astype(np.uint64))
-    r = np.ones(3**n * 2**m)
-    for d in range(m - 1, -1, -1):
-        t = dirichlet_half_triples(key, ext_codes[d])
-        r = np.sqrt(t[:, 0]) * r[0::2] + np.sqrt(t[:, 1]) * r[1::2]
-    return PerturbationTable(n, m, "binary", _lift_through_cascade(cascade, r))
-
-
-def sample_perturbation_pool(count: int, trunc_depth: int, seed: int) -> np.ndarray:
-    """Samples of the truncation-m perturbation via ensemble recursion.
-
-    Iterates the distributional fixed point R' = w1 R(a) + w2 R(b) on a pool
-    with fresh weights and uniformly drawn parent slots each round.
-    Marginally each slot is exactly truncation-m distributed; cross-slot
-    correlation is O(m / pool size), with the pool held at >= 2**14 slots.
-    This sidesteps the 2**m cost of the literal binary extension.
-    """
-    pool = max(count, 2**14)
-    wkey = derive_key(seed, _TAG_POOL_W)
-    ikey = derive_key(seed, _TAG_POOL_IDX)
-    r = np.ones(pool)
-    for it in range(trunc_depth):
-        codes = np.arange(pool, dtype=np.uint64) + np.uint64(it * pool)
-        t = dirichlet_half_triples(wkey, codes)
-        i1 = uniform_indices(ikey, 2 * it + 1, pool, pool)
-        i2 = uniform_indices(ikey, 2 * it + 2, pool, pool)
-        r = np.sqrt(t[:, 0]) * r[i1] + np.sqrt(t[:, 1]) * r[i2]
-    return r[:count]
-
-
-def perturbations_pooled(cascade: CascadeTree, trunc_depth: int) -> PerturbationTable:
-    """Perturbation table with pool-sampled base-level values.
-
-    Base-level addresses get independent truncation-m samples from
-    :func:`sample_perturbation_pool`; shallower levels follow the exact
-    recursion. The martingale mean E R = 1 and the recursion invariant are
-    preserved exactly; only the base-level law is approximated (pool
-    correlations O(m / 3**depth)).
+    Base values are keyed by (seed, address code) on their own stream, so
+    they are independent of the cascade's triples and of each other, and a
+    cell's value does not depend on which other cells are drawn. They are
+    not those of a deeper sample of the same seed: the base R of a depth-n
+    table stands for the triples below depth n, which it never reads.
     """
     if cascade.master_seed is None:
-        return PerturbationTable.ones(cascade.depth)
-    base = sample_perturbation_pool(3**cascade.depth, trunc_depth, cascade.master_seed)
-    return PerturbationTable(cascade.depth, trunc_depth, "pooled", _lift_through_cascade(cascade, base))
+        raise IncompleteCascade("cascade has no seed; cannot key its perturbations")
+    key = derive_key(cascade.master_seed, _TAG_PERTURB)
+    base = rayleigh_perturbations(key, level_codes(cascade.depth)[cascade.depth])
+    return PerturbationTable(cascade.depth, _lift_through_cascade(cascade, base))
 
 
 # ---------------------------------------------------------------------------

@@ -12,9 +12,10 @@ builds each replica once, for its counting curves and its eta row.
 Run records: the ensemble commands write ``config.json`` (the config and
 its provenance), ``curves.csv`` (the mean counting curves), ``fit.json``
 (the scaling fit, when a window resolves; otherwise a warning goes to
-stderr) and, for ``renewal``, ``renewal.json`` (the renewal estimate with
-``m_infinity``). ``spectrum`` writes ``meta.json``, the provenance of every
-flag but ``--out`` and ``--check-bracketing``, next to its curves.
+stderr) and, for ``renewal``, ``renewal.json`` (the renewal estimate
+``m_infinity`` with its bootstrap stderr and the per-replica integrals).
+``spectrum`` writes ``meta.json``, the provenance of every flag but
+``--out`` and ``--check-bracketing``, next to its curves.
 """
 
 from __future__ import annotations
@@ -78,7 +79,7 @@ def cmd_spectrum(args) -> int:
         raise UsageError("--check-bracketing needs --depth >= 1")
     if not 0.0 < args.lambda_lo < args.lambda_hi:
         raise UsageError("need 0 < --lambda-lo < --lambda-hi")
-    net = build_network(args.depth, args.seed, args.trunc_depth)
+    net = build_network(args.depth, args.seed)
     lams = np.geomspace(args.lambda_lo, args.lambda_hi, args.points)
     curve_d, curve_n = network_curves(net, lams)
     outdir = Path(args.out)
@@ -192,7 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-hi", type=float, default=1e6)
     p.add_argument("--points", type=int, default=49)
     p.add_argument("--boundary", choices=["neumann", "dirichlet", "both"], default="both")
-    p.add_argument("--trunc-depth", type=int, default=20)
     p.add_argument("--check-bracketing", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_spectrum)
@@ -201,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--replicas", type=int, required=True)
         if with_depth:
             p.add_argument("--depth", type=int, required=True)
-            p.add_argument("--trunc-depth", type=int, default=_DEFAULTS["trunc_depth"])
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--lambda-lo", type=float, default=_DEFAULTS["lambda_lo"])
         p.add_argument("--lambda-hi", type=float, default=_DEFAULTS["lambda_hi"])

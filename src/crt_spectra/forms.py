@@ -1,13 +1,15 @@
 """Random resistance forms on the dendrite's level-n vertex sets.
 
 Each level-n cell carries one edge whose resistance is l(i) R_i / H, where
-l is the cascade length, R the resistance perturbation and H = sqrt(8/pi)
-the height normalizer; the cell's mass l(i)**2 is lumped half/half onto its
-endpoints. The perturbations make the family compatible: tracing the
-level-(n+1) form onto the level-n vertices (series reduction through each
-midpoint, dangling tips dropped) reproduces the level-n conductances up to
-rounding, because the series sum telescopes through the R recursion (the
-trace lives with the tests, in ``tests/forms_oracle.py``).
+l is the cascade length, R the resistance perturbation (R / H is the
+height of a mass-uniform point of the cell, Rayleigh in law; see
+``cascade``) and H = sqrt(8/pi) the height normalizer; the cell's mass
+l(i)**2 is lumped half/half onto its endpoints. The perturbations make the
+family compatible: tracing the level-(n+1) form onto the level-n vertices
+(series reduction through each midpoint, dangling tips dropped) reproduces
+the level-n conductances up to rounding, because the series sum
+telescopes through the R recursion (the trace lives with the tests, in
+``tests/forms_oracle.py``).
 """
 
 from __future__ import annotations

@@ -6,7 +6,9 @@
 structure: first-crossing antichains partition the mass, and the number of
 addresses with -ln l(i) < t grows like exp(2t), the Malthusian exponent.
 ``beta_half_one_moment`` is the closed-form moment of a Dirichlet(1/2,1/2,1/2)
-component, the reference for the sampled triples.
+component, the reference for the sampled triples. ``truncated_perturbations``
+is the literal binary extension of the cascade, the truncated reference
+for the exact perturbation law and a deterministic table for small tests.
 """
 
 from __future__ import annotations
@@ -17,8 +19,18 @@ import struct
 import numpy as np
 
 from crt_spectra._kernels import derive_key, dirichlet_half_triples
-from crt_spectra.cascade import _CASCADE_MAGIC, _CASCADE_VERSION, _TAG_TRIPLES, Address, CascadeTree
-from crt_spectra.errors import CapacityError
+from crt_spectra.cascade import (
+    _CASCADE_MAGIC,
+    _CASCADE_VERSION,
+    _TAG_TRIPLES,
+    Address,
+    CascadeTree,
+    PerturbationTable,
+    _lift_through_cascade,
+    level_codes,
+)
+from crt_spectra.errors import CapacityError, IncompleteCascade
+from crt_spectra.settings import cell_budget
 
 
 def parse_address(text: str) -> Address:
@@ -115,3 +127,42 @@ def branch_count_below(seed: int, t_grid: np.ndarray, max_nodes: int = 5_000_000
         neglogl = child_vals[keep]
     allv = np.sort(np.concatenate(values))
     return np.searchsorted(allv, np.asarray(t_grid, dtype=np.float64), side="left").astype(np.int64)
+
+
+def truncated_perturbations(cascade: CascadeTree, trunc_depth: int) -> PerturbationTable:
+    """Truncated perturbations by literal binary extension of the cascade.
+
+    Computes ``R_i = sum over binary words j of length m of l(ij)/l(i)`` for
+    every base-level address, extending the cascade on demand along
+    {1,2}-only descendants (the extension reuses the per-address stream, so
+    a deeper sample of the same seed agrees with it); shallower levels
+    follow the exact recursion. As m grows the base values converge in law
+    to the exact draws of ``cascade.perturbations``, losing (2/3)**m of
+    R's variance at truncation m. Cost grows like 3**depth * 2**m.
+    """
+    n, m = cascade.depth, trunc_depth
+    if m < 0:
+        raise ValueError("truncation depth must be >= 0")
+    if 3**n * 2**m > cell_budget():
+        raise CapacityError(f"binary extension needs 3**{n} * 2**{m} cells; over budget {cell_budget()}")
+    if m == 0:
+        return PerturbationTable(n, _lift_through_cascade(cascade, np.ones(3**n)))
+    if cascade.master_seed is None:
+        raise IncompleteCascade("cascade has no seed; cannot extend along binary branches")
+    key = derive_key(cascade.master_seed, _TAG_TRIPLES)
+    # base cells extend independently: a chunk of them at a time bounds the memory
+    chunk = max(1, 2**20 >> m)
+    base_codes = level_codes(n)[n]
+    r_base = np.empty(3**n)
+    for lo in range(0, 3**n, chunk):
+        ext_codes = [base_codes[lo : lo + chunk]]
+        for _ in range(m - 1):
+            prev = ext_codes[-1]
+            child = 3 * np.repeat(prev, 2) + np.tile(np.arange(1, 3, dtype=np.uint64), prev.shape[0])
+            ext_codes.append(child.astype(np.uint64))
+        r = np.ones(ext_codes[0].shape[0] * 2**m)
+        for d in range(m - 1, -1, -1):
+            t = dirichlet_half_triples(key, ext_codes[d])
+            r = np.sqrt(t[:, 0]) * r[0::2] + np.sqrt(t[:, 1]) * r[1::2]
+        r_base[lo : lo + chunk] = r
+    return PerturbationTable(n, _lift_through_cascade(cascade, r_base))

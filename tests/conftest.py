@@ -3,6 +3,8 @@ import pytest
 
 from crt_spectra import cascade, excursion, forms
 
+from cascade_oracle import truncated_perturbations
+
 
 def tent_path(n: int = 100) -> excursion.ExcursionPath:
     """Piecewise-linear test excursion through (0,0),(.2,1),(.5,.3),(.8,1.2),(1,0).
@@ -21,8 +23,9 @@ def tent_path(n: int = 100) -> excursion.ExcursionPath:
 
 
 def small_network(depth: int, seed: int, trunc: int = 8) -> forms.ResistanceNetwork:
+    """Cascade network with the truncated (binary-extension) perturbation table."""
     casc = cascade.CascadeTree.sample(depth, seed)
-    table = cascade.perturbations(casc, trunc)
+    table = truncated_perturbations(casc, trunc)
     return forms.assemble(depth, casc, table)
 
 

@@ -16,7 +16,6 @@ def small_config(**kw):
         replicas=6,
         depth=4,
         master_seed=321,
-        trunc_depth=8,
         lambda_lo=0.5,
         lambda_hi=1e6,
         lambda_points=49,
@@ -46,7 +45,7 @@ def test_config_hash_covers_results_not_threads(monkeypatch):
     assert h(threads=1) == h(threads=2)
     # the same config on another random stream names another realization
     before = h()
-    monkeypatch.setattr(asymptotics, "TRIPLE_STREAM", "another-stream")
+    monkeypatch.setattr(asymptotics, "RANDOM_STREAM", "another-stream")
     assert h() != before
 
 
@@ -75,7 +74,7 @@ def test_ensemble_budget():
 def test_level0_ensemble_curve_jump():
     cfg = small_config(replicas=1, depth=0, lambda_points=33)
     res = run_ensemble(cfg)
-    net = asymptotics.build_network(0, cfg.replica_seed(0), cfg.trunc_depth)
+    net = asymptotics.build_network(0, cfg.replica_seed(0))
     r = net.perturbations.r_levels[0][0]
     jump = 4.0 * cascade.HEIGHT_CONSTANT / r
     nn = res.neumann[0]
@@ -140,6 +139,28 @@ def test_renewal_pieces():
     assert (est.u >= 0).all()
 
 
+def test_renewal_error_bar_from_replica_integrals():
+    # m_infinity is the mean of the per-replica integrals over the first
+    # moment, and its stderr the bootstrap spread of that mean over the
+    # same resamples fit_scaling uses: about the replica SD over sqrt(n)
+    cfg = small_config(replicas=16, depth=4)
+    res, est = asymptotics.estimate_renewal_constant(cfg)
+    ts = est.t_grid
+    assert est.replica_integral.shape == (16,)
+    for r in range(cfg.replicas):
+        want = np.trapezoid(np.exp(-2.0 * ts / 3.0) * res.eta[r], ts)
+        assert est.replica_integral[r] == pytest.approx(want, rel=1e-14)
+    mean = est.replica_integral.mean() / est.nu_first_moment
+    assert est.m_infinity == pytest.approx(mean, rel=1e-12)
+    naive = est.replica_integral.std(ddof=1) / np.sqrt(cfg.replicas) / est.nu_first_moment
+    assert 0.8 * naive < est.m_infinity_stderr < 1.2 * naive
+    boot = asymptotics._bootstrap_means(est.replica_integral)
+    assert est.m_infinity_stderr == float(boot.std(ddof=1)) / est.nu_first_moment
+    # one replica has no spread to resample
+    _, single = asymptotics.estimate_renewal_constant(small_config(replicas=1, depth=4))
+    assert single.m_infinity_stderr == 0.0 and single.replica_integral.shape == (1,)
+
+
 def test_renewal_tail_guard():
     cfg = small_config(replicas=2, depth=4)
     with pytest.raises(TailError):
@@ -155,7 +176,7 @@ def test_ensemble_eta_rows_match_per_replica_eta():
     np.testing.assert_array_equal(with_eta.dirichlet, plain.dirichlet)
     np.testing.assert_array_equal(with_eta.resolutions, plain.resolutions)
     for r in range(cfg.replicas):
-        net = asymptotics.build_network(cfg.depth, cfg.replica_seed(r), cfg.trunc_depth)
+        net = asymptotics.build_network(cfg.depth, cfg.replica_seed(r))
         np.testing.assert_array_equal(with_eta.eta[r], spectrum.eta_many(net, ts))
     with pytest.raises(ValueError):
         run_ensemble(small_config(route="excursion", replicas=1, steps=2**8, leaves=10), ts)
@@ -166,7 +187,7 @@ def test_eta_exact_zero_below_diameter_per_replica():
 
     cfg = small_config(replicas=4, depth=5)
     for r in range(cfg.replicas):
-        net = asymptotics.build_network(cfg.depth, cfg.replica_seed(r), cfg.trunc_depth)
+        net = asymptotics.build_network(cfg.depth, cfg.replica_seed(r))
         tmax = -np.log(forms.diameter(net))
         ts = np.linspace(tmax - 3.0, tmax - 1e-9, 20)
         assert (spectrum.eta_many(net, ts) == 0).all()
@@ -217,7 +238,9 @@ def test_records_hold_their_dataclass_fields(tmp_path):
     counts = np.maximum((0.37 * lams ** (2.0 / 3.0)).astype(np.int64), 0)[None, :].repeat(3, 0)
     res = asymptotics.EnsembleResult(cfg, lams, counts, counts, np.full(3, 1e6), 10**6)
     fit = asymptotics.fit_scaling(res, window=(1e2, 1e5))
-    ren = asymptotics.RenewalEstimate(np.array([0.0, 1.0]), np.array([0.5, 0.25]), 1.0, 0.375, 0.5, 0.25)
+    ren = asymptotics.RenewalEstimate(
+        np.array([0.0, 1.0]), np.array([0.5, 0.25]), 1.0, 0.375, 0.5, 0.25, np.array([0.25, 0.5]), 0.125
+    )
     out = asymptotics.write_results(tmp_path, res, fit, ren)
     fdoc = json.loads((out / "fit.json").read_text())
     rdoc = json.loads((out / "renewal.json").read_text())
@@ -225,3 +248,4 @@ def test_records_hold_their_dataclass_fields(tmp_path):
     assert set(rdoc) == {f.name for f in fields(asymptotics.RenewalEstimate)}
     assert (fdoc["window_lo"], fdoc["window_hi"]) == ("100", "100000")
     assert rdoc["u"] == ["0.5", "0.25"] and rdoc["m_infinity"] == "0.375"
+    assert rdoc["replica_integral"] == ["0.25", "0.5"] and rdoc["m_infinity_stderr"] == "0.125"

@@ -1,8 +1,10 @@
+from concurrent.futures import ThreadPoolExecutor
+
 import mpmath
 import numpy as np
 import pytest
 
-from crt_spectra import cascade
+from crt_spectra import _kernels, asymptotics, cascade
 from crt_spectra.cascade import Address, CascadeTree
 from crt_spectra.errors import CapacityError, IncompleteCascade
 
@@ -127,6 +129,37 @@ def test_capacity_error_on_depth():
 
 
 # -- perturbations -----------------------------------------------------------
+#
+# The truncated reference (the literal binary extension) lives in
+# cascade_oracle; cascade.perturbations draws the base level from the exact
+# law and lifts it by the same recursion.
+
+RAYLEIGH_MOMENTS = (1.0, 4.0 / np.pi, 6.0 / np.pi, 32.0 / np.pi**2)
+
+
+def rayleigh_moment(k: float) -> float:
+    """E R**k for R = sqrt((4/pi) E), E ~ Exp(1): (4/pi)**(k/2) Gamma(1 + k/2)."""
+    return float((4.0 / mpmath.pi) ** (k / 2.0) * mpmath.gamma(1.0 + k / 2.0))
+
+
+def rayleigh_cdf(r: np.ndarray) -> np.ndarray:
+    return 1.0 - np.exp(-np.pi * r * r / 4.0)
+
+
+def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
+    """Two-sample Kolmogorov-Smirnov distance sup |F_a - F_b|."""
+    grid = np.concatenate([a, b])
+    fa = np.searchsorted(np.sort(a), grid, side="right") / a.shape[0]
+    fb = np.searchsorted(np.sort(b), grid, side="right") / b.shape[0]
+    return float(np.abs(fa - fb).max())
+
+
+def assert_recursion_bit_exact(casc: CascadeTree, table) -> None:
+    w = casc.w_levels()
+    for q in range(casc.depth):
+        child = table.r_levels[q + 1]
+        want = w[q + 1][0::3] * child[0::3] + w[q + 1][1::3] * child[1::3]
+        np.testing.assert_array_equal(table.r_levels[q], want)
 
 
 def test_perturbations_trivial_truncation():
@@ -134,7 +167,7 @@ def test_perturbations_trivial_truncation():
     # coarser levels still follow the recursion (the table keeps one
     # truncation horizon so the trace identity stays exact)
     casc = CascadeTree.sample(3, seed=4)
-    table = cascade.perturbations(casc, 0)
+    table = cascade_oracle.truncated_perturbations(casc, 0)
     np.testing.assert_array_equal(table.r_levels[3], np.ones(27))
     w = casc.w_levels()
     want = w[3][0::3] + w[3][1::3]
@@ -143,12 +176,14 @@ def test_perturbations_trivial_truncation():
 
 def test_perturbation_recursion_bit_exact():
     casc = CascadeTree.sample(4, seed=10)
-    table = cascade.perturbations(casc, 6)
-    w = casc.w_levels()
-    for q in range(4):
-        child = table.r_levels[q + 1]
-        want = w[q + 1][0::3] * child[0::3] + w[q + 1][1::3] * child[1::3]
-        np.testing.assert_array_equal(table.r_levels[q], want)
+    assert_recursion_bit_exact(casc, cascade_oracle.truncated_perturbations(casc, 6))
+    # the exact table lifts its base draws by the same recursion, on every level
+    for depth, seed in ((0, 1), (1, 2), (5, 3), (8, 4)):
+        casc = CascadeTree.sample(depth, seed=seed)
+        table = cascade.perturbations(casc)
+        assert table.base_depth == depth
+        assert [level.shape[0] for level in table.r_levels] == [3**q for q in range(depth + 1)]
+        assert_recursion_bit_exact(casc, table)
 
 
 def test_perturbation_direct_sum_oracle():
@@ -156,7 +191,7 @@ def test_perturbation_direct_sum_oracle():
     # the weight products; enumerate them directly as the oracle
     casc = CascadeTree.sample(0, seed=31)
     m = 7
-    table = cascade.perturbations(casc, m)
+    table = cascade_oracle.truncated_perturbations(casc, m)
     key = cascade.derive_key(31, 0x7A31)
 
     total = 0.0
@@ -177,43 +212,103 @@ def test_perturbations_match_deeper_cascade():
     # through a deeper sample of the same seed gives identical values
     c3 = CascadeTree.sample(3, seed=8)
     c4 = CascadeTree.sample(4, seed=8)
-    t3 = cascade.perturbations(c3, 3)
-    t4 = cascade.perturbations(c4, 2)
+    t3 = cascade_oracle.truncated_perturbations(c3, 3)
+    t4 = cascade_oracle.truncated_perturbations(c4, 2)
     np.testing.assert_array_equal(t3.r_levels[3], t4.r_levels[3])
 
 
 def test_perturbations_budget():
     casc = CascadeTree.sample(4, seed=1)
     with pytest.raises(CapacityError):
-        cascade.perturbations(casc, 40)
+        cascade_oracle.truncated_perturbations(casc, 40)
 
 
 def test_perturbations_need_seed():
     casc = CascadeTree.debug(2)
     with pytest.raises(IncompleteCascade):
-        cascade.perturbations(casc, 2)
+        cascade_oracle.truncated_perturbations(casc, 2)
+    with pytest.raises(IncompleteCascade):
+        cascade.perturbations(casc)
 
 
-def test_pool_martingale_mean_and_second_moment():
-    pool = cascade.sample_perturbation_pool(100_000, 20, seed=6)
-    assert (pool > 0).all()
-    assert abs(pool.mean() - 1.0) < 0.01
-    # second moment: E R**2 = 6 E sqrt(m1 m2), both sides by Monte Carlo
-    key = cascade.derive_key(1234, 0x7A31)
-    t = cascade.dirichlet_half_triples(key, np.arange(100_000, dtype=np.uint64))
-    rhs = 6.0 * np.sqrt(t[:, 0] * t[:, 1]).mean()
-    assert abs((pool**2).mean() / rhs - 1.0) < 0.02
+def test_exact_perturbation_moments():
+    # E R**k in closed form, and the sample moments of one depth-11 base
+    # level (3**11 iid draws) within 4 Monte-Carlo standard errors, each
+    # from the exact variance E R**2k - (E R**k)**2
+    for k, want in enumerate(RAYLEIGH_MOMENTS, start=1):
+        assert abs(rayleigh_moment(k) - want) < 1e-15
+    base = cascade.perturbations(CascadeTree.sample(11, seed=6)).r_levels[11]
+    n = base.shape[0]
+    for k, want in enumerate(RAYLEIGH_MOMENTS, start=1):
+        se = np.sqrt((rayleigh_moment(2 * k) - want**2) / n)
+        assert abs((base**k).mean() - want) < 4.0 * se, k
+    # and the whole law: one-sample KS against 1 - exp(-pi r**2 / 4) at the 0.1 % level
+    r = np.sort(base)
+    cdf = rayleigh_cdf(r)
+    d = max((np.arange(1, n + 1) / n - cdf).max(), (cdf - np.arange(n) / n).max())
+    assert d < 1.95 / np.sqrt(n)
 
 
-def test_pooled_table_preserves_recursion():
-    casc = CascadeTree.sample(5, seed=3)
-    table = cascade.perturbations_pooled(casc, 20)
-    w = casc.w_levels()
-    for q in range(5):
-        child = table.r_levels[q + 1]
-        want = w[q + 1][0::3] * child[0::3] + w[q + 1][1::3] * child[1::3]
-        np.testing.assert_array_equal(table.r_levels[q], want)
-    assert abs(table.r_levels[5].mean() - 1.0) < 0.15
+def test_exact_perturbations_match_binary_extension_in_law():
+    # two-sample KS at the 0.1 % level: exact base values against the
+    # truncated reference at m = 14 (which keeps all but (2/3)**14 = 0.3 %
+    # of R's variance), pooled over depth-6 cascades of several seeds
+    exact, truncated = [], []
+    for seed in range(200, 204):
+        casc = CascadeTree.sample(6, seed=seed)
+        exact.append(cascade.perturbations(casc).r_levels[6])
+        truncated.append(cascade_oracle.truncated_perturbations(casc, 14).r_levels[6])
+    a, b = np.concatenate(exact), np.concatenate(truncated)
+    n = a.shape[0]
+    assert n == b.shape[0] == 4 * 3**6
+    assert ks_statistic(a, b) < 1.95 * np.sqrt(2.0 / n)
+
+
+def test_exact_perturbations_depend_only_on_seed_and_address():
+    depth, seed = 7, 41
+    casc = CascadeTree.sample(depth, seed=seed)
+    base = cascade.perturbations(casc).r_levels[depth]
+    # the cells below address 2, drawn on their own, are the same values
+    key = cascade.derive_key(seed, cascade._TAG_PERTURB)
+    block = 3 ** (depth - 1)
+    codes = cascade.level_codes(depth)[depth]
+    alone = cascade.rayleigh_perturbations(key, codes[block : 2 * block])
+    np.testing.assert_array_equal(alone, base[block : 2 * block])
+    # another seed's triples under the same seed leave the base level as it is
+    other = CascadeTree(depth, CascadeTree.sample(depth, seed=seed + 1).triples, seed)
+    np.testing.assert_array_equal(cascade.perturbations(other).r_levels[depth], base)
+    # built on one thread or two, every table is the same
+    seeds = list(range(10, 16))
+    serial = [asymptotics.build_network(5, s).perturbations.r_levels for s in seeds]
+    with ThreadPoolExecutor(max_workers=2) as pool:
+        threaded = [net.perturbations.r_levels for net in pool.map(lambda s: asymptotics.build_network(5, s), seeds)]
+    for a, b in zip(serial, threaded):
+        for qa, qb in zip(a, b):
+            np.testing.assert_array_equal(qa, qb)
+
+
+def test_exact_perturbations_independent_of_the_triples():
+    # base R is uncorrelated with its cell's length and with the triple of
+    # its parent, within 4 standard errors of a zero correlation
+    casc = CascadeTree.sample(10, seed=12)
+    base = cascade.perturbations(casc).r_levels[10]
+    n = base.shape[0]
+    parent = casc.triples[9]
+    for other in (np.log(casc.l_levels()[10]), np.repeat(parent[:, 0], 3), casc.w_levels()[10]):
+        assert abs(np.corrcoef(base, other)[0, 1]) < 4.0 / np.sqrt(n)
+    # nor with a cascade triple keyed by the same code on the triple stream
+    key = cascade.derive_key(12, cascade._TAG_TRIPLES)
+    same_code = cascade.dirichlet_half_triples(key, cascade.level_codes(10)[10])[:, 0]
+    assert abs(np.corrcoef(base, same_code)[0, 1]) < 4.0 / np.sqrt(n)
+
+
+def test_extreme_bit_patterns_give_finite_positive_perturbations():
+    bits = np.array([0, 2**64 - 1], dtype=np.uint64)
+    r = _kernels._rayleigh(bits)
+    assert np.isfinite(r).all() and (r > 0).all()
+    # u = 2**-53 and 1 - 2**-53: the largest and the smallest R the stream can draw
+    np.testing.assert_allclose(r, np.sqrt((4.0 / np.pi) * np.array([53 * np.log(2.0), 2.0**-53])), rtol=1e-12)
+    assert np.isfinite(cascade.HEIGHT_CONSTANT / r).all()
 
 
 def test_height_identity_first_moment():

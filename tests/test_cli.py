@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from crt_spectra import cli
-from crt_spectra._kernels import TRIPLE_STREAM
+from crt_spectra._kernels import RANDOM_STREAM
 
 
 def run(args):
@@ -92,7 +92,7 @@ def test_spectrum_command_curves(tmp_path):
     out = tmp_path / "spec"
     code = run(
         ["spectrum", "--depth", "2", "--seed", "3", "--lambda-lo", "0.5", "--lambda-hi", "1e4",
-         "--points", "21", "--boundary", "both", "--trunc-depth", "6", "--out", str(out)]
+         "--points", "21", "--boundary", "both", "--out", str(out)]
     )
     assert code == 0
     dl = (out / "spectrum_dirichlet.csv").read_text().strip().splitlines()
@@ -107,26 +107,26 @@ def test_spectrum_command_curves(tmp_path):
     assert set(gaps) <= {0, 1, 2}
     meta = json.loads((out / "meta.json").read_text())
     assert meta["seed"] == 3 and "config_hash" in meta
-    assert meta["stream"] == TRIPLE_STREAM
+    assert meta["stream"] == RANDOM_STREAM
 
 
 def test_spectrum_meta_hash_covers_the_seed(tmp_path):
     def meta(seed, name):
-        argv = ["spectrum", "--depth", "2", "--trunc-depth", "6", "--seed", str(seed), "--out", str(tmp_path / name)]
+        argv = ["spectrum", "--depth", "2", "--seed", str(seed), "--out", str(tmp_path / name)]
         assert run(argv) == 0
         return json.loads((tmp_path / name / "meta.json").read_text())
 
     a, again, b = meta(1, "a"), meta(1, "again"), meta(2, "b")
     assert a == again
     assert a["config_hash"] != b["config_hash"]
-    assert a["lumping"] == "half" and a["stream"] == TRIPLE_STREAM
+    assert a["lumping"] == "half" and a["stream"] == RANDOM_STREAM
     assert "out" not in a and "check_bracketing" not in a
 
 
 def test_spectrum_check_bracketing(tmp_path):
     code = run(
-        ["spectrum", "--depth", "3", "--seed", "4", "--points", "15", "--trunc-depth", "6",
-         "--check-bracketing", "--out", str(tmp_path / "s")]
+        ["spectrum", "--depth", "3", "--seed", "4", "--points", "15", "--check-bracketing",
+         "--out", str(tmp_path / "s")]
     )
     assert code == 0
 
@@ -134,13 +134,16 @@ def test_spectrum_check_bracketing(tmp_path):
 def test_ensemble_with_oracle(tmp_path):
     out = tmp_path / "ens"
     code = run(
-        ["ensemble", "--replicas", "2", "--depth", "3", "--trunc-depth", "6", "--seed", "11",
+        ["ensemble", "--replicas", "2", "--depth", "3", "--seed", "11",
          "--lambda-lo", "0.5", "--lambda-hi", "1e5", "--points", "17", "--oracle", "--out", str(out)]
     )
     assert code == 0
     assert (out / "curves.csv").exists()
     doc = json.loads((out / "config.json").read_text())
     assert doc["replicas"] == 2
+    # exact perturbations leave no truncation to record, and the stream tag names the Rayleigh draw
+    assert "trunc_depth" not in doc
+    assert doc["stream"] == RANDOM_STREAM == "splitmix64-archimedes-rayleigh"
 
 
 def test_oracle_agrees_on_a_badly_scaled_replica(tmp_path):
@@ -155,7 +158,7 @@ def test_oracle_agrees_on_a_badly_scaled_replica(tmp_path):
 def test_oracle_builds_each_replica_once(tmp_path, monkeypatch):
     from crt_spectra import asymptotics
 
-    args = ["ensemble", "--replicas", "3", "--depth", "3", "--trunc-depth", "6", "--seed", "11",
+    args = ["ensemble", "--replicas", "3", "--depth", "3", "--seed", "11",
             "--lambda-lo", "0.5", "--lambda-hi", "1e5", "--points", "17"]
     assert run(args + ["--out", str(tmp_path / "plain")]) == 0
     calls = []
@@ -169,7 +172,7 @@ def test_oracle_builds_each_replica_once(tmp_path, monkeypatch):
 
 
 def test_ensemble_determinism_across_threads(tmp_path):
-    argbase = ["ensemble", "--replicas", "3", "--depth", "3", "--trunc-depth", "6", "--seed", "13",
+    argbase = ["ensemble", "--replicas", "3", "--depth", "3", "--seed", "13",
                "--points", "17", "--lambda-lo", "0.5", "--lambda-hi", "1e5"]
     run(argbase + ["--threads", "1", "--out", str(tmp_path / "t1")])
     run(argbase + ["--threads", "2", "--out", str(tmp_path / "t2")])
@@ -179,7 +182,7 @@ def test_ensemble_determinism_across_threads(tmp_path):
 def test_renewal_command(tmp_path):
     out = tmp_path / "ren"
     code = run(
-        ["renewal", "--replicas", "4", "--depth", "4", "--trunc-depth", "8", "--seed", "17",
+        ["renewal", "--replicas", "4", "--depth", "4", "--seed", "17",
          "--lambda-lo", "0.5", "--lambda-hi", "1e6", "--points", "25", "--out", str(out)]
     )
     assert code == 0
@@ -191,19 +194,19 @@ def test_renewal_command(tmp_path):
 def test_renewal_warns_when_no_window_resolves(tmp_path, capsys):
     # this shallow ensemble's resolution ceiling falls below its count-6 lambda
     out = tmp_path / "ren"
-    argv = ["renewal", "--replicas", "2", "--depth", "3", "--trunc-depth", "6", "--seed", "0",
+    argv = ["renewal", "--replicas", "2", "--depth", "3", "--seed", "0",
             "--out", str(out)]
     assert run(argv) == 0
     err = capsys.readouterr().err
     assert "warning: no resolved window" in err
-    # the ceiling (22.8) is what failed, not the window's width
-    assert "resolution ceiling 22.8" in err and "lies below 261.0" in err
+    # the ceiling (31.7) is what failed, not the window's width
+    assert "resolution ceiling 31.68" in err and "lies below 261.0" in err
     assert "half a decade" not in err
     assert not (out / "fit.json").exists()
     assert float(json.loads((out / "renewal.json").read_text())["m_infinity"]) > 0
 
 
-RENEWAL_ARGS = ["renewal", "--replicas", "3", "--depth", "4", "--trunc-depth", "8", "--seed", "17",
+RENEWAL_ARGS = ["renewal", "--replicas", "3", "--depth", "4", "--seed", "17",
                 "--lambda-lo", "0.5", "--lambda-hi", "1e6", "--points", "25"]
 
 

@@ -1,17 +1,18 @@
 import numpy as np
 import pytest
 
-from crt_spectra import cascade, forms
+from crt_spectra import forms
 from crt_spectra.cascade import CascadeTree, HEIGHT_CONSTANT, PerturbationTable
 from crt_spectra.errors import IncompleteCascade
 
 import forms_oracle
+from cascade_oracle import truncated_perturbations
 from conftest import small_network
 
 
 def test_level0_assembly():
     casc = CascadeTree.sample(0, seed=1)
-    table = cascade.perturbations(casc, 8)
+    table = truncated_perturbations(casc, 8)
     net = forms.assemble(0, casc, table)
     r = table.r_levels[0][0]
     assert np.allclose(net.conductance, [HEIGHT_CONSTANT / r])
@@ -35,7 +36,7 @@ def test_debug_cascade_edge_resistance():
 def test_assembly_validations():
     casc = CascadeTree.sample(3, seed=2)
     with pytest.raises(IncompleteCascade):
-        forms.assemble(4, casc, cascade.perturbations(casc, 4))
+        forms.assemble(4, casc, truncated_perturbations(casc, 4))
     with pytest.raises(IncompleteCascade):
         forms.assemble(3, casc, PerturbationTable.ones(2))
 
@@ -44,14 +45,14 @@ def test_trace_reproduces_coarser_assembly():
     # the Schur trace puts the first two child resistances in series, which
     # telescopes through the R recursion into the coarser conductances
     casc = CascadeTree.sample(6, seed=9)
-    table = cascade.perturbations(casc, 6)
+    table = truncated_perturbations(casc, 6)
     net = forms.assemble(6, casc, table)
     for level in range(6, 0, -1):
         traced = forms_oracle.trace_to_coarser(net)
         coarse = forms.assemble(
             level - 1,
             CascadeTree(level - 1, casc.triples[: level - 1], casc.master_seed),
-            PerturbationTable(level - 1, 6, "binary", table.r_levels[:level]),
+            PerturbationTable(level - 1, table.r_levels[:level]),
         )
         rel = np.abs(traced.conductance / coarse.conductance - 1.0)
         assert rel.max() < 1e-9
@@ -110,20 +111,20 @@ def test_mean_boundary_resistance():
 
 def test_diameter_level0():
     casc = CascadeTree.sample(0, seed=3)
-    table = cascade.perturbations(casc, 6)
+    table = truncated_perturbations(casc, 6)
     net = forms.assemble(0, casc, table)
     assert abs(forms.diameter(net) - table.r_levels[0][0] / HEIGHT_CONSTANT) < 1e-15
 
 
 def test_diameter_monotone_in_level():
     casc = CascadeTree.sample(5, seed=11)
-    table = cascade.perturbations(casc, 6)
+    table = truncated_perturbations(casc, 6)
     prev = 0.0
     for level in range(6):
         net = forms.assemble(
             level,
             CascadeTree(level, casc.triples[:level], casc.master_seed),
-            PerturbationTable(level, 6, "binary", table.r_levels[: level + 1]),
+            PerturbationTable(level, table.r_levels[: level + 1]),
         )
         d = forms.diameter(net)
         assert d >= prev - 1e-12

@@ -2,8 +2,8 @@
 
 The commands below cover each subcommand and flag at small sizes: both
 dump formats, bracketing, the dense oracle, worker threads, the debug
-cascade, a binary and a pooled perturbation build, and the renewal and
-excursion routes. A definition none of them calls belongs in a test module.
+cascade, and the renewal and excursion routes. A definition none of them
+calls belongs in a test module.
 """
 
 import ast
@@ -26,18 +26,15 @@ def commands(tmp: Path) -> list[list[str]]:
         ["sample-excursion", "--steps", "64", "--seed", "1", "--binary", "--out", str(tmp / "e.bin")],
         ["sample-cascade", "--depth", "2", "--seed", "1", "--out", str(tmp / "c.json")],
         ["sample-cascade", "--depth", "2", "--seed", "1", "--binary", "--out", str(tmp / "c.bin")],
-        ["spectrum", "--depth", "2", "--seed", "1", "--points", "9", "--trunc-depth", "6",
-         "--check-bracketing", "--out", str(tmp / "spec")],
-        # binary perturbations, the dense oracle and two worker threads
-        ["ensemble", "--replicas", "2", "--depth", "3", "--trunc-depth", "6", "--seed", "0",
-         "--threads", "2", "--oracle", *ens, "--out", str(tmp / "ens")],
-        # pooled perturbations (3**3 * 2**20 slots exceed the binary budget)
-        ["ensemble", "--replicas", "1", "--depth", "3", "--seed", "0", *ens, "--out", str(tmp / "pool")],
+        ["spectrum", "--depth", "2", "--seed", "1", "--points", "9", "--check-bracketing",
+         "--out", str(tmp / "spec")],
+        # the dense oracle and two worker threads
+        ["ensemble", "--replicas", "2", "--depth", "3", "--seed", "0", "--threads", "2", "--oracle", *ens,
+         "--out", str(tmp / "ens")],
         # the uniform cascade resolves a fit window from depth 4 on
         ["ensemble", "--replicas", "1", "--depth", "4", "--debug-cascade", "--require-fit", *ens,
          "--out", str(tmp / "dbg")],
-        ["renewal", "--replicas", "2", "--depth", "3", "--trunc-depth", "6", "--seed", "0", *ens,
-         "--out", str(tmp / "ren")],
+        ["renewal", "--replicas", "2", "--depth", "3", "--seed", "0", *ens, "--out", str(tmp / "ren")],
         ["crt-route", "--replicas", "2", "--steps", "512", "--leaves", "20", "--seed", "0", "--threads", "2",
          *ens, "--out", str(tmp / "crt")],
     ]
