@@ -41,6 +41,9 @@ from .spectrum import (
 _BOOT_RESAMPLES = 1000
 _MIN_COUNT = 6.0  # mean count at the window's lower end
 _TAIL_TOL = 1e-3  # largest u allowed at the renewal window's edges
+_CEILING_DEFICIT = 0.03  # unresolved spectral-mass fraction at the window top
+_T_LO = -3.0  # lower end of the renewal t grid; the upper end is ln(lambda_hi)
+_T_POINTS = 241
 
 # perfbench/layers.py probes this name as well as perturbations (span cascade.perturb)
 perturbations_pooled = perturbations
@@ -61,13 +64,16 @@ class EnsembleConfig:
     steps: int = 2**14  # excursion route: grid resolution
     leaves: int = 600  # excursion route: reduced-tree leaf count
     debug_cascade: bool = False
-    ceiling_deficit: float = 0.03  # unresolved spectral-mass fraction at the window top
 
     def __post_init__(self):
         if self.replicas < 1:
             raise ValueError("need at least one replica")
-        if not 0.0 < self.lambda_lo < self.lambda_hi:
-            raise ValueError("lambda grid must be positive and increasing")
+        if self.depth < 0:
+            raise ValueError("depth must be >= 0")
+        if not 0.0 < self.lambda_lo < self.lambda_hi < np.inf:
+            raise ValueError("lambda grid must be positive, finite and increasing")
+        if self.lambda_points < 1:
+            raise ValueError("the lambda grid needs at least one point")
         if self.route not in ("selfsimilar", "excursion"):
             raise ValueError("route must be 'selfsimilar' or 'excursion'")
         if self.route == "excursion" and not 1 <= self.leaves <= self.steps - 1:
@@ -157,12 +163,12 @@ def _selfsimilar_replica(config: EnsembleConfig, r: int, ts: np.ndarray | None, 
         floor = dirichlet_floor(net, net_diameter(net))
     else:
         floor = np.inf
-    # resolution ceiling: the lambda at which the requested fraction of
+    # resolution ceiling: the lambda at which a _CEILING_DEFICIT fraction of
     # spectral mass sits in cells whose internal modes (first eigenvalue
     # about floor / l**3) are already distorted by the lumping
-    l_arr = net.cascade.l_levels()[net.level] if net.cascade is not None else np.ones(1)
+    l_arr = net.cascade.l_levels()[net.level]
     neg3logl = -3.0 * np.log(l_arr)
-    resolution = floor * np.exp(_weighted_quantile(neg3logl, l_arr**2, config.ceiling_deficit))
+    resolution = floor * np.exp(_weighted_quantile(neg3logl, l_arr**2, _CEILING_DEFICIT))
     return nd, nn, resolution, net.n_vertices, None if ts is None else eta_many(net, ts)
 
 
@@ -178,7 +184,7 @@ def _excursion_replica(config: EnsembleConfig, r: int):
     hang = tree.lump_extent > 0
     if hang.any():
         est = 1.0 / (tree.mass[hang] * tree.lump_extent[hang])
-        resolution = _weighted_quantile(est, tree.mass[hang], config.ceiling_deficit)
+        resolution = _weighted_quantile(est, tree.mass[hang], _CEILING_DEFICIT)
     else:  # pragma: no cover - every grid time on the tree
         resolution = float(config.lambda_hi)
     return nd, nn, resolution, tree.n_vertices
@@ -228,7 +234,7 @@ def auto_window(result: EnsembleResult):
     The lower end keeps the bounded boundary corrections (the counting
     functions differ from the continuum by O(1)) below a 1/6 relative
     effect; the upper end is the median per-replica resolution
-    ceiling, the lambda at which an estimated ``ceiling_deficit`` fraction
+    ceiling, the lambda at which an estimated ``_CEILING_DEFICIT`` fraction
     of spectral mass sits in cells whose internal modes the lumped model
     cannot represent. Raises WindowUnresolved when the window collapses,
     naming the ceiling when it lies below the lower end.
@@ -314,12 +320,7 @@ def fit_scaling(result: EnsembleResult, window: tuple[float, float] | None = Non
 # ---------------------------------------------------------------------------
 
 
-def estimate_renewal_constant(
-    config: EnsembleConfig,
-    t_lo: float = -3.0,
-    t_hi: float | None = None,
-    t_points: int = 241,
-) -> tuple[EnsembleResult, RenewalEstimate]:
+def estimate_renewal_constant(config: EnsembleConfig) -> tuple[EnsembleResult, RenewalEstimate]:
     """The ensemble with eta rows, and the renewal estimate they give.
 
     One :func:`run_ensemble` call builds each replica once for its counting
@@ -329,13 +330,11 @@ def estimate_renewal_constant(
     them as :func:`fit_scaling` does gives its standard error. The mean
     integrand u(t) = exp(-2t/3) E eta(t) vanishes for t below
     -ln(diameter) (exact zeros) and decays like exp(-2t/3) above, since
-    eta is bounded by 2. The upper grid end stays below the discretization
-    ceiling ln(lambda_hi). Raises TailError when u has not decayed at the
-    window edges.
+    eta is bounded by 2. The grid runs from t = -3 up to the discretization
+    ceiling ln(lambda_hi) in 241 points. Raises TailError when u has not
+    decayed at the window edges.
     """
-    if t_hi is None:
-        t_hi = float(np.log(config.lambda_hi))
-    ts = np.linspace(t_lo, t_hi, t_points)
+    ts = np.linspace(_T_LO, float(np.log(config.lambda_hi)), _T_POINTS)
     result = run_ensemble(config, ts)
     u = np.exp(-GAMMA_EXPONENT * ts) * result.eta.mean(axis=0)
     if u[0] > _TAIL_TOL or u[-1] > _TAIL_TOL:

@@ -3,9 +3,9 @@
 Exit codes: 0 success, 2 usage error (a bad flag value or a flag
 combination that describes no valid run), 3 capacity exceeded, 4
 numerical guard tripped (tail or window failures, oracle or bracketing
-mismatch). Everything is deterministic in (seed, config):
-re-running a command reproduces the numeric payloads byte for byte,
-whatever the thread count. ``--threads`` spreads the replicas of
+mismatch, an unbracketed Dirichlet floor). Everything is deterministic in
+(seed, config): re-running a command reproduces the numeric payloads byte
+for byte, whatever the thread count. ``--threads`` spreads the replicas of
 ``ensemble``, ``renewal`` and ``crt-route`` over worker threads; ``renewal``
 builds each replica once, for its counting curves and its eta row.
 
@@ -53,6 +53,8 @@ class UsageError(CrtSpectraError):
 
 
 def cmd_sample_excursion(args) -> int:
+    if args.steps < 2:
+        raise UsageError("need --steps >= 2")
     path = sample_excursion(args.steps, args.seed)
     out = Path(args.out)
     if args.binary:
@@ -63,6 +65,8 @@ def cmd_sample_excursion(args) -> int:
 
 
 def cmd_sample_cascade(args) -> int:
+    if args.depth < 0:
+        raise UsageError("need --depth >= 0")
     casc = CascadeTree.sample(args.depth, args.seed)
     out = Path(args.out)
     if args.binary:
@@ -75,10 +79,14 @@ def cmd_sample_cascade(args) -> int:
 def cmd_spectrum(args) -> int:
     from .asymptotics import build_network
 
+    if args.depth < 0:
+        raise UsageError("need --depth >= 0")
     if args.check_bracketing and args.depth < 1:
         raise UsageError("--check-bracketing needs --depth >= 1")
-    if not 0.0 < args.lambda_lo < args.lambda_hi:
-        raise UsageError("need 0 < --lambda-lo < --lambda-hi")
+    if not 0.0 < args.lambda_lo < args.lambda_hi < np.inf:
+        raise UsageError("need 0 < --lambda-lo < --lambda-hi < inf")
+    if args.points < 1:
+        raise UsageError("need --points >= 1")
     net = build_network(args.depth, args.seed)
     lams = np.geomspace(args.lambda_lo, args.lambda_hi, args.points)
     curve_d, curve_n = network_curves(net, lams)

@@ -43,7 +43,6 @@ class ResistanceNetwork:
             raise ValueError("conductances must be positive")
         if abs(self.vertex_mass.sum() - 1.0) > 1e-9:
             raise ValueError("vertex masses must sum to 1")
-        self._rho: np.ndarray | None = None
 
     @property
     def n_vertices(self) -> int:
@@ -82,13 +81,11 @@ def subnetwork_fresh(net: ResistanceNetwork, j: int) -> ResistanceNetwork:
 
 def _cell_path_resistances(net: ResistanceNetwork) -> list[np.ndarray]:
     """Per level, the boundary-to-boundary resistance through each cell."""
-    if net._rho is None:
-        rho = [1.0 / net.conductance]
-        for _ in range(net.level):
-            prev = rho[-1]
-            rho.append(prev[0::3] + prev[1::3])
-        net._rho = rho[::-1]  # index by level
-    return net._rho
+    rho = [1.0 / net.conductance]
+    for _ in range(net.level):
+        prev = rho[-1]
+        rho.append(prev[0::3] + prev[1::3])
+    return rho[::-1]  # index by level
 
 
 def cell_diameters(net: ResistanceNetwork, level: int) -> np.ndarray:

@@ -1,9 +1,8 @@
 """Eigenvalue counting for L f = lambda M f on resistance networks.
 
-The fast path counts by Sylvester inertia: vertices are pivoted leaf-first
-along the tree, which factors L - lambda M with zero fill in O(V); the
-number of nonpositive pivots equals the number of eigenvalues <= lambda.
-The shift is nudged to lambda (1 + 1e-12) so exact jump points resolve
+The fast path counts by Sylvester inertia: the number of nonpositive
+pivots of L - lambda M equals the number of eigenvalues <= lambda. The
+shift is nudged to lambda (1 + 1e-12) so exact jump points resolve
 deterministically, and lambda = 0 is special-cased (the Laplacian of a
 connected tree has a simple kernel). The independent oracle for small
 problems is a dense Sylvester count: M is diagonal and positive, so the
@@ -13,10 +12,12 @@ scale of L.
 
 Dirichlet counts delete the two boundary rows and columns. One engine
 counts every tree, dendrite network or excursion pencil: a rake/compress
-contraction schedule that pivots the two boundary vertices last, so one
-sweep yields both counts. The schedule depends only on the edges and the
-boundary, never on the shift or the boundary kind; it is built once per
-dendrite level (shared by every replica) and once per pencil.
+contraction schedule pivots leaves and degree-two vertices round by round,
+each compression adding one fill edge between its two neighbours, so the
+factorization costs O(V) per shift. The two boundary vertices are pivoted
+last, so one sweep yields both counts. The schedule depends only on the
+edges and the boundary, never on the shift or the boundary kind; it is
+built once per dendrite level (shared by every replica) and once per pencil.
 """
 
 from __future__ import annotations
@@ -191,86 +192,48 @@ def network_curves(net: ResistanceNetwork, lams: np.ndarray) -> tuple[CountingCu
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet floor by bisection
+# Dirichlet floor by multisection
 # ---------------------------------------------------------------------------
 
 
-# Bisection levels per floor sweep. A sweep of 2**j - 1 midpoints buys j
-# steps; past about 64 shifts a block's work outgrows the sweep's fixed
-# per-round cost, so a seventh level would double the sweep for one step.
-_FLOOR_LEVELS = 6
-
-
-def _nested_midpoints(lo: float, hi: float, levels: int, out: list[float]) -> list[float]:
-    """Every midpoint the next ``levels`` bisection steps from [lo, hi] can visit, none past the stopping test."""
-    if levels and hi - lo > 1e-12 * hi:
-        mid = 0.5 * (lo + hi)
-        out.append(mid)
-        _nested_midpoints(lo, mid, levels - 1, out)
-        _nested_midpoints(mid, hi, levels - 1, out)
-    return out
+# Shifts per floor sweep. Past about 64 shifts a block's work outgrows the
+# sweep's fixed per-round cost.
+_FLOOR_POINTS = 63
+_FLOOR_RTOL = 1e-9  # relative width at which the floor bracket stops
 
 
 def dirichlet_floor(net: ResistanceNetwork, diameter: float) -> float:
-    """Smallest Dirichlet eigenvalue, by bisection on the counting function to relative 1e-12.
+    """Smallest Dirichlet eigenvalue, by geometric multisection on the counting function.
 
     A mass-one network bounds its first Dirichlet eigenvalue below by the
-    inverse of its resistance ``diameter``, so the bracket starts there,
-    which also keeps the unpivoted elimination away from the
-    cancellation-prone region far below the floor, and the bound is
-    verified on the result.
+    inverse of its resistance ``diameter``, and the Rayleigh quotient of
+    the interior indicator 1 bounds it strictly above: 1 is never an
+    eigenvector, since L 1 vanishes on the tip row. The first sweep counts
+    both ends and raises AssertionError unless the bracket holds; keeping
+    lo there also keeps the unpivoted elimination away from the
+    cancellation-prone region far below the floor.
 
-    Each sweep counts one block of shifts, at most the schedule's block
-    width w: first lo and the bracket's upper ends hi * 8**i, up to the
-    first past an upper bound on the floor, then the 2**j - 1 <= w nested
-    midpoints that the next j <= 6 bisection steps can visit. The steps
-    replay one at a time, with the stopping test before each, so the floor
-    is the one a bisection sweeping one midpoint at a time returns; at
-    width 1 it is that bisection, sweep for sweep.
+    Each further sweep counts the k = min(block width, 63) interior points
+    of a geometric grid on [lo, hi] and keeps the cell that holds the first
+    nonzero count, until hi <= lo (1 + 1e-9). The floor is that hi, an
+    upper bound within relative 1e-9; at width 1 this is geometric bisection.
     """
     if net.n_vertices <= 2:
         raise ValueError("problem has no Dirichlet eigenvalues")
-    width = net.structure.schedule.block_width
-    # the Rayleigh quotient of the interior indicator bounds the floor above
+    k = min(net.structure.schedule.block_width, _FLOOR_POINTS)
     cut = (net.structure.ep0 < 2) != (net.structure.ep1 < 2)
-    upper = net.conductance[cut].sum() / net.vertex_mass[2:].sum()
-
-    def counts(lams: list[float]) -> list[int]:
-        return network_counts(net, np.array(lams))[0].tolist()
-
     lo = (1.0 - 1e-9) / diameter
-    hi = max(1.0, 2.0 * lo)
-    while True:
-        ends = [hi]
-        while len(ends) < width - 1 and ends[-1] < upper:
-            ends.append(ends[-1] * 8.0)
-        found = counts(ends + [lo] if width > 1 else ends)
-        hits = [e for e, n in zip(ends, found) if n >= 1]
-        if hits:
-            hi = hits[0]
+    hi = float(net.conductance[cut].sum() / net.vertex_mass[2:].sum())
+    n_lo, n_hi = network_counts(net, np.array([lo, hi]))[0]
+    if n_lo != 0 or n_hi < 1:
+        raise AssertionError(f"Dirichlet floor not bracketed by [1/diameter, Rayleigh bound] = [{lo}, {hi}]")
+    for _ in range(200):
+        if hi <= lo * (1.0 + _FLOOR_RTOL):
             break
-        hi = ends[-1] * 8.0
-    lo_count = found[-1] if width > 1 else counts([lo])[0]
-    if lo_count >= 1:  # the bound can only fail through rounding; fall back
-        lo = 0.0
-
-    levels = min((width + 1).bit_length() - 1, _FLOOR_LEVELS)  # 2**levels - 1 <= width
-    steps = 0
-    while steps < 200 and hi - lo > 1e-12 * hi:
-        depth = min(levels, 200 - steps)
-        mids = _nested_midpoints(lo, hi, depth, [])
-        count_at = dict(zip(mids, counts(mids)))
-        for _ in range(depth):
-            if hi - lo <= 1e-12 * hi:
-                break
-            mid = 0.5 * (lo + hi)
-            if count_at[mid] >= 1:
-                hi = mid
-            else:
-                lo = mid
-            steps += 1
-    if hi * diameter < 1.0 - 1e-9:
-        raise AssertionError(f"Dirichlet floor {hi} below 1/diameter {1.0 / diameter}")
+        grid = np.geomspace(lo, hi, k + 2)
+        hit = np.append(network_counts(net, grid[1:-1])[0] >= 1, True)  # hi always holds the floor
+        i = int(np.argmax(hit)) + 1
+        lo, hi = float(grid[i - 1]), float(grid[i])
     return hi
 
 

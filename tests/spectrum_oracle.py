@@ -7,9 +7,10 @@ curves into t**(2/3) tr P_t, which tends to Gamma(5/3) C0.
 ``eta_fresh`` counts eta on freshly assembled cells, the reference for the
 package's one-sweep eta, and ``telescoping_identity_gap`` checks the
 embedded telescoping identity with it. ``inertia_counts_per_shift`` sweeps
-one shift at a time and ``dirichlet_floor_sequential`` bisects one
-midpoint per sweep: the references for the package's shift-blocked
-counting kernel and floor.
+one shift at a time, the bit-for-bit reference for the package's
+shift-blocked counting kernel. ``dirichlet_floor_sequential`` bisects one
+arithmetic midpoint per sweep to relative 1e-12, the reference that the
+package's multisection floor must match within its 1e-9 tolerance.
 """
 
 from __future__ import annotations

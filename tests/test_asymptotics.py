@@ -30,6 +30,12 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_config(lambda_hi=0.1)
     with pytest.raises(ValueError):
+        small_config(lambda_hi=np.inf)
+    with pytest.raises(ValueError):
+        small_config(depth=-1)
+    with pytest.raises(ValueError):
+        small_config(lambda_points=0)
+    with pytest.raises(ValueError):
         small_config(route="wat")
     with pytest.raises(ValueError):
         small_config(route="excursion", steps=4, leaves=4)
@@ -41,7 +47,7 @@ def test_config_hash_covers_results_not_threads(monkeypatch):
     def h(**kw):
         return asymptotics.provenance(small_config(**kw).as_dict())["config_hash"]
 
-    assert h(ceiling_deficit=0.03) != h(ceiling_deficit=0.05)
+    assert h(depth=4) != h(depth=5)
     assert h(threads=1) == h(threads=2)
     # the same config on another random stream names another realization
     before = h()
@@ -131,7 +137,7 @@ def test_debug_cascade_smoke_slope():
 
 def test_renewal_pieces():
     cfg = small_config(replicas=8, depth=5)
-    _, est = asymptotics.estimate_renewal_constant(cfg, t_lo=-2.0, t_hi=np.log(cfg.lambda_hi), t_points=121)
+    _, est = asymptotics.estimate_renewal_constant(cfg)
     assert abs(est.nu_first_moment - 1.0) < 1e-6
     assert est.m_infinity > 0
     assert est.tail_lo == 0.0  # exact zeros below the floor
@@ -162,9 +168,10 @@ def test_renewal_error_bar_from_replica_integrals():
 
 
 def test_renewal_tail_guard():
-    cfg = small_config(replicas=2, depth=4)
+    # a grid that ends at lambda_hi = 1e3 cuts u off before it decays (u[-1] = 0.015)
+    cfg = small_config(replicas=2, depth=4, lambda_hi=1e3)
     with pytest.raises(TailError):
-        asymptotics.estimate_renewal_constant(cfg, t_lo=1.5, t_hi=3.0, t_points=11)
+        asymptotics.estimate_renewal_constant(cfg)
 
 
 def test_ensemble_eta_rows_match_per_replica_eta():

@@ -66,6 +66,18 @@ def test_usage_error_exit_code(tmp_path, monkeypatch):
         ["crt-route", "--replicas", "1", "--lambda-lo", "0", "--out", "x"],
         ["spectrum", "--depth", "2", "--lambda-lo", "0", "--out", "x"],
         ["spectrum", "--depth", "2", "--lambda-lo", "10", "--lambda-hi", "10", "--out", "x"],
+        ["ensemble", "--replicas", "1", "--depth", "-1", "--out", "x"],
+        ["spectrum", "--depth", "-1", "--out", "x"],
+        ["sample-cascade", "--depth", "-1", "--out", "x"],
+        ["sample-excursion", "--steps", "1", "--out", "x"],
+        ["spectrum", "--depth", "2", "--points", "-1", "--out", "x"],
+        ["spectrum", "--depth", "2", "--points", "0", "--out", "x"],
+        ["ensemble", "--replicas", "1", "--depth", "2", "--points", "-3", "--out", "x"],
+        ["ensemble", "--replicas", "1", "--depth", "2", "--points", "0", "--out", "x"],
+        ["ensemble", "--replicas", "1", "--depth", "2", "--lambda-hi", "inf", "--out", "x"],
+        ["renewal", "--replicas", "1", "--depth", "2", "--lambda-hi", "inf", "--out", "x"],
+        ["crt-route", "--replicas", "1", "--lambda-hi", "inf", "--out", "x"],
+        ["spectrum", "--depth", "2", "--lambda-hi", "inf", "--out", "x"],
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)

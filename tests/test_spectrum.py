@@ -245,37 +245,44 @@ def test_dirichlet_floor_diameter_bound():
         spectrum.dirichlet_floor(net, forms.diameter(net))  # raises on violation
 
 
-def test_blocked_floor_matches_sequential_bisection():
-    # one sweep per bisection step is the reference; the blocked floor must
-    # return the same float, at widths from 7 (depth 8) to 16384 (depth 1)
+def test_floor_within_tolerance_of_sequential_bisection(monkeypatch):
+    # one-midpoint-per-sweep bisection to relative 1e-12 is the reference; the
+    # multisection stops at relative 1e-9 above the floor, at its natural
+    # widths (7 at depth 8 to 63 at depth 1) and at width 1
+    cases = []
     for depth in range(1, 9):
-        nets = [small_network(depth, seed=seed) for seed in range(10)] + [debug_network(depth)]
-        for net in nets:
+        for net in [small_network(depth, seed=seed) for seed in range(10)] + [debug_network(depth)]:
             d = forms.diameter(net)
-            assert spectrum.dirichlet_floor(net, d) == spectrum_oracle.dirichlet_floor_sequential(net, d)
+            cases.append((net, d, spectrum_oracle.dirichlet_floor_sequential(net, d)))
+    for block_bytes in (_kernels._SHIFT_BLOCK_BYTES, 1):
+        monkeypatch.setattr(_kernels, "_SHIFT_BLOCK_BYTES", block_bytes)
+        for i, (net, d, ref) in enumerate(cases):
+            assert 0.0 <= spectrum.dirichlet_floor(net, d) / ref - 1.0 <= 1e-9 + 1e-12, (block_bytes, i)
 
 
-def test_floor_sweeps_at_width_one_are_sequential(monkeypatch):
-    # at width 1 the floor asks for one shift per sweep, the bisection's own sequence
+def test_floor_bracket_guard():
+    # a diameter of 0.1 / floor puts the bracket's lower end at ten times the floor
     net = small_network(4, seed=3)
-    d = forms.diameter(net)
-    seen = []
+    floor = spectrum.dirichlet_floor(net, forms.diameter(net))
+    with pytest.raises(AssertionError, match="not bracketed"):
+        spectrum.dirichlet_floor(net, 0.1 / floor)
+
+
+def test_floor_sweep_budget(monkeypatch):
+    # at depth 10 (width 1) the floor bisects geometrically: one bracket sweep and at most 35 more
+    net = small_network(10, seed=1)
+    calls = []
     counts = spectrum.network_counts
 
     def record(n, lams):
-        seen.append(list(lams))
+        calls.append(len(lams))
         return counts(n, lams)
 
     monkeypatch.setattr(spectrum, "network_counts", record)
-    blocked = spectrum.dirichlet_floor(net, d)
-    assert max(len(x) for x in seen) > 1
-    monkeypatch.setattr(_kernels, "_SHIFT_BLOCK_BYTES", 1)
-    seen.clear()
-    assert spectrum.dirichlet_floor(net, d) == blocked
-    one_by_one = list(seen)
-    seen.clear()
-    assert spectrum_oracle.dirichlet_floor_sequential(net, d) == blocked
-    assert one_by_one == seen
+    spectrum.dirichlet_floor(net, forms.diameter(net))
+    assert net.structure.schedule.block_width == 1
+    assert calls[0] == 2 and set(calls[1:]) == {1}
+    assert len(calls) <= 36
 
 
 def test_floor_scaling_in_mass():
