@@ -297,24 +297,33 @@ def _nonpositive(p: np.ndarray, z: np.ndarray):
 
 def inertia_counts(
     sched: ContractionSchedule, mass: np.ndarray, conduct: np.ndarray, lams: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Dirichlet, Neumann, final-round) counts <= lambda for each grid value.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(Dirichlet, Neumann, final-round) counts <= lambda, and the last interior pivot, per grid value.
 
     The third array counts the nonpositive pivots of the schedule's last
     round alone; on a dendrite level graph that round pivots the level-1
-    midpoint and tip, so it is the branching increment eta. The positive
-    shifts are swept in equal blocks of at most ``sched.block_width``, the
-    last one padded with copies of its final shift.
+    midpoint and tip, so it is the branching increment eta. The fourth
+    holds the pivot of the last interior vertex eliminated (the final
+    round's last compression, or its last rake if it compresses none; the
+    level-1 midpoint on a dendrite). Every other interior vertex is
+    eliminated before it or beside it in the same independent stage, so
+    while no other pivot is zero that pivot is the Schur complement
+    1 / [(L_D - lambda M_D)**-1]_vv, the ratio det(L_D - lambda M_D) /
+    det(the same with v deleted). It is NaN for shifts <= 0, which are not
+    swept, and on a schedule without rounds. The positive shifts are swept in equal blocks of at most
+    ``sched.block_width``, the last one padded with copies of its final
+    shift.
     """
     lams = np.ascontiguousarray(lams, dtype=np.float64)
     nv, b0, b1 = mass.shape[0], sched.b0, sched.b1
     out_d = np.zeros(lams.shape[0], dtype=np.int64)
     out_n = np.zeros(lams.shape[0], dtype=np.int64)
     out_last = np.zeros(lams.shape[0], dtype=np.int64)
+    out_pivot = np.full(lams.shape[0], np.nan)
     out_n[lams == 0.0] = 1  # constant eigenfunction on a connected tree
     todo = np.flatnonzero(~(lams <= 0.0))
     if todo.shape[0] == 0:
-        return out_d, out_n, out_last
+        return out_d, out_n, out_last, out_pivot
     n_blocks = -(-todo.shape[0] // sched.block_width)
     width = -(-todo.shape[0] // n_blocks)
     todo = np.append(todo, np.full(n_blocks * width - todo.shape[0], todo[-1]))
@@ -355,6 +364,10 @@ def inertia_counts(
                     g[:, fill : fill + n])
         plan.append((rake, compress))
     flat = acc.reshape(-1)
+    # rake and compress write their pivots to the same scratch row, so after
+    # a block it holds the final round's last nonempty stage
+    n_last = (masses[-1][1].shape[0] or masses[-1][0].shape[0]) if masses else 0
+    last_pivots = buf(3, n_last)
 
     for start in range(0, todo.shape[0], width):
         sel = todo[start : start + width]
@@ -403,7 +416,9 @@ def inertia_counts(
         out_d[sel] = interior
         out_n[sel] = interior + (p0 <= 0.0).astype(np.int64) + (p1 <= 0.0).astype(np.int64)
         out_last[sel] = last
-    return out_d, out_n, out_last
+        if n_last:
+            out_pivot[sel] = last_pivots[:, -1]
+    return out_d, out_n, out_last, out_pivot
 
 
 # ---------------------------------------------------------------------------

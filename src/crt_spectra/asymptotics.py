@@ -74,6 +74,8 @@ class EnsembleConfig:
             raise ValueError("lambda grid must be positive, finite and increasing")
         if self.lambda_points < 1:
             raise ValueError("the lambda grid needs at least one point")
+        if self.threads < 1:
+            raise ValueError("need at least one thread")
         if self.route not in ("selfsimilar", "excursion"):
             raise ValueError("route must be 'selfsimilar' or 'excursion'")
         if self.route == "excursion" and not 1 <= self.leaves <= self.steps - 1:
@@ -158,11 +160,12 @@ def _selfsimilar_replica(config: EnsembleConfig, r: int, ts: np.ndarray | None, 
     net = build_network(config.depth, config.replica_seed(r), config.debug_cascade)
     if check is not None:
         check(r, net)
-    nd, nn = network_counts(net, config.lambda_grid)
-    if net.level >= 1:
-        floor = dirichlet_floor(net, net_diameter(net))
-    else:
-        floor = np.inf
+    lams = config.lambda_grid
+    # the diameter pass goes first: run after the counting sweep, its
+    # temporaries raise a depth-12 replica's peak RSS by about 1.4 MB
+    diameter = net_diameter(net) if net.level >= 1 else None
+    nd, nn = network_counts(net, lams)
+    floor = dirichlet_floor(net, diameter, lams, nd) if net.level >= 1 else np.inf
     # resolution ceiling: the lambda at which a _CEILING_DEFICIT fraction of
     # spectral mass sits in cells whose internal modes (first eigenvalue
     # about floor / l**3) are already distorted by the lumping

@@ -18,6 +18,14 @@ factorization costs O(V) per shift. The two boundary vertices are pivoted
 last, so one sweep yields both counts. The schedule depends only on the
 edges and the boundary, never on the shift or the boundary kind; it is
 built once per dendrite level (shared by every replica) and once per pencil.
+
+A sweep also returns the pivot of the last interior vertex, the Schur
+complement det(L_D - lambda M_D) / det(the same without that vertex). On
+the dendrite that vertex is the level-1 midpoint, and the first Dirichlet
+eigenvalue (the floor that anchors each replica's resolution ceiling) is
+the pivot's zero. :func:`dirichlet_floor` brackets the floor by the
+replica's own counting curve and closes the bracket by interpolating that
+pivot, counting at every step.
 """
 
 from __future__ import annotations
@@ -154,9 +162,10 @@ def block_counts(level: int, conduct: np.ndarray, cell_mass: np.ndarray, lams: n
     return inertia_counts(st.schedule, st.lump(cell_mass), conduct, lams)[:2]
 
 
-def network_counts(net: ResistanceNetwork, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Dirichlet, Neumann) counting-function samples for a network."""
-    return inertia_counts(net.structure.schedule, net.vertex_mass, net.conductance, lams)[:2]
+def network_counts(net: ResistanceNetwork, lams: np.ndarray, pivot: bool = False) -> tuple[np.ndarray, ...]:
+    """(Dirichlet, Neumann) counting-function samples for a network, and with ``pivot`` the last interior pivot."""
+    nd, nn, _, last = inertia_counts(net.structure.schedule, net.vertex_mass, net.conductance, lams)
+    return (nd, nn, last) if pivot else (nd, nn)
 
 
 # ---------------------------------------------------------------------------
@@ -192,49 +201,150 @@ def network_curves(net: ResistanceNetwork, lams: np.ndarray) -> tuple[CountingCu
 
 
 # ---------------------------------------------------------------------------
-# Dirichlet floor by multisection
+# Dirichlet floor by inverse interpolation on the last interior pivot
 # ---------------------------------------------------------------------------
 
 
-# Shifts per floor sweep. Past about 64 shifts a block's work outgrows the
-# sweep's fixed per-round cost.
-_FLOOR_POINTS = 63
 _FLOOR_RTOL = 1e-9  # relative width at which the floor bracket stops
+_FLOOR_MARGIN = _FLOOR_RTOL / 4  # log offset of a shift from the interpolated floor, to land on a chosen side
 
 
-def dirichlet_floor(net: ResistanceNetwork, diameter: float) -> float:
-    """Smallest Dirichlet eigenvalue, by geometric multisection on the counting function.
+def _grid_bracket(lams: np.ndarray | None, counts: np.ndarray | None) -> tuple[float, float] | None:
+    """[largest grid lambda with Dirichlet count 0, smallest with count >= 1], or None if the grid misses the floor."""
+    if lams is None:
+        return None
+    hit = np.flatnonzero(np.asarray(counts) >= 1)
+    if hit.shape[0] == 0 or hit[0] == 0:
+        return None
+    return float(lams[hit[0] - 1]), float(lams[hit[0]])
 
-    A mass-one network bounds its first Dirichlet eigenvalue below by the
-    inverse of its resistance ``diameter``, and the Rayleigh quotient of
-    the interior indicator 1 bounds it strictly above: 1 is never an
-    eigenvector, since L 1 vanishes on the tip row. The first sweep counts
-    both ends and raises AssertionError unless the bracket holds; keeping
-    lo there also keeps the unpivoted elimination away from the
-    cancellation-prone region far below the floor.
 
-    Each further sweep counts the k = min(block width, 63) interior points
-    of a geometric grid on [lo, hi] and keeps the cell that holds the first
-    nonzero count, until hi <= lo (1 + 1e-9). The floor is that hi, an
-    upper bound within relative 1e-9; at width 1 this is geometric bisection.
+def _root_estimate(points: list[tuple[float, float]]) -> float:
+    """Zero of the line through two (shift, pivot) points, or of the linear fractional function through three.
+
+    Below the second eigenvalue the pivot has one zero, the floor, and at
+    most one pole, the first eigenvalue without its vertex. A linear
+    fractional function (lambda - r) / (a + b (lambda - r)) has one of
+    each, and is exact when G_vv = 1 / pivot is one pole a / (r - lambda)
+    plus a constant. Its zero comes from Thiele's continued fraction of the
+    shift in the pivot, whose first two inverse differences are the chord
+    slopes below. NaN when two points share a shift or a pivot.
+    """
+    (x0, f0), (x1, f1), *rest = points
+    try:
+        slope = (f1 - f0) / (x1 - x0)
+        if rest:
+            ((x2, f2),) = rest
+            slope -= f1 * ((f2 - f0) / (x2 - x0) - slope) / (f2 - f1)
+        return x0 - f0 / slope
+    except ZeroDivisionError:
+        return np.nan
+
+
+class _FloorSearch:
+    """The bracket lo < floor <= hi, certified by counts, and the pivots seen below the second eigenvalue."""
+
+    def __init__(self, lo: float, hi: float):
+        self.lo, self.hi = lo, hi
+        self.points: list[tuple[float, float]] = []  # (shift, last interior pivot) at counts <= 1
+        self.steps: list[float] = []  # log of each shift next_shift placed
+
+    def update(self, xs: np.ndarray, counts: np.ndarray, pivots: np.ndarray) -> None:
+        # the first shift with a nonzero count closes the bracket, as in bisection
+        i = int(np.argmax(np.append(counts >= 1, True)))
+        if i > 0:
+            self.lo = float(xs[i - 1])
+        if i < xs.shape[0]:
+            self.hi = float(xs[i])
+        # below the second eigenvalue the pivot has the floor as its only zero
+        self.points += [(float(x), float(p)) for x, n, p in zip(xs, counts, pivots) if n <= 1]
+
+    def next_shift(self) -> float:
+        """A shift inside (lo, hi): a margin to one side of the interpolated floor, or the bracket's middle.
+
+        Interpolation runs through the (up to) three points nearest the
+        bracket. As in Brent's method, the search bisects when there is no
+        estimate inside the bracket, or when the estimate moved by more than
+        half the move before last. Otherwise the shift goes a margin below
+        the estimate when that is nearer hi, else a margin above: the side
+        that leaves the narrower bracket if the shift lands there.
+        """
+        a, b = np.log(self.lo), np.log(self.hi)
+        near = sorted(self.points, key=lambda pt: abs(2.0 * np.log(pt[0]) - a - b))[:3]
+        r = _root_estimate(near) if len(near) >= 2 else np.nan
+        s = self.steps
+        if not self.lo < r < self.hi or len(s) >= 3 and abs(np.log(r) - s[-1]) > 0.5 * abs(s[-2] - s[-3]):
+            s.append(0.5 * (a + b))
+        else:
+            lr = np.log(r)
+            s.append(lr - _FLOOR_MARGIN if b - lr < lr - a else lr + _FLOOR_MARGIN)
+        return float(np.exp(s[-1]))
+
+
+def dirichlet_floor(
+    net: ResistanceNetwork, diameter: float, lams: np.ndarray | None = None, counts: np.ndarray | None = None
+) -> float:
+    """Smallest Dirichlet eigenvalue, by safeguarded inverse interpolation on the counting sweep.
+
+    The bracket comes from the network's own Dirichlet curve (``lams``
+    with their ``counts``) when it brackets the floor: the last grid value
+    with count 0 and the first with count >= 1. Otherwise it is
+    [1/diameter, Rayleigh quotient of the interior indicator]: a mass-one
+    network bounds its first Dirichlet eigenvalue below by the inverse of
+    its resistance ``diameter``, and 1 is never an eigenvector, since L 1
+    vanishes on the tip row. That bracket costs a checking sweep of its
+    own. AssertionError is raised unless the two bound the floor
+    consistently: on the curve path, unless (1 - 1e-9)/diameter lies below
+    the grid's upper end and the grid's lower end below the Rayleigh bound;
+    otherwise, unless the checking sweep counts 0 at the lower end and at
+    least 1 at the upper.
+
+    Every sweep counts, so every step keeps the bracket certified, and it
+    returns the pivot of the last interior vertex v (the level-1 midpoint):
+    det(A) / det(A without v) for A = L_D - lambda M_D, which is
+    1 / G_vv(lambda) with G_vv = sum_k phi_k(v)**2 / (lambda_k - lambda).
+    While every other interior pivot is positive, that is strictly
+    decreasing and concave, and its zero is the floor: the interior tree
+    matrix is irreducible, so the Perron vector phi_1 is positive and the
+    first eigenvalue of A without v lies strictly above the floor
+    (interlacing is strict). Past that eigenvalue, while the count is
+    still 1, the pivot has crossed its one pole and carries no other zero.
+    So every shift with count <= 1 feeds the interpolation, a line through
+    two points or a linear fractional function through three, in the
+    spirit of Brent (1973, ch. 4): each sweep counts one shift, a margin to
+    one side of the interpolated zero, and bisection takes over when that
+    stalls. The search stops once hi <= lo (1 + 1e-9) and returns hi, an
+    upper bound within relative 1e-9.
     """
     if net.n_vertices <= 2:
         raise ValueError("problem has no Dirichlet eigenvalues")
-    k = min(net.structure.schedule.block_width, _FLOOR_POINTS)
     cut = (net.structure.ep0 < 2) != (net.structure.ep1 < 2)
-    lo = (1.0 - 1e-9) / diameter
-    hi = float(net.conductance[cut].sum() / net.vertex_mass[2:].sum())
-    n_lo, n_hi = network_counts(net, np.array([lo, hi]))[0]
-    if n_lo != 0 or n_hi < 1:
-        raise AssertionError(f"Dirichlet floor not bracketed by [1/diameter, Rayleigh bound] = [{lo}, {hi}]")
+    bound_lo = (1.0 - 1e-9) / diameter
+    bound_hi = float(net.conductance[cut].sum() / net.vertex_mass[2:].sum())
+    grid = _grid_bracket(lams, counts)
+    if grid is not None:
+        if not (bound_lo < grid[1] and grid[0] < bound_hi):
+            raise AssertionError(
+                f"Dirichlet floor bracket {grid} of the curve misses [1/diameter, Rayleigh bound] = "
+                f"[{bound_lo}, {bound_hi}]: not bracketed"
+            )
+        search = _FloorSearch(*grid)
+    else:
+        ends = np.array([bound_lo, bound_hi])
+        n, _, piv = network_counts(net, ends, pivot=True)
+        if n[0] != 0 or n[1] < 1:
+            raise AssertionError(
+                f"Dirichlet floor not bracketed by [1/diameter, Rayleigh bound] = [{bound_lo}, {bound_hi}]"
+            )
+        search = _FloorSearch(bound_lo, bound_hi)
+        search.update(ends, n, piv)
     for _ in range(200):
-        if hi <= lo * (1.0 + _FLOOR_RTOL):
+        if search.hi <= search.lo * (1.0 + _FLOOR_RTOL):
             break
-        grid = np.geomspace(lo, hi, k + 2)
-        hit = np.append(network_counts(net, grid[1:-1])[0] >= 1, True)  # hi always holds the floor
-        i = int(np.argmax(hit)) + 1
-        lo, hi = float(grid[i - 1]), float(grid[i])
-    return hi
+        xs = np.array([search.next_shift()])
+        nd, _, piv = network_counts(net, xs, pivot=True)
+        search.update(xs, nd, piv)
+    return search.hi
 
 
 # ---------------------------------------------------------------------------

@@ -8,9 +8,10 @@ curves into t**(2/3) tr P_t, which tends to Gamma(5/3) C0.
 package's one-sweep eta, and ``telescoping_identity_gap`` checks the
 embedded telescoping identity with it. ``inertia_counts_per_shift`` sweeps
 one shift at a time, the bit-for-bit reference for the package's
-shift-blocked counting kernel. ``dirichlet_floor_sequential`` bisects one
-arithmetic midpoint per sweep to relative 1e-12, the reference that the
-package's multisection floor must match within its 1e-9 tolerance.
+shift-blocked counting kernel and its last interior pivot.
+``dirichlet_floor_sequential`` bisects one arithmetic midpoint per sweep to
+relative 1e-12, the reference that the package's interpolating floor must
+match within its 1e-9 tolerance.
 """
 
 from __future__ import annotations
@@ -120,17 +121,18 @@ def trace_from_curve(lambdas: np.ndarray, counts: np.ndarray, t: float, n_total:
 
 def inertia_counts_per_shift(
     sched: ContractionSchedule, mass: np.ndarray, conduct: np.ndarray, lams: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(Dirichlet, Neumann, final-round) counts <= lambda, one contraction sweep per shift.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """(Dirichlet, Neumann, final-round) counts <= lambda and the last interior pivot, one sweep per shift.
 
     The reference for the package's shift-blocked ``inertia_counts``, which
-    must return the same three arrays bit for bit.
+    must return the same four arrays bit for bit.
     """
     lams = np.ascontiguousarray(lams, dtype=np.float64)
     b0, b1 = sched.b0, sched.b1
     out_d = np.zeros(lams.shape[0], dtype=np.int64)
     out_n = np.zeros(lams.shape[0], dtype=np.int64)
     out_last = np.zeros(lams.shape[0], dtype=np.int64)
+    out_pivot = np.full(lams.shape[0], np.nan)
     for t, lam in enumerate(lams):
         if lam < 0.0:
             continue
@@ -148,6 +150,8 @@ def inertia_counts_per_shift(
             p = c + h
             p = np.where(p == 0.0, -_ZERO_PIVOT, p)
             last = int((p <= 0.0).sum())
+            if p.shape[0]:
+                out_pivot[t] = p[-1]
             acc[target] += c * h / p
             ga, gb = g[slot_a], g[slot_b]
             h = acc[mid] - lam_eff * mass[mid]
@@ -155,6 +159,8 @@ def inertia_counts_per_shift(
             p = np.where(p == 0.0, -_ZERO_PIVOT, p)
             last += int((p <= 0.0).sum())
             interior += last
+            if p.shape[0]:
+                out_pivot[t] = p[-1]
             np.add.at(acc, a, ga * h / p)
             np.add.at(acc, b, gb * h / p)
             g[fill : fill + ga.shape[0]] = ga * gb / p
@@ -171,7 +177,7 @@ def inertia_counts_per_shift(
         out_d[t] = interior
         out_n[t] = interior + extra
         out_last[t] = last
-    return out_d, out_n, out_last
+    return out_d, out_n, out_last, out_pivot
 
 
 def dirichlet_floor_sequential(net: ResistanceNetwork, diameter: float) -> float:

@@ -36,6 +36,8 @@ def test_config_validation():
     with pytest.raises(ValueError):
         small_config(lambda_points=0)
     with pytest.raises(ValueError):
+        small_config(threads=0)
+    with pytest.raises(ValueError):
         small_config(route="wat")
     with pytest.raises(ValueError):
         small_config(route="excursion", steps=4, leaves=4)

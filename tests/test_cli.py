@@ -78,6 +78,9 @@ def test_usage_error_exit_code(tmp_path, monkeypatch):
         ["renewal", "--replicas", "1", "--depth", "2", "--lambda-hi", "inf", "--out", "x"],
         ["crt-route", "--replicas", "1", "--lambda-hi", "inf", "--out", "x"],
         ["spectrum", "--depth", "2", "--lambda-hi", "inf", "--out", "x"],
+        ["ensemble", "--replicas", "1", "--depth", "2", "--threads", "0", "--out", "x"],
+        ["renewal", "--replicas", "1", "--depth", "2", "--threads", "-3", "--out", "x"],
+        ["crt-route", "--replicas", "1", "--threads", "0", "--out", "x"],
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)

@@ -1,5 +1,6 @@
 """Kernel checks: RNG reference values, the shift-blocked counting sweep
-against one sweep per shift, and the projection against a brute-force oracle.
+against one sweep per shift, its last interior pivot against a dense
+inverse, and the projection against a brute-force oracle.
 
 The counts themselves are checked against the dense solver in test_spectrum.
 """
@@ -7,10 +8,10 @@ The counts themselves are checked against the dense solver in test_spectrum.
 import numpy as np
 import pytest
 
-from crt_spectra import _kernels, excursion, forms
+from crt_spectra import _kernels, excursion, forms, spectrum
 from crt_spectra.cascade import CascadeTree, PerturbationTable
 from crt_spectra.dendrite import structure
-from crt_spectra.spectrum import Pencil
+from crt_spectra.spectrum import Pencil, dense_count_below, dense_matrices
 from conftest import small_network
 from excursion_oracle import lattice_path
 from spectrum_oracle import inertia_counts_per_shift
@@ -106,8 +107,9 @@ def test_blocked_counts_match_one_sweep_per_shift():
         for n in sorted({0, 1, w - 1, w, w + 1}):
             pick = rng.integers(0, values.shape[0], size=n)
             got = _kernels.inertia_counts(sched, mass, conduct, values[pick])
-            for kind, out, want in zip(("dirichlet", "neumann", "final"), got, ref):
-                assert out.dtype == np.int64
+            assert len(got) == len(ref) == 4
+            for kind, out, want in zip(("dirichlet", "neumann", "final", "pivot"), got, ref):
+                assert out.dtype == (np.float64 if kind == "pivot" else np.int64)
                 np.testing.assert_array_equal(out, want[pick], err_msg=f"{name}, {n} shifts, {kind}")
 
 
@@ -120,3 +122,35 @@ def test_block_width_fits_the_budget():
         assert w * column <= _kernels._SHIFT_BLOCK_BYTES or w == 1
         assert (w + 1) * column > _kernels._SHIFT_BLOCK_BYTES
     assert structure(10).schedule.block_width == 1
+
+
+def _last_interior_vertex(sched) -> int:
+    # the final round's last compressed vertex, or its last raked leaf if it compresses none
+    leaf, _, _, mid = sched.rounds[-1][:4]
+    ids = np.arange(sched.n_vertices)
+    return int((ids[mid] if ids[mid].shape[0] else ids[leaf])[-1])
+
+
+@pytest.mark.parametrize("block_bytes", [_kernels._SHIFT_BLOCK_BYTES, 1])
+def test_last_interior_pivot_is_the_schur_complement(monkeypatch, block_bytes):
+    # below the floor and where exactly one eigenvalue lies below the shift (the
+    # dense Sylvester count certifies both), the pivot is 1 / [(L_D - lambda M_D)**-1]_vv;
+    # the dense inverse itself loses about 6e-9 to conditioning at depth 6
+    monkeypatch.setattr(_kernels, "_SHIFT_BLOCK_BYTES", block_bytes)
+    for depth in range(1, 7):
+        debug = forms.assemble(depth, CascadeTree.debug(depth), PerturbationTable.ones(depth))
+        for net in [small_network(depth, seed=seed) for seed in range(3)] + [debug]:
+            v = _last_interior_vertex(net.structure.schedule)
+            assert v == 2  # the level-1 midpoint
+            pen = Pencil.from_network(net, "dirichlet")
+            floor = spectrum.dirichlet_floor(net, forms.diameter(net))
+            grid = floor * np.geomspace(1.0, 100.0, 200)
+            one = grid[spectrum.network_counts(net, grid)[0] == 1]
+            lams = np.array([0.5 * floor, np.sqrt(one[0] * one[-1])])
+            assert [dense_count_below(pen, lam) for lam in lams] == [0, 1]
+            nd, _, pivots = spectrum.network_counts(net, lams, pivot=True)
+            stiff, mass = dense_matrices(pen)
+            j = v - 2  # dense_matrices drops the boundary vertices 0 and 1
+            want = [1.0 / np.linalg.inv(stiff - np.diag(lam * (1.0 + _kernels.NUDGE) * mass))[j, j] for lam in lams]
+            np.testing.assert_allclose(pivots, want, rtol=1e-7, err_msg=f"depth {depth}")
+            assert pivots[0] > 0.0 and nd.tolist() == [0, 1]

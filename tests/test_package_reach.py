@@ -2,7 +2,7 @@
 
 The commands below cover each subcommand and flag at small sizes: both
 dump formats, bracketing, the dense oracle, worker threads, the debug
-cascade, and the renewal and excursion routes. A definition none of them
+cascade, the floor's fallback bracket, and the renewal and excursion routes. A definition none of them
 calls belongs in a test module.
 """
 
@@ -35,6 +35,8 @@ def commands(tmp: Path) -> list[list[str]]:
         ["ensemble", "--replicas", "1", "--depth", "4", "--debug-cascade", "--require-fit", *ens,
          "--out", str(tmp / "dbg")],
         ["renewal", "--replicas", "2", "--depth", "3", "--seed", "0", *ens, "--out", str(tmp / "ren")],
+        # a grid wholly above the Dirichlet floor: the floor brackets itself analytically
+        ["ensemble", "--replicas", "1", "--depth", "3", "--seed", "0", "--lambda-lo", "1e4", "--out", str(tmp / "fb")],
         ["crt-route", "--replicas", "2", "--steps", "512", "--leaves", "20", "--seed", "0", "--threads", "2",
          *ens, "--out", str(tmp / "crt")],
     ]

@@ -245,44 +245,83 @@ def test_dirichlet_floor_diameter_bound():
         spectrum.dirichlet_floor(net, forms.diameter(net))  # raises on violation
 
 
+# the ensemble commands' default lambda grid, whose Dirichlet curve seeds the floor's bracket
+CURVE_GRID = np.geomspace(1.0, 1e8, 97)
+
+
 def test_floor_within_tolerance_of_sequential_bisection(monkeypatch):
     # one-midpoint-per-sweep bisection to relative 1e-12 is the reference; the
-    # multisection stops at relative 1e-9 above the floor, at its natural
-    # widths (7 at depth 8 to 63 at depth 1) and at width 1
+    # search stops at relative 1e-9 above the floor, on both bracket paths (the
+    # network's own curve, and [1/diameter, Rayleigh bound] without one), at the
+    # natural block width and at width 1, which splits the two-shift checking sweep
     cases = []
     for depth in range(1, 9):
         for net in [small_network(depth, seed=seed) for seed in range(10)] + [debug_network(depth)]:
             d = forms.diameter(net)
-            cases.append((net, d, spectrum_oracle.dirichlet_floor_sequential(net, d)))
+            nd = spectrum.network_counts(net, CURVE_GRID)[0]
+            assert nd[0] == 0 and nd[-1] >= 1  # the grid brackets the floor
+            cases.append((net, d, nd, spectrum_oracle.dirichlet_floor_sequential(net, d)))
     for block_bytes in (_kernels._SHIFT_BLOCK_BYTES, 1):
         monkeypatch.setattr(_kernels, "_SHIFT_BLOCK_BYTES", block_bytes)
-        for i, (net, d, ref) in enumerate(cases):
-            assert 0.0 <= spectrum.dirichlet_floor(net, d) / ref - 1.0 <= 1e-9 + 1e-12, (block_bytes, i)
+        for i, (net, d, nd, ref) in enumerate(cases):
+            for curve in ((CURVE_GRID, nd), ()):
+                floor = spectrum.dirichlet_floor(net, d, *curve)
+                assert 0.0 <= floor / ref - 1.0 <= 1e-9 + 1e-12, (block_bytes, i, len(curve))
 
 
-def test_floor_bracket_guard():
-    # a diameter of 0.1 / floor puts the bracket's lower end at ten times the floor
-    net = small_network(4, seed=3)
-    floor = spectrum.dirichlet_floor(net, forms.diameter(net))
-    with pytest.raises(AssertionError, match="not bracketed"):
-        spectrum.dirichlet_floor(net, 0.1 / floor)
-
-
-def test_floor_sweep_budget(monkeypatch):
-    # at depth 10 (width 1) the floor bisects geometrically: one bracket sweep and at most 35 more
-    net = small_network(10, seed=1)
+def _recorded_sweeps(monkeypatch) -> list[int]:
+    """Shifts per spectrum.network_counts call, the floor's only way to count."""
     calls = []
     counts = spectrum.network_counts
 
-    def record(n, lams):
+    def record(net, lams, pivot=False):
         calls.append(len(lams))
-        return counts(n, lams)
+        return counts(net, lams, pivot)
 
     monkeypatch.setattr(spectrum, "network_counts", record)
-    spectrum.dirichlet_floor(net, forms.diameter(net))
-    assert net.structure.schedule.block_width == 1
-    assert calls[0] == 2 and set(calls[1:]) == {1}
-    assert len(calls) <= 36
+    return calls
+
+
+def test_floor_falls_back_when_the_grid_misses_it(monkeypatch):
+    # a grid wholly above or below the floor, or of one point, brackets nothing:
+    # the search then starts with its two-shift sweep of [1/diameter, Rayleigh bound]
+    calls = _recorded_sweeps(monkeypatch)
+    for seed in range(3):
+        net = small_network(5, seed=seed)
+        d = forms.diameter(net)
+        ref = spectrum_oracle.dirichlet_floor_sequential(net, d)
+        for lams in (np.geomspace(2.0 * ref, 1e8, 40), np.geomspace(1e-3, 0.5 * ref, 40), np.array([0.5 * ref])):
+            nd = spectrum.network_counts(net, lams)[0]
+            calls.clear()
+            floor = spectrum.dirichlet_floor(net, d, lams, nd)
+            assert calls[0] == 2 and 0.0 <= floor / ref - 1.0 <= 1e-9 + 1e-12, (seed, lams[0])
+
+
+def test_floor_bracket_guard():
+    # a diameter of 0.1 / floor puts its lower bound at ten times the floor: the
+    # checking sweep finds no bracket, and on the curve path the bound lies above
+    # the grid's upper end, with no sweep at all
+    net = small_network(4, seed=3)
+    d = forms.diameter(net)
+    nd = spectrum.network_counts(net, CURVE_GRID)[0]
+    floor = spectrum.dirichlet_floor(net, d)
+    for curve in ((), (CURVE_GRID, nd)):
+        with pytest.raises(AssertionError, match="not bracketed"):
+            spectrum.dirichlet_floor(net, 0.1 / floor, *curve)
+    # a curve whose count-0 end lies above the Rayleigh bound contradicts it as well
+    with pytest.raises(AssertionError, match="not bracketed"):
+        spectrum.dirichlet_floor(net, d, np.array([1e6, 2e6]), np.array([0, 1]))
+
+
+def test_floor_sweep_budget(monkeypatch):
+    # at depth 10 the curve-seeded search takes single-shift sweeps only, with
+    # no bracket sweep: 5 to 9 of them on seeds 0-11 (9 on seed 7), against 35
+    # for geometric bisection of the analytic bracket
+    net = small_network(10, seed=7)
+    nd = spectrum.network_counts(net, CURVE_GRID)[0]
+    calls = _recorded_sweeps(monkeypatch)
+    spectrum.dirichlet_floor(net, forms.diameter(net), CURVE_GRID, nd)
+    assert set(calls) == {1} and len(calls) <= 12, calls
 
 
 def test_floor_scaling_in_mass():
