@@ -209,16 +209,6 @@ _FLOOR_RTOL = 1e-9  # relative width at which the floor bracket stops
 _FLOOR_MARGIN = _FLOOR_RTOL / 4  # log offset of a shift from the interpolated floor, to land on a chosen side
 
 
-def _grid_bracket(lams: np.ndarray | None, counts: np.ndarray | None) -> tuple[float, float] | None:
-    """[largest grid lambda with Dirichlet count 0, smallest with count >= 1], or None if the grid misses the floor."""
-    if lams is None:
-        return None
-    hit = np.flatnonzero(np.asarray(counts) >= 1)
-    if hit.shape[0] == 0 or hit[0] == 0:
-        return None
-    return float(lams[hit[0] - 1]), float(lams[hit[0]])
-
-
 def _root_estimate(points: list[tuple[float, float]]) -> float:
     """Zero of the line through two (shift, pivot) points, or of the linear fractional function through three.
 
@@ -239,46 +229,6 @@ def _root_estimate(points: list[tuple[float, float]]) -> float:
         return x0 - f0 / slope
     except ZeroDivisionError:
         return np.nan
-
-
-class _FloorSearch:
-    """The bracket lo < floor <= hi, certified by counts, and the pivots seen below the second eigenvalue."""
-
-    def __init__(self, lo: float, hi: float):
-        self.lo, self.hi = lo, hi
-        self.points: list[tuple[float, float]] = []  # (shift, last interior pivot) at counts <= 1
-        self.steps: list[float] = []  # log of each shift next_shift placed
-
-    def update(self, xs: np.ndarray, counts: np.ndarray, pivots: np.ndarray) -> None:
-        # the first shift with a nonzero count closes the bracket, as in bisection
-        i = int(np.argmax(np.append(counts >= 1, True)))
-        if i > 0:
-            self.lo = float(xs[i - 1])
-        if i < xs.shape[0]:
-            self.hi = float(xs[i])
-        # below the second eigenvalue the pivot has the floor as its only zero
-        self.points += [(float(x), float(p)) for x, n, p in zip(xs, counts, pivots) if n <= 1]
-
-    def next_shift(self) -> float:
-        """A shift inside (lo, hi): a margin to one side of the interpolated floor, or the bracket's middle.
-
-        Interpolation runs through the (up to) three points nearest the
-        bracket. As in Brent's method, the search bisects when there is no
-        estimate inside the bracket, or when the estimate moved by more than
-        half the move before last. Otherwise the shift goes a margin below
-        the estimate when that is nearer hi, else a margin above: the side
-        that leaves the narrower bracket if the shift lands there.
-        """
-        a, b = np.log(self.lo), np.log(self.hi)
-        near = sorted(self.points, key=lambda pt: abs(2.0 * np.log(pt[0]) - a - b))[:3]
-        r = _root_estimate(near) if len(near) >= 2 else np.nan
-        s = self.steps
-        if not self.lo < r < self.hi or len(s) >= 3 and abs(np.log(r) - s[-1]) > 0.5 * abs(s[-2] - s[-3]):
-            s.append(0.5 * (a + b))
-        else:
-            lr = np.log(r)
-            s.append(lr - _FLOOR_MARGIN if b - lr < lr - a else lr + _FLOOR_MARGIN)
-        return float(np.exp(s[-1]))
 
 
 def dirichlet_floor(
@@ -314,37 +264,57 @@ def dirichlet_floor(
     spirit of Brent (1973, ch. 4): each sweep counts one shift, a margin to
     one side of the interpolated zero, and bisection takes over when that
     stalls. The search stops once hi <= lo (1 + 1e-9) and returns hi, an
-    upper bound within relative 1e-9.
+    upper bound within relative 1e-9. It raises AssertionError if 200
+    sweeps do not get there: the search did not converge.
     """
     if net.n_vertices <= 2:
         raise ValueError("problem has no Dirichlet eigenvalues")
     cut = (net.structure.ep0 < 2) != (net.structure.ep1 < 2)
     bound_lo = (1.0 - 1e-9) / diameter
     bound_hi = float(net.conductance[cut].sum() / net.vertex_mass[2:].sum())
-    grid = _grid_bracket(lams, counts)
-    if grid is not None:
-        if not (bound_lo < grid[1] and grid[0] < bound_hi):
+    points: list[tuple[float, float]] = []  # (shift, last interior pivot) at counts <= 1
+    steps: list[float] = []  # log of each shift placed inside the bracket
+    hit = np.flatnonzero(np.asarray(counts) >= 1) if lams is not None else []
+    if len(hit) and hit[0] > 0:
+        lo, hi = float(lams[hit[0] - 1]), float(lams[hit[0]])
+        if not (bound_lo < hi and lo < bound_hi):
             raise AssertionError(
-                f"Dirichlet floor bracket {grid} of the curve misses [1/diameter, Rayleigh bound] = "
+                f"Dirichlet floor bracket {(lo, hi)} of the curve misses [1/diameter, Rayleigh bound] = "
                 f"[{bound_lo}, {bound_hi}]: not bracketed"
             )
-        search = _FloorSearch(*grid)
     else:
-        ends = np.array([bound_lo, bound_hi])
-        n, _, piv = network_counts(net, ends, pivot=True)
+        lo, hi = bound_lo, bound_hi
+        n, _, piv = network_counts(net, np.array([lo, hi]), pivot=True)
         if n[0] != 0 or n[1] < 1:
             raise AssertionError(
                 f"Dirichlet floor not bracketed by [1/diameter, Rayleigh bound] = [{bound_lo}, {bound_hi}]"
             )
-        search = _FloorSearch(bound_lo, bound_hi)
-        search.update(ends, n, piv)
-    for _ in range(200):
-        if search.hi <= search.lo * (1.0 + _FLOOR_RTOL):
-            break
-        xs = np.array([search.next_shift()])
-        nd, _, piv = network_counts(net, xs, pivot=True)
-        search.update(xs, nd, piv)
-    return search.hi
+        points = [(x, float(p)) for x, c, p in zip((lo, hi), n, piv) if c <= 1]
+    while hi > lo * (1.0 + _FLOOR_RTOL):
+        if len(steps) == 200:
+            raise AssertionError(f"Dirichlet floor search did not converge in 200 sweeps: [{lo}, {hi}]")
+        # interpolate through the (up to) three points nearest the bracket; as in
+        # Brent's method, bisect when there is no estimate inside it, or when the
+        # estimate moved by more than half the move before last; otherwise shift a
+        # margin below the estimate when that is nearer hi, else a margin above: the
+        # side that leaves the narrower bracket if the shift lands there
+        a, b = np.log(lo), np.log(hi)
+        near = sorted(points, key=lambda pt: abs(2.0 * np.log(pt[0]) - a - b))[:3]
+        r = _root_estimate(near) if len(near) >= 2 else np.nan
+        if not lo < r < hi or len(steps) >= 3 and abs(np.log(r) - steps[-1]) > 0.5 * abs(steps[-2] - steps[-3]):
+            steps.append(0.5 * (a + b))
+        else:
+            lr = np.log(r)
+            steps.append(lr - _FLOOR_MARGIN if b - lr < lr - a else lr + _FLOOR_MARGIN)
+        x = float(np.exp(steps[-1]))
+        n, _, piv = network_counts(net, np.array([x]), pivot=True)
+        if n[0] >= 1:
+            hi = x
+        else:
+            lo = x
+        if n[0] <= 1:  # below the second eigenvalue the pivot has the floor as its only zero
+            points.append((x, float(piv[0])))
+    return hi
 
 
 # ---------------------------------------------------------------------------

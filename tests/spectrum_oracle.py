@@ -1,9 +1,10 @@
 """Spectral functions the tests check the package's counts and identities with.
 
 ``dense_eigenvalues`` is the full dense spectrum of a small, well-scaled
-pencil; ``eigenvalues_up_to`` extracts eigenvalues from the package's
-counts by bisection. The heat-trace functions turn spectra and counting
-curves into t**(2/3) tr P_t, which tends to Gamma(5/3) C0.
+pencil, checked at its bottom by a Sylvester count; ``eigenvalues_up_to``
+extracts eigenvalues from the package's counts by bisection. The
+heat-trace functions turn spectra and counting curves into
+t**(2/3) tr P_t, which tends to Gamma(5/3) C0.
 ``eta_fresh`` counts eta on freshly assembled cells, the reference for the
 package's one-sweep eta, and ``telescoping_identity_gap`` checks the
 embedded telescoping identity with it. ``inertia_counts_per_shift`` sweeps
@@ -23,7 +24,7 @@ from crt_spectra._kernels import _ZERO_PIVOT, NUDGE, ContractionSchedule
 from crt_spectra.asymptotics import EnsembleResult
 from crt_spectra.errors import CapacityError
 from crt_spectra.forms import ResistanceNetwork, subnetwork_fresh
-from crt_spectra.spectrum import Pencil, count_below, dense_matrices, network_counts
+from crt_spectra.spectrum import Pencil, count_below, dense_count_below, dense_matrices, network_counts
 
 
 class TruncationError(Exception):
@@ -35,14 +36,22 @@ def dense_eigenvalues(pencil: Pencil) -> np.ndarray:
 
     The solver errs by about eps times the largest eigenvalue, so the small
     ones are accurate only on well-scaled pencils, such as the uniform
-    cascade's.
+    cascade's. Raises ValueError when it loses the bottom of the spectrum:
+    at x, the midpoint of the two smallest values (the value itself if it
+    is alone) clipped at 0, the number of values <= x must equal the dense
+    Sylvester count, which works on the unscaled L - x M.
     """
     stiff, mass = dense_matrices(pencil)
     if stiff.shape[0] == 0:
         return np.zeros(0)
     s = 1.0 / np.sqrt(mass)
     sym = stiff * s[:, None] * s[None, :]
-    return np.linalg.eigvalsh(sym)
+    eigs = np.linalg.eigvalsh(sym)
+    x = max(0.0, float(eigs[:2].mean()))
+    got, want = int((eigs <= x).sum()), dense_count_below(pencil, x)
+    if got != want:
+        raise ValueError(f"dense spectrum lost its bottom: {got} values <= {x}, where Sylvester's law counts {want}")
+    return eigs
 
 
 def eigenvalues_up_to(pencil: Pencil, lam_max: float, tol: float, cap: int = 200_000) -> np.ndarray:

@@ -93,6 +93,9 @@ def _pencils():
     for name, path in (("gaussian", excursion.sample_excursion(4096, 3)), ("lattice", lattice_path(4096, 5))):
         pen = Pencil.from_tree(excursion.reduced_tree(path, 60, seed=1))
         yield name, pen.schedule, pen.mass, pen.edge_c
+    # a final round that rakes its leaf into a boundary vertex and compresses none
+    pen = Pencil(np.array([0, 0]), np.array([1, 2]), np.array([2.0, 3.0]), np.array([0.3, 0.3, 0.4]), (0, 1))
+    yield "rake-only", pen.schedule, pen.mass, pen.edge_c
 
 
 def test_blocked_counts_match_one_sweep_per_shift():

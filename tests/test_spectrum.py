@@ -324,6 +324,17 @@ def test_floor_sweep_budget(monkeypatch):
     assert set(calls) == {1} and len(calls) <= 12, calls
 
 
+def test_floor_sweep_cap_is_loud(monkeypatch):
+    # a tolerance no bracket can meet: after its two-shift checking sweep the
+    # search runs its 200 single-shift sweeps and raises, rather than return hi
+    monkeypatch.setattr(spectrum, "_FLOOR_RTOL", -1.0)
+    net = small_network(3, seed=1)
+    calls = _recorded_sweeps(monkeypatch)
+    with pytest.raises(AssertionError, match="did not converge"):
+        spectrum.dirichlet_floor(net, forms.diameter(net))
+    assert calls == [2] + [1] * 200
+
+
 def test_floor_scaling_in_mass():
     # L - lambda M is homogeneous: conductances times 4 (or masses divided
     # by 4, which a mass-one network cannot take) multiply the floor by 4
@@ -420,6 +431,16 @@ def test_telescoping_identity_exact():
 
 
 # -- eigenvalue extraction ---------------------------------------------------------------
+
+
+def test_dense_spectrum_raises_when_it_loses_its_bottom():
+    # this random cascade's Dirichlet pencil has its floor at 2.75 and its top
+    # eigenvalue at 1.6e19; the M**-1/2 scaling returns a first eigenvalue of
+    # about -526, and the Sylvester count at the midpoint of the two smallest
+    # values (clipped at 0) finds none where the scaled spectrum has one
+    pen = Pencil.from_network(small_network(6, seed=3), "dirichlet")
+    with pytest.raises(ValueError, match="lost its bottom"):
+        spectrum_oracle.dense_eigenvalues(pen)
 
 
 def test_eigenvalues_level0():
