@@ -6,9 +6,8 @@ is ``w = sqrt(mass)`` and ``l(i)`` is the product of weights along the path
 from the root, so ``sum(l(i)**2) == 1`` on every level. A triple is the
 squared coordinates of a uniform point on the sphere, drawn by the
 Archimedes map from two counter-based uniforms per address
-(``_kernels.dirichlet_half_triples``); both dumps name that stream
-through their format version: ``crt-spectra-cascade-v2`` in JSON, and
-version 2 after the ``CRTC`` magic in binary.
+(``_kernels.dirichlet_half_triples``); run records name that stream
+through ``_kernels.RANDOM_STREAM``, the ``stream`` field of provenance.
 
 Resistance perturbations correct the tail fluctuations of the random
 weights: ``R_i`` is the limit of sums of ``l(ij)/l(i)`` over binary words
@@ -22,10 +21,6 @@ shallower level through the recursion.
 
 from __future__ import annotations
 
-import json
-import struct
-from dataclasses import dataclass
-
 import numpy as np
 
 from ._kernels import derive_key, dirichlet_half_triples, rayleigh_perturbations
@@ -36,31 +31,6 @@ HEIGHT_CONSTANT = float(np.sqrt(8.0 / np.pi))  # normalizes edge resistances
 
 _TAG_TRIPLES = 0x7A31
 _TAG_PERTURB = 0x7A34
-
-_CASCADE_MAGIC = b"CRTC"
-_CASCADE_VERSION = 2  # v1 seeds drew Box-Muller triples
-
-
-@dataclass(frozen=True)
-class Address:
-    """A finite word over {1, 2, 3} addressing a cell of the ternary tree."""
-
-    word: tuple[int, ...] = ()
-
-    def __post_init__(self):
-        if any(d not in (1, 2, 3) for d in self.word):
-            raise ValueError(f"address digits must be in {{1,2,3}}: {self.word}")
-
-    def __str__(self) -> str:
-        return "".join(str(d) for d in self.word)
-
-    @classmethod
-    def from_ordinal(cls, level: int, ordinal: int) -> "Address":
-        digits = []
-        for _ in range(level):
-            digits.append(ordinal % 3 + 1)
-            ordinal //= 3
-        return cls(tuple(reversed(digits)))
 
 
 def level_codes(depth: int) -> list[np.ndarray]:
@@ -138,28 +108,6 @@ class CascadeTree:
             triples.append(self.triples[q][(j - 1) * block : j * block])
         sub = CascadeTree(self.depth - 1, triples, None)
         return sub
-
-    # -- serialization ------------------------------------------------------
-
-    def to_json(self) -> str:
-        entries = {}
-        for q in range(self.depth):
-            for ordinal in range(3**q):
-                addr = Address.from_ordinal(q, ordinal)
-                entries[str(addr)] = [float(x) for x in self.triples[q][ordinal]]
-        doc = {
-            "format": f"crt-spectra-cascade-v{_CASCADE_VERSION}",
-            "master_seed": self.master_seed,
-            "depth": self.depth,
-            "triples": entries,
-        }
-        return json.dumps(doc, sort_keys=True, separators=(",", ":"))
-
-    def to_binary(self) -> bytes:
-        seed = self.master_seed if self.master_seed is not None else 0
-        head = _CASCADE_MAGIC + struct.pack("<IIQ", _CASCADE_VERSION, self.depth, seed & (2**64 - 1))
-        body = b"".join(np.ascontiguousarray(t, dtype="<f8").tobytes() for t in self.triples)
-        return head + body
 
 
 class PerturbationTable:

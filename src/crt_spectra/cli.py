@@ -1,5 +1,8 @@
 """Command-line front end.
 
+Four commands: ``spectrum``, ``ensemble``, ``renewal`` and ``crt-route``.
+Each regenerates its inputs from ``--seed``.
+
 Exit codes: 0 success, 2 usage error (a bad flag value or a flag
 combination that describes no valid run), 3 capacity exceeded, 4
 numerical guard tripped (tail or window failures, oracle or bracketing
@@ -38,9 +41,7 @@ from .asymptotics import (
     write_json,
     write_results,
 )
-from .cascade import CascadeTree
 from .errors import CapacityError, CrtSpectraError, TailError, WindowUnresolved
-from .excursion import sample_excursion
 from .spectrum import Pencil, bracketing_check, dense_count_below, network_counts, network_curves
 
 
@@ -50,30 +51,6 @@ class GuardError(CrtSpectraError):
 
 class UsageError(CrtSpectraError):
     """Flag values that describe no valid run."""
-
-
-def cmd_sample_excursion(args) -> int:
-    if args.steps < 2:
-        raise UsageError("need --steps >= 2")
-    path = sample_excursion(args.steps, args.seed)
-    out = Path(args.out)
-    if args.binary:
-        out.write_bytes(path.to_binary())
-    else:
-        out.write_text(path.to_csv())
-    return 0
-
-
-def cmd_sample_cascade(args) -> int:
-    if args.depth < 0:
-        raise UsageError("need --depth >= 0")
-    casc = CascadeTree.sample(args.depth, args.seed)
-    out = Path(args.out)
-    if args.binary:
-        out.write_bytes(casc.to_binary())
-    else:
-        out.write_text(casc.to_json())
-    return 0
 
 
 def cmd_spectrum(args) -> int:
@@ -179,20 +156,6 @@ def build_parser() -> argparse.ArgumentParser:
     top = argparse.ArgumentParser(prog="crt-spectra", description=__doc__)
     top.add_argument("--version", action="version", version=__version__)
     sub = top.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("sample-excursion", help="write one sampled excursion path")
-    p.add_argument("--steps", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--binary", action="store_true")
-    p.set_defaults(fn=cmd_sample_excursion)
-
-    p = sub.add_parser("sample-cascade", help="write one sampled cascade")
-    p.add_argument("--depth", type=int, required=True)
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--out", required=True)
-    p.add_argument("--binary", action="store_true")
-    p.set_defaults(fn=cmd_sample_cascade)
 
     p = sub.add_parser("spectrum", help="counting curves for one cascade network")
     p.add_argument("--depth", type=int, required=True)

@@ -13,13 +13,9 @@ split lives with the tests, in ``tests/excursion_oracle.py``.
 
 from __future__ import annotations
 
-import struct
-
 import numpy as np
 
 from ._kernels import nearest_vertex
-
-_EXCURSION_MAGIC = b"CRTX"
 
 
 class ExcursionPath:
@@ -35,15 +31,6 @@ class ExcursionPath:
             raise ValueError("excursion must be strictly positive inside (0, 1)")
         self.values = values
         self.n_steps = values.shape[0] - 1
-
-    # -- serialization ------------------------------------------------------
-
-    def to_csv(self) -> str:
-        return "\n".join(format(v, ".17g") for v in self.values) + "\n"
-
-    def to_binary(self) -> bytes:
-        head = _EXCURSION_MAGIC + struct.pack("<I", self.n_steps)
-        return head + np.ascontiguousarray(self.values, dtype="<f8").tobytes()
 
 
 def sample_excursion(n_steps: int, seed) -> ExcursionPath:

@@ -1,10 +1,10 @@
-"""Test oracles for the cascade: dump readers, address ordinals, branching counts, moments.
+"""Test oracles for the cascade: addresses and their ordinals, branching counts, moments.
 
-``cascade_from_json`` and ``cascade_from_binary`` read the dumps of
-``sample-cascade`` back, so the round-trip tests check the writers.
-``cut_set`` and ``branch_count_below`` give the cascade's branching
-structure: first-crossing antichains partition the mass, and the number of
-addresses with -ln l(i) < t grows like exp(2t), the Malthusian exponent.
+``Address`` names a cell of the ternary tree by its word over {1, 2, 3};
+the package indexes cells by level ordinal only. ``cut_set`` and
+``branch_count_below`` give the cascade's branching structure:
+first-crossing antichains partition the mass, and the number of addresses
+with -ln l(i) < t grows like exp(2t), the Malthusian exponent.
 ``beta_half_one_moment`` is the closed-form moment of a Dirichlet(1/2,1/2,1/2)
 component, the reference for the sampled triples. ``truncated_perturbations``
 is the literal binary extension of the cascade, the truncated reference
@@ -13,17 +13,13 @@ for the exact perturbation law and a deterministic table for small tests.
 
 from __future__ import annotations
 
-import json
-import struct
+from dataclasses import dataclass
 
 import numpy as np
 
 from crt_spectra._kernels import derive_key, dirichlet_half_triples
 from crt_spectra.cascade import (
-    _CASCADE_MAGIC,
-    _CASCADE_VERSION,
     _TAG_TRIPLES,
-    Address,
     CascadeTree,
     PerturbationTable,
     _lift_through_cascade,
@@ -31,6 +27,28 @@ from crt_spectra.cascade import (
 )
 from crt_spectra.errors import CapacityError, IncompleteCascade
 from crt_spectra.settings import cell_budget
+
+
+@dataclass(frozen=True)
+class Address:
+    """A finite word over {1, 2, 3} addressing a cell of the ternary tree."""
+
+    word: tuple[int, ...] = ()
+
+    def __post_init__(self):
+        if any(d not in (1, 2, 3) for d in self.word):
+            raise ValueError(f"address digits must be in {{1,2,3}}: {self.word}")
+
+    def __str__(self) -> str:
+        return "".join(str(d) for d in self.word)
+
+    @classmethod
+    def from_ordinal(cls, level: int, ordinal: int) -> "Address":
+        digits = []
+        for _ in range(level):
+            digits.append(ordinal % 3 + 1)
+            ordinal //= 3
+        return cls(tuple(reversed(digits)))
 
 
 def parse_address(text: str) -> Address:
@@ -43,32 +61,6 @@ def ordinal(address: Address) -> int:
     for d in address.word:
         k = 3 * k + (d - 1)
     return k
-
-
-def cascade_from_json(text: str) -> CascadeTree:
-    doc = json.loads(text)
-    depth = doc["depth"]
-    triples = [np.empty((3**q, 3)) for q in range(depth)]
-    for key, row in doc["triples"].items():
-        addr = parse_address(key)
-        triples[len(addr.word)][ordinal(addr)] = row
-    return CascadeTree(depth, triples, doc["master_seed"])
-
-
-def cascade_from_binary(blob: bytes) -> CascadeTree:
-    if blob[:4] != _CASCADE_MAGIC:
-        raise ValueError("not a cascade dump")
-    version, depth, seed = struct.unpack("<IIQ", blob[4:20])
-    if version != _CASCADE_VERSION:
-        raise ValueError(f"cascade dump format v{version}, expected v{_CASCADE_VERSION}")
-    off = 20
-    triples = []
-    for q in range(depth):
-        count = 3**q * 3
-        arr = np.frombuffer(blob[off : off + 8 * count], dtype="<f8").reshape(3**q, 3)
-        triples.append(arr.astype(np.float64))
-        off += 8 * count
-    return CascadeTree(depth, triples, seed)
 
 
 def beta_half_one_moment(s: float) -> float:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from crt_spectra.cascade import Address
+from cascade_oracle import Address
 from crt_spectra.dendrite import structure
 
 

@@ -1,12 +1,11 @@
-"""Test oracles for the excursion route: the three-way split, tree geometry, dump readers.
+"""Test oracles for the excursion route: the three-way split and tree geometry.
 
 The split at the infimum between two times is the paper's random
 self-similarity: it cuts the excursion's tree into three rescaled copies
 whose masses form a Dirichlet(1/2,1/2,1/2) triple, and the tests check that
 law on sampled paths. ``excursion_distance`` is the path pseudo-metric,
 and the tree helpers measure a spanned tree's depths and distances the
-slow way. ``path_from_csv`` and ``path_from_binary`` read the dumps of
-``sample-excursion`` back.
+slow way.
 
 ``spanned_tree`` and ``nearest_vertex`` are the reference builders:
 ``spanned_tree`` inserts each leaf at the deepest meet among all leaves
@@ -17,12 +16,11 @@ The package's builders must return the same arrays, bit for bit.
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from crt_spectra.excursion import _EXCURSION_MAGIC, ExcursionPath, MetricTree
+from crt_spectra.excursion import ExcursionPath, MetricTree
 
 
 class DegenerateSplit(Exception):
@@ -51,20 +49,6 @@ class SplitResult:
     uniforms: tuple[float, float, float]
     masses: MassTriple
     markers: tuple[float, float, float]  # (H, H-, H+)
-
-
-# -- dump readers ---------------------------------------------------------------
-
-
-def path_from_csv(text: str) -> ExcursionPath:
-    return ExcursionPath(np.array([float(line) for line in text.strip().splitlines()]))
-
-
-def path_from_binary(blob: bytes) -> ExcursionPath:
-    if blob[:4] != _EXCURSION_MAGIC:
-        raise ValueError("not an excursion dump")
-    (n,) = struct.unpack("<I", blob[4:8])
-    return ExcursionPath(np.frombuffer(blob[8 : 8 + 8 * (n + 1)], dtype="<f8").astype(np.float64))
 
 
 # -- pseudo-metric and split markers, piecewise-linear in real time ---------------

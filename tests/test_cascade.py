@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from crt_spectra import _kernels, asymptotics, cascade
-from crt_spectra.cascade import Address, CascadeTree
+from crt_spectra.cascade import CascadeTree
 from crt_spectra.errors import CapacityError, IncompleteCascade
 
 import cascade_oracle
-from cascade_oracle import beta_half_one_moment, ordinal, parse_address
+from cascade_oracle import Address, beta_half_one_moment, ordinal, parse_address
 from excursion_oracle import MassTriple
 
 
@@ -88,7 +88,6 @@ def test_cascade_depth_zero():
     casc = CascadeTree.sample(0, seed=1)
     assert casc.triples == []
     assert casc.l_levels()[0][0] == 1.0
-    assert casc.to_json().count('"triples":{}') == 1
 
 
 def test_cascade_cubic_mean():
@@ -375,36 +374,3 @@ def test_nu_gamma_moments():
 
 def test_w_squared_mean():
     assert abs(beta_half_one_moment(1.0) - 1.0 / 3.0) < 1e-9
-
-
-# -- serialization -------------------------------------------------------------
-
-
-def test_cascade_json_roundtrip():
-    casc = CascadeTree.sample(3, seed=21)
-    text = casc.to_json()
-    back = cascade_oracle.cascade_from_json(text)
-    assert back.depth == 3
-    assert back.master_seed == 21
-    for q in range(3):
-        np.testing.assert_allclose(back.triples[q], casc.triples[q], rtol=0, atol=0)
-    assert back.to_json() == text
-
-
-def test_cascade_binary_roundtrip():
-    casc = CascadeTree.sample(4, seed=22)
-    blob = casc.to_binary()
-    back = cascade_oracle.cascade_from_binary(blob)
-    assert back.depth == 4
-    for q in range(4):
-        np.testing.assert_array_equal(back.triples[q], casc.triples[q])
-
-
-def test_cascade_binary_names_its_format():
-    # the header carries the format version after the magic; a reader
-    # meeting any other version refuses the dump rather than misread it
-    blob = CascadeTree.sample(2, seed=23).to_binary()
-    assert blob[:8] == b"CRTC" + (2).to_bytes(4, "little")
-    for version in (1, 3):
-        with pytest.raises(ValueError, match="format"):
-            cascade_oracle.cascade_from_binary(blob[:4] + version.to_bytes(4, "little") + blob[8:])

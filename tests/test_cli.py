@@ -15,46 +15,15 @@ def run(args):
     return cli.main(args)
 
 
-def test_sample_excursion_minimal(tmp_path):
-    out = tmp_path / "e.csv"
-    assert run(["sample-excursion", "--steps", "2", "--seed", "5", "--out", str(out)]) == 0
-    lines = out.read_text().strip().splitlines()
-    assert len(lines) == 3
-    assert float(lines[0]) == 0.0 and float(lines[2]) == 0.0 and float(lines[1]) > 0
-
-
-def test_sample_excursion_deterministic_bytes(tmp_path):
-    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-    run(["sample-excursion", "--steps", "64", "--seed", "9", "--out", str(a)])
-    run(["sample-excursion", "--steps", "64", "--seed", "9", "--out", str(b)])
-    assert a.read_bytes() == b.read_bytes()
-
-
-def test_sample_cascade_depth0(tmp_path):
-    out = tmp_path / "c.json"
-    assert run(["sample-cascade", "--depth", "0", "--seed", "1", "--out", str(out)]) == 0
-    doc = json.loads(out.read_text())
-    assert doc["triples"] == {}
-    assert doc["master_seed"] == 1
-    assert doc["format"] == "crt-spectra-cascade-v2"  # v1 seeds drew Box-Muller triples
-
-
-def test_sample_cascade_binary_roundtrip(tmp_path):
-    from cascade_oracle import cascade_from_binary
-
-    out = tmp_path / "c.bin"
-    run(["sample-cascade", "--depth", "3", "--seed", "7", "--out", str(out), "--binary"])
-    casc = cascade_from_binary(out.read_bytes())
-    assert casc.depth == 3
-
-
 def test_usage_error_exit_code(tmp_path, monkeypatch):
     from crt_spectra import asymptotics
 
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(asymptotics, "build_network", None)  # rejected before any replica is built
     for argv in (
-        ["sample-cascade", "--depth", "not-an-int", "--out", "x"],
+        ["spectrum", "--depth", "not-an-int", "--out", "x"],
+        ["sample-cascade", "--depth", "2", "--out", "x"],  # no such command
+        ["sample-excursion", "--steps", "64", "--out", "x"],
         ["ensemble", "--replicas", "0", "--depth", "3", "--out", "x"],
         ["renewal", "--replicas", "0", "--depth", "3", "--out", "x"],
         ["renewal", "--replicas", "2", "--depth", "0", "--out", "x"],
@@ -68,8 +37,6 @@ def test_usage_error_exit_code(tmp_path, monkeypatch):
         ["spectrum", "--depth", "2", "--lambda-lo", "10", "--lambda-hi", "10", "--out", "x"],
         ["ensemble", "--replicas", "1", "--depth", "-1", "--out", "x"],
         ["spectrum", "--depth", "-1", "--out", "x"],
-        ["sample-cascade", "--depth", "-1", "--out", "x"],
-        ["sample-excursion", "--steps", "1", "--out", "x"],
         ["spectrum", "--depth", "2", "--points", "-1", "--out", "x"],
         ["spectrum", "--depth", "2", "--points", "0", "--out", "x"],
         ["ensemble", "--replicas", "1", "--depth", "2", "--points", "-3", "--out", "x"],
@@ -99,8 +66,10 @@ def test_cli_import_loads_no_scipy():
 
 
 def test_capacity_exit_code(tmp_path, capsys):
-    assert run(["sample-cascade", "--depth", "33", "--seed", "1", "--out", str(tmp_path / "c.json")]) == 3
+    # 3**33 cells: refused before anything is built or written
+    assert run(["spectrum", "--depth", "33", "--seed", "1", "--out", str(tmp_path / "s")]) == 3
     assert "capacity" in capsys.readouterr().err
+    assert not (tmp_path / "s").exists()
 
 
 def test_spectrum_command_curves(tmp_path):
@@ -268,5 +237,15 @@ def test_crt_route_determinism_across_threads(tmp_path):
 
 def test_budget_env_override(tmp_path, monkeypatch):
     monkeypatch.setenv("CRT_SPECTRA_BUDGET", "100")
-    code = run(["sample-cascade", "--depth", "5", "--seed", "1", "--out", str(tmp_path / "c.json")])
+    code = run(["spectrum", "--depth", "5", "--seed", "1", "--out", str(tmp_path / "s")])
     assert code == 3
+
+
+@pytest.mark.parametrize("raw", ["abc", "-5"])
+def test_malformed_budget_is_a_capacity_error(tmp_path, monkeypatch, capsys, raw):
+    monkeypatch.setenv("CRT_SPECTRA_BUDGET", raw)
+    code = run(["ensemble", "--depth", "3", "--replicas", "1", "--out", str(tmp_path / "o")])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert err.startswith("capacity error: ") and "CRT_SPECTRA_BUDGET" in err and repr(raw) in err
+    assert not (tmp_path / "o").exists()

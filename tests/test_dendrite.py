@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 
 from crt_spectra import dendrite
-from crt_spectra.cascade import Address
+
+from cascade_oracle import Address
 from dendrite_oracle import ContractionSystem, DendriteGraph, apply_map, apply_word, project, refine
 
 

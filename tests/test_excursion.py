@@ -262,21 +262,7 @@ def test_reduced_tree_rejects_bad_k():
         excursion.reduced_tree(p, 64, seed=1)
 
 
-# -- serialization ------------------------------------------------------------------
-
-
-def test_csv_roundtrip():
-    p = excursion.sample_excursion(128, 9)
-    back = excursion_oracle.path_from_csv(p.to_csv())
-    np.testing.assert_array_equal(back.values, p.values)
-
-
-def test_binary_roundtrip():
-    p = excursion.sample_excursion(256, 10)
-    blob = p.to_binary()
-    assert blob[:4] == b"CRTX"
-    back = excursion_oracle.path_from_binary(blob)
-    np.testing.assert_array_equal(back.values, p.values)
+# -- validation ---------------------------------------------------------------------
 
 
 def test_path_validation():

@@ -1,9 +1,9 @@
 """Every function and method in the package is reached by a command.
 
-The commands below cover each subcommand and flag at small sizes: both
-dump formats, bracketing, the dense oracle, worker threads, the debug
-cascade, the floor's fallback bracket, and the renewal and excursion routes. A definition none of them
-calls belongs in a test module.
+The commands below cover each subcommand and flag at small sizes:
+bracketing, the dense oracle, worker threads, the debug cascade, the
+floor's fallback bracket, and the renewal and excursion routes. A
+definition none of them calls belongs in a test module.
 """
 
 import ast
@@ -22,10 +22,6 @@ PROBE_ONLY = {("spectrum.py", "block_counts"), ("spectrum.py", "count_below")}
 def commands(tmp: Path) -> list[list[str]]:
     ens = ["--lambda-lo", "0.5", "--lambda-hi", "1e5", "--points", "17"]
     return [
-        ["sample-excursion", "--steps", "64", "--seed", "1", "--out", str(tmp / "e.csv")],
-        ["sample-excursion", "--steps", "64", "--seed", "1", "--binary", "--out", str(tmp / "e.bin")],
-        ["sample-cascade", "--depth", "2", "--seed", "1", "--out", str(tmp / "c.json")],
-        ["sample-cascade", "--depth", "2", "--seed", "1", "--binary", "--out", str(tmp / "c.bin")],
         ["spectrum", "--depth", "2", "--seed", "1", "--points", "9", "--check-bracketing",
          "--out", str(tmp / "spec")],
         # the dense oracle and two worker threads
