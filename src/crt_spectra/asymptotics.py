@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -42,8 +43,16 @@ _BOOT_RESAMPLES = 1000
 _MIN_COUNT = 6.0  # mean count at the window's lower end
 _TAIL_TOL = 1e-3  # largest u allowed at the renewal window's edges
 _CEILING_DEFICIT = 0.03  # unresolved spectral-mass fraction at the window top
-_T_LO = -3.0  # lower end of the renewal t grid; the upper end is ln(lambda_hi)
+_T_LO = -3.0  # lower end of the renewal t grid
+# upper end of the renewal t grid: there u <= 2 exp(-2t/3) = 9.3e-6, far below _TAIL_TOL
+_T_HI = float(np.log(1e8))
 _T_POINTS = 241
+
+# default (lambda_hi, lambda_points) of each route, 12 points a decade from 1.
+# A self-similar fit ends at the median resolution ceiling, 1.9e3-5.3e3 at
+# depths 11-13, so shifts above 1e5 fed only curves.csv rows; the crt
+# route's ceiling grows with the leaf count (4.5e6 at 10**5 leaves).
+ROUTE_GRIDS = {"selfsimilar": (1e5, 61), "excursion": (1e8, 97)}
 
 # perfbench/layers.py probes this name as well as perturbations (span cascade.perturb)
 perturbations_pooled = perturbations
@@ -57,8 +66,8 @@ class EnsembleConfig:
     depth: int
     master_seed: int
     lambda_lo: float = 1.0
-    lambda_hi: float = 1e8
-    lambda_points: int = 97
+    lambda_hi: float | None = None  # None: the route's default in ROUTE_GRIDS
+    lambda_points: int | None = None  # None: the route's default in ROUTE_GRIDS
     route: str = "selfsimilar"
     threads: int = 1
     steps: int = 2**14  # excursion route: grid resolution
@@ -66,6 +75,11 @@ class EnsembleConfig:
     debug_cascade: bool = False
 
     def __post_init__(self):
+        if self.route not in ROUTE_GRIDS:
+            raise ValueError("route must be 'selfsimilar' or 'excursion'")
+        for name, default in zip(("lambda_hi", "lambda_points"), ROUTE_GRIDS[self.route]):
+            if getattr(self, name) is None:
+                object.__setattr__(self, name, default)
         if self.replicas < 1:
             raise ValueError("need at least one replica")
         if self.depth < 0:
@@ -76,8 +90,6 @@ class EnsembleConfig:
             raise ValueError("the lambda grid needs at least one point")
         if self.threads < 1:
             raise ValueError("need at least one thread")
-        if self.route not in ("selfsimilar", "excursion"):
-            raise ValueError("route must be 'selfsimilar' or 'excursion'")
         if self.route == "excursion" and not 1 <= self.leaves <= self.steps - 1:
             raise ValueError("the excursion route needs 1 <= leaves <= steps - 1")
 
@@ -204,10 +216,14 @@ def run_ensemble(config: EnsembleConfig, ts: np.ndarray | None = None, check=Non
     """
     if ts is not None and config.route != "selfsimilar":
         raise ValueError("eta needs the self-similar route")
-    if config.route == "selfsimilar" and 3**config.depth * config.replicas > cell_budget():
-        raise CapacityError(
-            f"3**{config.depth} cells x {config.replicas} replicas exceeds budget {cell_budget()}"
-        )
+    # a self-similar replica holds 3**depth cells, an excursion replica its grid of steps
+    if config.route == "selfsimilar":
+        cells, per_replica = 3**config.depth, f"3**{config.depth} cells"
+    else:
+        cells, per_replica = config.steps, f"{config.steps} steps"
+    budget = cell_budget()
+    if cells * config.replicas > budget:
+        raise CapacityError(f"{per_replica} x {config.replicas} replicas exceeds budget {budget}")
 
     def work(r: int):
         if config.route == "selfsimilar":
@@ -239,8 +255,10 @@ def auto_window(result: EnsembleResult):
     effect; the upper end is the median per-replica resolution
     ceiling, the lambda at which an estimated ``_CEILING_DEFICIT`` fraction
     of spectral mass sits in cells whose internal modes the lumped model
-    cannot represent. Raises WindowUnresolved when the window collapses,
-    naming the ceiling when it lies below the lower end.
+    cannot represent. When that ceiling lies above the grid, the grid's end
+    sets the upper end instead, with a warning on stderr. Raises
+    WindowUnresolved when the window collapses, naming the ceiling when it
+    lies below the lower end.
     """
     lams = result.lambdas
     mid = result.mean_curve("midpoint")
@@ -250,6 +268,10 @@ def auto_window(result: EnsembleResult):
     lo = float(lams[above[0]])
     hi = float(np.median(result.resolutions))
     if hi > lams[-1]:
+        print(
+            f"warning: resolution ceiling {hi} lies above the grid end {lams[-1]}, which sets window_hi",
+            file=sys.stderr,
+        )
         hi = float(lams[-1])
     if hi < lo:
         raise WindowUnresolved(
@@ -333,11 +355,11 @@ def estimate_renewal_constant(config: EnsembleConfig) -> tuple[EnsembleResult, R
     them as :func:`fit_scaling` does gives its standard error. The mean
     integrand u(t) = exp(-2t/3) E eta(t) vanishes for t below
     -ln(diameter) (exact zeros) and decays like exp(-2t/3) above, since
-    eta is bounded by 2. The grid runs from t = -3 up to the discretization
-    ceiling ln(lambda_hi) in 241 points. Raises TailError when u has not
-    decayed at the window edges.
+    eta is bounded by 2. The grid runs from t = -3 to t = ln(1e8) in 241
+    points, whatever the lambda grid of the counting curves. Raises
+    TailError when u has not decayed at the window edges.
     """
-    ts = np.linspace(_T_LO, float(np.log(config.lambda_hi)), _T_POINTS)
+    ts = np.linspace(_T_LO, _T_HI, _T_POINTS)
     result = run_ensemble(config, ts)
     u = np.exp(-GAMMA_EXPONENT * ts) * result.eta.mean(axis=0)
     if u[0] > _TAIL_TOL or u[-1] > _TAIL_TOL:

@@ -3,6 +3,13 @@
 Four commands: ``spectrum``, ``ensemble``, ``renewal`` and ``crt-route``.
 Each regenerates its inputs from ``--seed``.
 
+Default lambda grids, 12 points a decade (``--lambda-lo``, ``--lambda-hi``
+and ``--points`` override them): ``spectrum`` 49 points on [1, 1e6];
+``ensemble`` and ``renewal`` 61 points on [1, 1e5], above the resolution
+ceilings where their fits end; ``crt-route`` 97 points on [1, 1e8], since
+its ceiling grows with ``--leaves``. The ``renewal`` t grid spans
+[-3, ln 1e8] whatever the lambda grid.
+
 Exit codes: 0 success, 2 usage error (a bad flag value or a flag
 combination that describes no valid run), 3 capacity exceeded, 4
 numerical guard tripped (tail or window failures, oracle or bracketing
@@ -32,6 +39,7 @@ import numpy as np
 
 from . import __version__
 from .asymptotics import (
+    ROUTE_GRIDS,
     EnsembleConfig,
     ScalingFit,
     estimate_renewal_constant,
@@ -168,30 +176,32 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_spectrum)
 
-    def ensemble_args(p, with_depth=True):
+    def ensemble_args(p, route):
         p.add_argument("--replicas", type=int, required=True)
-        if with_depth:
+        if route == "selfsimilar":
             p.add_argument("--depth", type=int, required=True)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--lambda-lo", type=float, default=_DEFAULTS["lambda_lo"])
-        p.add_argument("--lambda-hi", type=float, default=_DEFAULTS["lambda_hi"])
-        p.add_argument("--points", type=int, default=_DEFAULTS["lambda_points"])
+        # the config fills in the route's own grid top and point count
+        hi, points = ROUTE_GRIDS[route]
+        p.add_argument("--lambda-hi", type=float, default=_DEFAULTS["lambda_hi"], help=f"default {hi:g}")
+        p.add_argument("--points", type=int, default=_DEFAULTS["lambda_points"], help=f"default {points}")
         p.add_argument("--threads", type=int, default=_DEFAULTS["threads"])
         p.add_argument("--out", required=True)
 
     p = sub.add_parser("ensemble", help="replica ensemble of cascade networks")
-    ensemble_args(p)
+    ensemble_args(p, "selfsimilar")
     p.add_argument("--oracle", action="store_true", help="validate counts against the dense solver")
     p.add_argument("--debug-cascade", action="store_true")
     p.add_argument("--require-fit", action="store_true")
     p.set_defaults(fn=cmd_ensemble)
 
     p = sub.add_parser("renewal", help="renewal-route estimate of the counting constant")
-    ensemble_args(p)
+    ensemble_args(p, "selfsimilar")
     p.set_defaults(fn=cmd_renewal)
 
     p = sub.add_parser("crt-route", help="counting curves from excursion-sampled trees")
-    ensemble_args(p, with_depth=False)
+    ensemble_args(p, "excursion")
     p.add_argument("--steps", type=int, default=_DEFAULTS["steps"])
     p.add_argument("--leaves", type=int, default=_DEFAULTS["leaves"])
     p.set_defaults(fn=cmd_crt_route, depth=0)  # the excursion route has no cascade depth

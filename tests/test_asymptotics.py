@@ -45,6 +45,26 @@ def test_config_validation():
     assert (np.diff(grid) > 0).all()
 
 
+def test_default_grid_per_route():
+    # the self-similar default is the old [1, 1e8] grid cut at 1e5, bit for bit
+    selfsimilar = EnsembleConfig(replicas=1, depth=2, master_seed=0)
+    np.testing.assert_array_equal(selfsimilar.lambda_grid, np.geomspace(1, 1e8, 97)[:61])
+    excursion = EnsembleConfig(replicas=1, depth=0, master_seed=0, route="excursion")
+    np.testing.assert_array_equal(excursion.lambda_grid, np.geomspace(1, 1e8, 97))
+    assert selfsimilar.as_dict()["lambda_hi"] == 1e5 and excursion.as_dict()["lambda_points"] == 97
+    # an override keeps the route's default for the other end
+    assert EnsembleConfig(replicas=1, depth=2, master_seed=0, lambda_points=7).lambda_hi == 1e5
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_cut_grid_keeps_counts_and_ceilings(seed):
+    new = run_ensemble(EnsembleConfig(replicas=4, depth=8, master_seed=seed))
+    old = run_ensemble(EnsembleConfig(replicas=4, depth=8, master_seed=seed, lambda_hi=1e8, lambda_points=97))
+    np.testing.assert_array_equal(new.resolutions, old.resolutions)
+    np.testing.assert_array_equal(new.dirichlet, old.dirichlet[:, :61])
+    np.testing.assert_array_equal(new.neumann, old.neumann[:, :61])
+
+
 def test_config_hash_covers_results_not_threads(monkeypatch):
     def h(**kw):
         return asymptotics.provenance(small_config(**kw).as_dict())["config_hash"]
@@ -120,6 +140,20 @@ def test_auto_window_names_why_it_collapses():
         asymptotics.auto_window(narrow)
 
 
+def test_auto_window_warns_when_the_grid_end_sets_window_hi(capsys):
+    cfg = small_config(replicas=3)
+    lams = cfg.lambda_grid
+    counts = np.maximum((0.37 * lams ** (2.0 / 3.0)).astype(np.int64), 0)[None, :].repeat(3, 0)
+    inside = asymptotics.EnsembleResult(cfg, lams, counts, counts, np.full(3, 1e5), 10**6)
+    assert asymptotics.auto_window(inside)[1] == 1e5
+    assert capsys.readouterr().err == ""
+    beyond = asymptotics.EnsembleResult(cfg, lams, counts, counts, np.full(3, 1e7), 10**6)
+    assert asymptotics.auto_window(beyond)[1] == lams[-1]
+    err = capsys.readouterr().err
+    assert err.startswith("warning: resolution ceiling 10000000.0 lies above the grid end")
+    assert err.count("\n") == 1 and "window_hi" in err
+
+
 def test_debug_cascade_smoke_slope():
     # deterministic masses are the lattice case: the counting function
     # triples every factor 3*sqrt(3) in lambda, with a periodic factor that
@@ -169,9 +203,10 @@ def test_renewal_error_bar_from_replica_integrals():
     assert single.m_infinity_stderr == 0.0 and single.replica_integral.shape == (1,)
 
 
-def test_renewal_tail_guard():
-    # a grid that ends at lambda_hi = 1e3 cuts u off before it decays (u[-1] = 0.015)
-    cfg = small_config(replicas=2, depth=4, lambda_hi=1e3)
+def test_renewal_tail_guard(monkeypatch):
+    # a t grid that ends at ln(1e3) cuts u off before it decays (u[-1] = 0.015)
+    monkeypatch.setattr(asymptotics, "_T_HI", float(np.log(1e3)))
+    cfg = small_config(replicas=2, depth=4)
     with pytest.raises(TailError):
         asymptotics.estimate_renewal_constant(cfg)
 

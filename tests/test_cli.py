@@ -241,6 +241,17 @@ def test_budget_env_override(tmp_path, monkeypatch):
     assert code == 3
 
 
+def test_crt_route_budget(tmp_path, monkeypatch, capsys):
+    # an excursion replica holds --steps grid values; the budget counts them over the replicas
+    argv = ["crt-route", "--steps", "4096", "--leaves", "200", "--replicas", "1"]
+    monkeypatch.setenv("CRT_SPECTRA_BUDGET", "100")
+    assert run(argv + ["--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err.startswith("capacity error: 4096 steps x 1 replicas exceeds budget 100")
+    assert not (tmp_path / "o").exists()
+    monkeypatch.setenv("CRT_SPECTRA_BUDGET", "4096")
+    assert run(argv + ["--out", str(tmp_path / "p")]) == 0
+
+
 @pytest.mark.parametrize("raw", ["abc", "-5"])
 def test_malformed_budget_is_a_capacity_error(tmp_path, monkeypatch, capsys, raw):
     monkeypatch.setenv("CRT_SPECTRA_BUDGET", raw)
