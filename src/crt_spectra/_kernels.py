@@ -431,28 +431,53 @@ def inertia_counts(
 # at height 0, closes the last gap at the root. The hang point lies on the
 # edge from a, the highest ancestor of that vertex with depth >= h, to its
 # parent, so one of the two is the nearest vertex. Per-gap running minima
-# take one pass over the path, and vectorised binary lifting over a table of
-# 2^j-th ancestors finds every a at once. With H the tree's height in edges
-# (about sqrt(V) on excursion trees) that takes O((n + V) log H) time in
-# log2(H) numpy passes, and O(n + V log H) memory: no O(n log n)
-# range-minimum table.
+# come from segmented doubling, about log2(longest gap) passes over the
+# path, and vectorised binary lifting over a table of 2^j-th ancestors finds
+# every a at once. With H the tree's height in edges (about sqrt(V) on
+# excursion trees) and G the longest gap, that takes O(n log G + V log H)
+# time in log2(G) + log2(H) numpy passes, and O(n + V log H) memory: no
+# O(n log n) range-minimum table.
 # ---------------------------------------------------------------------------
 
 
 def _gap_minima(values: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Running minima of ``values`` within each gap [lo[g], lo[g + 1]].
 
-    The last gap ends at the end of the path. Forward minima start at the
-    gap's left end, backward minima at its right end; a gap's right end
-    belongs to the next gap, which overwrites it.
+    ``lo`` increases from 0, and the last gap ends at the end of the path.
+    Forward minima start at the gap's left end, backward minima at its
+    right end; a gap's right end belongs to the next gap, which overwrites
+    it. So position i of gap g gets min values[lo[g]..i] and
+    min values[i..lo[g + 1]].
+
+    Segmented doubling: after the pass of stride d each position holds the
+    minimum over up to 2d positions of its own gap, so ceil(log2(longest
+    gap)) passes finish. ``min`` is exact, so both arrays equal a per-gap
+    scan bit for bit.
     """
-    pre = np.empty_like(values)
-    suf = np.empty_like(values)
-    ends = lo[1:].tolist() + [values.shape[0] - 1]
-    for a, b in zip(lo.tolist(), ends):
-        seg = values[a : b + 1]
-        np.minimum.accumulate(seg, out=pre[a : b + 1])
-        np.minimum.accumulate(seg[::-1], out=suf[a : b + 1][::-1])
+    n = values.shape[0]
+    itype = np.int32 if n < 2**31 else np.int64
+    lens = np.diff(np.append(lo, n)).astype(itype)
+    off = np.arange(n, dtype=itype)  # position within the gap
+    off -= np.repeat(lo.astype(itype), lens)
+    pre = values.copy()
+    suf = values.copy()
+    last = lo[1:] - 1  # seeding a gap's last position with its right end covers every backward minimum
+    suf[last] = np.minimum(values[last], values[lo[1:]])
+    buf = np.empty_like(values)
+    ok = np.empty(n, dtype=bool)
+    span, d = int(lens.max()), 1
+    while d < span:
+        np.greater_equal(off[d:], d, out=ok[d:])  # i - d lies in i's gap
+        buf[d:] = pre[:-d]
+        np.minimum(pre[d:], buf[d:], out=pre[d:], where=ok[d:])
+        d *= 2
+    np.subtract(np.repeat(lens - 1, lens), off, out=off)  # positions left in the gap
+    d = 1
+    while d < span:
+        np.greater_equal(off[:-d], d, out=ok[:-d])  # i + d lies in i's gap
+        buf[:-d] = suf[d:]
+        np.minimum(suf[:-d], buf[:-d], out=suf[:-d], where=ok[:-d])
+        d *= 2
     return pre, suf
 
 

@@ -166,6 +166,22 @@ def _weighted_quantile(x: np.ndarray, w: np.ndarray, q: float) -> float:
     return float(x[order[min(i, x.shape[0] - 1)]])
 
 
+def _median(x: np.ndarray) -> float:
+    """``np.median`` of a nonempty 1-d float array, bit for bit, by sorting.
+
+    A NaN sorts last and is the median, as in ``np.median``. Otherwise the
+    middle one or two values are summed from 0.0, as its mean does, which
+    also makes a zero median +0.0 whichever zeros sit in the middle.
+    ``np.median`` itself imports ``numpy.ma`` on its first call, about
+    10 ms of every command.
+    """
+    s = np.sort(x)
+    h = s.shape[0] // 2
+    if np.isnan(s[-1]):
+        return float(s[-1])
+    return float(0.0 + s[h]) if s.shape[0] % 2 else float((0.0 + s[h - 1] + s[h]) / 2)
+
+
 def _selfsimilar_replica(config: EnsembleConfig, r: int, ts: np.ndarray | None, check):
     from .forms import diameter as net_diameter
 
@@ -266,7 +282,7 @@ def auto_window(result: EnsembleResult):
     if above.size == 0:
         raise WindowUnresolved(f"mean count never reaches {_MIN_COUNT}")
     lo = float(lams[above[0]])
-    hi = float(np.median(result.resolutions))
+    hi = _median(result.resolutions)
     if hi > lams[-1]:
         print(
             f"warning: resolution ceiling {hi} lies above the grid end {lams[-1]}, which sets window_hi",

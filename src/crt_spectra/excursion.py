@@ -103,70 +103,121 @@ def reduced_tree(f: ExcursionPath, k: int, seed) -> MetricTree:
     return spanned_tree(f, leaf_idx)
 
 
-def _insertion_neighbours(times: list[int]) -> tuple[list[int], list[int]]:
-    """Per leaf j, the latest-time and earliest-time leaves among 0..j-1 around it.
+def _insertion_neighbours(order: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Per leaf j, the time-order positions of its neighbours among leaves 0..j-1.
 
-    Returns (before, after) as leaf indices, -1 where there is none; ties
-    in time sort by index. Found offline in O(k log k): sort once, then
-    unlink the leaves from a doubly linked list in reverse insertion order.
+    ``order`` lists the leaves in time order, ties by index. Returns
+    (before, after), -1 and k where there is none: the nearest positions on
+    either side of j's that hold a smaller leaf index. Both come from
+    descending a sparse table of range minima over ``order``, widest window
+    first, in about 3 log2(k) vectorised passes.
     """
-    k = len(times)
-    order = [-1] + np.argsort(np.asarray(times, dtype=np.int64), kind="stable").tolist() + [-1]
-    pos = [0] * k
-    for p in range(1, k + 1):
-        pos[order[p]] = p
-    prev, nxt = list(range(-1, k + 1)), list(range(1, k + 3))
-    before, after = [-1] * k, [-1] * k
-    for j in range(k - 1, -1, -1):
-        p = pos[j]
-        lo, hi = prev[p], nxt[p]
-        before[j], after[j] = order[lo], order[hi]
-        nxt[lo], prev[hi] = hi, lo
+    k = order.shape[0]
+    rows, w = [order], 1  # row r: min of order[i .. i + 2^r - 1]
+    while 2 * w <= k:
+        rows.append(np.minimum(rows[-1][:-w], rows[-1][w:]))
+        w *= 2
+    lo, hi = np.arange(k), np.arange(1, k + 1)  # the run lo..hi - 1 around p holds no index below order[p]
+    for r in range(len(rows) - 1, -1, -1):
+        w, row = 1 << r, rows[r]
+        ok = (lo >= w) & (row[np.maximum(lo - w, 0)] > order)
+        lo = np.where(ok, lo - w, lo)
+        ok = (hi <= k - w) & (row[np.minimum(hi, k - w)] > order)
+        hi = np.where(ok, hi + w, hi)
+    before, after = np.empty_like(lo), np.empty_like(hi)
+    before[order], after[order] = lo - 1, hi
     return before, after
 
 
-def spanned_tree(f: ExcursionPath, leaf_idx: np.ndarray) -> MetricTree:
-    """Tree spanned by the root and the given interior grid times.
+def _segment_minima(values: np.ndarray, st: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(min, first argmin) of ``values`` over [st[p], st[p + 1]] for sorted times ``st``.
 
-    Leaves insert one at a time, in the given order, at the deepest meet
-    with the leaves inserted before them; the meet depth of two times is
-    the minimum of the path between them. Range minima only shrink as the
-    range grows, so that meet is attained at a time-adjacent inserted leaf,
-    and each leaf takes two slice minima, to its neighbours in time; equal
-    meets on both sides go to the earlier-inserted leaf. A new branch
-    vertex takes the first argmin between the leaf and its target as its
-    grid time, so a vertex's depth is ``values[time_idx]``. Vertex masses
-    count the grid times whose nearest tree vertex, in the path
-    pseudo-metric, is that vertex (``nearest_vertex``).
-
-    Cost: O(k log k) to find the neighbours, about n ln k element
-    operations of slice minima for random leaf order, the walks up each
-    target's root path, and O(n + k) memory; the projection adds its own.
+    A zero-length segment (a repeated time) has that time as its argmin.
     """
-    values = f.values
-    leaf_idx = [int(t) for t in leaf_idx]
-    before, after = _insertion_neighbours(leaf_idx)
-    parent = [-1]
-    edge_len = [0.0]
-    time_idx = [0]
-    depth = [0.0]
-    entry: list[int] = []  # the vertex each inserted leaf landed on
+    lens = np.diff(st)
+    m = np.minimum.reduceat(values[: st[-1] + 1], st[:-1])  # right ends excluded, but the last's
+    np.minimum(m, values[st[1:]], out=m)
+    # the first grid time of each segment attaining its minimum, right end excluded
+    hit = np.flatnonzero(values[st[0] : st[-1]] == np.repeat(m, lens)) + st[0]
+    seg = np.searchsorted(st[:-1], hit, side="right") - 1
+    first = np.ones(hit.shape[0], dtype=bool)
+    first[1:] = seg[1:] != seg[:-1]
+    arg = np.full(m.shape[0], -1, dtype=np.int64)
+    arg[seg[first]] = hit[first]
+    return m, np.where(arg < 0, st[1:], arg)  # no hit: the right end, or the repeated time
 
-    for j, ti in enumerate(leaf_idx):
-        fi = values[ti]
-        if j == 0:
-            parent.append(0)
-            edge_len.append(fi)
-            time_idx.append(ti)
-            depth.append(fi)
-            entry.append(1)
-            continue
-        lj, rj = before[j], after[j]
-        ml = values[leaf_idx[lj] : ti + 1].min() if lj >= 0 else -np.inf
-        mr = values[ti : leaf_idx[rj] + 1].min() if rj >= 0 else -np.inf
-        near = lj if ml > mr or (ml == mr and lj < rj) else rj
-        dstar = float(max(ml, mr))
-        target = entry[near]
+
+def _min_table(m: np.ndarray, arg: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Sparse table: row r holds (min, first argmin) over entries i..i + 2^r - 1.
+
+    Ties go to the left window, whose argmin is the earlier time.
+    """
+    k = m.shape[0]
+    rows = k.bit_length()
+    tm = np.empty((rows, k))
+    ta = np.empty((rows, k), dtype=np.int32 if arg[-1] < 2**31 else np.int64)  # args increase
+    tm[0], ta[0] = m, arg
+    for r in range(1, rows):
+        w = 1 << (r - 1)
+        lm, rm = tm[r - 1, : k - w], tm[r - 1, w:]
+        right = rm < lm
+        np.copyto(tm[r, : k - w], np.where(right, rm, lm))
+        np.copyto(ta[r, : k - w], np.where(right, ta[r - 1, w:], ta[r - 1, : k - w]))
+    return tm, ta
+
+
+def _range_min(tm: np.ndarray, ta: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(min, first argmin) over table entries a..b inclusive, per query."""
+    r = np.frexp((b - a + 1).astype(np.float64))[1] - 1  # floor(log2(length)), exactly
+    c = b + 1 - (1 << r)
+    lm, rm = tm[r, a], tm[r, c]
+    right = rm < lm
+    return np.where(right, rm, lm), np.where(right, ta[r, c], ta[r, a])
+
+
+def _nearest_meets(values: np.ndarray, times: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per leaf j >= 1: the leaf it meets deepest among 0..j-1, that depth, and its first argmin time.
+
+    Range minima only shrink as the range grows, so the deepest meet is
+    attained at one of the two time-adjacent inserted leaves; equal meets
+    on both sides go to the earlier-inserted leaf. Each side's range is a
+    run of consecutive segments between time-sorted leaves, which a sparse
+    table over the segments' minima answers.
+    """
+    k = times.shape[0]
+    order = np.argsort(times, kind="stable")
+    st = times[order]
+    pos = np.empty(k, dtype=np.int64)
+    pos[order] = np.arange(k)
+    before, after = _insertion_neighbours(order)
+    tm, ta = _min_table(*_segment_minima(values, st))
+    lp, p, rp = before[1:], pos[1:], after[1:]
+    ml, al = np.full(k - 1, -np.inf), np.zeros(k - 1, dtype=np.int64)
+    mr, ar = ml.copy(), al.copy()
+    has = lp >= 0
+    ml[has], al[has] = _range_min(tm, ta, lp[has], p[has] - 1)
+    has = rp < k
+    mr[has], ar[has] = _range_min(tm, ta, p[has], rp[has] - 1)
+    leaf = np.append(order, -1)  # position -1 or k: no leaf
+    lj, rj = leaf[lp], leaf[rp]
+    left = (ml > mr) | ((ml == mr) & (lj < rj))
+    return np.where(left, lj, rj), np.maximum(ml, mr), np.where(left, al, ar)
+
+
+def _insert_leaves(values: np.ndarray, times: np.ndarray) -> tuple[list, list, list]:
+    """Parent links, edge lengths and grid times of the vertices, leaves inserted in order.
+
+    Returning drops the per-leaf lists before the projection allocates its
+    per-step arrays.
+    """
+    leaf_t, leaf_f = times.tolist(), values[times].tolist()
+    parent, edge_len, time_idx, depth = [-1, 0], [0.0, leaf_f[0]], [0, leaf_t[0]], [0.0, leaf_f[0]]
+    entry = [1]  # the vertex each inserted leaf landed on; the first hangs off the root
+    rows = ()
+    if len(leaf_t) > 1:
+        rows = zip(leaf_t[1:], leaf_f[1:], *(x.tolist() for x in _nearest_meets(values, times)))
+    for ti, fi, nj, dstar, rep in rows:
+        target = entry[nj]
         # walk up the root path of the chosen leaf to bracket depth dstar
         a = target
         while depth[parent[a]] > dstar:
@@ -177,8 +228,6 @@ def spanned_tree(f: ExcursionPath, leaf_idx: np.ndarray) -> MetricTree:
         elif depth[a] == dstar:
             attach = a
         else:
-            lo_t, hi_t = sorted((time_idx[target], ti))
-            rep = lo_t + int(np.argmin(values[lo_t : hi_t + 1]))
             attach = len(parent)
             parent.append(b)
             edge_len.append(dstar - depth[b])
@@ -195,7 +244,33 @@ def spanned_tree(f: ExcursionPath, leaf_idx: np.ndarray) -> MetricTree:
             entry.append(leaf_v)
         else:  # the new time projects exactly onto the attach vertex
             entry.append(attach)
+    return parent, edge_len, time_idx
 
+
+def spanned_tree(f: ExcursionPath, leaf_idx: np.ndarray) -> MetricTree:
+    """Tree spanned by the root and the given interior grid times.
+
+    Leaves insert one at a time, in the given order, at the deepest meet
+    with the leaves inserted before them; the meet depth of two times is
+    the minimum of the path between them (``_nearest_meets``). A new branch
+    vertex takes the first argmin between the leaf and its target as its
+    grid time, so a vertex's depth is ``values[time_idx]``. Vertex masses
+    count the grid times whose nearest tree vertex, in the path
+    pseudo-metric, is that vertex (``nearest_vertex``).
+
+    The first argmin is taken from the nearest leaf's time even when that
+    leaf landed on a meet vertex of another grid time: the path between the
+    two stays at or above the leaf's height, which a new branch vertex lies
+    strictly below, so both ranges attain the new meet at the same times.
+
+    Cost: every leaf's meet and first argmin come before the insertion
+    loop, from one reduceat over the path and a sparse table over the k
+    segments between time-sorted leaves: O(n + k log k) time in numpy
+    passes and O(n + k log k) memory. The loop only walks up each target's
+    root path and appends vertices. The projection adds its own cost.
+    """
+    values = f.values
+    parent, edge_len, time_idx = _insert_leaves(values, np.asarray(leaf_idx, dtype=np.int64))
     vert_idx = np.asarray(time_idx, dtype=np.int64)
     owner, proj_dist = nearest_vertex(values, vert_idx, np.asarray(parent, dtype=np.int64))
     counts = np.bincount(owner, minlength=len(parent)).astype(np.float64)

@@ -7,10 +7,11 @@ law on sampled paths. ``excursion_distance`` is the path pseudo-metric,
 and the tree helpers measure a spanned tree's depths and distances the
 slow way.
 
-``spanned_tree`` and ``nearest_vertex`` are the reference builders:
-``spanned_tree`` inserts each leaf at the deepest meet among all leaves
-inserted before it, recomputing running minima over the whole path per leaf
-(O(k n)); ``nearest_vertex`` rescans the path once per vertex (O(V n)).
+``spanned_tree``, ``nearest_vertex`` and ``gap_minima`` are the reference
+builders: ``spanned_tree`` inserts each leaf at the deepest meet among all
+leaves inserted before it, recomputing running minima over the whole path
+per leaf (O(k n)); ``nearest_vertex`` rescans the path once per vertex
+(O(V n)); ``gap_minima`` scans the gaps between vertex times one at a time.
 The package's builders must return the same arrays, bit for bit.
 """
 
@@ -309,6 +310,22 @@ def lattice_path(n_steps: int, seed: int) -> ExcursionPath:
     steps = np.random.default_rng(seed).integers(-1, 2, size=n_steps - 2)
     inner = 1.0 + np.abs(np.concatenate(([0], np.cumsum(steps))))
     return ExcursionPath(np.concatenate(([0.0], inner, [0.0])))
+
+
+def gap_minima(values: np.ndarray, lo: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Running minima of ``values`` within each gap [lo[g], lo[g + 1]], one gap at a time.
+
+    The last gap ends at the end of the path; a gap's right end belongs to
+    the next gap, which overwrites it.
+    """
+    pre = np.empty_like(values)
+    suf = np.empty_like(values)
+    ends = lo[1:].tolist() + [values.shape[0] - 1]
+    for a, b in zip(lo.tolist(), ends):
+        seg = values[a : b + 1]
+        np.minimum.accumulate(seg, out=pre[a : b + 1])
+        np.minimum.accumulate(seg[::-1], out=suf[a : b + 1][::-1])
+    return pre, suf
 
 
 def nearest_vertex(values: np.ndarray, vert_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

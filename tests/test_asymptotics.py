@@ -140,6 +140,25 @@ def test_auto_window_names_why_it_collapses():
         asymptotics.auto_window(narrow)
 
 
+def test_median_matches_numpy_bit_for_bit():
+    rng = np.random.default_rng(3)
+    special = [0.0, -0.0, 1.0, 2.5, 2.5, np.inf, -np.inf, np.nan, 1e308, 1e308]
+    cases = [rng.random(n) for n in (1, 2, 7, 8)]  # odd and even lengths
+    cases += [np.array([3.0, 1.0, 3.0, 2.0]), np.array([2.0, 2.0, 2.0])]  # ties
+    cases += [np.array([np.inf, 1.0]), np.array([-np.inf, np.inf]), np.array([np.inf, 1.0, -np.inf])]
+    cases += [np.array([np.nan, 1.0, 2.0]), np.array([1.0, np.nan]), np.array([1e308, 1e308])]
+    cases += [rng.choice(special, size=int(rng.integers(1, 9))) for _ in range(2000)]
+    with np.errstate(invalid="ignore", over="ignore"):
+        for x in cases:
+            want = np.median(x)
+            got = asymptotics._median(x)
+            assert type(got) is float
+            if np.isnan(want):
+                assert np.isnan(got), x
+            else:
+                assert np.float64(got).tobytes() == want.tobytes(), x
+
+
 def test_auto_window_warns_when_the_grid_end_sets_window_hi(capsys):
     cfg = small_config(replicas=3)
     lams = cfg.lambda_grid

@@ -65,6 +65,28 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_commands_load_no_numpy_ma(tmp_path):
+    # np.median and a plain np.unique import numpy.ma, about 10 ms and 2 MB of every command
+    src = str(Path(cli.__file__).resolve().parents[1])
+    out = str(tmp_path)
+    code = (
+        "import sys\n"
+        "from crt_spectra import cli\n"
+        "for args in (\n"
+        "    ['ensemble', '--replicas', '2', '--depth', '4', '--seed', '0'],\n"
+        "    ['renewal', '--replicas', '2', '--depth', '3', '--seed', '0'],\n"
+        "    ['spectrum', '--depth', '3', '--seed', '1', '--points', '9'],\n"
+        "    ['crt-route', '--replicas', '1', '--steps', '1024', '--leaves', '40', '--seed', '0'],\n"
+        "):\n"
+        f"    assert cli.main(args + ['--out', {out!r} + '/' + args[0]]) == 0\n"
+        "print('numpy.ma' in sys.modules)\n"
+    )
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 def test_capacity_exit_code(tmp_path, capsys):
     # 3**33 cells: refused before anything is built or written
     assert run(["spectrum", "--depth", "33", "--seed", "1", "--out", str(tmp_path / "s")]) == 3

@@ -240,6 +240,59 @@ def test_spanned_tree_matches_oracle(log_n, lattice):
             np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=f"k={k} {name}")
 
 
+def test_insertion_neighbours_match_a_scan():
+    rng = np.random.default_rng(11)
+    for k in (1, 2, 3, 8, 200):
+        order = np.argsort(rng.integers(0, 20, size=k), kind="stable")  # repeated times
+        pos = np.argsort(order)
+        before, after = excursion._insertion_neighbours(order)
+        for j in range(k):
+            earlier = pos[:j]
+            assert before[j] == max(earlier[earlier < pos[j]], default=-1)
+            assert after[j] == min(earlier[earlier > pos[j]], default=k)
+
+
+def _assert_same_tree(got, want, what):
+    for name in ("parent", "edge_len", "mass", "time_idx", "lump_extent"):
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=f"{what} {name}")
+
+
+@pytest.mark.parametrize("lattice", [False, True], ids=["gaussian", "lattice"])
+def test_spanned_tree_orders_and_repeated_times(lattice):
+    # repeated leaf times make zero-length segments between time-sorted
+    # leaves; sorted and reverse-sorted insertion put every neighbour on one side
+    n = 256
+    path = excursion_oracle.lattice_path(n, 7) if lattice else excursion.sample_excursion(n, 7)
+    rng = np.random.default_rng(7)
+    distinct = rng.choice(n - 1, size=60, replace=False) + 1
+    repeated = rng.integers(1, n, size=300)
+    for what, leaves in (
+        ("k=2", distinct[:2]),
+        ("k=2 equal", np.array([distinct[0]] * 2)),
+        ("sorted", np.sort(distinct)),
+        ("reverse-sorted", np.sort(distinct)[::-1]),
+        ("repeated", repeated),
+        ("repeated sorted", np.sort(repeated)),
+        ("repeated reverse-sorted", np.sort(repeated)[::-1]),
+    ):
+        _assert_same_tree(excursion.spanned_tree(path, leaves), excursion_oracle.spanned_tree(path, leaves), what)
+
+
+def test_spanned_tree_meet_vertex_target():
+    # leaves 5 and 8 meet at depth 3, first attained at time 6; leaf 4 sits
+    # at depth 3 and lands on that meet vertex. Leaf 1's only time neighbour
+    # is leaf 4, and it meets it deeper, at depth 2: the new branch vertex
+    # takes its first argmin on [1, 4], from the leaf's time, not on [1, 6],
+    # from the vertex's; both give time 2
+    path = excursion.ExcursionPath(np.array([0.0, 5, 2, 4, 3, 4, 3, 5, 6, 5, 0]))
+    leaves = np.array([5, 8, 4, 1])
+    near, meet, first = excursion._nearest_meets(path.values, leaves)
+    assert (near[-1], meet[-1], first[-1]) == (2, 2.0, 2)
+    got = excursion.spanned_tree(path, leaves)
+    np.testing.assert_array_equal(got.time_idx, [0, 5, 6, 8, 2, 1])  # no vertex at time 4
+    _assert_same_tree(got, excursion_oracle.spanned_tree(path, leaves), "meet vertex target")
+
+
 def test_spanned_tree_at_scale():
     # 2^20 steps and 10^4 leaves: about 10^10 element operations for an
     # insertion scan, well under a second here

@@ -13,7 +13,7 @@ from crt_spectra.cascade import CascadeTree, PerturbationTable
 from crt_spectra.dendrite import structure
 from crt_spectra.spectrum import Pencil, dense_count_below, dense_matrices
 from conftest import small_network
-from excursion_oracle import lattice_path
+from excursion_oracle import gap_minima, lattice_path
 from spectrum_oracle import inertia_counts_per_shift
 
 
@@ -79,6 +79,28 @@ def test_nearest_vertex_matches_brute_force():
     np.testing.assert_array_equal(proj, dist.min(axis=1))
     with pytest.raises(ValueError, match="rooted"):
         _kernels.nearest_vertex(f, tv[1:], tree.parent[1:] - 1)
+
+
+@pytest.mark.parametrize("lattice", [False, True], ids=["float", "lattice"])
+def test_gap_minima_match_the_per_gap_scan(lattice):
+    # one gap, gaps of length 1 (a run of adjacent vertex times), a last gap
+    # of length 1 and of length > 1, and random gaps; lattice heights tie
+    n = 257
+    values = lattice_path(n, 5).values if lattice else excursion.sample_excursion(n, 5).values
+    rng = np.random.default_rng(5)
+    cases = [
+        np.array([0]),
+        np.arange(n + 1),
+        np.array([0, 1, 2, 3, 40, 41, 200, n]),
+        np.array([0, 17, 18, 100, n - 3]),
+        np.concatenate(([0], np.sort(rng.choice(np.arange(1, n), 60, replace=False)))),
+    ]
+    for lo in cases:
+        got, want = _kernels._gap_minima(values, lo), gap_minima(values, lo)
+        for g, w, name in zip(got, want, ("forward", "backward")):
+            np.testing.assert_array_equal(g, w, err_msg=f"{name} minima, {lo.shape[0]} gaps")
+    if lattice:  # equal heights inside a gap, so the minima tie exactly
+        assert (np.diff(values) == 0).any()
 
 
 # -- shift-blocked counting sweep ---------------------------------------------------
