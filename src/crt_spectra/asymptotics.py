@@ -58,6 +58,18 @@ ROUTE_GRIDS = {"selfsimilar": (1e5, 61), "excursion": (1e8, 97)}
 perturbations_pooled = perturbations
 
 
+def geometric_grid(lo: float, hi: float, points: int) -> np.ndarray:
+    """``points`` lambdas spaced geometrically over [lo, hi]; ValueError unless strictly increasing in (0, inf)."""
+    if not 0.0 < lo < hi < np.inf:
+        raise ValueError("lambda grid must be positive, finite and increasing")
+    if points < 1:
+        raise ValueError("the lambda grid needs at least one point")
+    grid = np.geomspace(lo, hi, points)
+    if (np.diff(grid) <= 0).any():
+        raise ValueError(f"{points} points on [{lo}, {hi}] do not make a strictly increasing grid")
+    return grid
+
+
 @dataclass(frozen=True)
 class EnsembleConfig:
     """One reproducible ensemble run."""
@@ -84,10 +96,7 @@ class EnsembleConfig:
             raise ValueError("need at least one replica")
         if self.depth < 0:
             raise ValueError("depth must be >= 0")
-        if not 0.0 < self.lambda_lo < self.lambda_hi < np.inf:
-            raise ValueError("lambda grid must be positive, finite and increasing")
-        if self.lambda_points < 1:
-            raise ValueError("the lambda grid needs at least one point")
+        geometric_grid(self.lambda_lo, self.lambda_hi, self.lambda_points)
         if self.threads < 1:
             raise ValueError("need at least one thread")
         if self.route == "excursion" and not 1 <= self.leaves <= self.steps - 1:
@@ -95,7 +104,7 @@ class EnsembleConfig:
 
     @property
     def lambda_grid(self) -> np.ndarray:
-        return np.geomspace(self.lambda_lo, self.lambda_hi, self.lambda_points)
+        return geometric_grid(self.lambda_lo, self.lambda_hi, self.lambda_points)
 
     def replica_seed(self, r: int) -> int:
         return (self.master_seed * 0x9E3779B97F4A7C15 + 0x51ED2701 + r) % 2**63
@@ -114,12 +123,6 @@ class EnsembleResult:
     resolutions: np.ndarray  # per replica, estimated ceiling of the resolved range
     n_vertices: int
     eta: np.ndarray | None = None  # (replicas, shifts) branching increments, renewal runs only
-
-    def mean_curve(self, boundary: str = "neumann") -> np.ndarray:
-        if boundary == "midpoint":
-            return 0.5 * (self.neumann.mean(axis=0) + self.dirichlet.mean(axis=0))
-        m = self.neumann if boundary == "neumann" else self.dirichlet
-        return m.mean(axis=0)
 
 
 @dataclass(frozen=True)
@@ -277,7 +280,7 @@ def auto_window(result: EnsembleResult):
     lies below the lower end.
     """
     lams = result.lambdas
-    mid = result.mean_curve("midpoint")
+    mid = 0.5 * (result.neumann.mean(axis=0) + result.dirichlet.mean(axis=0))
     above = np.nonzero(mid >= _MIN_COUNT)[0]
     if above.size == 0:
         raise WindowUnresolved(f"mean count never reaches {_MIN_COUNT}")

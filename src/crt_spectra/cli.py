@@ -13,19 +13,24 @@ its ceiling grows with ``--leaves``. The ``renewal`` t grid spans
 Exit codes: 0 success, 2 usage error (a bad flag value or a flag
 combination that describes no valid run), 3 capacity exceeded, 4
 numerical guard tripped (tail or window failures, oracle or bracketing
-mismatch, an unbracketed Dirichlet floor). Everything is deterministic in
-(seed, config): re-running a command reproduces the numeric payloads byte
-for byte, whatever the thread count. ``--threads`` spreads the replicas of
-``ensemble``, ``renewal`` and ``crt-route`` over worker threads; ``renewal``
-builds each replica once, for its counting curves and its eta row.
+mismatch, a counting curve that falls, an unbracketed Dirichlet floor).
+Everything is deterministic in (seed, config): re-running a command
+reproduces the numeric payloads byte for byte, whatever the thread count.
+``--threads`` spreads the replicas of ``ensemble``, ``renewal`` and
+``crt-route`` over worker threads; ``renewal`` builds each replica once,
+for its counting curves and its eta row.
 
 Run records: the ensemble commands write ``config.json`` (the config and
 its provenance), ``curves.csv`` (the mean counting curves), ``fit.json``
 (the scaling fit, when a window resolves; otherwise a warning goes to
 stderr) and, for ``renewal``, ``renewal.json`` (the renewal estimate
 ``m_infinity`` with its bootstrap stderr and the per-replica integrals).
-``spectrum`` writes ``meta.json``, the provenance of every flag but
-``--out`` and ``--check-bracketing``, next to its curves.
+``spectrum`` counts its network in one sweep and writes both curves,
+``spectrum_dirichlet.csv`` and ``spectrum_neumann.csv`` (rows
+``lambda,count,boundary``), with ``meta.json``, the provenance of every
+flag but ``--out`` and ``--check-bracketing``. That check counts the three
+first-generation cells and tests the bracketing chains against the same
+sweep's counts.
 """
 
 from __future__ import annotations
@@ -44,17 +49,14 @@ from .asymptotics import (
     ScalingFit,
     estimate_renewal_constant,
     fit_scaling,
+    geometric_grid,
     provenance,
     run_ensemble,
     write_json,
     write_results,
 )
-from .errors import CapacityError, CrtSpectraError, TailError, WindowUnresolved
-from .spectrum import Pencil, bracketing_check, dense_count_below, network_counts, network_curves
-
-
-class GuardError(CrtSpectraError):
-    """A validation the CLI promised to gate on has failed."""
+from .errors import CapacityError, CrtSpectraError, GuardError, TailError, WindowUnresolved
+from .spectrum import Pencil, bracketing_check, dense_count_below, network_counts
 
 
 class UsageError(CrtSpectraError):
@@ -68,27 +70,26 @@ def cmd_spectrum(args) -> int:
         raise UsageError("need --depth >= 0")
     if args.check_bracketing and args.depth < 1:
         raise UsageError("--check-bracketing needs --depth >= 1")
-    if not 0.0 < args.lambda_lo < args.lambda_hi < np.inf:
-        raise UsageError("need 0 < --lambda-lo < --lambda-hi < inf")
-    if args.points < 1:
-        raise UsageError("need --points >= 1")
+    try:
+        lams = geometric_grid(args.lambda_lo, args.lambda_hi, args.points)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
     net = build_network(args.depth, args.seed)
-    lams = np.geomspace(args.lambda_lo, args.lambda_hi, args.points)
-    curve_d, curve_n = network_curves(net, lams)
+    nd, nn = network_counts(net, lams)
+    if (np.diff(nd) < 0).any() or (np.diff(nn) < 0).any():
+        raise GuardError("counts must be nondecreasing in lambda")
     outdir = Path(args.out)
     outdir.mkdir(parents=True, exist_ok=True)
     # every flag that can change the curves: not the output path, nor a check that writes nothing
     settings = {k: v for k, v in vars(args).items() if k not in ("command", "fn", "out", "check_bracketing")}
     write_json(outdir / "meta.json", provenance(settings))
-    if args.boundary in ("dirichlet", "both"):
-        (outdir / "spectrum_dirichlet.csv").write_text(curve_d.to_csv())
-    if args.boundary in ("neumann", "both"):
-        (outdir / "spectrum_neumann.csv").write_text(curve_n.to_csv())
+    for kind, counts in (("dirichlet", nd), ("neumann", nn)):
+        rows = "".join(f"{lam:.17g},{int(c)},{kind}\n" for lam, c in zip(lams, counts))
+        (outdir / f"spectrum_{kind}.csv").write_text("lambda,count,boundary\n" + rows)
     if args.check_bracketing:
-        reports = bracketing_check(net, lams)
-        bad = [r for r in reports if not (r.chain_ok and r.gap_ok)]
-        if bad:
-            raise GuardError(f"bracketing violated at {len(bad)} lambda values, first at {bad[0].lam}")
+        bad = np.flatnonzero(bracketing_check(net, lams, nd, nn))
+        if bad.size:
+            raise GuardError(f"bracketing violated at {bad.size} lambda values, first at {float(lams[bad[0]])}")
     return 0
 
 
@@ -171,7 +172,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--lambda-lo", type=float, default=1.0)
     p.add_argument("--lambda-hi", type=float, default=1e6)
     p.add_argument("--points", type=int, default=49)
-    p.add_argument("--boundary", choices=["neumann", "dirichlet", "both"], default="both")
     p.add_argument("--check-bracketing", action="store_true")
     p.add_argument("--out", required=True)
     p.set_defaults(fn=cmd_spectrum)
@@ -218,7 +218,7 @@ def main(argv=None) -> int:
     except CapacityError as exc:
         print(f"capacity error: {exc}", file=sys.stderr)
         return 3
-    except (GuardError, TailError, WindowUnresolved, AssertionError) as exc:
+    except (GuardError, TailError, WindowUnresolved) as exc:
         print(f"numerical guard: {exc}", file=sys.stderr)
         return 4
 

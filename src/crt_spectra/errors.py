@@ -19,3 +19,7 @@ class TailError(CrtSpectraError):
 
 class WindowUnresolved(CrtSpectraError):
     """A fitting window touches the discretization limits."""
+
+
+class GuardError(CrtSpectraError):
+    """A numerical guard has failed: oracle, bracketing, count order or the Dirichlet floor."""

@@ -37,7 +37,7 @@ import numpy as np
 
 from ._kernels import NUDGE, ContractionSchedule, contraction_schedule, inertia_counts
 from .dendrite import structure
-from .errors import CapacityError
+from .errors import CapacityError, GuardError
 from .excursion import MetricTree
 from .forms import ResistanceNetwork, subnetwork_fresh
 
@@ -169,38 +169,6 @@ def network_counts(net: ResistanceNetwork, lams: np.ndarray, pivot: bool = False
 
 
 # ---------------------------------------------------------------------------
-# Counting curves
-# ---------------------------------------------------------------------------
-
-
-@dataclass
-class CountingCurve:
-    """Counting-function samples N(lambda) on an increasing grid."""
-
-    lambdas: np.ndarray
-    counts: np.ndarray
-    boundary: str  # "neumann" or "dirichlet"
-
-    def __post_init__(self):
-        if (np.diff(self.lambdas) <= 0).any():
-            raise ValueError("lambda grid must be strictly increasing")
-        if (np.diff(self.counts) < 0).any():
-            raise ValueError("counts must be nondecreasing")
-
-    def to_csv(self) -> str:
-        lines = ["lambda,count,boundary"]
-        for lam, c in zip(self.lambdas, self.counts):
-            lines.append(f"{lam:.17g},{int(c)},{self.boundary}")
-        return "\n".join(lines) + "\n"
-
-
-def network_curves(net: ResistanceNetwork, lams: np.ndarray) -> tuple[CountingCurve, CountingCurve]:
-    nd, nn = network_counts(net, lams)
-    lams = np.asarray(lams, dtype=np.float64)
-    return CountingCurve(lams, nd, "dirichlet"), CountingCurve(lams, nn, "neumann")
-
-
-# ---------------------------------------------------------------------------
 # Dirichlet floor by inverse interpolation on the last interior pivot
 # ---------------------------------------------------------------------------
 
@@ -243,7 +211,7 @@ def dirichlet_floor(
     network bounds its first Dirichlet eigenvalue below by the inverse of
     its resistance ``diameter``, and 1 is never an eigenvector, since L 1
     vanishes on the tip row. That bracket costs a checking sweep of its
-    own. AssertionError is raised unless the two bound the floor
+    own. GuardError is raised unless the two bound the floor
     consistently: on the curve path, unless (1 - 1e-9)/diameter lies below
     the grid's upper end and the grid's lower end below the Rayleigh bound;
     otherwise, unless the checking sweep counts 0 at the lower end and at
@@ -264,7 +232,7 @@ def dirichlet_floor(
     spirit of Brent (1973, ch. 4): each sweep counts one shift, a margin to
     one side of the interpolated zero, and bisection takes over when that
     stalls. The search stops once hi <= lo (1 + 1e-9) and returns hi, an
-    upper bound within relative 1e-9. It raises AssertionError if 200
+    upper bound within relative 1e-9. It raises GuardError if 200
     sweeps do not get there: the search did not converge.
     """
     if net.n_vertices <= 2:
@@ -278,7 +246,7 @@ def dirichlet_floor(
     if len(hit) and hit[0] > 0:
         lo, hi = float(lams[hit[0] - 1]), float(lams[hit[0]])
         if not (bound_lo < hi and lo < bound_hi):
-            raise AssertionError(
+            raise GuardError(
                 f"Dirichlet floor bracket {(lo, hi)} of the curve misses [1/diameter, Rayleigh bound] = "
                 f"[{bound_lo}, {bound_hi}]: not bracketed"
             )
@@ -286,13 +254,13 @@ def dirichlet_floor(
         lo, hi = bound_lo, bound_hi
         n, _, piv = network_counts(net, np.array([lo, hi]), pivot=True)
         if n[0] != 0 or n[1] < 1:
-            raise AssertionError(
+            raise GuardError(
                 f"Dirichlet floor not bracketed by [1/diameter, Rayleigh bound] = [{bound_lo}, {bound_hi}]"
             )
         points = [(x, float(p)) for x, c, p in zip((lo, hi), n, piv) if c <= 1]
     while hi > lo * (1.0 + _FLOOR_RTOL):
         if len(steps) == 200:
-            raise AssertionError(f"Dirichlet floor search did not converge in 200 sweeps: [{lo}, {hi}]")
+            raise GuardError(f"Dirichlet floor search did not converge in 200 sweeps: [{lo}, {hi}]")
         # interpolate through the (up to) three points nearest the bracket; as in
         # Brent's method, bisect when there is no estimate inside it, or when the
         # estimate moved by more than half the move before last; otherwise shift a
@@ -322,34 +290,16 @@ def dirichlet_floor(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class BracketReport:
-    """The four counts of the decomposition chains at one lambda."""
+def bracketing_check(net: ResistanceNetwork, lams: np.ndarray, full_d: np.ndarray, full_n: np.ndarray) -> np.ndarray:
+    """Where the decomposition chains fail: a mask over ``lams``, given the full network's counts there.
 
-    lam: float
-    sub_dirichlet: int
-    full_dirichlet: int
-    full_neumann: int
-    sub_neumann: int
-
-    @property
-    def chain_ok(self) -> bool:
-        return self.sub_dirichlet <= self.full_dirichlet <= self.full_neumann <= self.sub_neumann
-
-    @property
-    def gap_ok(self) -> bool:
-        return 0 <= self.full_neumann - self.full_dirichlet <= 2
-
-
-def bracketing_check(net: ResistanceNetwork, lams: np.ndarray) -> list[BracketReport]:
-    """Evaluate both decomposition chains at each lambda.
-
-    Cell subproblems are assembled fresh from the shifted cascade and
-    counted at lambda * w(j)**3, per the exact eigenvalue scaling of the
-    renormalized cells.
+    At each lambda the cell counts must bracket the full ones,
+    sub_D <= N_D <= N_N <= sub_N, and the full Neumann count may exceed the
+    Dirichlet one by at most 2. Cell subproblems are assembled fresh from
+    the shifted cascade and counted at lambda * w(j)**3, per the exact
+    eigenvalue scaling of the renormalized cells.
     """
     lams = np.asarray(lams, dtype=np.float64)
-    full_d, full_n = network_counts(net, lams)
     w1 = net.cascade.w_levels()[1]
     sub_d = np.zeros(lams.shape[0], dtype=np.int64)
     sub_n = np.zeros(lams.shape[0], dtype=np.int64)
@@ -359,10 +309,7 @@ def bracketing_check(net: ResistanceNetwork, lams: np.ndarray) -> list[BracketRe
         d, n = network_counts(sub, lams * w3)
         sub_d += d
         sub_n += n
-    return [
-        BracketReport(float(lams[i]), int(sub_d[i]), int(full_d[i]), int(full_n[i]), int(sub_n[i]))
-        for i in range(lams.shape[0])
-    ]
+    return ~((sub_d <= full_d) & (full_d <= full_n) & (full_n <= sub_n) & (full_n - full_d <= 2))
 
 
 def eta_many(net: ResistanceNetwork, ts: np.ndarray) -> np.ndarray:

@@ -265,7 +265,7 @@ def trace_plateau(result: EnsembleResult, window: tuple[float, float], t_points:
     """
     lo, hi = window
     ts = 1.0 / np.geomspace(hi, lo, t_points)
-    mean_n = result.mean_curve("neumann")
+    mean_n = result.neumann.mean(axis=0)
     n_total = result.n_vertices
     values = []
     bounds = []

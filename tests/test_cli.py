@@ -48,6 +48,11 @@ def test_usage_error_exit_code(tmp_path, monkeypatch):
         ["ensemble", "--replicas", "1", "--depth", "2", "--threads", "0", "--out", "x"],
         ["renewal", "--replicas", "1", "--depth", "2", "--threads", "-3", "--out", "x"],
         ["crt-route", "--replicas", "1", "--threads", "0", "--out", "x"],
+        # six points that round to fewer distinct lambdas
+        ["spectrum", "--depth", "2", "--lambda-lo", "1", "--lambda-hi", "1.0000000000000004", "--points", "6",
+         "--out", "x"],
+        ["ensemble", "--replicas", "2", "--depth", "2", "--lambda-lo", "1", "--lambda-hi", "1.0000000000000004",
+         "--points", "6", "--out", "x"],
     ):
         with pytest.raises(SystemExit) as exc:
             run(argv)
@@ -98,7 +103,7 @@ def test_spectrum_command_curves(tmp_path):
     out = tmp_path / "spec"
     code = run(
         ["spectrum", "--depth", "2", "--seed", "3", "--lambda-lo", "0.5", "--lambda-hi", "1e4",
-         "--points", "21", "--boundary", "both", "--out", str(out)]
+         "--points", "21", "--out", str(out)]
     )
     assert code == 0
     dl = (out / "spectrum_dirichlet.csv").read_text().strip().splitlines()
@@ -135,6 +140,41 @@ def test_spectrum_check_bracketing(tmp_path):
          "--out", str(tmp_path / "s")]
     )
     assert code == 0
+
+
+def test_spectrum_check_bracketing_sweeps_the_network_once(tmp_path, monkeypatch):
+    from crt_spectra import asymptotics, spectrum
+
+    sizes = []
+    sweep = spectrum.inertia_counts
+
+    def record(sched, mass, *args):
+        sizes.append(len(mass))
+        return sweep(sched, mass, *args)
+
+    monkeypatch.setattr(spectrum, "inertia_counts", record)
+    argv = ["spectrum", "--depth", "3", "--seed", "4", "--points", "15", "--check-bracketing"]
+    assert run(argv + ["--out", str(tmp_path / "s")]) == 0
+    full = asymptotics.build_network(3, 4).n_vertices
+    # one sweep of the full network, one of each first-generation cell
+    assert sizes.count(full) == 1 and len(sizes) == 4, sizes
+
+
+def test_spectrum_falling_counts_trip_the_guard(tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "network_counts", lambda net, lams: (np.arange(len(lams))[::-1], np.arange(len(lams))))
+    assert run(["spectrum", "--depth", "2", "--points", "5", "--out", str(tmp_path / "s")]) == 4
+    assert capsys.readouterr().err == "numerical guard: counts must be nondecreasing in lambda\n"
+    assert not (tmp_path / "s").exists()
+
+
+def test_assertion_error_is_not_a_guard(tmp_path, monkeypatch):
+    # a failed assert is a programming error: it propagates, not exit 4
+    def broken(net, lams):
+        raise AssertionError("unrelated")
+
+    monkeypatch.setattr(cli, "network_counts", broken)
+    with pytest.raises(AssertionError, match="unrelated"):
+        run(["spectrum", "--depth", "2", "--out", str(tmp_path / "s")])
 
 
 def test_ensemble_with_oracle(tmp_path):

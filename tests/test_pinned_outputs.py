@@ -66,7 +66,7 @@ PINNED = {
         "fit.json": "a1a4f02b764340a52206e0b10cc1d4e4b9ee402768b46d586a3a5891d76bdded",
     }),
     ("spectrum", "--depth", "4", "--seed", "1", "--check-bracketing"): ("", {
-        "meta.json": "b325c854e7540dbe24a476150ff562e1e8c45fd3244307fe396965920a345726",
+        "meta.json": "613d62f89862f0824f4d02df1e8b0e70281386d1353907e9e0bf254b867321d8",
         "spectrum_dirichlet.csv": "e896c19cabd38d2bc2eb7065444826e14a911524c8ef6dce9c2db9e8643a5393",
         "spectrum_neumann.csv": "ed86d5b04044daa39974086be9737d142d80e910e9ce5e7003d799fbe7953974",
     }),

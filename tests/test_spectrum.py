@@ -6,7 +6,7 @@ from crt_spectra import _kernels, excursion, forms, spectrum
 from crt_spectra._kernels import contraction_schedule
 from crt_spectra.cascade import CascadeTree, HEIGHT_CONSTANT, PerturbationTable
 from crt_spectra.dendrite import structure
-from crt_spectra.errors import CapacityError
+from crt_spectra.errors import CapacityError, GuardError
 from crt_spectra.spectrum import Pencil
 
 import spectrum_oracle
@@ -306,10 +306,10 @@ def test_floor_bracket_guard():
     nd = spectrum.network_counts(net, CURVE_GRID)[0]
     floor = spectrum.dirichlet_floor(net, d)
     for curve in ((), (CURVE_GRID, nd)):
-        with pytest.raises(AssertionError, match="not bracketed"):
+        with pytest.raises(GuardError, match="not bracketed"):
             spectrum.dirichlet_floor(net, 0.1 / floor, *curve)
     # a curve whose count-0 end lies above the Rayleigh bound contradicts it as well
-    with pytest.raises(AssertionError, match="not bracketed"):
+    with pytest.raises(GuardError, match="not bracketed"):
         spectrum.dirichlet_floor(net, d, np.array([1e6, 2e6]), np.array([0, 1]))
 
 
@@ -330,7 +330,7 @@ def test_floor_sweep_cap_is_loud(monkeypatch):
     monkeypatch.setattr(spectrum, "_FLOOR_RTOL", -1.0)
     net = small_network(3, seed=1)
     calls = _recorded_sweeps(monkeypatch)
-    with pytest.raises(AssertionError, match="did not converge"):
+    with pytest.raises(GuardError, match="did not converge"):
         spectrum.dirichlet_floor(net, forms.diameter(net))
     assert calls == [2] + [1] * 200
 
@@ -351,18 +351,32 @@ def test_floor_scaling_in_mass():
 def test_bracketing_trivial_below_floor():
     net = small_network(3, seed=11)
     floor = spectrum.dirichlet_floor(net, forms.diameter(net))
-    rep = spectrum.bracketing_check(net, np.array([0.5 * floor]))[0]
-    assert rep.sub_dirichlet == 0 and rep.full_dirichlet == 0
-    assert rep.full_neumann >= 1 and rep.chain_ok and rep.gap_ok
+    lams = np.array([0.5 * floor])
+    nd, nn = spectrum.network_counts(net, lams)
+    assert nd[0] == 0 and nn[0] >= 1
+    assert not spectrum.bracketing_check(net, lams, nd, nn).any()
 
 
 def test_bracketing_exact_chains():
     lams = np.geomspace(1.0, 1e6, 50)
     for seed in range(5):
         net = small_network(5, seed=seed + 40)
-        for rep in spectrum.bracketing_check(net, lams):
-            assert rep.chain_ok, rep
-            assert rep.gap_ok, rep
+        nd, nn = spectrum.network_counts(net, lams)
+        assert not spectrum.bracketing_check(net, lams, nd, nn).any(), seed
+
+
+def test_bracketing_flags_each_broken_link():
+    # full counts broken at one lambda: a Dirichlet count of -1, below any cell sum;
+    # Dirichlet above Neumann; Neumann above the cells' sum; a gap of 3
+    net = small_network(4, seed=2)
+    lams = np.geomspace(1.0, 1e5, 20)
+    nd, nn = spectrum.network_counts(net, lams)
+    k = 12
+    for which, value in (("d", -1), ("d", nn[k] + 1), ("n", 10**6), ("n", nd[k] + 3)):
+        d, n = nd.copy(), nn.copy()
+        (d if which == "d" else n)[k] = value
+        bad = spectrum.bracketing_check(net, lams, d, n)
+        np.testing.assert_array_equal(np.flatnonzero(bad), [k], err_msg=f"{which}={value}")
 
 
 def test_eta_bounded_and_zero_below_floor():
