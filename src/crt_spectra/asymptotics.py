@@ -17,7 +17,6 @@ from __future__ import annotations
 import hashlib
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields
 from pathlib import Path
 
@@ -250,6 +249,9 @@ def run_ensemble(config: EnsembleConfig, ts: np.ndarray | None = None, check=Non
         return (*_excursion_replica(config, r), None)
 
     if config.threads > 1:
+        # imported here: concurrent.futures loads logging, about 4 ms of every command
+        from concurrent.futures import ThreadPoolExecutor
+
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
             rows = list(pool.map(work, range(config.replicas)))
     else:
@@ -442,6 +444,10 @@ def write_results(
     - ``curves.csv``: lambda and the mean Dirichlet and Neumann counts;
     - ``fit.json``: the :class:`ScalingFit` fields, when a window resolved;
     - ``renewal.json``: the :class:`RenewalEstimate` fields, renewal runs only.
+
+    A ``fit.json`` or ``renewal.json`` that this run does not write is
+    removed, so no result of an earlier run in the same directory stays
+    beside this run's ``config.json``.
     """
     outdir = Path(outdir)
     outdir.mkdir(parents=True, exist_ok=True)
@@ -454,8 +460,9 @@ def write_results(
         lines.append(f"{_fmt(lam)},{_fmt(md[i])},{_fmt(mn[i])}")
     (outdir / "curves.csv").write_text("\n".join(lines) + "\n")
 
-    if fit is not None:
-        write_json(outdir / "fit.json", _record(fit))
-    if renewal is not None:
-        write_json(outdir / "renewal.json", _record(renewal))
+    for name, record in (("fit.json", fit), ("renewal.json", renewal)):
+        if record is None:
+            (outdir / name).unlink(missing_ok=True)
+        else:
+            write_json(outdir / name, _record(record))
     return outdir

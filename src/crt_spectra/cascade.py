@@ -33,14 +33,13 @@ _TAG_TRIPLES = 0x7A31
 _TAG_PERTURB = 0x7A34
 
 
-def level_codes(depth: int) -> list[np.ndarray]:
-    """RNG codes of every address, per level, in lexicographic order."""
-    codes = [np.zeros(1, dtype=np.uint64)]
-    for _ in range(depth):
-        prev = codes[-1]
-        child = 3 * np.repeat(prev, 3) + np.tile(np.arange(1, 4, dtype=np.uint64), prev.shape[0])
-        codes.append(child.astype(np.uint64))
-    return codes
+def level_codes(q: int) -> np.ndarray:
+    """RNG codes of the addresses of level q, in lexicographic order.
+
+    The root has code 0 and child d of code c has code 3c + d, so level q
+    holds the 3**q consecutive codes from (3**q - 1) / 2 = 1 + 3 + ... + 3**(q-1).
+    """
+    return np.arange(3**q, dtype=np.uint64) + (3**q - 1) // 2
 
 
 class CascadeTree:
@@ -65,8 +64,7 @@ class CascadeTree:
         if 3**depth > cell_budget():
             raise CapacityError(f"3**{depth} cells exceed budget {cell_budget()}")
         key = derive_key(seed, _TAG_TRIPLES)
-        codes = level_codes(max(depth - 1, 0))
-        triples = [dirichlet_half_triples(key, codes[q]) for q in range(depth)]
+        triples = [dirichlet_half_triples(key, level_codes(q)) for q in range(depth)]
         return cls(depth, triples, seed)
 
     @classmethod
@@ -162,7 +160,7 @@ def perturbations(cascade: CascadeTree) -> PerturbationTable:
     if cascade.master_seed is None:
         raise IncompleteCascade("cascade has no seed; cannot key its perturbations")
     key = derive_key(cascade.master_seed, _TAG_PERTURB)
-    base = rayleigh_perturbations(key, level_codes(cascade.depth)[cascade.depth])
+    base = rayleigh_perturbations(key, level_codes(cascade.depth))
     return PerturbationTable(cascade.depth, _lift_through_cascade(cascade, base))
 
 

@@ -19,6 +19,8 @@ reproduces the numeric payloads byte for byte, whatever the thread count.
 ``--threads`` spreads the replicas of ``ensemble``, ``renewal`` and
 ``crt-route`` over worker threads; ``renewal`` builds each replica once,
 for its counting curves and its eta row.
+numpy's BLAS runs on one thread, since no command calls it; an
+``OPENBLAS_NUM_THREADS`` already set in the environment overrides that.
 
 Run records: the ensemble commands write ``config.json`` (the config and
 its provenance), ``curves.csv`` (the mean counting curves), ``fit.json``
@@ -36,9 +38,17 @@ sweep's counts.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
+
+# No command calls BLAS (the oracle's one LAPACK call is on at most 82
+# vertices), yet numpy's OpenBLAS starts a worker per core on import, and
+# the idle one costs start-up time and spins a core for about 0.13 s. A
+# user's own setting wins. This runs before numpy loads only because the
+# package's __init__ imports no submodule.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
 

@@ -9,6 +9,8 @@ with -ln l(i) < t grows like exp(2t), the Malthusian exponent.
 component, the reference for the sampled triples. ``truncated_perturbations``
 is the literal binary extension of the cascade, the truncated reference
 for the exact perturbation law and a deterministic table for small tests.
+``level_codes_chain`` builds every level's address codes child by child,
+the reference for ``cascade.level_codes``' closed form.
 """
 
 from __future__ import annotations
@@ -61,6 +63,16 @@ def ordinal(address: Address) -> int:
     for d in address.word:
         k = 3 * k + (d - 1)
     return k
+
+
+def level_codes_chain(depth: int) -> list[np.ndarray]:
+    """RNG codes of every address, per level, in lexicographic order: child d of code c is 3c + d."""
+    codes = [np.zeros(1, dtype=np.uint64)]
+    for _ in range(depth):
+        prev = codes[-1]
+        child = 3 * np.repeat(prev, 3) + np.tile(np.arange(1, 4, dtype=np.uint64), prev.shape[0])
+        codes.append(child.astype(np.uint64))
+    return codes
 
 
 def beta_half_one_moment(s: float) -> float:
@@ -144,7 +156,7 @@ def truncated_perturbations(cascade: CascadeTree, trunc_depth: int) -> Perturbat
     key = derive_key(cascade.master_seed, _TAG_TRIPLES)
     # base cells extend independently: a chunk of them at a time bounds the memory
     chunk = max(1, 2**20 >> m)
-    base_codes = level_codes(n)[n]
+    base_codes = level_codes(n)
     r_base = np.empty(3**n)
     for lo in range(0, 3**n, chunk):
         ext_codes = [base_codes[lo : lo + chunk]]

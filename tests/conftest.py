@@ -1,9 +1,32 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from crt_spectra import cascade, excursion, forms
 
 from cascade_oracle import truncated_perturbations
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+
+def run_fresh(code: str, timeout: float = 120, **env: str) -> str:
+    """Run ``code`` in a fresh interpreter on this checkout's package; return its stripped stdout.
+
+    The child gets this environment with ``PYTHONPATH`` set to ``src`` and
+    without ``OPENBLAS_NUM_THREADS``, unless ``env`` passes it: importing
+    ``crt_spectra.cli`` in this process sets that variable here too.
+    """
+    base = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env={**base, "PYTHONPATH": str(SRC), **env},
+        capture_output=True, text=True, timeout=timeout,
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
 
 
 def tent_path(n: int = 100) -> excursion.ExcursionPath:

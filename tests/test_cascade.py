@@ -24,11 +24,19 @@ def test_address_basics():
 
 def test_address_codes_injective():
     seen = set()
-    for level, codes in enumerate(cascade.level_codes(6)):
+    for level in range(7):
+        codes = cascade.level_codes(level)
         for c in codes:
             assert int(c) not in seen
             seen.add(int(c))
         assert len(codes) == 3**level
+
+
+def test_level_codes_match_the_child_chain():
+    for level, codes in enumerate(cascade_oracle.level_codes_chain(12)):
+        got = cascade.level_codes(level)
+        assert got.dtype == np.uint64
+        np.testing.assert_array_equal(got, codes)
 
 
 def test_mass_triple_validation():
@@ -270,7 +278,7 @@ def test_exact_perturbations_depend_only_on_seed_and_address():
     # the cells below address 2, drawn on their own, are the same values
     key = cascade.derive_key(seed, cascade._TAG_PERTURB)
     block = 3 ** (depth - 1)
-    codes = cascade.level_codes(depth)[depth]
+    codes = cascade.level_codes(depth)
     alone = cascade.rayleigh_perturbations(key, codes[block : 2 * block])
     np.testing.assert_array_equal(alone, base[block : 2 * block])
     # another seed's triples under the same seed leave the base level as it is
@@ -297,7 +305,7 @@ def test_exact_perturbations_independent_of_the_triples():
         assert abs(np.corrcoef(base, other)[0, 1]) < 4.0 / np.sqrt(n)
     # nor with a cascade triple keyed by the same code on the triple stream
     key = cascade.derive_key(12, cascade._TAG_TRIPLES)
-    same_code = cascade.dirichlet_half_triples(key, cascade.level_codes(10)[10])[:, 0]
+    same_code = cascade.dirichlet_half_triples(key, cascade.level_codes(10))[:, 0]
     assert abs(np.corrcoef(base, same_code)[0, 1]) < 4.0 / np.sqrt(n)
 
 

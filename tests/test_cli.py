@@ -1,7 +1,5 @@
 import json
 import os
-import subprocess
-import sys
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +7,7 @@ import pytest
 
 from crt_spectra import cli
 from crt_spectra._kernels import RANDOM_STREAM
+from conftest import run_fresh
 
 
 def run(args):
@@ -62,34 +61,52 @@ def test_usage_error_exit_code(tmp_path, monkeypatch):
 
 def test_cli_import_loads_no_scipy():
     # the runtime needs numpy and the standard library only; a fresh interpreter shows what the import loads
-    src = str(Path(cli.__file__).resolve().parents[1])
     code = "import sys, crt_spectra.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert run_fresh(code) == "[]"
+
+
+def test_package_import_loads_no_numpy():
+    # submodules load when imported by name, so cli can set the BLAS thread count before numpy starts
+    assert run_fresh("import sys, crt_spectra; print('numpy' in sys.modules)") == "False"
+
+
+# native threads of the process after the import, and the BLAS thread count it leaves set
+THREADS = (
+    "import os, crt_spectra.cli; print(len(os.listdir('/proc/self/task')), os.environ.get('OPENBLAS_NUM_THREADS'))"
+)
+needs_proc = pytest.mark.skipif(not Path("/proc/self/task").is_dir(), reason="needs /proc/self/task")
+
+
+@needs_proc
+def test_cli_import_starts_no_blas_worker():
+    assert run_fresh(THREADS) == "1 1"
+
+
+@needs_proc
+@pytest.mark.skipif(
+    not hasattr(os, "sched_getaffinity") or len(os.sched_getaffinity(0)) < 2,
+    reason="OpenBLAS caps its threads at the usable cores",
+)
+def test_cli_import_keeps_a_preset_blas_thread_count():
+    assert run_fresh(THREADS, OPENBLAS_NUM_THREADS="2") == "2 2"
 
 
 def test_commands_load_no_numpy_ma(tmp_path):
-    # np.median and a plain np.unique import numpy.ma, about 10 ms and 2 MB of every command
-    src = str(Path(cli.__file__).resolve().parents[1])
-    out = str(tmp_path)
+    # np.median and a plain np.unique import numpy.ma, about 10 ms and 2 MB of every command;
+    # concurrent.futures, which loads logging, is for --threads above 1 only
     code = (
         "import sys\n"
         "from crt_spectra import cli\n"
         "for args in (\n"
-        "    ['ensemble', '--replicas', '2', '--depth', '4', '--seed', '0'],\n"
-        "    ['renewal', '--replicas', '2', '--depth', '3', '--seed', '0'],\n"
+        "    ['ensemble', '--replicas', '2', '--depth', '4', '--seed', '0', '--threads', '1'],\n"
+        "    ['renewal', '--replicas', '2', '--depth', '3', '--seed', '0', '--threads', '1'],\n"
         "    ['spectrum', '--depth', '3', '--seed', '1', '--points', '9'],\n"
-        "    ['crt-route', '--replicas', '1', '--steps', '1024', '--leaves', '40', '--seed', '0'],\n"
+        "    ['crt-route', '--replicas', '1', '--steps', '1024', '--leaves', '40', '--seed', '0', '--threads', '1'],\n"
         "):\n"
-        f"    assert cli.main(args + ['--out', {out!r} + '/' + args[0]]) == 0\n"
-        "print('numpy.ma' in sys.modules)\n"
+        f"    assert cli.main(args + ['--out', {str(tmp_path)!r} + '/' + args[0]]) == 0\n"
+        "print('numpy.ma' in sys.modules, 'concurrent.futures' in sys.modules)\n"
     )
-    env = {**os.environ, "PYTHONPATH": src}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"
+    assert run_fresh(code, timeout=300) == "False False"
 
 
 def test_capacity_exit_code(tmp_path, capsys):
@@ -250,6 +267,26 @@ def test_renewal_warns_when_no_window_resolves(tmp_path, capsys):
     assert "half a decade" not in err
     assert not (out / "fit.json").exists()
     assert float(json.loads((out / "renewal.json").read_text())["m_infinity"]) > 0
+
+
+def test_ensemble_rerun_without_a_fit_removes_the_old_fit(tmp_path, capsys):
+    out = tmp_path / "d"
+    argv = ["ensemble", "--replicas", "2", "--depth", "6", "--seed", "1", "--out", str(out)]
+    assert run(argv) == 0
+    assert (out / "fit.json").exists()
+    assert run(argv + ["--lambda-hi", "30", "--points", "9"]) == 0
+    assert "warning: no resolved window" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "curves.csv"]
+    assert float(json.loads((out / "config.json").read_text())["lambda_hi"]) == 30
+
+
+def test_ensemble_after_renewal_removes_the_renewal_estimate(tmp_path):
+    out = tmp_path / "d"
+    common = ["--replicas", "2", "--depth", "6", "--seed", "1", "--out", str(out)]
+    assert run(["renewal", *common]) == 0
+    assert (out / "renewal.json").exists()
+    assert run(["ensemble", *common]) == 0
+    assert sorted(p.name for p in out.iterdir()) == ["config.json", "curves.csv", "fit.json"]
 
 
 RENEWAL_ARGS = ["renewal", "--replicas", "3", "--depth", "4", "--seed", "17",
