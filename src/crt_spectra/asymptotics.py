@@ -8,8 +8,9 @@ u(t) = exp(-2t/3) E eta(t), whose integral over the tilted split measure's
 unit first moment equals the same constant. Both share one replica loop:
 :func:`run_ensemble` builds each cascade network once and, given renewal
 shifts, reads the replica's eta row off one more sweep of that network. A
-third route builds reduced trees from sampled excursions and counts with
-the same engine.
+third route builds reduced trees from sampled excursions and counts with the
+same engine. Every route returns a :class:`Replica` record per replica, and
+:func:`run_ensemble` stacks them into an :class:`EnsembleResult`.
 """
 
 from __future__ import annotations
@@ -113,6 +114,16 @@ class EnsembleConfig:
         return {f.name: getattr(self, f.name) for f in fields(self) if f.name != "threads"}
 
 
+@dataclass(frozen=True)
+class Replica:
+    """One replica's outputs, as each route builds them; an output that a route does not compute keeps its default."""
+
+    dirichlet: np.ndarray  # integer counts on the lambda grid
+    neumann: np.ndarray
+    resolution: float  # estimated ceiling of the resolved range
+    eta: np.ndarray | None = None  # branching increments on the renewal t grid
+
+
 @dataclass
 class EnsembleResult:
     config: EnsembleConfig
@@ -120,7 +131,6 @@ class EnsembleResult:
     dirichlet: np.ndarray  # (replicas, points) integer counts
     neumann: np.ndarray
     resolutions: np.ndarray  # per replica, estimated ceiling of the resolved range
-    n_vertices: int
     eta: np.ndarray | None = None  # (replicas, shifts) branching increments, renewal runs only
 
 
@@ -184,7 +194,7 @@ def _median(x: np.ndarray) -> float:
     return float(0.0 + s[h]) if s.shape[0] % 2 else float((0.0 + s[h - 1] + s[h]) / 2)
 
 
-def _selfsimilar_replica(config: EnsembleConfig, r: int, ts: np.ndarray | None, check):
+def _selfsimilar_replica(config: EnsembleConfig, r: int, ts: np.ndarray | None, check) -> Replica:
     from .forms import diameter as net_diameter
 
     net = build_network(config.depth, config.replica_seed(r), config.debug_cascade)
@@ -202,16 +212,15 @@ def _selfsimilar_replica(config: EnsembleConfig, r: int, ts: np.ndarray | None, 
     l_arr = net.cascade.l_levels()[net.level]
     neg3logl = -3.0 * np.log(l_arr)
     resolution = floor * np.exp(_weighted_quantile(neg3logl, l_arr**2, _CEILING_DEFICIT))
-    return nd, nn, resolution, net.n_vertices, None if ts is None else eta_many(net, ts)
+    return Replica(nd, nn, resolution, None if ts is None else eta_many(net, ts))
 
 
-def _excursion_replica(config: EnsembleConfig, r: int):
+def _excursion_replica(config: EnsembleConfig, r: int) -> Replica:
     seed_seq = np.random.SeedSequence(entropy=config.master_seed % 2**63, spawn_key=(r,))
     path_seed, tree_seed = seed_seq.spawn(2)
     path = sample_excursion(config.steps, path_seed)
     tree = reduced_tree(path, config.leaves, tree_seed)
-    pencil = Pencil.from_tree(tree)
-    nd, nn = count_pair(pencil, config.lambda_grid)
+    nd, nn = count_pair(Pencil.from_tree(tree), config.lambda_grid)
     # unresolved hanging mass: modes inside the forest lumped onto vertex v
     # start no lower than 1/(mass * extent)
     hang = tree.lump_extent > 0
@@ -220,7 +229,7 @@ def _excursion_replica(config: EnsembleConfig, r: int):
         resolution = _weighted_quantile(est, tree.mass[hang], _CEILING_DEFICIT)
     else:  # pragma: no cover - every grid time on the tree
         resolution = float(config.lambda_hi)
-    return nd, nn, resolution, tree.n_vertices
+    return Replica(nd, nn, resolution)
 
 
 def run_ensemble(config: EnsembleConfig, ts: np.ndarray | None = None, check=None) -> EnsembleResult:
@@ -229,7 +238,7 @@ def run_ensemble(config: EnsembleConfig, ts: np.ndarray | None = None, check=Non
     Each replica is built once. Given renewal shifts ``ts`` (self-similar
     route only), the same network also yields the replica's eta row; given
     ``check``, ``check(r, net)`` sees each self-similar network before it
-    is counted and may raise. Rows are keyed by replica index, so the
+    is counted and may raise. Records stay in replica order, so the
     worker-thread count never changes any byte of the output.
     """
     if ts is not None and config.route != "selfsimilar":
@@ -243,23 +252,23 @@ def run_ensemble(config: EnsembleConfig, ts: np.ndarray | None = None, check=Non
     if cells * config.replicas > budget:
         raise CapacityError(f"{per_replica} x {config.replicas} replicas exceeds budget {budget}")
 
-    def work(r: int):
+    def work(r: int) -> Replica:
         if config.route == "selfsimilar":
             return _selfsimilar_replica(config, r, ts, check)
-        return (*_excursion_replica(config, r), None)
+        return _excursion_replica(config, r)
 
     if config.threads > 1:
         # imported here: concurrent.futures loads logging, about 4 ms of every command
         from concurrent.futures import ThreadPoolExecutor
 
         with ThreadPoolExecutor(max_workers=config.threads) as pool:
-            rows = list(pool.map(work, range(config.replicas)))
+            replicas = list(pool.map(work, range(config.replicas)))
     else:
-        rows = [work(r) for r in range(config.replicas)]
-    nd, nn, resolutions, sizes, etas = zip(*rows)
+        replicas = [work(r) for r in range(config.replicas)]
     return EnsembleResult(
-        config, config.lambda_grid, np.array(nd), np.array(nn), np.array(resolutions), int(max(sizes)),
-        None if ts is None else np.array(etas),
+        config, config.lambda_grid,
+        np.array([rep.dirichlet for rep in replicas]), np.array([rep.neumann for rep in replicas]),
+        np.array([rep.resolution for rep in replicas]), None if ts is None else np.array([rep.eta for rep in replicas]),
     )
 
 

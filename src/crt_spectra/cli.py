@@ -66,7 +66,7 @@ from .asymptotics import (
     write_results,
 )
 from .errors import CapacityError, CrtSpectraError, GuardError, TailError, WindowUnresolved
-from .spectrum import Pencil, bracketing_check, dense_count_below, network_counts
+from .spectrum import Pencil, bracketing_check, dense_count_pair, network_counts
 
 
 class UsageError(CrtSpectraError):
@@ -126,13 +126,11 @@ def _oracle_check(config: EnsembleConfig):
         if r >= 3:
             return
         nd, nn = network_counts(net, lams)
-        pd = Pencil.from_network(net, "dirichlet")
-        pn = Pencil.from_network(net, "neumann")
-        for i, lam in enumerate(lams):
-            if config.depth >= 1 and dense_count_below(pd, float(lam)) != int(nd[i]):
-                raise GuardError(f"oracle mismatch (dirichlet) at lambda={lam}")
-            if dense_count_below(pn, float(lam)) != int(nn[i]):
-                raise GuardError(f"oracle mismatch (neumann) at lambda={lam}")
+        dd, dn = dense_count_pair(Pencil.from_network(net), lams)
+        bad = np.flatnonzero((nd != dd) | (nn != dn))
+        if bad.size:
+            kind = "dirichlet" if nd[bad[0]] != dd[bad[0]] else "neumann"
+            raise GuardError(f"oracle mismatch ({kind}) at lambda={lams[bad[0]]}")
 
     return check
 

@@ -65,23 +65,20 @@ def sample_excursion(n_steps: int, seed) -> ExcursionPath:
 
 
 class MetricTree:
-    """Finite metric tree with parent links, edge lengths and vertex masses.
+    """Finite metric tree rooted at vertex 0, with parent links, edge lengths and vertex masses.
 
     ``lump_extent`` records, per vertex, the largest path distance from the
     vertex to a grid time whose mass was lumped onto it (zero when no
     off-tree mass hangs there); it feeds spectral-resolution estimates.
     """
 
-    def __init__(self, parent, edge_len, mass, time_idx, root: int = 0, lump_extent=None):
+    def __init__(self, parent, edge_len, mass, time_idx, lump_extent):
         self.parent = np.asarray(parent, dtype=np.int64)
         self.edge_len = np.asarray(edge_len, dtype=np.float64)
         self.mass = np.asarray(mass, dtype=np.float64)
         self.time_idx = np.asarray(time_idx, dtype=np.int64)
-        self.root = root
-        self.lump_extent = (
-            np.zeros(self.parent.shape[0]) if lump_extent is None else np.asarray(lump_extent, dtype=np.float64)
-        )
-        if (self.edge_len[np.arange(len(self.parent)) != root] <= 0).any():
+        self.lump_extent = np.asarray(lump_extent, dtype=np.float64)
+        if (self.edge_len[1:] <= 0).any():
             raise ValueError("edge lengths must be positive")
         if abs(self.mass.sum() - 1.0) > 1e-9:
             raise ValueError("vertex masses must sum to 1")
@@ -277,4 +274,4 @@ def spanned_tree(f: ExcursionPath, leaf_idx: np.ndarray) -> MetricTree:
     mass = counts / counts.sum()
     extent = np.zeros(len(parent))
     np.maximum.at(extent, owner, proj_dist)
-    return MetricTree(parent, edge_len, mass, vert_idx, lump_extent=extent)
+    return MetricTree(parent, edge_len, mass, vert_idx, extent)

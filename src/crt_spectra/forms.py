@@ -48,10 +48,6 @@ class ResistanceNetwork:
     def n_vertices(self) -> int:
         return self.structure.n_vertices
 
-    @property
-    def boundary(self) -> tuple[int, int]:
-        return (0, 1)
-
 
 def assemble(level: int, cascade: CascadeTree, perturbations: PerturbationTable) -> ResistanceNetwork:
     """Level-n network of a depth-n cascade: conductance H/(l R), masses l**2."""

@@ -10,14 +10,16 @@ number of eigenvalues <= lambda is the number of nonpositive eigenvalues of
 the dense, unscaled L - lambda M, which the symmetric solver resolves on the
 scale of L.
 
-Dirichlet counts delete the two boundary rows and columns. One engine
-counts every tree, dendrite network or excursion pencil: a rake/compress
-contraction schedule pivots leaves and degree-two vertices round by round,
-each compression adding one fill edge between its two neighbours, so the
-factorization costs O(V) per shift. The two boundary vertices are pivoted
-last, so one sweep yields both counts. The schedule depends only on the
-edges and the boundary, never on the shift or the boundary kind; it is
-built once per dendrite level (shared by every replica) and once per pencil.
+Dirichlet counts delete the two boundary rows and columns. A pencil has no
+boundary condition: every counter, the dense oracle too, returns the
+(Dirichlet, Neumann) pair. One engine counts every tree, dendrite network
+or excursion pencil: a rake/compress contraction schedule pivots leaves and
+degree-two vertices round by round, each compression adding one fill edge
+between its two neighbours, so the factorization costs O(V) per shift. The
+two boundary vertices are pivoted last, so one sweep yields both counts.
+The schedule depends only on the edges and the boundary, never on the
+shift; it is built once per dendrite level (shared by every replica) and
+once per pencil.
 
 A sweep also returns the pivot of the last interior vertex, the Schur
 complement det(L_D - lambda M_D) / det(the same without that vertex). On
@@ -54,8 +56,7 @@ class Pencil:
     """Stiffness/mass pencil of a finite tree network.
 
     ``edges`` are (u, v, conductance) arrays; ``mass`` is the diagonal mass
-    vector; ``boundary`` names the two distinguished vertices. ``kind`` is
-    "neumann" (free) or "dirichlet" (boundary rows/columns deleted).
+    vector; ``boundary`` names the two vertices that a Dirichlet count deletes.
     """
 
     edge_u: np.ndarray
@@ -63,11 +64,8 @@ class Pencil:
     edge_c: np.ndarray
     mass: np.ndarray
     boundary: tuple[int, int]
-    kind: str = "neumann"
 
     def __post_init__(self):
-        if self.kind not in ("neumann", "dirichlet"):
-            raise ValueError("kind must be 'neumann' or 'dirichlet'")
         if (self.mass <= 0).any():
             raise ValueError("mass diagonal must be positive")
         b0, b1 = self.boundary
@@ -79,18 +77,17 @@ class Pencil:
         return self.mass.shape[0]
 
     @classmethod
-    def from_network(cls, net: ResistanceNetwork, kind: str = "neumann") -> "Pencil":
+    def from_network(cls, net: ResistanceNetwork) -> "Pencil":
+        """Pencil bounded by the dendrite's corners, vertices 0 and 1."""
         e0, e1 = net.structure.ep0, net.structure.ep1
-        return cls(e0.copy(), e1.copy(), net.conductance.copy(), net.vertex_mass.copy(), net.boundary, kind)
+        return cls(e0.copy(), e1.copy(), net.conductance.copy(), net.vertex_mass.copy(), (0, 1))
 
     @classmethod
-    def from_tree(cls, tree: MetricTree, kind: str = "neumann") -> "Pencil":
-        """Pencil bounded by the tree root and the first inserted leaf (a mu-random vertex)."""
-        nonroot = np.arange(tree.n_vertices - 1, dtype=np.int64)
-        nonroot[tree.root :] += 1
-        eu = tree.parent[nonroot]
+    def from_tree(cls, tree: MetricTree) -> "Pencil":
+        """Pencil bounded by the tree root (vertex 0) and the first inserted leaf (a mu-random vertex)."""
+        nonroot = np.arange(1, tree.n_vertices)
         ec = 1.0 / tree.edge_len[nonroot]
-        return cls(eu.astype(np.int64), nonroot, ec, np.maximum(tree.mass, 1e-300), (tree.root, 1), kind)
+        return cls(tree.parent[nonroot], nonroot, ec, np.maximum(tree.mass, 1e-300), (0, 1))
 
     @cached_property
     def schedule(self) -> ContractionSchedule:
@@ -98,8 +95,8 @@ class Pencil:
         return contraction_schedule(self.edge_u, self.edge_v, self.n_vertices, *self.boundary)
 
 
-def dense_matrices(pencil: Pencil) -> tuple[np.ndarray, np.ndarray]:
-    """Dense stiffness matrix and mass diagonal (Dirichlet rows deleted)."""
+def dense_matrices(pencil: Pencil, dirichlet: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Dense stiffness matrix and mass diagonal, with the boundary rows deleted when ``dirichlet``."""
     nv = pencil.n_vertices
     if nv > 4096:
         raise CapacityError("dense path limited to 4096 vertices")
@@ -110,15 +107,14 @@ def dense_matrices(pencil: Pencil) -> tuple[np.ndarray, np.ndarray]:
         stiff[u, v] -= c
         stiff[v, u] -= c
     mass = pencil.mass.copy()
-    if pencil.kind == "dirichlet":
-        keep = np.array([v for v in range(nv) if v not in pencil.boundary])
-        stiff = stiff[np.ix_(keep, keep)]
-        mass = mass[keep]
+    if dirichlet:
+        keep = ~np.isin(np.arange(nv), pencil.boundary)
+        stiff, mass = stiff[np.ix_(keep, keep)], mass[keep]
     return stiff, mass
 
 
-def dense_count_below(pencil: Pencil, lam: float) -> int:
-    """Number of pencil eigenvalues <= lambda, by a dense Sylvester count (the oracle path).
+def dense_count_pair(pencil: Pencil, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Dirichlet, Neumann) counts of pencil eigenvalues <= each lambda, by a dense Sylvester count (the oracle path).
 
     M is diagonal and positive, so by Sylvester's law of inertia the count
     equals the number of nonpositive eigenvalues of L - lambda (1 + 1e-12) M
@@ -129,11 +125,14 @@ def dense_count_below(pencil: Pencil, lam: float) -> int:
     constants as its Neumann kernel on a connected tree, and eigvalsh
     would round that zero eigenvalue to either sign.
     """
-    if lam <= 0.0:
-        return int(lam == 0.0 and pencil.kind == "neumann")
-    stiff, mass = dense_matrices(pencil)
-    shifted = stiff - np.diag(lam * (1.0 + NUDGE) * mass)
-    return int((np.linalg.eigvalsh(shifted) <= 0.0).sum())
+    pair = []
+    for dirichlet in (True, False):
+        stiff, mass = dense_matrices(pencil, dirichlet)
+        counts = np.array([int(lam == 0.0 and not dirichlet) for lam in lams], dtype=np.int64)
+        for i in np.flatnonzero(lams > 0.0):
+            counts[i] = (np.linalg.eigvalsh(stiff - np.diag(lams[i] * (1.0 + NUDGE) * mass)) <= 0.0).sum()
+        pair.append(counts)
+    return pair[0], pair[1]
 
 
 # -- fast inertia path -------------------------------------------------------
@@ -144,12 +143,12 @@ def count_pair(pencil: Pencil, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return inertia_counts(pencil.schedule, pencil.mass, pencil.edge_c, lams)[:2]
 
 
-def count_below(pencil: Pencil, lam: float) -> int:
-    """Number of pencil eigenvalues <= lambda, with multiplicity."""
+def count_below(pencil: Pencil, lam: float, dirichlet: bool = False) -> int:
+    """Number of pencil eigenvalues <= lambda, with multiplicity, Neumann unless ``dirichlet``."""
     if not np.isfinite(lam):
         raise ValueError("lambda must be finite")
     nd, nn = count_pair(pencil, np.array([float(lam)]))
-    return int(nd[0] if pencil.kind == "dirichlet" else nn[0])
+    return int(nd[0] if dirichlet else nn[0])
 
 
 def block_counts(level: int, conduct: np.ndarray, cell_mass: np.ndarray, lams: np.ndarray):

@@ -267,16 +267,15 @@ def decompose(f: ExcursionPath, u: float, v: float) -> SplitResult:
 
 def children_lists(tree: MetricTree) -> list[list[int]]:
     out: list[list[int]] = [[] for _ in range(tree.n_vertices)]
-    for v in range(tree.n_vertices):
-        if v != tree.root:
-            out[tree.parent[v]].append(v)
+    for v in range(1, tree.n_vertices):
+        out[tree.parent[v]].append(v)
     return out
 
 
 def depth_from_root(tree: MetricTree) -> np.ndarray:
     d = np.zeros(tree.n_vertices)
     children = children_lists(tree)
-    stack = [tree.root]
+    stack = [0]
     while stack:
         v = stack.pop()
         for c in children[v]:
@@ -406,4 +405,4 @@ def spanned_tree(f: ExcursionPath, leaf_idx: np.ndarray) -> MetricTree:
     mass = counts / counts.sum()
     extent = np.zeros(len(parent))
     np.maximum.at(extent, owner, proj_dist)
-    return MetricTree(parent, edge_len, mass, vert_idx, lump_extent=extent)
+    return MetricTree(parent, edge_len, mass, vert_idx, extent)

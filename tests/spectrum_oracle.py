@@ -24,15 +24,15 @@ from crt_spectra._kernels import _ZERO_PIVOT, NUDGE, ContractionSchedule
 from crt_spectra.asymptotics import EnsembleResult
 from crt_spectra.errors import CapacityError
 from crt_spectra.forms import ResistanceNetwork, subnetwork_fresh
-from crt_spectra.spectrum import Pencil, count_below, dense_count_below, dense_matrices, network_counts
+from crt_spectra.spectrum import Pencil, count_below, dense_count_pair, dense_matrices, network_counts
 
 
 class TruncationError(Exception):
     """A heat-trace remainder bound exceeds the requested accuracy."""
 
 
-def dense_eigenvalues(pencil: Pencil) -> np.ndarray:
-    """All eigenvalues of M**-1/2 L M**-1/2 by the dense symmetric solver.
+def dense_eigenvalues(pencil: Pencil, dirichlet: bool = False) -> np.ndarray:
+    """All eigenvalues of M**-1/2 L M**-1/2 by the dense symmetric solver, Neumann unless ``dirichlet``.
 
     The solver errs by about eps times the largest eigenvalue, so the small
     ones are accurate only on well-scaled pencils, such as the uniform
@@ -41,21 +41,24 @@ def dense_eigenvalues(pencil: Pencil) -> np.ndarray:
     is alone) clipped at 0, the number of values <= x must equal the dense
     Sylvester count, which works on the unscaled L - x M.
     """
-    stiff, mass = dense_matrices(pencil)
+    stiff, mass = dense_matrices(pencil, dirichlet)
     if stiff.shape[0] == 0:
         return np.zeros(0)
     s = 1.0 / np.sqrt(mass)
     sym = stiff * s[:, None] * s[None, :]
     eigs = np.linalg.eigvalsh(sym)
     x = max(0.0, float(eigs[:2].mean()))
-    got, want = int((eigs <= x).sum()), dense_count_below(pencil, x)
+    dd, dn = dense_count_pair(pencil, np.array([x]))
+    got, want = int((eigs <= x).sum()), int((dd if dirichlet else dn)[0])
     if got != want:
         raise ValueError(f"dense spectrum lost its bottom: {got} values <= {x}, where Sylvester's law counts {want}")
     return eigs
 
 
-def eigenvalues_up_to(pencil: Pencil, lam_max: float, tol: float, cap: int = 200_000) -> np.ndarray:
-    """All eigenvalues <= lam_max, each within +-tol, with multiplicities.
+def eigenvalues_up_to(
+    pencil: Pencil, lam_max: float, tol: float, cap: int = 200_000, dirichlet: bool = False
+) -> np.ndarray:
+    """All eigenvalues <= lam_max, each within +-tol, with multiplicities; Neumann unless ``dirichlet``.
 
     Pure bisection on the exact counts: robust to clustering, no inverse
     iteration. Raises CapacityError when more than ``cap`` eigenvalues lie
@@ -64,7 +67,7 @@ def eigenvalues_up_to(pencil: Pencil, lam_max: float, tol: float, cap: int = 200
     if lam_max <= 0 or tol <= 0:
         raise ValueError("lam_max and tol must be positive")
     lo0 = -tol
-    n_lo, n_hi = count_below(pencil, lo0), count_below(pencil, lam_max)
+    n_lo, n_hi = count_below(pencil, lo0, dirichlet), count_below(pencil, lam_max, dirichlet)
     if n_hi - n_lo > cap:
         raise CapacityError(f"{n_hi - n_lo} eigenvalues below {lam_max} exceed cap {cap}")
     out: list[tuple[float, int]] = []
@@ -77,7 +80,7 @@ def eigenvalues_up_to(pencil: Pencil, lam_max: float, tol: float, cap: int = 200
             out.append((0.5 * (lo + hi), chi - clo))
             continue
         mid = 0.5 * (lo + hi)
-        cmid = count_below(pencil, mid)
+        cmid = count_below(pencil, mid, dirichlet)
         stack.append((lo, mid, clo, cmid))
         stack.append((mid, hi, cmid, chi))
     out.sort()
@@ -257,16 +260,17 @@ def telescoping_identity_gap(net: ResistanceNetwork, ts: np.ndarray, k_max: int)
     return full_d - acc
 
 
-def trace_plateau(result: EnsembleResult, window: tuple[float, float], t_points: int = 33) -> dict:
+def trace_plateau(result: EnsembleResult, window: tuple[float, float], n_total: int, t_points: int = 33) -> dict:
     """Plateau of t**(2/3) x mean Neumann heat trace over the mapped window.
 
     Times map to the resolved lambda window through t = 1/lambda; the trace
     comes from the mean counting curve with certified placement bounds.
+    ``n_total`` bounds the number of eigenvalues (a vertex count), which
+    bounds the tail above the grid.
     """
     lo, hi = window
     ts = 1.0 / np.geomspace(hi, lo, t_points)
     mean_n = result.neumann.mean(axis=0)
-    n_total = result.n_vertices
     values = []
     bounds = []
     for t in ts:

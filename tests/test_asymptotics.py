@@ -117,7 +117,7 @@ def test_fit_scaling_on_synthetic_power_law():
     lams = cfg.lambda_grid
     counts = np.maximum((0.37 * lams ** (2.0 / 3.0)).astype(np.int64), 0)
     res = asymptotics.EnsembleResult(
-        cfg, lams, counts[None, :].repeat(3, 0), counts[None, :].repeat(3, 0), np.full(3, 1e6), 10**6,
+        cfg, lams, counts[None, :].repeat(3, 0), counts[None, :].repeat(3, 0), np.full(3, 1e6),
     )
     fit = asymptotics.fit_scaling(res, window=(1e2, 1e5))
     assert abs(fit.slope - 2.0 / 3.0) < 0.01
@@ -132,10 +132,10 @@ def test_auto_window_names_why_it_collapses():
     lams = cfg.lambda_grid
     counts = np.maximum((0.37 * lams ** (2.0 / 3.0)).astype(np.int64), 0)[None, :].repeat(3, 0)
     lo = float(lams[np.nonzero(counts[0] >= 6)[0][0]])
-    below = asymptotics.EnsembleResult(cfg, lams, counts, counts, np.full(3, 0.5 * lo), 10**6)
+    below = asymptotics.EnsembleResult(cfg, lams, counts, counts, np.full(3, 0.5 * lo))
     with pytest.raises(WindowUnresolved, match=r"resolution ceiling .* lies below .*mean count reaches 6$"):
         asymptotics.auto_window(below)
-    narrow = asymptotics.EnsembleResult(cfg, lams, counts, counts, np.full(3, 2.0 * lo), 10**6)
+    narrow = asymptotics.EnsembleResult(cfg, lams, counts, counts, np.full(3, 2.0 * lo))
     with pytest.raises(WindowUnresolved, match="spans less than half a decade"):
         asymptotics.auto_window(narrow)
 
@@ -163,10 +163,10 @@ def test_auto_window_warns_when_the_grid_end_sets_window_hi(capsys):
     cfg = small_config(replicas=3)
     lams = cfg.lambda_grid
     counts = np.maximum((0.37 * lams ** (2.0 / 3.0)).astype(np.int64), 0)[None, :].repeat(3, 0)
-    inside = asymptotics.EnsembleResult(cfg, lams, counts, counts, np.full(3, 1e5), 10**6)
+    inside = asymptotics.EnsembleResult(cfg, lams, counts, counts, np.full(3, 1e5))
     assert asymptotics.auto_window(inside)[1] == 1e5
     assert capsys.readouterr().err == ""
-    beyond = asymptotics.EnsembleResult(cfg, lams, counts, counts, np.full(3, 1e7), 10**6)
+    beyond = asymptotics.EnsembleResult(cfg, lams, counts, counts, np.full(3, 1e7))
     assert asymptotics.auto_window(beyond)[1] == lams[-1]
     err = capsys.readouterr().err
     assert err.startswith("warning: resolution ceiling 10000000.0 lies above the grid end")
@@ -256,11 +256,20 @@ def test_eta_exact_zero_below_diameter_per_replica():
         assert (spectrum.eta_many(net, ts) == 0).all()
 
 
-def test_excursion_route_smoke():
+def test_excursion_route_smoke(monkeypatch):
+    sizes = []
+    build = asymptotics.reduced_tree
+
+    def record(*args):
+        tree = build(*args)
+        sizes.append(tree.n_vertices)
+        return tree
+
+    monkeypatch.setattr(asymptotics, "reduced_tree", record)
     cfg = small_config(route="excursion", replicas=3, steps=2**10, leaves=40, lambda_points=25)
     res = run_ensemble(cfg)
     assert (np.diff(res.neumann, axis=1) >= 0).all()
-    assert res.n_vertices <= 2 * 40 + 1
+    assert len(sizes) == 3 and max(sizes) <= 2 * 40 + 1
     assert (res.resolutions > 0).all()
     b = run_ensemble(cfg)
     np.testing.assert_array_equal(res.neumann, b.neumann)
@@ -274,10 +283,8 @@ def test_trace_plateau_power_law_reference():
     lams = cfg.lambda_grid
     c0 = 0.41
     counts = (c0 * lams ** (2.0 / 3.0)).astype(np.int64)
-    res = asymptotics.EnsembleResult(
-        cfg, lams, counts[None, :], counts[None, :], np.full(1, 1e9), 10**9
-    )
-    rep = trace_plateau(res, window=(1e2, 1e5))
+    res = asymptotics.EnsembleResult(cfg, lams, counts[None, :], counts[None, :], np.full(1, 1e9))
+    rep = trace_plateau(res, window=(1e2, 1e5), n_total=10**9)
     assert abs(rep["plateau"] / (c0 * math.gamma(5.0 / 3.0)) - 1.0) < 0.03
 
 
@@ -299,7 +306,7 @@ def test_records_hold_their_dataclass_fields(tmp_path):
     cfg = small_config(replicas=3)
     lams = cfg.lambda_grid
     counts = np.maximum((0.37 * lams ** (2.0 / 3.0)).astype(np.int64), 0)[None, :].repeat(3, 0)
-    res = asymptotics.EnsembleResult(cfg, lams, counts, counts, np.full(3, 1e6), 10**6)
+    res = asymptotics.EnsembleResult(cfg, lams, counts, counts, np.full(3, 1e6))
     fit = asymptotics.fit_scaling(res, window=(1e2, 1e5))
     ren = asymptotics.RenewalEstimate(
         np.array([0.0, 1.0]), np.array([0.5, 0.25]), 1.0, 0.375, 0.5, 0.25, np.array([0.25, 0.5]), 0.125

@@ -218,6 +218,17 @@ def test_oracle_agrees_on_a_badly_scaled_replica(tmp_path):
     assert run(args) == 0
 
 
+def test_oracle_checks_dirichlet_counts_at_depth_0(tmp_path, monkeypatch, capsys):
+    # a depth-0 network has no interior vertex, so the dense Dirichlet count is 0 at every lambda
+    args = ["ensemble", "--depth", "0", "--replicas", "1", "--oracle", "--out", str(tmp_path / "ens")]
+    assert run(args) == 0
+    capsys.readouterr()
+    counts = cli.network_counts
+    monkeypatch.setattr(cli, "network_counts", lambda net, lams: (counts(net, lams)[0] + 1, counts(net, lams)[1]))
+    assert run(args) == 4
+    assert capsys.readouterr().err == "numerical guard: oracle mismatch (dirichlet) at lambda=1.0\n"
+
+
 def test_oracle_builds_each_replica_once(tmp_path, monkeypatch):
     from crt_spectra import asymptotics
 

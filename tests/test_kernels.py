@@ -11,7 +11,7 @@ import pytest
 from crt_spectra import _kernels, excursion, forms, spectrum
 from crt_spectra.cascade import CascadeTree, PerturbationTable
 from crt_spectra.dendrite import structure
-from crt_spectra.spectrum import Pencil, dense_count_below, dense_matrices
+from crt_spectra.spectrum import Pencil, dense_count_pair, dense_matrices
 from conftest import small_network
 from excursion_oracle import gap_minima, lattice_path
 from spectrum_oracle import inertia_counts_per_shift
@@ -167,14 +167,14 @@ def test_last_interior_pivot_is_the_schur_complement(monkeypatch, block_bytes):
         for net in [small_network(depth, seed=seed) for seed in range(3)] + [debug]:
             v = _last_interior_vertex(net.structure.schedule)
             assert v == 2  # the level-1 midpoint
-            pen = Pencil.from_network(net, "dirichlet")
+            pen = Pencil.from_network(net)
             floor = spectrum.dirichlet_floor(net, forms.diameter(net))
             grid = floor * np.geomspace(1.0, 100.0, 200)
             one = grid[spectrum.network_counts(net, grid)[0] == 1]
             lams = np.array([0.5 * floor, np.sqrt(one[0] * one[-1])])
-            assert [dense_count_below(pen, lam) for lam in lams] == [0, 1]
+            assert dense_count_pair(pen, lams)[0].tolist() == [0, 1]
             nd, _, pivots = spectrum.network_counts(net, lams, pivot=True)
-            stiff, mass = dense_matrices(pen)
+            stiff, mass = dense_matrices(pen, True)
             j = v - 2  # dense_matrices drops the boundary vertices 0 and 1
             want = [1.0 / np.linalg.inv(stiff - np.diag(lam * (1.0 + _kernels.NUDGE) * mass))[j, j] for lam in lams]
             np.testing.assert_allclose(pivots, want, rtol=1e-7, err_msg=f"depth {depth}")

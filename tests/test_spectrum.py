@@ -26,7 +26,7 @@ def test_level0_closed_form_spectrum():
     # level 0 is one edge of conductance H/R between two half masses: {0, 4 H / R}
     net = small_network(0, seed=1)
     r = net.perturbations.r_levels[0][0]
-    pen = Pencil.from_network(net, "neumann")
+    pen = Pencil.from_network(net)
     dense = spectrum_oracle.dense_eigenvalues(pen)
     want = np.array([0.0, 4.0 * HEIGHT_CONSTANT / r])
     np.testing.assert_allclose(dense, want, atol=1e-12)
@@ -48,13 +48,12 @@ def test_neumann_zero_count():
 def test_dense_count_at_and_below_zero():
     # eigvalsh rounds the Neumann kernel of L to either sign; the oracle
     # counts exactly at lambda <= 0, as the engine does
-    for depth in range(1, 5):
+    for depth in range(5):
         for seed in range(20):
             net = small_network(depth, seed=seed)
-            nd, nn = spectrum.network_counts(net, np.array([-1.0, 0.0]))
-            for kind, counts in (("dirichlet", nd), ("neumann", nn)):
-                pen = Pencil.from_network(net, kind)
-                assert [spectrum.dense_count_below(pen, lam) for lam in (-1.0, 0.0)] == counts.tolist()
+            lams = np.array([-1.0, 0.0])
+            dense = spectrum.dense_count_pair(Pencil.from_network(net), lams)
+            np.testing.assert_array_equal(dense, spectrum.network_counts(net, lams))
 
 
 # -- oracle equivalence -------------------------------------------------------------
@@ -70,16 +69,16 @@ def test_inertia_matches_dense_oracle(depth):
     if depth == 7:
         net = debug_network(depth)
         nd, nn = spectrum.network_counts(net, lams)
-        for kind, counts in (("dirichlet", nd), ("neumann", nn)):
-            eigs = spectrum_oracle.dense_eigenvalues(Pencil.from_network(net, kind))
+        for dirichlet, counts in ((True, nd), (False, nn)):
+            eigs = spectrum_oracle.dense_eigenvalues(Pencil.from_network(net), dirichlet)
             np.testing.assert_array_equal((eigs[:, None] <= lams * (1.0 + 1e-12)).sum(axis=0), counts)
         return
     for seed in range(3):
         net = small_network(depth, seed=seed + 10 * depth)
         nd, nn = spectrum.network_counts(net, lams)
-        for kind, counts in (("dirichlet", nd), ("neumann", nn)):
-            pen = Pencil.from_network(net, kind)
-            np.testing.assert_array_equal([spectrum.dense_count_below(pen, float(lam)) for lam in lams], counts)
+        dd, dn = spectrum.dense_count_pair(Pencil.from_network(net), lams)
+        np.testing.assert_array_equal(dd, nd)
+        np.testing.assert_array_equal(dn, nn)
 
 
 def _mp_counts(pen: Pencil, lam: float) -> tuple[int, int]:
@@ -122,7 +121,7 @@ def test_inertia_matches_mpmath_past_dense_cap():
     net = small_network(8, seed=3)
     pen = Pencil.from_network(net)
     with pytest.raises(CapacityError):
-        spectrum.dense_matrices(pen)
+        spectrum.dense_matrices(pen, False)
     floor = spectrum.dirichlet_floor(net, forms.diameter(net))
     lams = np.geomspace(floor * (1.0 + 1e-6), 1e12, 12)
     nd, nn = spectrum.count_pair(pen, lams)
@@ -165,15 +164,14 @@ def test_counts_independent_of_elimination_order():
 
 
 def test_tree_engine_matches_dense_on_excursion_trees():
+    # a one-leaf tree and a depth-0 network have no interior vertex: no Dirichlet eigenvalue
     p = excursion.sample_excursion(2048, 31)
-    tree = excursion.reduced_tree(p, 25, seed=2)
-    pen = Pencil.from_tree(tree)
     lams = np.geomspace(0.5, 1e4, 15)
-    td, tn = spectrum.count_pair(pen, lams)
-    pd = Pencil.from_tree(tree, "dirichlet")
-    for i, lam in enumerate(lams):
-        assert spectrum.dense_count_below(pd, float(lam)) == td[i]
-        assert spectrum.dense_count_below(pen, float(lam)) == tn[i]
+    pencils = [Pencil.from_tree(excursion.reduced_tree(p, k, seed=2)) for k in (25, 1)]
+    pencils.append(Pencil.from_network(small_network(0, seed=3)))
+    assert [pen.n_vertices for pen in pencils[1:]] == [2, 2]
+    for pen in pencils:
+        np.testing.assert_array_equal(spectrum.dense_count_pair(pen, lams), spectrum.count_pair(pen, lams))
 
 
 def test_pencil_rejects_bad_boundary():
@@ -233,8 +231,8 @@ def test_homogeneity_of_counts():
 
 def test_dirichlet_floor_debug_against_dense():
     net = debug_network(1)
-    pen = Pencil.from_network(net, "dirichlet")
-    dense = spectrum_oracle.dense_eigenvalues(pen)
+    pen = Pencil.from_network(net)
+    dense = spectrum_oracle.dense_eigenvalues(pen, dirichlet=True)
     floor = spectrum.dirichlet_floor(net, forms.diameter(net))
     assert abs(floor - dense[0]) < 1e-8 * dense[0]
 
@@ -452,15 +450,15 @@ def test_dense_spectrum_raises_when_it_loses_its_bottom():
     # eigenvalue at 1.6e19; the M**-1/2 scaling returns a first eigenvalue of
     # about -526, and the Sylvester count at the midpoint of the two smallest
     # values (clipped at 0) finds none where the scaled spectrum has one
-    pen = Pencil.from_network(small_network(6, seed=3), "dirichlet")
+    pen = Pencil.from_network(small_network(6, seed=3))
     with pytest.raises(ValueError, match="lost its bottom"):
-        spectrum_oracle.dense_eigenvalues(pen)
+        spectrum_oracle.dense_eigenvalues(pen, dirichlet=True)
 
 
 def test_eigenvalues_level0():
     net = small_network(0, seed=21)
     r = net.perturbations.r_levels[0][0]
-    pen = Pencil.from_network(net, "neumann")
+    pen = Pencil.from_network(net)
     top = 4.0 * HEIGHT_CONSTANT / r
     eigs = spectrum_oracle.eigenvalues_up_to(pen, 1.5 * top, tol=1e-10)
     np.testing.assert_allclose(eigs, [0.0, top], atol=1e-9)
@@ -469,7 +467,7 @@ def test_eigenvalues_level0():
 def test_eigenvalues_match_debug_dense():
     # well-conditioned problem: the dense oracle is accurate here
     net = debug_network(3)
-    pen = Pencil.from_network(net, "neumann")
+    pen = Pencil.from_network(net)
     dense = spectrum_oracle.dense_eigenvalues(pen)
     lam_max = float(dense[-1] * 1.01)
     fast = spectrum_oracle.eigenvalues_up_to(pen, lam_max, tol=1e-8 * lam_max)
@@ -481,7 +479,7 @@ def test_eigenvalues_match_random_dense_scale_aware():
     # random cascades are badly conditioned: eigvalsh carries an absolute
     # error of order eps * lambda_max, so compare with a mixed tolerance
     net = small_network(4, seed=23)
-    pen = Pencil.from_network(net, "neumann")
+    pen = Pencil.from_network(net)
     dense = spectrum_oracle.dense_eigenvalues(pen)
     lam_max = float(dense[30] * 1.0001)
     fast = spectrum_oracle.eigenvalues_up_to(pen, lam_max, tol=1e-9 * lam_max)
@@ -493,16 +491,16 @@ def test_eigenvalues_match_random_dense_scale_aware():
 
 def test_eigenvalues_consistent_with_counts():
     net = small_network(3, seed=25)
-    pen = Pencil.from_network(net, "dirichlet")
-    eigs = spectrum_oracle.eigenvalues_up_to(pen, 500.0, tol=1e-9)
+    pen = Pencil.from_network(net)
+    eigs = spectrum_oracle.eigenvalues_up_to(pen, 500.0, tol=1e-9, dirichlet=True)
     assert (np.diff(eigs) >= 0).all()
     for lam in (0.5, 5.0, 50.0, 499.0):
-        assert (eigs <= lam).sum() == spectrum.count_below(pen, lam)
+        assert (eigs <= lam).sum() == spectrum.count_below(pen, lam, dirichlet=True)
 
 
 def test_eigenvalues_cap():
     net = small_network(3, seed=26)
-    pen = Pencil.from_network(net, "neumann")
+    pen = Pencil.from_network(net)
     with pytest.raises(CapacityError):
         spectrum_oracle.eigenvalues_up_to(pen, 1e12, tol=1.0, cap=5)
 
@@ -528,7 +526,7 @@ def test_heat_trace_remainder_guard():
 
 def test_trace_from_curve_matches_exact_list():
     net = small_network(3, seed=29)
-    pen = Pencil.from_network(net, "neumann")
+    pen = Pencil.from_network(net)
     eigs = spectrum_oracle.dense_eigenvalues(pen)
     lams = np.geomspace(1e-2, 10 * eigs[-1], 400)
     _, nn = spectrum.network_counts(net, lams)
