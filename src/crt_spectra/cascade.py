@@ -14,9 +14,10 @@ weights: ``R_i`` is the limit of sums of ``l(ij)/l(i)`` over binary words
 ``j`` and satisfies the exact recursion ``R_i = w(i1) R_i1 + w(i2) R_i2``.
 Its law is known in closed form, a scaled Rayleigh variable
 (``_kernels.rayleigh_perturbations``), and base-level values depend only on
-the triples below their address, so a table draws each base value exactly
-and independently, keyed by (seed, address code), and derives every
-shallower level through the recursion.
+the triples below their address, so :func:`perturbations` draws each base
+value exactly and independently, keyed by (seed, address code). Only the
+base level is kept: the networks are assembled from it, and the recursion
+fixes every shallower level (``tests/cascade_oracle.py`` lifts it there).
 """
 
 from __future__ import annotations
@@ -108,60 +109,19 @@ class CascadeTree:
         return sub
 
 
-class PerturbationTable:
-    """Resistance perturbations R_i on every level of a cascade.
-
-    ``r_levels[q]`` holds R at each address of length q. Every shallower
-    level is derived from the base level through the exact recursion, so
-    the Schur-complement compatibility identity holds to rounding whatever
-    the base values are.
-    """
-
-    def __init__(self, base_depth: int, r_levels: list[np.ndarray]):
-        self.base_depth = base_depth
-        self.r_levels = r_levels
-
-    def subtree(self, j: int) -> "PerturbationTable":
-        if self.base_depth < 1:
-            raise ValueError("no subtree below base level 0")
-        levels = []
-        for q in range(1, self.base_depth + 1):
-            block = 3 ** (q - 1)
-            levels.append(self.r_levels[q][(j - 1) * block : j * block])
-        return PerturbationTable(self.base_depth - 1, levels)
-
-    @classmethod
-    def ones(cls, base_depth: int) -> "PerturbationTable":
-        """All R = 1: the debug-cascade table."""
-        return cls(base_depth, [np.ones(3**q) for q in range(base_depth + 1)])
-
-
-def _lift_through_cascade(cascade: CascadeTree, r_base: np.ndarray) -> list[np.ndarray]:
-    # exact recursion R_i = w(i1) R_i1 + w(i2) R_i2, bottom-up
-    w = cascade.w_levels()
-    levels = [None] * (cascade.depth + 1)
-    levels[cascade.depth] = r_base
-    for q in range(cascade.depth - 1, -1, -1):
-        child = levels[q + 1]
-        wq = w[q + 1]
-        levels[q] = wq[0::3] * child[0::3] + wq[1::3] * child[1::3]
-    return levels
-
-
-def perturbations(cascade: CascadeTree) -> PerturbationTable:
-    """Exact perturbation table: one Rayleigh draw per base cell, lifted by the recursion.
+def perturbations(cascade: CascadeTree) -> np.ndarray:
+    """Exact base-level perturbations: one Rayleigh draw per cell of level n, in address order.
 
     Base values are keyed by (seed, address code) on their own stream, so
     they are independent of the cascade's triples and of each other, and a
     cell's value does not depend on which other cells are drawn. They are
     not those of a deeper sample of the same seed: the base R of a depth-n
-    table stands for the triples below depth n, which it never reads.
+    cascade stands for the triples below depth n, which it never reads.
     """
     if cascade.master_seed is None:
         raise IncompleteCascade("cascade has no seed; cannot key its perturbations")
     key = derive_key(cascade.master_seed, _TAG_PERTURB)
-    base = rayleigh_perturbations(key, level_codes(cascade.depth))
-    return PerturbationTable(cascade.depth, _lift_through_cascade(cascade, base))
+    return rayleigh_perturbations(key, level_codes(cascade.depth))
 
 
 # ---------------------------------------------------------------------------

@@ -8,15 +8,18 @@ l(i)**2 is lumped half/half onto its endpoints. The perturbations make the
 family compatible: tracing the level-(n+1) form onto the level-n vertices
 (series reduction through each midpoint, dangling tips dropped) reproduces
 the level-n conductances up to rounding, because the series sum
-telescopes through the R recursion (the trace lives with the tests, in
-``tests/forms_oracle.py``).
+telescopes through the R recursion (the trace and the lift of R onto
+coarser levels live with the tests, in ``tests/forms_oracle.py`` and
+``tests/cascade_oracle.py``). A network keeps only the base-level R it was
+assembled from; :func:`diameter` reads the coarser levels' path
+resistances off one bottom-up pass.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .cascade import CascadeTree, PerturbationTable, HEIGHT_CONSTANT
+from .cascade import CascadeTree, HEIGHT_CONSTANT
 from .dendrite import structure
 from .errors import IncompleteCascade
 
@@ -30,14 +33,14 @@ class ResistanceNetwork:
         conductance: np.ndarray,
         cell_mass: np.ndarray,
         cascade: CascadeTree | None = None,
-        perturbations: PerturbationTable | None = None,
+        perturbations: np.ndarray | None = None,
     ):
         self.level = level
         self.structure = structure(level)
         self.conductance = conductance
         self.cell_mass = cell_mass
         self.cascade = cascade
-        self.perturbations = perturbations
+        self.perturbations = perturbations  # base-level R, one per cell
         self.vertex_mass = self.structure.lump(cell_mass)
         if not (conductance > 0).all():
             raise ValueError("conductances must be positive")
@@ -49,51 +52,38 @@ class ResistanceNetwork:
         return self.structure.n_vertices
 
 
-def assemble(level: int, cascade: CascadeTree, perturbations: PerturbationTable) -> ResistanceNetwork:
-    """Level-n network of a depth-n cascade: conductance H/(l R), masses l**2."""
+def assemble(level: int, cascade: CascadeTree, r_base: np.ndarray) -> ResistanceNetwork:
+    """Level-n network of a depth-n cascade and its base-level R: conductance H/(l R), masses l**2."""
     if cascade.depth != level:
         raise IncompleteCascade(f"cascade depth {cascade.depth} != graph level {level}")
-    if perturbations.base_depth < level:
-        raise IncompleteCascade("perturbation table does not cover the base level")
+    if r_base.shape != (3**level,):
+        raise IncompleteCascade(f"perturbations of shape {r_base.shape} do not cover the 3**{level} base cells")
     l_arr = cascade.l_levels()[level]
-    r_arr = perturbations.r_levels[level]
-    if r_arr.shape[0] != 3**level:
-        raise IncompleteCascade("perturbation table misses base-level addresses")
-    conduct = HEIGHT_CONSTANT / (l_arr * r_arr)
-    return ResistanceNetwork(level, conduct, l_arr * l_arr, cascade, perturbations)
+    conduct = HEIGHT_CONSTANT / (l_arr * r_base)
+    return ResistanceNetwork(level, conduct, l_arr * l_arr, cascade, r_base)
 
 
 def subnetwork_fresh(net: ResistanceNetwork, j: int) -> ResistanceNetwork:
-    """Fresh assembly of cell j from the shifted cascade and table views."""
+    """Fresh assembly of cell j from the shifted cascade and cell j's block of base R."""
     if net.cascade is None or net.perturbations is None:
         raise IncompleteCascade("fresh subnetwork needs cascade and perturbations")
-    return assemble(net.level - 1, net.cascade.subtree(j), net.perturbations.subtree(j))
+    sub = net.cascade.subtree(j)
+    block = 3**sub.depth
+    return assemble(sub.depth, sub, net.perturbations[(j - 1) * block : j * block])
 
 
-# ---------------------------------------------------------------------------
-# Resistance geometry: path resistances and diameters
-# ---------------------------------------------------------------------------
+def diameter(net: ResistanceNetwork) -> float:
+    """Largest effective resistance between any two vertices.
 
-
-def _cell_path_resistances(net: ResistanceNetwork) -> list[np.ndarray]:
-    """Per level, the boundary-to-boundary resistance through each cell."""
-    rho = [1.0 / net.conductance]
+    One pass from the base level up. On each level ``rho`` is the
+    boundary-to-boundary resistance through each cell, ``h0`` and ``h1``
+    the eccentricities of its two boundary points into the cell, and
+    ``best`` the cell's diameter; a parent's values follow from its three
+    children's, whose cells 1 and 2 lie in series.
+    """
+    rho = h0 = h1 = best = 1.0 / net.conductance
     for _ in range(net.level):
-        prev = rho[-1]
-        rho.append(prev[0::3] + prev[1::3])
-    return rho[::-1]  # index by level
-
-
-def cell_diameters(net: ResistanceNetwork, level: int) -> np.ndarray:
-    """Resistance diameter of each level-q cell's vertex set."""
-    if not 0 <= level <= net.level:
-        raise ValueError("level out of range")
-    rho = _cell_path_resistances(net)
-    h0 = 1.0 / net.conductance  # eccentricity of endpoint 0 into the cell
-    h1 = h0.copy()
-    best = h0.copy()
-    for q in range(net.level - 1, level - 1, -1):
-        r1, r2 = rho[q + 1][0::3], rho[q + 1][1::3]
+        r1, r2 = rho[0::3], rho[1::3]
         down1 = h0[0::3]  # from the shared midpoint into each child
         down2 = h0[1::3]
         down3 = h0[2::3]
@@ -103,11 +93,6 @@ def cell_diameters(net: ResistanceNetwork, level: int) -> np.ndarray:
             down1 + down2,
             np.maximum(down1 + down3, down2 + down3),
         )
-        new_best = np.maximum(np.maximum(best[0::3], np.maximum(best[1::3], best[2::3])), pair)
-        h0, h1, best = new_h0, new_h1, new_best
-    return best
-
-
-def diameter(net: ResistanceNetwork) -> float:
-    """Largest effective resistance between any two vertices."""
-    return float(cell_diameters(net, 0)[0])
+        best = np.maximum(np.maximum(best[0::3], np.maximum(best[1::3], best[2::3])), pair)
+        h0, h1, rho = new_h0, new_h1, r1 + r2
+    return float(best[0])

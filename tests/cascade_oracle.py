@@ -8,7 +8,11 @@ with -ln l(i) < t grows like exp(2t), the Malthusian exponent.
 ``beta_half_one_moment`` is the closed-form moment of a Dirichlet(1/2,1/2,1/2)
 component, the reference for the sampled triples. ``truncated_perturbations``
 is the literal binary extension of the cascade, the truncated reference
-for the exact perturbation law and a deterministic table for small tests.
+for the exact perturbation law and deterministic base values for small
+tests. ``lift_through_cascade`` carries base-level R onto every coarser
+level through the exact recursion; the package keeps the base level only,
+so the lift is the reference for R above it (the coarser assemblies that
+the Schur trace must reproduce, the root R that is the boundary resistance).
 ``level_codes_chain`` builds every level's address codes child by child,
 the reference for ``cascade.level_codes``' closed form.
 """
@@ -20,13 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from crt_spectra._kernels import derive_key, dirichlet_half_triples
-from crt_spectra.cascade import (
-    _TAG_TRIPLES,
-    CascadeTree,
-    PerturbationTable,
-    _lift_through_cascade,
-    level_codes,
-)
+from crt_spectra.cascade import _TAG_TRIPLES, CascadeTree, level_codes
 from crt_spectra.errors import CapacityError, IncompleteCascade
 from crt_spectra.settings import cell_budget
 
@@ -133,14 +131,27 @@ def branch_count_below(seed: int, t_grid: np.ndarray, max_nodes: int = 5_000_000
     return np.searchsorted(allv, np.asarray(t_grid, dtype=np.float64), side="left").astype(np.int64)
 
 
-def truncated_perturbations(cascade: CascadeTree, trunc_depth: int) -> PerturbationTable:
-    """Truncated perturbations by literal binary extension of the cascade.
+def lift_through_cascade(cascade: CascadeTree, r_base: np.ndarray) -> list[np.ndarray]:
+    """Per level q = 0..n, R at each address of length q, from the base level by the exact recursion."""
+    # R_i = w(i1) R_i1 + w(i2) R_i2, bottom-up
+    w = cascade.w_levels()
+    levels = [None] * (cascade.depth + 1)
+    levels[cascade.depth] = r_base
+    for q in range(cascade.depth - 1, -1, -1):
+        child = levels[q + 1]
+        wq = w[q + 1]
+        levels[q] = wq[0::3] * child[0::3] + wq[1::3] * child[1::3]
+    return levels
+
+
+def truncated_perturbations(cascade: CascadeTree, trunc_depth: int) -> np.ndarray:
+    """Truncated base-level perturbations by literal binary extension of the cascade.
 
     Computes ``R_i = sum over binary words j of length m of l(ij)/l(i)`` for
-    every base-level address, extending the cascade on demand along
-    {1,2}-only descendants (the extension reuses the per-address stream, so
-    a deeper sample of the same seed agrees with it); shallower levels
-    follow the exact recursion. As m grows the base values converge in law
+    every base-level address, in address order, extending the cascade on
+    demand along {1,2}-only descendants (the extension reuses the
+    per-address stream, so a deeper sample of the same seed agrees with
+    it). As m grows the base values converge in law
     to the exact draws of ``cascade.perturbations``, losing (2/3)**m of
     R's variance at truncation m. Cost grows like 3**depth * 2**m.
     """
@@ -150,7 +161,7 @@ def truncated_perturbations(cascade: CascadeTree, trunc_depth: int) -> Perturbat
     if 3**n * 2**m > cell_budget():
         raise CapacityError(f"binary extension needs 3**{n} * 2**{m} cells; over budget {cell_budget()}")
     if m == 0:
-        return PerturbationTable(n, _lift_through_cascade(cascade, np.ones(3**n)))
+        return np.ones(3**n)
     if cascade.master_seed is None:
         raise IncompleteCascade("cascade has no seed; cannot extend along binary branches")
     key = derive_key(cascade.master_seed, _TAG_TRIPLES)
@@ -169,4 +180,4 @@ def truncated_perturbations(cascade: CascadeTree, trunc_depth: int) -> Perturbat
             t = dirichlet_half_triples(key, ext_codes[d])
             r = np.sqrt(t[:, 0]) * r[0::2] + np.sqrt(t[:, 1]) * r[1::2]
         r_base[lo : lo + chunk] = r
-    return PerturbationTable(n, _lift_through_cascade(cascade, r_base))
+    return r_base

@@ -46,10 +46,9 @@ def tent_path(n: int = 100) -> excursion.ExcursionPath:
 
 
 def small_network(depth: int, seed: int, trunc: int = 8) -> forms.ResistanceNetwork:
-    """Cascade network with the truncated (binary-extension) perturbation table."""
+    """Cascade network with truncated (binary-extension) perturbations."""
     casc = cascade.CascadeTree.sample(depth, seed)
-    table = truncated_perturbations(casc, trunc)
-    return forms.assemble(depth, casc, table)
+    return forms.assemble(depth, casc, truncated_perturbations(casc, trunc))
 
 
 @pytest.fixture

@@ -6,15 +6,20 @@ which is what makes the family of forms compatible. ``cell_block`` and
 ``subnetwork_rescaled`` cut a first-generation cell out of an assembled
 network, the blocks the one-sweep eta is checked against.
 ``effective_resistance`` is the path-sum brute force that
-``forms.diameter`` is checked against.
+``forms.diameter`` is checked against, and ``cell_diameters`` the per-level
+pass (every level's path resistances kept) that its one bottom-up pass
+must reproduce bit for bit.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from crt_spectra.cascade import CascadeTree
 from crt_spectra.errors import IncompleteCascade
-from crt_spectra.forms import ResistanceNetwork, _cell_path_resistances
+from crt_spectra.forms import ResistanceNetwork
+
+from cascade_oracle import lift_through_cascade
 
 
 def trace_to_coarser(net: ResistanceNetwork) -> ResistanceNetwork:
@@ -23,6 +28,8 @@ def trace_to_coarser(net: ResistanceNetwork) -> ResistanceNetwork:
     Each cell's tip is a dangling leaf (drops); eliminating the midpoint
     puts the first two child conductances in series. With R-values tied by
     the exact recursion this reproduces the coarser assembly to rounding.
+    The traced network carries the depth-(n-1) cascade and R lifted one
+    level, as a coarser assembly would.
     """
     if net.level < 1:
         raise ValueError("level-0 network has no coarser trace")
@@ -31,8 +38,11 @@ def trace_to_coarser(net: ResistanceNetwork) -> ResistanceNetwork:
     c1 = net.conductance[0::3]
     c2 = net.conductance[1::3]
     traced = c1 * c2 / (c1 + c2)
-    l_coarse = net.cascade.l_levels()[net.level - 1]
-    return ResistanceNetwork(net.level - 1, traced, l_coarse * l_coarse, net.cascade, net.perturbations)
+    level = net.level - 1
+    coarse = CascadeTree(level, net.cascade.triples[:level], net.cascade.master_seed)
+    r_coarse = lift_through_cascade(net.cascade, net.perturbations)[level]
+    l_coarse = coarse.l_levels()[level]
+    return ResistanceNetwork(level, traced, l_coarse * l_coarse, coarse, r_coarse)
 
 
 def cell_block(net: ResistanceNetwork, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -60,6 +70,39 @@ def subnetwork_rescaled(net: ResistanceNetwork, j: int) -> ResistanceNetwork:
     w = float(net.cascade.w_levels()[1][j - 1])
     conduct, cmass = cell_block(net, j)
     return ResistanceNetwork(net.level - 1, conduct * w, cmass / (w * w))
+
+
+def _cell_path_resistances(net: ResistanceNetwork) -> list[np.ndarray]:
+    """Per level, the boundary-to-boundary resistance through each cell."""
+    rho = [1.0 / net.conductance]
+    for _ in range(net.level):
+        prev = rho[-1]
+        rho.append(prev[0::3] + prev[1::3])
+    return rho[::-1]  # index by level
+
+
+def cell_diameters(net: ResistanceNetwork, level: int) -> np.ndarray:
+    """Resistance diameter of each level-q cell's vertex set."""
+    if not 0 <= level <= net.level:
+        raise ValueError("level out of range")
+    rho = _cell_path_resistances(net)
+    h0 = 1.0 / net.conductance  # eccentricity of endpoint 0 into the cell
+    h1 = h0.copy()
+    best = h0.copy()
+    for q in range(net.level - 1, level - 1, -1):
+        r1, r2 = rho[q + 1][0::3], rho[q + 1][1::3]
+        down1 = h0[0::3]  # from the shared midpoint into each child
+        down2 = h0[1::3]
+        down3 = h0[2::3]
+        new_h0 = np.maximum(h1[0::3], r1 + np.maximum(down2, down3))
+        new_h1 = np.maximum(h1[1::3], r2 + np.maximum(down1, down3))
+        pair = np.maximum(
+            down1 + down2,
+            np.maximum(down1 + down3, down2 + down3),
+        )
+        new_best = np.maximum(np.maximum(best[0::3], np.maximum(best[1::3], best[2::3])), pair)
+        h0, h1, best = new_h0, new_h1, new_best
+    return best
 
 
 def root_distances(net: ResistanceNetwork) -> np.ndarray:

@@ -103,7 +103,7 @@ def test_level0_ensemble_curve_jump():
     cfg = small_config(replicas=1, depth=0, lambda_points=33)
     res = run_ensemble(cfg)
     net = asymptotics.build_network(0, cfg.replica_seed(0))
-    r = net.perturbations.r_levels[0][0]
+    r = net.perturbations[0]
     jump = 4.0 * cascade.HEIGHT_CONSTANT / r
     nn = res.neumann[0]
     assert set(nn.tolist()) <= {1, 2}

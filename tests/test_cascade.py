@@ -137,9 +137,9 @@ def test_capacity_error_on_depth():
 
 # -- perturbations -----------------------------------------------------------
 #
-# The truncated reference (the literal binary extension) lives in
-# cascade_oracle; cascade.perturbations draws the base level from the exact
-# law and lifts it by the same recursion.
+# The truncated reference (the literal binary extension) and the lift of
+# base-level R through the recursion live in cascade_oracle;
+# cascade.perturbations draws the base level from the exact law.
 
 RAYLEIGH_MOMENTS = (1.0, 4.0 / np.pi, 6.0 / np.pi, 32.0 / np.pi**2)
 
@@ -161,36 +161,38 @@ def ks_statistic(a: np.ndarray, b: np.ndarray) -> float:
     return float(np.abs(fa - fb).max())
 
 
-def assert_recursion_bit_exact(casc: CascadeTree, table) -> None:
+def assert_recursion_bit_exact(casc: CascadeTree, r_base: np.ndarray) -> None:
+    r_levels = cascade_oracle.lift_through_cascade(casc, r_base)
+    assert [level.shape[0] for level in r_levels] == [3**q for q in range(casc.depth + 1)]
+    np.testing.assert_array_equal(r_levels[casc.depth], r_base)
     w = casc.w_levels()
     for q in range(casc.depth):
-        child = table.r_levels[q + 1]
+        child = r_levels[q + 1]
         want = w[q + 1][0::3] * child[0::3] + w[q + 1][1::3] * child[1::3]
-        np.testing.assert_array_equal(table.r_levels[q], want)
+        np.testing.assert_array_equal(r_levels[q], want)
 
 
 def test_perturbations_trivial_truncation():
     # truncation 0 is the single empty product at every base-level address;
-    # coarser levels still follow the recursion (the table keeps one
+    # coarser levels still follow the recursion (the lift keeps one
     # truncation horizon so the trace identity stays exact)
     casc = CascadeTree.sample(3, seed=4)
-    table = cascade_oracle.truncated_perturbations(casc, 0)
-    np.testing.assert_array_equal(table.r_levels[3], np.ones(27))
+    r_base = cascade_oracle.truncated_perturbations(casc, 0)
+    np.testing.assert_array_equal(r_base, np.ones(27))
     w = casc.w_levels()
     want = w[3][0::3] + w[3][1::3]
-    np.testing.assert_array_equal(table.r_levels[2], want)
+    np.testing.assert_array_equal(cascade_oracle.lift_through_cascade(casc, r_base)[2], want)
 
 
 def test_perturbation_recursion_bit_exact():
     casc = CascadeTree.sample(4, seed=10)
     assert_recursion_bit_exact(casc, cascade_oracle.truncated_perturbations(casc, 6))
-    # the exact table lifts its base draws by the same recursion, on every level
+    # the exact draws are one float per base cell, and lift like any other
     for depth, seed in ((0, 1), (1, 2), (5, 3), (8, 4)):
         casc = CascadeTree.sample(depth, seed=seed)
-        table = cascade.perturbations(casc)
-        assert table.base_depth == depth
-        assert [level.shape[0] for level in table.r_levels] == [3**q for q in range(depth + 1)]
-        assert_recursion_bit_exact(casc, table)
+        r_base = cascade.perturbations(casc)
+        assert r_base.shape == (3**depth,) and r_base.dtype == np.float64
+        assert_recursion_bit_exact(casc, r_base)
 
 
 def test_perturbation_direct_sum_oracle():
@@ -198,7 +200,7 @@ def test_perturbation_direct_sum_oracle():
     # the weight products; enumerate them directly as the oracle
     casc = CascadeTree.sample(0, seed=31)
     m = 7
-    table = cascade_oracle.truncated_perturbations(casc, m)
+    r_base = cascade_oracle.truncated_perturbations(casc, m)
     key = cascade.derive_key(31, 0x7A31)
 
     total = 0.0
@@ -211,7 +213,7 @@ def test_perturbation_direct_sum_oracle():
             prod *= np.sqrt(t[digit - 1])
             code = 3 * code + digit
         total += prod
-    assert abs(total - table.r_levels[0][0]) < 1e-10
+    assert abs(total - r_base[0]) < 1e-10
 
 
 def test_perturbations_match_deeper_cascade():
@@ -221,7 +223,7 @@ def test_perturbations_match_deeper_cascade():
     c4 = CascadeTree.sample(4, seed=8)
     t3 = cascade_oracle.truncated_perturbations(c3, 3)
     t4 = cascade_oracle.truncated_perturbations(c4, 2)
-    np.testing.assert_array_equal(t3.r_levels[3], t4.r_levels[3])
+    np.testing.assert_array_equal(t3, cascade_oracle.lift_through_cascade(c4, t4)[3])
 
 
 def test_perturbations_budget():
@@ -244,7 +246,7 @@ def test_exact_perturbation_moments():
     # from the exact variance E R**2k - (E R**k)**2
     for k, want in enumerate(RAYLEIGH_MOMENTS, start=1):
         assert abs(rayleigh_moment(k) - want) < 1e-15
-    base = cascade.perturbations(CascadeTree.sample(11, seed=6)).r_levels[11]
+    base = cascade.perturbations(CascadeTree.sample(11, seed=6))
     n = base.shape[0]
     for k, want in enumerate(RAYLEIGH_MOMENTS, start=1):
         se = np.sqrt((rayleigh_moment(2 * k) - want**2) / n)
@@ -263,8 +265,8 @@ def test_exact_perturbations_match_binary_extension_in_law():
     exact, truncated = [], []
     for seed in range(200, 204):
         casc = CascadeTree.sample(6, seed=seed)
-        exact.append(cascade.perturbations(casc).r_levels[6])
-        truncated.append(cascade_oracle.truncated_perturbations(casc, 14).r_levels[6])
+        exact.append(cascade.perturbations(casc))
+        truncated.append(cascade_oracle.truncated_perturbations(casc, 14))
     a, b = np.concatenate(exact), np.concatenate(truncated)
     n = a.shape[0]
     assert n == b.shape[0] == 4 * 3**6
@@ -274,7 +276,7 @@ def test_exact_perturbations_match_binary_extension_in_law():
 def test_exact_perturbations_depend_only_on_seed_and_address():
     depth, seed = 7, 41
     casc = CascadeTree.sample(depth, seed=seed)
-    base = cascade.perturbations(casc).r_levels[depth]
+    base = cascade.perturbations(casc)
     # the cells below address 2, drawn on their own, are the same values
     key = cascade.derive_key(seed, cascade._TAG_PERTURB)
     block = 3 ** (depth - 1)
@@ -283,22 +285,21 @@ def test_exact_perturbations_depend_only_on_seed_and_address():
     np.testing.assert_array_equal(alone, base[block : 2 * block])
     # another seed's triples under the same seed leave the base level as it is
     other = CascadeTree(depth, CascadeTree.sample(depth, seed=seed + 1).triples, seed)
-    np.testing.assert_array_equal(cascade.perturbations(other).r_levels[depth], base)
-    # built on one thread or two, every table is the same
+    np.testing.assert_array_equal(cascade.perturbations(other), base)
+    # built on one thread or two, every network's perturbations are the same
     seeds = list(range(10, 16))
-    serial = [asymptotics.build_network(5, s).perturbations.r_levels for s in seeds]
+    serial = [asymptotics.build_network(5, s).perturbations for s in seeds]
     with ThreadPoolExecutor(max_workers=2) as pool:
-        threaded = [net.perturbations.r_levels for net in pool.map(lambda s: asymptotics.build_network(5, s), seeds)]
+        threaded = [net.perturbations for net in pool.map(lambda s: asymptotics.build_network(5, s), seeds)]
     for a, b in zip(serial, threaded):
-        for qa, qb in zip(a, b):
-            np.testing.assert_array_equal(qa, qb)
+        np.testing.assert_array_equal(a, b)
 
 
 def test_exact_perturbations_independent_of_the_triples():
     # base R is uncorrelated with its cell's length and with the triple of
     # its parent, within 4 standard errors of a zero correlation
     casc = CascadeTree.sample(10, seed=12)
-    base = cascade.perturbations(casc).r_levels[10]
+    base = cascade.perturbations(casc)
     n = base.shape[0]
     parent = casc.triples[9]
     for other in (np.log(casc.l_levels()[10]), np.repeat(parent[:, 0], 3), casc.w_levels()[10]):

@@ -1,20 +1,20 @@
 import numpy as np
 import pytest
 
-from crt_spectra import forms
-from crt_spectra.cascade import CascadeTree, HEIGHT_CONSTANT, PerturbationTable
+from crt_spectra import asymptotics, forms
+from crt_spectra.cascade import CascadeTree, HEIGHT_CONSTANT
 from crt_spectra.errors import IncompleteCascade
 
 import forms_oracle
-from cascade_oracle import truncated_perturbations
+from cascade_oracle import lift_through_cascade, truncated_perturbations
 from conftest import small_network
 
 
 def test_level0_assembly():
     casc = CascadeTree.sample(0, seed=1)
-    table = truncated_perturbations(casc, 8)
-    net = forms.assemble(0, casc, table)
-    r = table.r_levels[0][0]
+    r_base = truncated_perturbations(casc, 8)
+    net = forms.assemble(0, casc, r_base)
+    r = r_base[0]
     assert np.allclose(net.conductance, [HEIGHT_CONSTANT / r])
     np.testing.assert_allclose(net.vertex_mass, [0.5, 0.5])
 
@@ -28,7 +28,7 @@ def test_total_mass_every_level():
 
 def test_debug_cascade_edge_resistance():
     for depth in (1, 2, 4):
-        net = forms.assemble(depth, CascadeTree.debug(depth), PerturbationTable.ones(depth))
+        net = forms.assemble(depth, CascadeTree.debug(depth), np.ones(3**depth))
         want = 3.0 ** (-depth / 2.0) / HEIGHT_CONSTANT
         np.testing.assert_allclose(1.0 / net.conductance, want, rtol=1e-14)
 
@@ -38,21 +38,21 @@ def test_assembly_validations():
     with pytest.raises(IncompleteCascade):
         forms.assemble(4, casc, truncated_perturbations(casc, 4))
     with pytest.raises(IncompleteCascade):
-        forms.assemble(3, casc, PerturbationTable.ones(2))
+        forms.assemble(3, casc, np.ones(3**2))
 
 
 def test_trace_reproduces_coarser_assembly():
     # the Schur trace puts the first two child resistances in series, which
     # telescopes through the R recursion into the coarser conductances
     casc = CascadeTree.sample(6, seed=9)
-    table = truncated_perturbations(casc, 6)
-    net = forms.assemble(6, casc, table)
+    r_levels = lift_through_cascade(casc, truncated_perturbations(casc, 6))
+    net = forms.assemble(6, casc, r_levels[6])
     for level in range(6, 0, -1):
         traced = forms_oracle.trace_to_coarser(net)
         coarse = forms.assemble(
             level - 1,
             CascadeTree(level - 1, casc.triples[: level - 1], casc.master_seed),
-            PerturbationTable(level - 1, table.r_levels[:level]),
+            r_levels[level - 1],
         )
         rel = np.abs(traced.conductance / coarse.conductance - 1.0)
         assert rel.max() < 1e-9
@@ -66,11 +66,11 @@ def test_trace_series_formula_and_debug_mismatch():
     # a direct coarser assembly: the perturbations are what make the family
     # compatible
     depth = 3
-    net = forms.assemble(depth, CascadeTree.debug(depth), PerturbationTable.ones(depth))
+    net = forms.assemble(depth, CascadeTree.debug(depth), np.ones(3**depth))
     traced = forms_oracle.trace_to_coarser(net)
     r_child = 3.0 ** (-depth / 2.0) / HEIGHT_CONSTANT
     np.testing.assert_allclose(1.0 / traced.conductance, 2.0 * r_child, rtol=1e-14)
-    direct = forms.assemble(depth - 1, CascadeTree.debug(depth - 1), PerturbationTable.ones(depth - 1))
+    direct = forms.assemble(depth - 1, CascadeTree.debug(depth - 1), np.ones(3 ** (depth - 1)))
     assert not np.allclose(1.0 / traced.conductance, 1.0 / direct.conductance, rtol=1e-3)
 
 
@@ -86,7 +86,7 @@ def test_mass_conservation_under_refinement():
 def test_effective_resistance_boundary_pair():
     net = small_network(4, seed=7)
     r = forms_oracle.effective_resistance(net, 0, 1)
-    want = net.perturbations.r_levels[0][0] / HEIGHT_CONSTANT
+    want = lift_through_cascade(net.cascade, net.perturbations)[0][0] / HEIGHT_CONSTANT
     assert abs(r / want - 1.0) < 1e-12
     assert forms_oracle.effective_resistance(net, 5, 5) == 0.0
 
@@ -111,20 +111,20 @@ def test_mean_boundary_resistance():
 
 def test_diameter_level0():
     casc = CascadeTree.sample(0, seed=3)
-    table = truncated_perturbations(casc, 6)
-    net = forms.assemble(0, casc, table)
-    assert abs(forms.diameter(net) - table.r_levels[0][0] / HEIGHT_CONSTANT) < 1e-15
+    r_base = truncated_perturbations(casc, 6)
+    net = forms.assemble(0, casc, r_base)
+    assert abs(forms.diameter(net) - r_base[0] / HEIGHT_CONSTANT) < 1e-15
 
 
 def test_diameter_monotone_in_level():
     casc = CascadeTree.sample(5, seed=11)
-    table = truncated_perturbations(casc, 6)
+    r_levels = lift_through_cascade(casc, truncated_perturbations(casc, 6))
     prev = 0.0
     for level in range(6):
         net = forms.assemble(
             level,
             CascadeTree(level, casc.triples[:level], casc.master_seed),
-            PerturbationTable(level, table.r_levels[: level + 1]),
+            r_levels[level],
         )
         d = forms.diameter(net)
         assert d >= prev - 1e-12
@@ -135,6 +135,13 @@ def test_diameter_agrees_with_pairwise_search():
     net = small_network(3, seed=13)
     dist = np.array([[forms_oracle.effective_resistance(net, a, b) for b in range(net.n_vertices)] for a in range(net.n_vertices)])
     assert abs(dist.max() - forms.diameter(net)) < 1e-12
+
+
+def test_diameter_matches_per_level_pass_bit_for_bit():
+    # the one bottom-up pass does the per-level oracle's arithmetic in its order
+    for depth in range(11):
+        for net in (asymptotics.build_network(depth, 40 + depth), asymptotics.build_network(depth, 0, debug=True)):
+            assert forms.diameter(net) == forms_oracle.cell_diameters(net, 0)[0]
 
 
 def _extremal_speed() -> float:
@@ -159,7 +166,7 @@ def test_cell_diameters_decay():
         vals = []
         for seed in range(20):
             net = small_network(depth, seed=seed, trunc=6)
-            vals.append(forms.cell_diameters(net, depth).max())
+            vals.append(forms_oracle.cell_diameters(net, depth).max())
         meds.append(np.median(vals))
     rate = np.exp(-5.0 * _extremal_speed())
     assert abs(rate - 0.4936) < 1e-4
@@ -174,6 +181,22 @@ def test_rescaled_subnetwork_matches_fresh():
         np.testing.assert_allclose(scaled.conductance, fresh.conductance, rtol=1e-12)
         np.testing.assert_allclose(scaled.vertex_mass, fresh.vertex_mass, rtol=1e-12)
         assert abs(scaled.vertex_mass.sum() - 1.0) < 1e-9
+
+
+def test_traced_network_cuts_into_fresh_subnetworks():
+    # the trace carries the coarser cascade and lifted R, so its fresh cells
+    # are those of the coarse assembly, and its traced conductances cut into
+    # the same cells
+    net = small_network(4, seed=3)
+    traced = forms_oracle.trace_to_coarser(net)
+    r_levels = lift_through_cascade(net.cascade, net.perturbations)
+    coarse = forms.assemble(3, CascadeTree(3, net.cascade.triples[:3], net.cascade.master_seed), r_levels[3])
+    for j in (1, 2, 3):
+        fresh = forms.subnetwork_fresh(traced, j)
+        assert fresh.level == 2
+        for other in (forms.subnetwork_fresh(coarse, j), forms_oracle.subnetwork_rescaled(traced, j)):
+            np.testing.assert_allclose(fresh.conductance, other.conductance, rtol=1e-9)
+            np.testing.assert_allclose(fresh.vertex_mass, other.vertex_mass, rtol=1e-9)
 
 
 def test_cell_block_slices_are_views_of_assembly():

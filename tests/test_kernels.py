@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from crt_spectra import _kernels, excursion, forms, spectrum
-from crt_spectra.cascade import CascadeTree, PerturbationTable
+from crt_spectra.cascade import CascadeTree
 from crt_spectra.dendrite import structure
 from crt_spectra.spectrum import Pencil, dense_count_pair, dense_matrices
 from conftest import small_network
@@ -110,7 +110,7 @@ def _pencils():
     for depth in range(9):
         net = small_network(depth, seed=depth)
         yield f"random-{depth}", net.structure.schedule, net.vertex_mass, net.conductance
-        net = forms.assemble(depth, CascadeTree.debug(depth), PerturbationTable.ones(depth))
+        net = forms.assemble(depth, CascadeTree.debug(depth), np.ones(3**depth))
         yield f"debug-{depth}", net.structure.schedule, net.vertex_mass, net.conductance
     for name, path in (("gaussian", excursion.sample_excursion(4096, 3)), ("lattice", lattice_path(4096, 5))):
         pen = Pencil.from_tree(excursion.reduced_tree(path, 60, seed=1))
@@ -163,7 +163,7 @@ def test_last_interior_pivot_is_the_schur_complement(monkeypatch, block_bytes):
     # the dense inverse itself loses about 6e-9 to conditioning at depth 6
     monkeypatch.setattr(_kernels, "_SHIFT_BLOCK_BYTES", block_bytes)
     for depth in range(1, 7):
-        debug = forms.assemble(depth, CascadeTree.debug(depth), PerturbationTable.ones(depth))
+        debug = forms.assemble(depth, CascadeTree.debug(depth), np.ones(3**depth))
         for net in [small_network(depth, seed=seed) for seed in range(3)] + [debug]:
             v = _last_interior_vertex(net.structure.schedule)
             assert v == 2  # the level-1 midpoint

@@ -4,7 +4,7 @@ import pytest
 
 from crt_spectra import _kernels, excursion, forms, spectrum
 from crt_spectra._kernels import contraction_schedule
-from crt_spectra.cascade import CascadeTree, HEIGHT_CONSTANT, PerturbationTable
+from crt_spectra.cascade import CascadeTree, HEIGHT_CONSTANT
 from crt_spectra.dendrite import structure
 from crt_spectra.errors import CapacityError, GuardError
 from crt_spectra.spectrum import Pencil
@@ -16,7 +16,7 @@ from spectrum_oracle import TruncationError
 
 
 def debug_network(depth):
-    return forms.assemble(depth, CascadeTree.debug(depth), PerturbationTable.ones(depth))
+    return forms.assemble(depth, CascadeTree.debug(depth), np.ones(3**depth))
 
 
 # -- level-0 closed form ----------------------------------------------------------
@@ -25,7 +25,7 @@ def debug_network(depth):
 def test_level0_closed_form_spectrum():
     # level 0 is one edge of conductance H/R between two half masses: {0, 4 H / R}
     net = small_network(0, seed=1)
-    r = net.perturbations.r_levels[0][0]
+    r = net.perturbations[0]
     pen = Pencil.from_network(net)
     dense = spectrum_oracle.dense_eigenvalues(pen)
     want = np.array([0.0, 4.0 * HEIGHT_CONSTANT / r])
@@ -457,7 +457,7 @@ def test_dense_spectrum_raises_when_it_loses_its_bottom():
 
 def test_eigenvalues_level0():
     net = small_network(0, seed=21)
-    r = net.perturbations.r_levels[0][0]
+    r = net.perturbations[0]
     pen = Pencil.from_network(net)
     top = 4.0 * HEIGHT_CONSTANT / r
     eigs = spectrum_oracle.eigenvalues_up_to(pen, 1.5 * top, tol=1e-10)
