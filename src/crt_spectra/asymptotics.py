@@ -210,7 +210,7 @@ def _selfsimilar_replica(config: EnsembleConfig, r: int, ts: np.ndarray | None, 
     # resolution ceiling: the lambda at which a _CEILING_DEFICIT fraction of
     # spectral mass sits in cells whose internal modes (first eigenvalue
     # about floor / l**3) are already distorted by the lumping
-    l_arr = net.cascade.l_levels()[net.level]
+    l_arr = net.cascade.base_lengths
     neg3logl = -3.0 * np.log(l_arr)
     resolution = floor * np.exp(_weighted_quantile(neg3logl, l_arr**2, _CEILING_DEFICIT))
     return Replica(nd, nn, resolution, None if ts is None else eta_many(net, ts))

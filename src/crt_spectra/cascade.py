@@ -22,6 +22,8 @@ fixes every shallower level (``tests/cascade_oracle.py`` lifts it there).
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from ._kernels import derive_key, dirichlet_half_triples, rayleigh_perturbations
@@ -55,8 +57,6 @@ class CascadeTree:
         self.depth = depth
         self.triples = triples  # triples[q]: (3**q, 3) children masses
         self.master_seed = master_seed
-        self._w: list[np.ndarray] | None = None
-        self._l: list[np.ndarray] | None = None
 
     @classmethod
     def sample(cls, depth: int, seed: int) -> "CascadeTree":
@@ -74,26 +74,17 @@ class CascadeTree:
         triples = [np.full((3**q, 3), 1.0 / 3.0) for q in range(depth)]
         return cls(depth, triples, None)
 
-    # -- derived weight and length arrays ----------------------------------
+    @cached_property
+    def base_lengths(self) -> np.ndarray:
+        """l(i) at every base-level address, in address order: the product of weights sqrt(mass) from the root.
 
-    def w_levels(self) -> list[np.ndarray]:
-        """Per level q >= 1, the weight sqrt(mass) of each address."""
-        if self._w is None:
-            out = [np.ones(1)]
-            for q in range(self.depth):
-                out.append(np.sqrt(self.triples[q].reshape(-1)))
-            self._w = out
-        return self._w
-
-    def l_levels(self) -> list[np.ndarray]:
-        """Per level, the product of weights along the path from the root."""
-        if self._l is None:
-            w = self.w_levels()
-            out = [np.ones(1)]
-            for q in range(1, self.depth + 1):
-                out.append(np.repeat(out[-1], 3) * w[q])
-            self._l = out
-        return self._l
+        Each level's weights multiply the repeated lengths of the level
+        above, and only the base level is kept.
+        """
+        l_arr = np.ones(1)
+        for q in range(self.depth):
+            l_arr = np.repeat(l_arr, 3) * np.sqrt(self.triples[q].reshape(-1))
+        return l_arr
 
     def subtree(self, j: int) -> "CascadeTree":
         """The depth-(n-1) cascade rooted at first-generation cell j."""

@@ -9,9 +9,17 @@ on the plotting constant c, and the planar maps and coordinates live with
 the tests (``tests/dendrite_oracle.py``), which check the identification
 against them.
 
-Vertex ids are stable across refinement: the two corners are 0 and 1, and
-the midpoint/tip pair created for cell ordinal p at level q get ids
-3**q + 1 + 2p and 3**q + 2 + 2p.
+Cells and vertices are numbered child-major. Child j of level-q cell c is
+level-(q+1) cell c + (j - 1) 3**q, so a cell's ordinal is its address
+read with the first digit least significant (the base-3 digit reversal of
+the address ordinal), and first-generation cell j holds the level-n cells
+j - 1, j + 2, j + 5, ... Vertex ids are stable across refinement: the two
+corners are 0 and 1, and the midpoint and tip created for level-q cell c
+get ids 3**q + 1 + c and 2 3**q + 1 + c. So every refinement level's
+midpoints, tips and cells are runs of consecutive ids, and each round of
+the level graph's contraction schedule reads its vertices and edge slots
+as step-1 slices. The cascade keeps address order, and
+:meth:`DendriteStructure.cell_order` maps its per-cell arrays into this one.
 """
 
 from __future__ import annotations
@@ -28,8 +36,10 @@ from .settings import cell_budget
 class DendriteStructure:
     """Combinatorial skeleton of the level-n graph, shared by all cascades.
 
-    Holds the endpoint ids of each level-n cell (``F_i(0,0)`` image first)
-    and the level graph's contraction schedule.
+    Holds the endpoint ids of each level-n cell in child-major order
+    (``F_i(0,0)`` image first) and the level graph's contraction schedule.
+    Child 1 joins its parent's midpoint to the parent's first endpoint,
+    child 2 to the second and child 3 to the new tip.
     """
 
     def __init__(self, level: int):
@@ -37,15 +47,18 @@ class DendriteStructure:
         ep0 = np.zeros(1, dtype=np.int64)
         ep1 = np.ones(1, dtype=np.int64)
         for q in range(level):
-            nc = 3**q
-            mids = (nc + 1) + 2 * np.arange(nc, dtype=np.int64)
-            e1 = np.empty(3 * nc, dtype=np.int64)
-            e1[0::3] = ep0
-            e1[1::3] = ep1
-            e1[2::3] = mids + 1
-            ep0, ep1 = np.repeat(mids, 3), e1
+            mids = np.arange(3**q + 1, 2 * 3**q + 1, dtype=np.int64)
+            ep0, ep1 = np.concatenate((mids, mids, mids)), np.concatenate((ep0, ep1, mids + 3**q))
         self.ep0, self.ep1 = ep0, ep1
         self.n_vertices = 3**level + 1
+
+    def cell_order(self, x: np.ndarray) -> np.ndarray:
+        """A per-cell array in the cascade's address order, put into this structure's cell order.
+
+        Reversing the axes of the (3,) * level view reverses the digits of
+        each ordinal, so no index array is built.
+        """
+        return x.reshape((3,) * self.level).T.ravel()
 
     def lump(self, cell_mass: np.ndarray) -> np.ndarray:
         """Vertex masses with each cell's mass split half/half onto its endpoints."""

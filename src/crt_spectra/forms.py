@@ -53,14 +53,19 @@ class ResistanceNetwork:
 
 
 def assemble(level: int, cascade: CascadeTree, r_base: np.ndarray) -> ResistanceNetwork:
-    """Level-n network of a depth-n cascade and its base-level R: conductance H/(l R), masses l**2."""
+    """Level-n network of a depth-n cascade and its base-level R: conductance H/(l R), masses l**2.
+
+    ``r_base`` is in the cascade's address order, and the network keeps it
+    so; conductances and cell masses are computed in that order and then
+    put into the level graph's child-major cell order.
+    """
     if cascade.depth != level:
         raise IncompleteCascade(f"cascade depth {cascade.depth} != graph level {level}")
     if r_base.shape != (3**level,):
         raise IncompleteCascade(f"perturbations of shape {r_base.shape} do not cover the 3**{level} base cells")
-    l_arr = cascade.l_levels()[level]
+    l_arr, to_cells = cascade.base_lengths, structure(level).cell_order
     conduct = HEIGHT_CONSTANT / (l_arr * r_base)
-    return ResistanceNetwork(level, conduct, l_arr * l_arr, cascade, r_base)
+    return ResistanceNetwork(level, to_cells(conduct), to_cells(l_arr * l_arr), cascade, r_base)
 
 
 def subnetwork_fresh(net: ResistanceNetwork, j: int) -> ResistanceNetwork:
@@ -79,20 +84,22 @@ def diameter(net: ResistanceNetwork) -> float:
     boundary-to-boundary resistance through each cell, ``h0`` and ``h1``
     the eccentricities of its two boundary points into the cell, and
     ``best`` the cell's diameter; a parent's values follow from its three
-    children's, whose cells 1 and 2 lie in series.
+    children's, whose cells 1 and 2 lie in series. In the child-major cell
+    order the children j of every parent form the j-th third of a level.
     """
     rho = h0 = h1 = best = 1.0 / net.conductance
     for _ in range(net.level):
-        r1, r2 = rho[0::3], rho[1::3]
-        down1 = h0[0::3]  # from the shared midpoint into each child
-        down2 = h0[1::3]
-        down3 = h0[2::3]
-        new_h0 = np.maximum(h1[0::3], r1 + np.maximum(down2, down3))
-        new_h1 = np.maximum(h1[1::3], r2 + np.maximum(down1, down3))
+        k = rho.shape[0] // 3
+        r1, r2 = rho[:k], rho[k : 2 * k]
+        down1 = h0[:k]  # from the shared midpoint into each child
+        down2 = h0[k : 2 * k]
+        down3 = h0[2 * k :]
+        new_h0 = np.maximum(h1[:k], r1 + np.maximum(down2, down3))
+        new_h1 = np.maximum(h1[k : 2 * k], r2 + np.maximum(down1, down3))
         pair = np.maximum(
             down1 + down2,
             np.maximum(down1 + down3, down2 + down3),
         )
-        best = np.maximum(np.maximum(best[0::3], np.maximum(best[1::3], best[2::3])), pair)
+        best = np.maximum(np.maximum(best[:k], np.maximum(best[k : 2 * k], best[2 * k :])), pair)
         h0, h1, rho = new_h0, new_h1, r1 + r2
     return float(best[0])

@@ -204,8 +204,9 @@ def dirichlet_floor(
     """Smallest Dirichlet eigenvalue, by safeguarded inverse interpolation on the counting sweep.
 
     The bracket comes from the network's own Dirichlet curve (``lams``
-    with their ``counts``) when it brackets the floor: the last grid value
-    with count 0 and the first with count >= 1. Otherwise it is
+    with their ``counts``, given both or neither, else ValueError) when it
+    brackets the floor: the last grid value with count 0 and the first with
+    count >= 1. Otherwise it is
     [1/diameter, Rayleigh quotient of the interior indicator]: a mass-one
     network bounds its first Dirichlet eigenvalue below by the inverse of
     its resistance ``diameter``, and 1 is never an eigenvector, since L 1
@@ -236,6 +237,8 @@ def dirichlet_floor(
     """
     if net.n_vertices <= 2:
         raise ValueError("problem has no Dirichlet eigenvalues")
+    if (lams is None) != (counts is None):
+        raise ValueError("lams and counts bracket the floor together: pass both or neither")
     cut = (net.structure.ep0 < 2) != (net.structure.ep1 < 2)
     bound_lo = (1.0 - 1e-9) / diameter
     bound_hi = float(net.conductance[cut].sum() / net.vertex_mass[2:].sum())
@@ -299,7 +302,7 @@ def bracketing_check(net: ResistanceNetwork, lams: np.ndarray, full_d: np.ndarra
     eigenvalue scaling of the renormalized cells.
     """
     lams = np.asarray(lams, dtype=np.float64)
-    w1 = net.cascade.w_levels()[1]
+    w1 = np.sqrt(net.cascade.triples[0].reshape(-1))  # first-generation weights
     sub_d = np.zeros(lams.shape[0], dtype=np.int64)
     sub_n = np.zeros(lams.shape[0], dtype=np.int64)
     for j in (1, 2, 3):

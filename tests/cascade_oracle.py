@@ -14,7 +14,10 @@ level through the exact recursion; the package keeps the base level only,
 so the lift is the reference for R above it (the coarser assemblies that
 the Schur trace must reproduce, the root R that is the boundary resistance).
 ``level_codes_chain`` builds every level's address codes child by child,
-the reference for ``cascade.level_codes``' closed form.
+the reference for ``cascade.level_codes``' closed form. ``w_levels`` and
+``l_levels`` keep every level's weights and lengths; the package keeps
+the base-level lengths alone (``CascadeTree.base_lengths``), and the last
+entry of ``l_levels`` is the reference for them.
 """
 
 from __future__ import annotations
@@ -73,6 +76,19 @@ def level_codes_chain(depth: int) -> list[np.ndarray]:
     return codes
 
 
+def w_levels(cascade: CascadeTree) -> list[np.ndarray]:
+    """Per level q = 0..n, the weight sqrt(mass) of each address of length q, in address order (1 at the root)."""
+    return [np.ones(1)] + [np.sqrt(t.reshape(-1)) for t in cascade.triples]
+
+
+def l_levels(cascade: CascadeTree) -> list[np.ndarray]:
+    """Per level q = 0..n, the product of weights along the path from the root to each address."""
+    out = [np.ones(1)]
+    for w in w_levels(cascade)[1:]:
+        out.append(np.repeat(out[-1], 3) * w)
+    return out
+
+
 def beta_half_one_moment(s: float) -> float:
     """E[X**s] for X ~ Beta(1/2, 1): (1/2) int_0^1 x**(s - 1/2) dx = 1/(2s + 1)."""
     return 1.0 / (2.0 * s + 1.0)
@@ -87,7 +103,7 @@ def cut_set(cascade: CascadeTree, t: float) -> set[Address]:
     """
     if t <= 0:
         raise ValueError("threshold must be positive")
-    ll = cascade.l_levels()
+    ll = l_levels(cascade)
     out: set[Address] = set()
     alive_ord = np.zeros(1, dtype=np.int64)  # ordinals of still-uncrossed addresses, root only
     for q in range(1, cascade.depth + 1):
@@ -134,7 +150,7 @@ def branch_count_below(seed: int, t_grid: np.ndarray, max_nodes: int = 5_000_000
 def lift_through_cascade(cascade: CascadeTree, r_base: np.ndarray) -> list[np.ndarray]:
     """Per level q = 0..n, R at each address of length q, from the base level by the exact recursion."""
     # R_i = w(i1) R_i1 + w(i2) R_i2, bottom-up
-    w = cascade.w_levels()
+    w = w_levels(cascade)
     levels = [None] * (cascade.depth + 1)
     levels[cascade.depth] = r_base
     for q in range(cascade.depth - 1, -1, -1):

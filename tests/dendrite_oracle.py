@@ -6,16 +6,117 @@ in the plane, so the tests can check that the combinatorial identification
 (children share their parent's midpoint, ids stable across refinement)
 matches the geometry, and that the words 1 1 2 2 ..., 2 1 2 2 ... and
 3 1 2 2 ... project onto one point, the p.c.f. critical set.
+
+``AddressOrderStructure`` is the level graph numbered in the cascade's
+address order, as the package numbered it before it went child-major;
+``address_order_network`` assembles a cascade network on it without the
+package's cell-order map. With ``address_ordinals`` and
+``address_vertex_ids`` relating the two numberings, it is the reference
+that every mass, count, pivot, diameter and floor of the child-major
+network must match bit for bit.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from cascade_oracle import Address
+from cascade_oracle import Address, l_levels
+from crt_spectra._kernels import contraction_schedule
+from crt_spectra.cascade import HEIGHT_CONSTANT
 from crt_spectra.dendrite import structure
+from crt_spectra.forms import ResistanceNetwork
+
+
+def address_ordinals(level: int) -> np.ndarray:
+    """The address ordinal of each child-major cell ordinal: its base-3 digits over ``level`` places, reversed."""
+    c = np.arange(3**level)
+    p = np.zeros_like(c)
+    for _ in range(level):
+        p = 3 * p + c % 3
+        c //= 3
+    return p
+
+
+def address_vertex_ids(level: int) -> np.ndarray:
+    """The address-order id of each child-major vertex id of the level graph."""
+    ids = np.arange(3**level + 1)
+    for q in range(level):
+        nc, p = 3**q, address_ordinals(q)
+        ids[nc + 1 : 2 * nc + 1] = nc + 1 + 2 * p  # midpoints
+        ids[2 * nc + 1 : 3 * nc + 1] = nc + 2 + 2 * p  # tips
+    return ids
+
+
+class AddressOrderStructure:
+    """The level-n graph with cells in address order.
+
+    The midpoint and tip created for level-q cell ordinal p get ids
+    3**q + 1 + 2p and 3**q + 2 + 2p; the children of a cell are three
+    consecutive cells.
+    """
+
+    def __init__(self, level: int):
+        self.level = level
+        ep0 = np.zeros(1, dtype=np.int64)
+        ep1 = np.ones(1, dtype=np.int64)
+        for q in range(level):
+            nc = 3**q
+            mids = (nc + 1) + 2 * np.arange(nc, dtype=np.int64)
+            e1 = np.empty(3 * nc, dtype=np.int64)
+            e1[0::3] = ep0
+            e1[1::3] = ep1
+            e1[2::3] = mids + 1
+            ep0, ep1 = np.repeat(mids, 3), e1
+        self.ep0, self.ep1 = ep0, ep1
+        self.n_vertices = 3**level + 1
+
+    def lump(self, cell_mass: np.ndarray) -> np.ndarray:
+        half, nv = 0.5 * cell_mass, self.n_vertices
+        return np.bincount(self.ep0, weights=half, minlength=nv) + np.bincount(self.ep1, weights=half, minlength=nv)
+
+    @cached_property
+    def schedule(self):
+        return contraction_schedule(self.ep0, self.ep1, self.n_vertices, 0, 1)
+
+
+@dataclass
+class AddressOrderNetwork:
+    """A cascade network on the address-order level graph; counts, floors and eta read it as a network."""
+
+    level: int
+    structure: AddressOrderStructure
+    conductance: np.ndarray
+    cell_mass: np.ndarray
+    vertex_mass: np.ndarray
+
+    @property
+    def n_vertices(self) -> int:
+        return self.structure.n_vertices
+
+
+def address_order_network(net: ResistanceNetwork) -> AddressOrderNetwork:
+    """The network's cascade and base R assembled in address order: conductance H/(l R), masses l**2."""
+    st = AddressOrderStructure(net.level)
+    l_arr = l_levels(net.cascade)[net.level]
+    cell_mass = l_arr * l_arr
+    return AddressOrderNetwork(net.level, st, HEIGHT_CONSTANT / (l_arr * net.perturbations), cell_mass, st.lump(cell_mass))
+
+
+def address_order_diameter(net: AddressOrderNetwork) -> float:
+    """``forms.diameter``'s bottom-up pass with each parent's children as three consecutive cells."""
+    rho = h0 = h1 = best = 1.0 / net.conductance
+    for _ in range(net.level):
+        r1, r2 = rho[0::3], rho[1::3]
+        down1, down2, down3 = h0[0::3], h0[1::3], h0[2::3]
+        new_h0 = np.maximum(h1[0::3], r1 + np.maximum(down2, down3))
+        new_h1 = np.maximum(h1[1::3], r2 + np.maximum(down1, down3))
+        pair = np.maximum(down1 + down2, np.maximum(down1 + down3, down2 + down3))
+        best = np.maximum(np.maximum(best[0::3], np.maximum(best[1::3], best[2::3])), pair)
+        h0, h1, rho = new_h0, new_h1, r1 + r2
+    return float(best[0])
 
 
 @dataclass(frozen=True)
@@ -115,7 +216,12 @@ class DendriteGraph:
         return self.structure.ep0, self.structure.ep1
 
     def cell_address(self, ordinal: int) -> Address:
-        return Address.from_ordinal(self.level, ordinal)
+        """The address of child-major cell ``ordinal``: its base-3 digits, least significant first."""
+        digits = []
+        for _ in range(self.level):
+            digits.append(ordinal % 3 + 1)
+            ordinal //= 3
+        return Address(tuple(digits))
 
 
 def refine(graph: DendriteGraph) -> DendriteGraph:
@@ -123,7 +229,9 @@ def refine(graph: DendriteGraph) -> DendriteGraph:
 
     Child k1 joins the midpoint to the cell's first corner, k2 to the
     second, k3 to the new tip; the three children share only the midpoint
-    (the identification is by id, not by coordinate matching).
+    (the identification is by id, not by coordinate matching). New
+    midpoints, new tips and each child j of every cell form consecutive
+    runs, the j-th third of the finer level in child-major order.
     """
     sys = graph.sys
     c = sys.c
@@ -135,19 +243,10 @@ def refine(graph: DendriteGraph) -> DendriteGraph:
     o, ux, uy = graph._origin, graph._ux, graph._uy
     mid = o + 0.5 * ux
     tip = mid + c * uy
-    coords[nc + 1 : st.n_vertices : 2] = mid
-    coords[nc + 2 : st.n_vertices : 2] = tip
+    coords[nc + 1 : 2 * nc + 1] = mid
+    coords[2 * nc + 1 : 3 * nc + 1] = tip
     # affine parts of the child cells: compose with each generator
-    o2 = np.empty((3 * nc, 2))
-    x2 = np.empty((3 * nc, 2))
-    y2 = np.empty((3 * nc, 2))
-    o2[0::3] = mid
-    o2[1::3] = mid
-    o2[2::3] = mid
-    x2[0::3] = -0.5 * ux
-    x2[1::3] = 0.5 * ux
-    x2[2::3] = c * uy
-    y2[0::3] = 0.5 * uy
-    y2[1::3] = -0.5 * uy
-    y2[2::3] = c * ux
+    o2 = np.concatenate((mid, mid, mid))
+    x2 = np.concatenate((-0.5 * ux, 0.5 * ux, c * uy))
+    y2 = np.concatenate((0.5 * uy, -0.5 * uy, c * ux))
     return DendriteGraph(sys, level + 1, coords, o2, x2, y2)

@@ -19,7 +19,8 @@ from crt_spectra.cascade import CascadeTree
 from crt_spectra.errors import IncompleteCascade
 from crt_spectra.forms import ResistanceNetwork
 
-from cascade_oracle import lift_through_cascade
+from cascade_oracle import l_levels, lift_through_cascade, w_levels
+from dendrite_oracle import address_ordinals
 
 
 def trace_to_coarser(net: ResistanceNetwork) -> ResistanceNetwork:
@@ -29,19 +30,21 @@ def trace_to_coarser(net: ResistanceNetwork) -> ResistanceNetwork:
     puts the first two child conductances in series. With R-values tied by
     the exact recursion this reproduces the coarser assembly to rounding.
     The traced network carries the depth-(n-1) cascade and R lifted one
-    level, as a coarser assembly would.
+    level, as a coarser assembly would. Children j of every cell are the
+    j-th third of the level, in the child-major order.
     """
     if net.level < 1:
         raise ValueError("level-0 network has no coarser trace")
     if net.cascade is None or net.perturbations is None:
         raise IncompleteCascade("trace needs the originating cascade for coarse masses")
-    c1 = net.conductance[0::3]
-    c2 = net.conductance[1::3]
+    k = net.conductance.shape[0] // 3
+    c1 = net.conductance[:k]
+    c2 = net.conductance[k : 2 * k]
     traced = c1 * c2 / (c1 + c2)
     level = net.level - 1
     coarse = CascadeTree(level, net.cascade.triples[:level], net.cascade.master_seed)
     r_coarse = lift_through_cascade(net.cascade, net.perturbations)[level]
-    l_coarse = coarse.l_levels()[level]
+    l_coarse = l_levels(coarse)[level][address_ordinals(level)]
     return ResistanceNetwork(level, traced, l_coarse * l_coarse, coarse, r_coarse)
 
 
@@ -50,13 +53,12 @@ def cell_block(net: ResistanceNetwork, j: int) -> tuple[np.ndarray, np.ndarray]:
 
     These are bit-exact principal sub-blocks of the assembled pencil; the
     block counted at lambda equals the normalized copy counted at
-    lambda * w(j)**3.
+    lambda * w(j)**3. Cell j's level-n cells are every third cell from
+    j - 1, in the child-major order of its own level-(n-1) graph.
     """
     if j not in (1, 2, 3):
         raise ValueError("first-generation cell must be 1, 2 or 3")
-    block = 3 ** (net.level - 1)
-    sl = slice((j - 1) * block, j * block)
-    return net.conductance[sl], net.cell_mass[sl]
+    return net.conductance[j - 1 :: 3], net.cell_mass[j - 1 :: 3]
 
 
 def subnetwork_rescaled(net: ResistanceNetwork, j: int) -> ResistanceNetwork:
@@ -67,7 +69,7 @@ def subnetwork_rescaled(net: ResistanceNetwork, j: int) -> ResistanceNetwork:
     """
     if net.cascade is None:
         raise IncompleteCascade("rescaling needs the originating cascade")
-    w = float(net.cascade.w_levels()[1][j - 1])
+    w = float(w_levels(net.cascade)[1][j - 1])
     conduct, cmass = cell_block(net, j)
     return ResistanceNetwork(net.level - 1, conduct * w, cmass / (w * w))
 
@@ -77,7 +79,8 @@ def _cell_path_resistances(net: ResistanceNetwork) -> list[np.ndarray]:
     rho = [1.0 / net.conductance]
     for _ in range(net.level):
         prev = rho[-1]
-        rho.append(prev[0::3] + prev[1::3])
+        k = prev.shape[0] // 3
+        rho.append(prev[:k] + prev[k : 2 * k])
     return rho[::-1]  # index by level
 
 
@@ -90,17 +93,18 @@ def cell_diameters(net: ResistanceNetwork, level: int) -> np.ndarray:
     h1 = h0.copy()
     best = h0.copy()
     for q in range(net.level - 1, level - 1, -1):
-        r1, r2 = rho[q + 1][0::3], rho[q + 1][1::3]
-        down1 = h0[0::3]  # from the shared midpoint into each child
-        down2 = h0[1::3]
-        down3 = h0[2::3]
-        new_h0 = np.maximum(h1[0::3], r1 + np.maximum(down2, down3))
-        new_h1 = np.maximum(h1[1::3], r2 + np.maximum(down1, down3))
+        k = 3**q  # child j of every level-q cell: the j-th third of level q + 1
+        r1, r2 = rho[q + 1][:k], rho[q + 1][k : 2 * k]
+        down1 = h0[:k]  # from the shared midpoint into each child
+        down2 = h0[k : 2 * k]
+        down3 = h0[2 * k :]
+        new_h0 = np.maximum(h1[:k], r1 + np.maximum(down2, down3))
+        new_h1 = np.maximum(h1[k : 2 * k], r2 + np.maximum(down1, down3))
         pair = np.maximum(
             down1 + down2,
             np.maximum(down1 + down3, down2 + down3),
         )
-        new_best = np.maximum(np.maximum(best[0::3], np.maximum(best[1::3], best[2::3])), pair)
+        new_best = np.maximum(np.maximum(best[:k], np.maximum(best[k : 2 * k], best[2 * k :])), pair)
         h0, h1, best = new_h0, new_h1, new_best
     return best
 
@@ -115,22 +119,13 @@ def root_distances(net: ResistanceNetwork) -> np.ndarray:
     dist[1] = d1[0]
     for q in range(net.level):
         nc = 3**q
-        r1 = rho[q + 1][0::3]
-        r2 = rho[q + 1][1::3]
-        r3 = rho[q + 1][2::3]
+        r1 = rho[q + 1][:nc]
+        r2 = rho[q + 1][nc : 2 * nc]
+        r3 = rho[q + 1][2 * nc :]
         dmid = np.minimum(d0 + r1, d1 + r2)
-        base = nc + 1
-        dist[base + 0 : base + 2 * nc : 2] = dmid
-        dist[base + 1 : base + 2 * nc : 2] = dmid + r3
-        nd0 = np.empty(3 * nc)
-        nd1 = np.empty(3 * nc)
-        nd0[0::3] = dmid
-        nd1[0::3] = d0
-        nd0[1::3] = dmid
-        nd1[1::3] = d1
-        nd0[2::3] = dmid
-        nd1[2::3] = dmid + r3
-        d0, d1 = nd0, nd1
+        dist[nc + 1 : 2 * nc + 1] = dmid
+        dist[2 * nc + 1 : 3 * nc + 1] = dmid + r3
+        d0, d1 = np.concatenate((dmid, dmid, dmid)), np.concatenate((d0, d1, dmid + r3))
     return dist
 
 

@@ -9,7 +9,9 @@ t**(2/3) tr P_t, which tends to Gamma(5/3) C0.
 package's one-sweep eta, and ``telescoping_identity_gap`` checks the
 embedded telescoping identity with it. ``inertia_counts_per_shift`` sweeps
 one shift at a time, the bit-for-bit reference for the package's
-shift-blocked counting kernel and its last interior pivot.
+shift-blocked counting kernel and its last interior pivot;
+``scatter_targets`` reads a compress round's neighbours off its scatter
+plan.
 ``dirichlet_floor_sequential`` bisects one arithmetic midpoint per sweep to
 relative 1e-12, the reference that the package's interpolating floor must
 match within its 1e-9 tolerance.
@@ -25,6 +27,8 @@ from crt_spectra.asymptotics import EnsembleResult
 from crt_spectra.errors import CapacityError
 from crt_spectra.forms import ResistanceNetwork, subnetwork_fresh
 from crt_spectra.spectrum import Pencil, count_below, dense_count_pair, dense_matrices, network_counts
+
+from cascade_oracle import w_levels
 
 
 class TruncationError(Exception):
@@ -137,7 +141,9 @@ def inertia_counts_per_shift(
     """(Dirichlet, Neumann, final-round) counts <= lambda and the last interior pivot, one sweep per shift.
 
     The reference for the package's shift-blocked ``inertia_counts``, which
-    must return the same four arrays bit for bit.
+    must return the same four arrays bit for bit. Each compress round
+    scatters with plain ``np.add.at`` over its a and b neighbours, taken
+    from the concatenated targets of the round's scatter plan.
     """
     lams = np.ascontiguousarray(lams, dtype=np.float64)
     b0, b1 = sched.b0, sched.b1
@@ -156,7 +162,8 @@ def inertia_counts_per_shift(
         g = np.empty(sched.n_slots)
         g[: conduct.shape[0]] = conduct
         interior = last = 0
-        for leaf, target, leaf_slot, mid, a, b, slot_a, slot_b, fill in sched.rounds:
+        for leaf, target, leaf_slot, mid, slot_a, slot_b, fill, scatter in sched.rounds:
+            a, b = np.split(scatter_targets(scatter), 2)
             c = g[leaf_slot]
             h = acc[leaf] - lam_eff * mass[leaf]
             p = c + h
@@ -192,6 +199,12 @@ def inertia_counts_per_shift(
     return out_d, out_n, out_last, out_pivot
 
 
+def scatter_targets(scatter) -> np.ndarray:
+    """A compress round's scatter targets in plan order, slices resolved: its a neighbours, then its b."""
+    parts = [np.arange(t.start, t.stop, t.step) if isinstance(t, slice) else t for _, _, t in scatter]
+    return np.concatenate([np.zeros(0, dtype=np.int64)] + parts)
+
+
 def dirichlet_floor_sequential(net: ResistanceNetwork, diameter: float) -> float:
     """Smallest Dirichlet eigenvalue by plain bisection, one single-shift sweep per step."""
 
@@ -225,7 +238,7 @@ def eta_fresh(net: ResistanceNetwork, ts: np.ndarray) -> np.ndarray:
     """
     lams = np.exp(np.asarray(ts, dtype=np.float64))
     full_d, _ = network_counts(net, lams)
-    w1 = net.cascade.w_levels()[1]
+    w1 = w_levels(net.cascade)[1]
     for j in (1, 2, 3):
         d, _ = network_counts(subnetwork_fresh(net, j), lams * float(w1[j - 1]) ** 3)
         full_d -= d
@@ -252,7 +265,7 @@ def telescoping_identity_gap(net: ResistanceNetwork, ts: np.ndarray, k_max: int)
             acc += d
             return
         acc += eta_fresh(sub, ts + 3.0 * np.log(l_i))
-        w1 = sub.cascade.w_levels()[1]
+        w1 = w_levels(sub.cascade)[1]
         for j in (1, 2, 3):
             visit(subnetwork_fresh(sub, j), l_i * float(w1[j - 1]), depth + 1)
 

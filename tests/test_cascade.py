@@ -87,15 +87,23 @@ def test_dirichlet_marginals_and_cross_moment():
 
 def test_cascade_level_mass_conservation():
     casc = CascadeTree.sample(8, seed=5)
-    for level, larr in enumerate(casc.l_levels()):
+    for level, larr in enumerate(cascade_oracle.l_levels(casc)):
         assert larr.shape[0] == 3**level
         assert abs((larr**2).sum() - 1.0) < 1e-9
+
+
+def test_base_lengths_are_the_last_level_of_the_recurrence():
+    # one cached array, bit-identical to the per-level recurrence's base level
+    for depth in (0, 1, 4, 7):
+        for casc in (CascadeTree.sample(depth, seed=depth), CascadeTree.debug(depth)):
+            np.testing.assert_array_equal(casc.base_lengths, cascade_oracle.l_levels(casc)[depth])
+            assert casc.base_lengths is casc.base_lengths
 
 
 def test_cascade_depth_zero():
     casc = CascadeTree.sample(0, seed=1)
     assert casc.triples == []
-    assert casc.l_levels()[0][0] == 1.0
+    assert cascade_oracle.l_levels(casc)[0][0] == 1.0
 
 
 def test_cascade_cubic_mean():
@@ -106,7 +114,7 @@ def test_cascade_cubic_mean():
     vals = []
     for seed in range(100):
         casc = CascadeTree.sample(8, seed=seed)
-        vals.append((casc.l_levels()[8] ** 3).sum())
+        vals.append((cascade_oracle.l_levels(casc)[8] ** 3).sum())
     vals = np.asarray(vals)
     se = vals.std(ddof=1) / 10.0
     assert abs(vals.mean() - target) < max(4.0 * se, 0.01)
@@ -165,7 +173,7 @@ def assert_recursion_bit_exact(casc: CascadeTree, r_base: np.ndarray) -> None:
     r_levels = cascade_oracle.lift_through_cascade(casc, r_base)
     assert [level.shape[0] for level in r_levels] == [3**q for q in range(casc.depth + 1)]
     np.testing.assert_array_equal(r_levels[casc.depth], r_base)
-    w = casc.w_levels()
+    w = cascade_oracle.w_levels(casc)
     for q in range(casc.depth):
         child = r_levels[q + 1]
         want = w[q + 1][0::3] * child[0::3] + w[q + 1][1::3] * child[1::3]
@@ -179,7 +187,7 @@ def test_perturbations_trivial_truncation():
     casc = CascadeTree.sample(3, seed=4)
     r_base = cascade_oracle.truncated_perturbations(casc, 0)
     np.testing.assert_array_equal(r_base, np.ones(27))
-    w = casc.w_levels()
+    w = cascade_oracle.w_levels(casc)
     want = w[3][0::3] + w[3][1::3]
     np.testing.assert_array_equal(cascade_oracle.lift_through_cascade(casc, r_base)[2], want)
 
@@ -302,7 +310,7 @@ def test_exact_perturbations_independent_of_the_triples():
     base = cascade.perturbations(casc)
     n = base.shape[0]
     parent = casc.triples[9]
-    for other in (np.log(casc.l_levels()[10]), np.repeat(parent[:, 0], 3), casc.w_levels()[10]):
+    for other in (np.log(cascade_oracle.l_levels(casc)[10]), np.repeat(parent[:, 0], 3), cascade_oracle.w_levels(casc)[10]):
         assert abs(np.corrcoef(base, other)[0, 1]) < 4.0 / np.sqrt(n)
     # nor with a cascade triple keyed by the same code on the triple stream
     key = cascade.derive_key(12, cascade._TAG_TRIPLES)
@@ -329,7 +337,7 @@ def test_height_identity_first_moment():
 
 def test_cut_set_first_generation():
     casc = CascadeTree.sample(6, seed=12)
-    w1 = casc.w_levels()[1]
+    w1 = cascade_oracle.w_levels(casc)[1]
     t = 0.9 * float(min(-3.0 * np.log(w1)))
     cut = cascade_oracle.cut_set(casc, t)
     assert cut == {Address((1,)), Address((2,)), Address((3,))}
@@ -339,7 +347,7 @@ def test_cut_set_partitions_mass():
     casc = CascadeTree.sample(10, seed=13)
     for t in (0.5, 1.5, 3.0):
         cut = cascade_oracle.cut_set(casc, t)
-        total = sum(casc.l_levels()[len(a.word)][ordinal(a)] ** 2 for a in cut)
+        total = sum(cascade_oracle.l_levels(casc)[len(a.word)][ordinal(a)] ** 2 for a in cut)
         assert abs(total - 1.0) < 1e-9
         # antichain: no element is a prefix of another
         words = sorted(str(a) for a in cut)

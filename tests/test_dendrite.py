@@ -1,10 +1,21 @@
 import numpy as np
 import pytest
 
-from crt_spectra import dendrite
+from crt_spectra import _kernels, asymptotics, dendrite, forms, spectrum
 
 from cascade_oracle import Address
-from dendrite_oracle import ContractionSystem, DendriteGraph, apply_map, apply_word, project, refine
+from dendrite_oracle import (
+    ContractionSystem,
+    DendriteGraph,
+    address_order_diameter,
+    address_order_network,
+    address_ordinals,
+    address_vertex_ids,
+    apply_map,
+    apply_word,
+    project,
+    refine,
+)
 
 
 @pytest.fixture
@@ -78,11 +89,12 @@ def test_endpoint_convention():
     e0, e1 = g2.edge_endpoints()
     st = dendrite.structure(1)
     e0p, e1p = st.ep0, st.ep1
+    # child j of level-1 cell p is level-2 cell p + 3 (j - 1); p's midpoint and tip are 4 + p and 7 + p
     for parent in range(3):
-        mid = 3 + 1 + 2 * parent
-        assert e0[3 * parent] == mid and e1[3 * parent] == e0p[parent]
-        assert e0[3 * parent + 1] == mid and e1[3 * parent + 1] == e1p[parent]
-        assert e0[3 * parent + 2] == mid and e1[3 * parent + 2] == mid + 1
+        mid = 3 + 1 + parent
+        assert e0[parent] == mid and e1[parent] == e0p[parent]
+        assert e0[parent + 3] == mid and e1[parent + 3] == e1p[parent]
+        assert e0[parent + 6] == mid and e1[parent + 6] == mid + 3
 
 
 def test_project_fixed_point_word(sys):
@@ -120,3 +132,53 @@ def test_coords_match_map_composition():
         word = g.cell_address(ordinal)
         np.testing.assert_allclose(g.coords[e0[ordinal]], apply_word(sys, word, (0.0, 0.0)), atol=1e-15)
         np.testing.assert_allclose(g.coords[e1[ordinal]], apply_word(sys, word, (1.0, 0.0)), atol=1e-15)
+
+
+def test_cell_order_reverses_address_digits():
+    # child j of level-q cell c is level-(q + 1) cell c + (j - 1) 3**q
+    for level in range(6):
+        st = dendrite.structure(level)
+        np.testing.assert_array_equal(st.cell_order(np.arange(3**level)), address_ordinals(level))
+        g = DendriteGraph.build(level)
+        for c in range(0, 3**level, 7):
+            word = g.cell_address(c).word
+            assert sum((d - 1) * 3**k for k, d in enumerate(word)) == c
+
+
+def test_child_major_network_matches_address_order_reference():
+    # the numbering changes no number: masses (mapped by vertex id), the four
+    # counting arrays, the diameter and the floor bracketed by the curve are
+    # those of the same cascade assembled on the address-order graph. The
+    # fallback bracket starts at the Rayleigh bound, whose mass sum runs over
+    # the vertices in id order, so there the floor may move within its 1e-9
+    # tolerance (by one ulp on the depth-8 debug network)
+    lams = np.concatenate(([-1.0, 0.0], np.geomspace(0.5, 1e7, 45)))
+    for depth in range(10):
+        for net in (asymptotics.build_network(depth, 30 + depth), asymptotics.build_network(depth, 0, debug=True)):
+            ref = address_order_network(net)
+            np.testing.assert_array_equal(net.vertex_mass, ref.vertex_mass[address_vertex_ids(depth)])
+            np.testing.assert_array_equal(net.conductance, ref.conductance[address_ordinals(depth)])
+            got = _kernels.inertia_counts(net.structure.schedule, net.vertex_mass, net.conductance, lams)
+            want = _kernels.inertia_counts(ref.structure.schedule, ref.vertex_mass, ref.conductance, lams)
+            for kind, g, w in zip(("dirichlet", "neumann", "final", "pivot"), got, want):
+                np.testing.assert_array_equal(g, w, err_msg=f"depth {depth}, {kind}")
+            d = forms.diameter(net)
+            assert d == address_order_diameter(ref)
+            if depth >= 1:
+                curve = (lams[2:], got[0][2:])
+                assert curve[1][0] == 0 < curve[1][-1]  # the curve brackets the floor
+                assert spectrum.dirichlet_floor(net, d, *curve) == spectrum.dirichlet_floor(ref, d, *curve)
+                floor, ref_floor = spectrum.dirichlet_floor(net, d), spectrum.dirichlet_floor(ref, d)
+                assert abs(floor / ref_floor - 1.0) <= 1e-9
+
+
+def test_dendrite_rounds_read_step_one_slices():
+    # every vertex and edge-slot set of every round, the last round's single
+    # vertices too, is a step-1 slice; the fill slots follow the edge slots
+    for level in range(2, 11):
+        sched = dendrite.structure(level).schedule
+        assert len(sched.rounds) == level
+        for r in sched.rounds:
+            for x in r[:6]:
+                assert isinstance(x, slice) and x.step == 1, (level, x)
+            assert r[6] >= 3**level

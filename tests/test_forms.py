@@ -6,8 +6,9 @@ from crt_spectra.cascade import CascadeTree, HEIGHT_CONSTANT
 from crt_spectra.errors import IncompleteCascade
 
 import forms_oracle
-from cascade_oracle import lift_through_cascade, truncated_perturbations
+from cascade_oracle import l_levels, lift_through_cascade, truncated_perturbations
 from conftest import small_network
+from dendrite_oracle import address_order_network, address_ordinals
 
 
 def test_level0_assembly():
@@ -76,7 +77,7 @@ def test_trace_series_formula_and_debug_mismatch():
 
 def test_mass_conservation_under_refinement():
     casc = CascadeTree.sample(5, seed=4)
-    ll = casc.l_levels()
+    ll = l_levels(casc)
     for q in range(5):
         parent = ll[q] ** 2
         child = (ll[q + 1] ** 2).reshape(-1, 3).sum(axis=1)
@@ -200,7 +201,11 @@ def test_traced_network_cuts_into_fresh_subnetworks():
 
 
 def test_cell_block_slices_are_views_of_assembly():
+    # cell 2's block holds the assembly's cells under address 2 (ordinals 9-17
+    # in address order), each as cell of the level-2 graph in child-major order
     net = small_network(3, seed=16)
     conduct, cmass = forms_oracle.cell_block(net, 2)
-    np.testing.assert_array_equal(conduct, net.conductance[9:18])
-    np.testing.assert_array_equal(cmass, net.cell_mass[9:18])
+    ref = address_order_network(net)
+    np.testing.assert_array_equal(conduct, ref.conductance[9:18][address_ordinals(2)])
+    np.testing.assert_array_equal(cmass, ref.cell_mass[9:18][address_ordinals(2)])
+    assert np.shares_memory(conduct, net.conductance) and np.shares_memory(cmass, net.cell_mass)

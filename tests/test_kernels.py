@@ -14,7 +14,7 @@ from crt_spectra.dendrite import structure
 from crt_spectra.spectrum import Pencil, dense_count_pair, dense_matrices
 from conftest import small_network
 from excursion_oracle import gap_minima, lattice_path
-from spectrum_oracle import inertia_counts_per_shift
+from spectrum_oracle import inertia_counts_per_shift, scatter_targets
 
 
 def test_mix64_reference_values():
@@ -179,3 +179,52 @@ def test_last_interior_pivot_is_the_schur_complement(monkeypatch, block_bytes):
             want = [1.0 / np.linalg.inv(stiff - np.diag(lam * (1.0 + _kernels.NUDGE) * mass))[j, j] for lam in lams]
             np.testing.assert_allclose(pivots, want, rtol=1e-7, err_msg=f"depth {depth}")
             assert pivots[0] > 0.0 and nd.tolist() == [0, 1]
+
+
+# -- compress scatter plan ---------------------------------------------------------------
+
+
+def _scatter_cases():
+    # random targets with repeats, long upward runs (two sharing an end), a
+    # downward run and a constant run; a path's and a dendrite's rounds
+    rng = np.random.default_rng(8)
+    a = rng.integers(0, 5000, size=4000)
+    a[100:900] = np.arange(1000, 2600, 2)
+    a[899:1500] = np.arange(2598, 2598 + 3 * 601, 3)
+    a[2000:2700] = np.arange(4000, 3300, -1)
+    a[3000:3600] = 17
+    b = rng.integers(0, 5000, size=4000)
+    b[3300:] = np.arange(10, 710)
+    yield "random", 5000, a, b
+    n = 2**14
+    path = _kernels.contraction_schedule(np.arange(n - 1), np.arange(1, n), n, 0, n - 1)
+    for level, sched in (("path", path), ("dendrite-9", structure(9).schedule)):
+        for i in (0, 1, len(sched.rounds) - 1):
+            a, b = np.split(scatter_targets(sched.rounds[i][7]), 2)
+            yield f"{level} round {i}", sched.n_vertices, a, b
+
+
+def test_scatter_plan_matches_add_at():
+    # terms of 1e16 and 1 do not commute in floating point, so a plan that
+    # reordered any vertex's terms would show; rows stand for a shift block
+    rng = np.random.default_rng(9)
+    views = 0
+    for name, nv, a, b in _scatter_cases():
+        plan = _kernels._scatter_plan(a, b)
+        np.testing.assert_array_equal(scatter_targets(plan), np.concatenate((a, b)), err_msg=name)
+        n = a.shape[0]
+        assert all(hi <= n or lo >= n for lo, hi, _ in plan), name
+        for lo, hi, tgt in plan:
+            if isinstance(tgt, slice):
+                views += 1
+                assert hi - lo >= _kernels._MIN_VIEW and tgt.step > 0
+        for width in (1, 3):
+            acc = rng.choice([1e16, -1e16, 1.0, 0.5], size=(width, nv))
+            ref = acc.copy()
+            for idx, lo in ((a, 0), (b, n)):
+                y = rng.choice([1e16, -1e16, 1.0, 3.0], size=(width, n))
+                for row in range(width):
+                    np.add.at(ref[row], idx, y[row])
+                _kernels._scatter(acc.reshape(-1), _kernels._scatter_adds(acc, plan, y, lo))
+            np.testing.assert_array_equal(acc, ref, err_msg=f"{name}, width {width}")
+    assert views >= 8
