@@ -9,7 +9,7 @@ so every count and distance is reproducible bit for bit.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -161,26 +161,54 @@ def _rayleigh(bits: np.ndarray) -> np.ndarray:
 # (block width x vertices) and (block width x slots) arrays, so each round's
 # twenty-odd numpy calls serve the whole block, not one shift; on pencils of
 # a few thousand vertices that per-call overhead is most of the cost. The
-# width is the number of acc and g rows that fit a 1 MiB budget: a block's
-# working rows stay in cache between rounds, and a deep dendrite, whose one
-# row already exceeds the budget, sweeps one shift at a time. The per-round
-# scratch arrays are allocated once per call and written with ``out=``, so
-# blocks reuse them; nothing lives on the schedule, which replica threads
-# share. Every pivot is the same elementwise expression as in a one-shift
-# sweep. Edge slots are only read and fill slots lie at or above the edge
-# count, so the conductances are copied into g once per call.
+# width is the number of acc and g rows that fit a 1 MiB budget, and a deep
+# dendrite, whose one row already exceeds the budget, sweeps one shift at a
+# time. The scratch rows are allocated once per call and written with
+# ``out=``, so blocks reuse them; the schedule, which replica threads share,
+# keeps only what depends on it alone. Every pivot is the same elementwise
+# expression, in the same order, as in a one-shift sweep, so every count,
+# eta and pivot is bit-identical whatever the block width or tile.
 #
-# A compress round scatters its a terms, then its b terms, into acc, and a
-# vertex may receive several terms. The schedule cuts that sequence into
-# consecutive ranges: a range of at least _MIN_VIEW terms whose targets
-# step evenly upward is added as one view add onto acc[:, targets], which
-# gives each target one term; every other range goes through np.add.at,
-# in index order, on acc's flat view at row * V + vertex. The ranges run
-# in order, so each row's vertices receive their terms in the one-shift
-# order and every count is bit-identical whatever the block width. On the
-# dendrite's child-major numbering almost every term falls in a view range
-# (depth 12, round 0: all but 1,458 of 354,294); on excursion trees the
-# ranges stay two np.add.at calls.
+# Column tiles. A stage (a round's rakes, or its compresses) wider than
+# budget // (32 x width) columns runs in tiles of that many, so a tile's
+# four scratch rows fill the budget and its operands stay in L2 from one
+# pass to the next (a depth-12 first round would stream 1.4 MB per pass).
+# A narrower stage runs in one piece.
+#
+# Fused rounds. Where a round's rake targets are its compressed vertices in
+# the same order (every dendrite round), tile j's rakes run just before its
+# compresses and each leaf's term y feeds its midpoint directly, h = (acc +
+# y) - lambda m; nothing is written to acc for a vertex that the round
+# eliminates. Elsewhere all rake tiles run before the compress tiles.
+#
+# The first round. acc is zero there and every slot is an edge slot, so the
+# round reads the conductances themselves: a rake's h is (-lambda) m, exact
+# since 0 - x = -x, a fused midpoint's h is y - lambda m, and a sweep of
+# several blocks forms the lambda-free ga + gb and ga gb once per call. A
+# block zeroes only acc[:, :acc_live], the vertices that it reads (on the
+# dendrite, those left after the first round), and only the edge slots
+# that later rounds read are copied into g (on the dendrite, none); the
+# pages of the rest are never touched.
+#
+# Count, then guard. A stage counts p <= 0 first, and only when it counted
+# something does it look for exact zeros and replace them by -_ZERO_PIVOT,
+# which keeps the division defined; a zero already counts as nonpositive,
+# so the count is the same.
+#
+# Scatter order. A compress round scatters its a terms, then its b terms,
+# into acc, and a vertex may receive several terms. The schedule cuts that
+# sequence into consecutive ranges: a range of at least _MIN_VIEW terms
+# whose targets step evenly upward is added as one view add onto
+# acc[:, targets], which gives each target one term; every other range goes
+# through np.add.at, in index order, on acc's flat view at row * V +
+# vertex. On the dendrite's child-major numbering almost every term falls
+# in a view range (depth 12, round 0: all but 1,458 of 354,294). For
+# tiles, the schedule cuts the ranges again at every tile's edge
+# (``ContractionSchedule.tile_cuts``). Where no vertex is both an a and a
+# b target (``disjoint``, every dendrite round), each tile applies its a
+# ranges and then its b ranges; otherwise the b terms of every tile are
+# collected in one row buffer and applied after the last tile. Either way
+# each vertex receives its terms in the one-shift order.
 # ---------------------------------------------------------------------------
 
 # The shortest run of evenly stepping targets that becomes a view range.
@@ -192,7 +220,7 @@ _MIN_VIEW = 512
 
 @dataclass(frozen=True)
 class ContractionSchedule:
-    """Rounds ``(leaf, target, leaf_slot, mid, slot_a, slot_b, fill, scatter)``.
+    """Rounds ``(leaf, target, leaf_slot, mid, slot_a, slot_b, fill, scatter, fused, disjoint)``.
 
     Raked leaves with their targets and edge slots, then compressed vertices
     with their edge slots (``slot_a`` the lower); the i-th fill edge of a
@@ -200,11 +228,17 @@ class ContractionSchedule:
     ranges ``(lo, hi, targets)`` that cut the 2 k terms of the round's k
     compressed vertices (the neighbours a through the lower slot, then the
     neighbours b) into consecutive pieces, none across a and b, so that
-    concatenating the targets gives a then b. An index set is an int64
-    array, or a slice where it is an upward arithmetic progression, which
-    keeps the schedule as small as the level graph and lets the kernel read
-    views; on the dendrite's numbering every vertex and slot set is a step-1
-    slice.
+    concatenating the targets gives a then b. ``fused``: the rake targets
+    are the compressed vertices, in the same order; ``disjoint``: no vertex
+    is both an a and a b target. Both hold on every dendrite round. An
+    index set is an int64 array, or a slice where it is an upward
+    arithmetic progression, which keeps the schedule as small as the level
+    graph and lets the kernel read views; on the dendrite's numbering every
+    vertex and slot set is a step-1 slice. A sweep zeroes acc columns
+    ``[0, acc_live)``, every vertex whose acc it reads, and copies into g
+    the edge slots ``[0, g_live)``, every one a round after the first
+    reads; on the dendrite, the vertices left after the first round and no
+    slot.
     """
 
     rounds: tuple[tuple, ...]
@@ -213,11 +247,26 @@ class ContractionSchedule:
     final: int  # the slot joining b0 and b1
     b0: int
     b1: int
+    acc_live: int
+    g_live: int
+    _cuts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def block_width(self) -> int:
         """Shifts per counting pass: the acc and g columns that fit the block budget, at least 1."""
         return max(1, _SHIFT_BLOCK_BYTES // (8 * (self.n_vertices + self.n_slots)))
+
+    def tile_cuts(self, cols: int) -> tuple[tuple, ...]:
+        """Per round and per tile of ``cols`` compressed vertices, the scatter ranges of its a and of its b terms.
+
+        The round's ranges are cut at every ``cols``-th term of a and of b,
+        so each tile scatters whole ranges. Built on first use per tile
+        width and kept with the schedule, so calls pay for it once.
+        """
+        cuts = self._cuts.get(cols)
+        if cuts is None:
+            cuts = self._cuts[cols] = tuple(_tile_cut(r[7], cols) for r in self.rounds)
+        return cuts
 
 
 def _strided(idx: np.ndarray):
@@ -256,6 +305,28 @@ def _scatter_ranges(t: np.ndarray, offset: int) -> list[tuple]:
     return out
 
 
+def _sub(idx, lo: int, hi: int):
+    # members lo..hi of an index set, a slice kept a slice
+    if isinstance(idx, slice):
+        return slice(idx.start + lo * idx.step, idx.start + hi * idx.step, idx.step)
+    return idx[lo:hi]
+
+
+def _tile_cut(scatter, cols: int) -> tuple[tuple, ...]:
+    # per tile of cols compressed vertices, the ranges (lo, hi, targets) of
+    # its a terms and of its b terms: the plan's ranges cut where a term's
+    # position within a (0 .. k) or within b (k .. 2 k) is a multiple of cols
+    k = scatter[-1][1] // 2 if scatter else 0
+    tiles = [([], []) for _ in range(0, k, cols)]
+    for lo, hi, tgt in scatter:
+        side = int(lo >= k)
+        base = side * k
+        cuts = list(range(base + ((lo - base) // cols + 1) * cols, hi, cols))
+        for s, e in zip([lo, *cuts], [*cuts, hi]):
+            tiles[(s - base) // cols][side].append((s, e, _sub(tgt, s - lo, e - lo)))
+    return tuple((tuple(a), tuple(b)) for a, b in tiles)
+
+
 def _ends(lu: np.ndarray, lv: np.ndarray, ls: np.ndarray, cand: np.ndarray):
     # (vertex, neighbour, slot) for each end of a live edge at a candidate vertex
     cu, cv = cand[lu], cand[lv]
@@ -282,7 +353,7 @@ def contraction_schedule(edge_u, edge_v, n_vertices: int, b0: int, b1: int) -> C
     deg = np.bincount(lu, minlength=nv) + np.bincount(lv, minlength=nv)  # kept for live vertices only
     dead = np.zeros(ne + nv, dtype=bool)
     ls = np.arange(ne, dtype=np.int32)  # live edges: endpoints lu, lv and slot ls; fills append slots
-    n_slots, rounds = ne, []
+    n_slots, rounds, acc_live, g_live = ne, [], nv, 0
     while ls.shape[0] > 1:
         # rake the inner leaves, at most one per target: its highest-numbered
         leaf, target, leaf_slot = _ends(lu, lv, ls, inner & (deg == 1))
@@ -312,11 +383,29 @@ def contraction_schedule(edge_u, edge_v, n_vertices: int, b0: int, b1: int) -> C
         lu, lv, ls = np.concatenate((lu[keep], a)), np.concatenate((lv[keep], b)), np.concatenate((ls[keep], fill))
         parts = (leaf, target, leaf_slot, mid, slot_a, slot_b)
         scatter = _scatter_plan(a.astype(np.int64), b.astype(np.int64))
-        rounds.append((*(_strided(x.astype(np.int64)) for x in parts), n_slots, scatter))
+        fused = np.array_equal(target, mid)
+        mark = cand  # spent: reused as a vertex mask, so the build's peak memory stays put
+        mark[:] = False
+        mark[a] = True
+        disjoint = not mark[b].any()
+        if not rounds:
+            # the first round reads no acc of its leaves, nor of its midpoints when fused
+            mark[:] = True
+            mark[leaf] = False
+            mark[mid] = not fused
+            acc_live = int(np.flatnonzero(mark)[-1]) + 1
+        else:
+            read = np.concatenate((leaf_slot, slot_a, slot_b))
+            read = read[read < ne]
+            if read.shape[0]:
+                g_live = max(g_live, int(read.max()) + 1)
+        rounds.append((*(_strided(x.astype(np.int64)) for x in parts), n_slots, scatter, fused, disjoint))
         n_slots += mid.shape[0]
     if ls.shape[0] != 1 or {int(lu[0]), int(lv[0])} != {b0, b1}:
         raise ValueError("pencil graph is not connected")
-    return ContractionSchedule(tuple(rounds), nv, n_slots, int(ls[0]), int(b0), int(b1))
+    final = int(ls[0])
+    g_live = max(g_live, final + 1 if final < ne else 0)
+    return ContractionSchedule(tuple(rounds), nv, n_slots, final, int(b0), int(b1), acc_live, g_live)
 
 
 def _cols(x: np.ndarray, idx, buf, k: int, n: int):
@@ -370,9 +459,19 @@ def _scatter(flat: np.ndarray, adds) -> None:
 
 
 def _nonpositive(p: np.ndarray, z: np.ndarray):
-    # per-row count of p <= 0; one row counts without the slower axis reduction
+    # per-row count of p <= 0, one row without the slower axis reduction; then
+    # exact zeros, already counted, become -_ZERO_PIVOT, looked for only if
+    # something counted
     np.less_equal(p, 0.0, out=z)
-    return np.count_nonzero(z) if z.shape[0] == 1 else np.count_nonzero(z, axis=1)
+    if z.shape[0] == 1:
+        count = np.count_nonzero(z)
+        hit = count > 0
+    else:
+        count = np.count_nonzero(z, axis=1)
+        hit = count.any()
+    if hit:
+        np.copyto(p, -_ZERO_PIVOT, where=np.equal(p, 0.0, out=z))
+    return count
 
 
 def inertia_counts(
@@ -390,9 +489,11 @@ def inertia_counts(
     while no other pivot is zero that pivot is the Schur complement
     1 / [(L_D - lambda M_D)**-1]_vv, the ratio det(L_D - lambda M_D) /
     det(the same with v deleted). It is NaN for shifts <= 0, which are not
-    swept, and on a schedule without rounds. The positive shifts are swept in equal blocks of at most
-    ``sched.block_width``, the last one padded with copies of its final
-    shift.
+    swept, and on a schedule without rounds. The positive shifts are swept
+    in equal blocks of at most ``sched.block_width``, the last one padded
+    with copies of its final shift; each stage runs in column tiles, fused
+    with the next where the schedule says so. The section comment above
+    says how, and why every output is bit-identical to a one-shift sweep.
     """
     lams = np.ascontiguousarray(lams, dtype=np.float64)
     nv, b0, b1 = mass.shape[0], sched.b0, sched.b1
@@ -408,13 +509,15 @@ def inertia_counts(
     width = -(-todo.shape[0] // n_blocks)
     todo = np.append(todo, np.full(n_blocks * width - todo.shape[0], todo[-1]))
 
-    # once per call: the rounds' masses, and the views of acc, g and the
-    # scratch rows that every block reuses
+    # once per call: the rounds' masses, the first round's lambda-free
+    # conductance terms, and the steps of every round, tile by tile, over
+    # views of acc, g and the scratch rows that every block reuses
+    cols = max(1, _SHIFT_BLOCK_BYTES // (32 * width))
     masses = [(mass[r[0]], mass[r[3]]) for r in sched.rounds]
-    widest = max([1] + [m.shape[0] for pair in masses for m in pair])
+    widest = max([1] + [min(cols, m.shape[0]) for pair in masses for m in pair])
     acc = np.empty((width, nv))
     g = np.empty((width, sched.n_slots))
-    g[:, : conduct.shape[0]] = conduct  # edge slots are only read
+    g[:, : sched.g_live] = conduct[: sched.g_live]  # edge slots are only read
     flat = acc.reshape(-1)
     scratch: dict[int, np.ndarray] = {}
     views: dict[tuple[int, int], np.ndarray] = {}
@@ -429,59 +532,105 @@ def inertia_counts(
             views[k, n] = scratch[k][: width * n].reshape(width, n)
         return views[k, n]
 
-    plan = []
-    for (leaf, target, leaf_slot, mid, slot_a, slot_b, fill, scatter), (m_leaf, m_mid) in zip(sched.rounds, masses):
+    plan, last_pivots = [], None
+    for i, (rnd, (m_leaf, m_mid), cut) in enumerate(zip(sched.rounds, masses, sched.tile_cuts(cols))):
+        leaf, target, leaf_slot, mid, slot_a, slot_b, fill, scatter, fused, disjoint = rnd
+        rakes, compresses, deferred = [], [], []
+        if i == 0:  # every slot is an edge slot, and acc is zero
+            c0, ga0, gb0 = conduct[leaf_slot], conduct[slot_a], conduct[slot_b]
+            gab0, gagb0 = (ga0 + gb0, ga0 * gb0) if n_blocks > 1 else (None, None)
         n = m_leaf.shape[0]
-        rake = (_cols(g, leaf_slot, buf, 0, n), _cols(acc, leaf, buf, 1, n), m_leaf, buf(2, n), buf(3, n),
-                buf(-1, n), _adder(acc, target))
+        for lo in range(0, n, cols):
+            k = min(cols, n - lo)
+            c = (lambda c=c0[lo : lo + k]: c) if i == 0 else _cols(g, _sub(leaf_slot, lo, lo + k), buf, 0, k)
+            acc_leaf = None if i == 0 else _cols(acc, _sub(leaf, lo, lo + k), buf, 1, k)
+            to_target = None if fused else _adder(acc, _sub(target, lo, lo + k))
+            rakes.append((c, acc_leaf, m_leaf[lo : lo + k], buf(2, k), buf(3, k), buf(-1, k), to_target))
         n = m_mid.shape[0]
-        y = buf(4, n)
-        compress = (_cols(g, slot_a, buf, 0, n), _cols(g, slot_b, buf, 1, n), _cols(acc, mid, buf, 4, n), m_mid,
-                    buf(2, n), buf(3, n), y, buf(-1, n), _scatter_adds(acc, scatter, y, 0),
-                    _scatter_adds(acc, scatter, y, n), g[:, fill : fill + n])
-        plan.append((rake, compress))
-    # rake and compress write their pivots to the same scratch row, so after
-    # a block it holds the final round's last nonempty stage
-    n_last = (masses[-1][1].shape[0] or masses[-1][0].shape[0]) if masses else 0
-    last_pivots = buf(3, n_last)
+        if n > cols and not disjoint:
+            b_terms = np.empty((width, n))  # applied after the round's last tile
+            deferred = _scatter_adds(acc, scatter, b_terms, n)
+        for (a_ranges, b_ranges), lo in zip(cut, range(0, n, cols)):
+            k = min(cols, n - lo)
+            part = slice(lo, lo + k)
+            if i == 0:
+                ga, gb = (lambda x=ga0[part]: x), (lambda x=gb0[part]: x)
+                gab, gagb = (None, None) if gab0 is None else (gab0[part], gagb0[part])
+            else:
+                ga, gb = _cols(g, _sub(slot_a, lo, lo + k), buf, 0, k), _cols(g, _sub(slot_b, lo, lo + k), buf, 1, k)
+                gab = gagb = None
+            acc_mid = None if fused and i == 0 else _cols(acc, _sub(mid, lo, lo + k), buf, 4, k)
+            y = buf(4, k)
+            y_b = b_terms[:, part] if deferred else y
+            to_a = _scatter_adds(acc, a_ranges, y, lo)
+            to_b = [] if deferred else _scatter_adds(acc, b_ranges, y, n + lo)
+            compresses.append((ga, gb, gab, gagb, acc_mid, fused, m_mid[part], buf(2, k), buf(3, k), y, y_b,
+                               buf(-1, k), to_a, to_b, g[:, fill + lo : fill + lo + k]))
+        if fused:  # rake tile j, then compress tile j
+            steps = [s for pair in zip(rakes, compresses) for s in ((True, pair[0]), (False, pair[1]))]
+        else:
+            steps = [(True, s) for s in rakes] + [(False, s) for s in compresses]
+        plan.append((steps, deferred))
+        if steps:  # the last step's pivot row (p), which after a block holds the final round's last
+            last_pivots = steps[-1][1][4 if steps[-1][0] else 8]
 
     for start in range(0, todo.shape[0], width):
         sel = todo[start : start + width]
         lam_eff = lams[sel] * (1.0 + NUDGE)
-        lam_col = lam_eff[:, None]
-        acc.fill(0.0)
+        lam_col, neg_col = lam_eff[:, None], -lam_eff[:, None]
+        acc[:, : sched.acc_live].fill(0.0)
         interior = np.zeros(width, dtype=np.int64)
         last = 0
-        for rake, compress in plan:
-            # rake: h = acc - lambda m, p = c + h, and c h / p onto the target
-            c, acc_leaf, m_leaf, h, p, z, to_target = rake
-            c = c()
-            np.multiply(lam_col, m_leaf, out=h)
-            np.subtract(acc_leaf(), h, out=h)
-            np.add(c, h, out=p)
-            np.copyto(p, -_ZERO_PIVOT, where=np.equal(p, 0.0, out=z))
-            last = _nonpositive(p, z)
-            np.multiply(c, h, out=h)
-            np.divide(h, p, out=h)
-            to_target(h)
-            # compress: p = ga + gb + h, g h / p onto a and b, and ga gb / p fills
-            ga, gb, acc_mid, m_mid, h, p, y, z, to_a, to_b, g_fill = compress
-            ga, gb = ga(), gb()
-            np.multiply(lam_col, m_mid, out=h)
-            np.subtract(acc_mid(), h, out=h)
-            np.add(ga, gb, out=p)
-            np.add(p, h, out=p)
-            np.copyto(p, -_ZERO_PIVOT, where=np.equal(p, 0.0, out=z))
-            last += _nonpositive(p, z)
+        for steps, deferred in plan:
+            last = 0
+            for rake, step in steps:
+                if rake:
+                    # h = acc - lambda m, p = c + h, and y = c h / p onto the
+                    # target or, fused, into the midpoint's step
+                    c, acc_leaf, m, h, p, z, to_target = step
+                    c = c()
+                    if acc_leaf is None:  # acc is zero, and 0 - x is -x
+                        np.multiply(neg_col, m, out=h)
+                    else:
+                        np.multiply(lam_col, m, out=h)
+                        np.subtract(acc_leaf(), h, out=h)
+                    np.add(c, h, out=p)
+                    last += _nonpositive(p, z)
+                    np.multiply(c, h, out=h)
+                    np.divide(h, p, out=h)
+                    if to_target is not None:
+                        to_target(h)
+                    continue
+                # compress: p = ga + gb + h, g h / p onto a and b, and ga gb / p fills
+                ga, gb, gab, gagb, acc_mid, fused, m, h, p, y, y_b, z, to_a, to_b, g_fill = step
+                ga, gb = ga(), gb()
+                if fused:  # h = (acc + y) - lambda m, y the raked term in h's row
+                    if acc_mid is not None:
+                        np.add(acc_mid(), h, out=h)
+                    np.multiply(lam_col, m, out=p)
+                    np.subtract(h, p, out=h)
+                else:
+                    np.multiply(lam_col, m, out=h)
+                    np.subtract(acc_mid(), h, out=h)
+                if gab is None:
+                    np.add(ga, gb, out=p)
+                    np.add(p, h, out=p)
+                else:
+                    np.add(gab, h, out=p)
+                last += _nonpositive(p, z)
+                np.multiply(ga, h, out=y)
+                np.divide(y, p, out=y)
+                _scatter(flat, to_a)
+                np.multiply(gb, h, out=y_b)
+                np.divide(y_b, p, out=y_b)
+                _scatter(flat, to_b)
+                if gagb is None:
+                    np.multiply(ga, gb, out=y)
+                    np.divide(y, p, out=g_fill)
+                else:
+                    np.divide(gagb, p, out=g_fill)
+            _scatter(flat, deferred)
             interior += last
-            np.multiply(ga, h, out=y)
-            np.divide(y, p, out=y)
-            _scatter(flat, to_a)
-            np.multiply(gb, h, out=y)
-            np.divide(y, p, out=y)
-            _scatter(flat, to_b)
-            np.multiply(ga, gb, out=y)
-            np.divide(y, p, out=g_fill)
         gf = g[:, sched.final]
         h0 = acc[:, b0] - lam_eff * mass[b0]
         p0 = gf + h0
@@ -491,7 +640,7 @@ def inertia_counts(
         out_d[sel] = interior
         out_n[sel] = interior + (p0 <= 0.0).astype(np.int64) + (p1 <= 0.0).astype(np.int64)
         out_last[sel] = last
-        if n_last:
+        if last_pivots is not None:
             out_pivot[sel] = last_pivots[:, -1]
     return out_d, out_n, out_last, out_pivot
 

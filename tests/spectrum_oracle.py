@@ -162,7 +162,7 @@ def inertia_counts_per_shift(
         g = np.empty(sched.n_slots)
         g[: conduct.shape[0]] = conduct
         interior = last = 0
-        for leaf, target, leaf_slot, mid, slot_a, slot_b, fill, scatter in sched.rounds:
+        for leaf, target, leaf_slot, mid, slot_a, slot_b, fill, scatter, *_ in sched.rounds:
             a, b = np.split(scatter_targets(scatter), 2)
             c = g[leaf_slot]
             h = acc[leaf] - lam_eff * mass[leaf]

@@ -1,6 +1,7 @@
 """Kernel checks: RNG reference values, the shift-blocked counting sweep
-against one sweep per shift, its last interior pivot against a dense
-inverse, and the projection against a brute-force oracle.
+against one sweep per shift (in whole stages and in column tiles), its
+zero-pivot guard, its last interior pivot against a dense inverse, and the
+projection against a brute-force oracle.
 
 The counts themselves are checked against the dense solver in test_spectrum.
 """
@@ -106,27 +107,56 @@ def test_gap_minima_match_the_per_gap_scan(lattice):
 # -- shift-blocked counting sweep ---------------------------------------------------
 
 
+def _path_pencil(n: int = 256) -> Pencil:
+    # each vertex between two compressed ones is b for one and a for the other
+    rng = np.random.default_rng(4)
+    return Pencil(np.arange(n - 1), np.arange(1, n), rng.uniform(0.5, 2.0, n - 1), rng.uniform(0.5, 2.0, n), (0, n - 1))
+
+
 def _pencils():
     for depth in range(9):
         net = small_network(depth, seed=depth)
         yield f"random-{depth}", net.structure.schedule, net.vertex_mass, net.conductance
         net = forms.assemble(depth, CascadeTree.debug(depth), np.ones(3**depth))
         yield f"debug-{depth}", net.structure.schedule, net.vertex_mass, net.conductance
+    # 200 leaves: both first rounds rake more than 64 leaves, and the gaussian
+    # tree's compresses more than 64 vertices whose a and b targets meet
     for name, path in (("gaussian", excursion.sample_excursion(4096, 3)), ("lattice", lattice_path(4096, 5))):
-        pen = Pencil.from_tree(excursion.reduced_tree(path, 60, seed=1))
+        pen = Pencil.from_tree(excursion.reduced_tree(path, 200, seed=1))
         yield name, pen.schedule, pen.mass, pen.edge_c
+    pen = _path_pencil()
+    yield "path", pen.schedule, pen.mass, pen.edge_c
     # a final round that rakes its leaf into a boundary vertex and compresses none
     pen = Pencil(np.array([0, 0]), np.array([1, 2]), np.array([2.0, 3.0]), np.array([0.3, 0.3, 0.4]), (0, 1))
     yield "rake-only", pen.schedule, pen.mass, pen.edge_c
 
 
-def test_blocked_counts_match_one_sweep_per_shift():
+def _stage_sizes(sched) -> list[tuple[int, int, bool]]:
+    # (raked leaves, compressed vertices, disjoint) per round
+    ids = np.arange(sched.n_vertices)
+    return [(ids[r[0]].shape[0], ids[r[3]].shape[0], r[9]) for r in sched.rounds]
+
+
+@pytest.mark.parametrize("block_bytes", [_kernels._SHIFT_BLOCK_BYTES, 2048], ids=["budget", "64-column-tiles"])
+def test_blocked_counts_match_one_sweep_per_shift(monkeypatch, block_bytes):
     # grids of length 0, 1, w - 1, w and w + 1 for the pencil's width w, drawn
     # unsorted and with repeats from values that include negatives and 0; the
-    # one-shift oracle runs once per distinct value
+    # one-shift oracle runs once per distinct value. A 2 KiB budget cuts stages
+    # into tiles of 64 columns at width 1: every dendrite from depth 5 on, both
+    # excursion trees and the path split a stage, and the gaussian tree and the
+    # path split rounds whose a and b targets meet, so their b terms wait for
+    # the round's last tile
+    monkeypatch.setattr(_kernels, "_SHIFT_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(0)
     values = np.concatenate(([-3.0, -1e-300, 0.0, -0.0, 1e-300], np.geomspace(0.25, 1e6, 48)))
+    split, deferred = set(), set()
+    cols = block_bytes // 32  # at width 1
     for name, sched, mass, conduct in _pencils():
+        sizes = _stage_sizes(sched)
+        if sched.block_width == 1 and any(max(n_leaf, n_mid) > cols for n_leaf, n_mid, _ in sizes):
+            split.add(name)
+        if sched.block_width == 1 and any(n_mid > cols and not disjoint for _, n_mid, disjoint in sizes):
+            deferred.add(name)
         w = sched.block_width
         ref = inertia_counts_per_shift(sched, mass, conduct, values)
         for n in sorted({0, 1, w - 1, w, w + 1}):
@@ -136,6 +166,71 @@ def test_blocked_counts_match_one_sweep_per_shift():
             for kind, out, want in zip(("dirichlet", "neumann", "final", "pivot"), got, ref):
                 assert out.dtype == (np.float64 if kind == "pivot" else np.int64)
                 np.testing.assert_array_equal(out, want[pick], err_msg=f"{name}, {n} shifts, {kind}")
+    if block_bytes == 2048:
+        want_split = {f"{kind}-{d}" for kind in ("random", "debug") for d in range(5, 9)} | {"gaussian", "lattice", "path"}
+        assert split == want_split and deferred == {"gaussian", "path"}
+    else:
+        assert not split
+
+
+def test_tiles_keep_each_vertex_term_order(monkeypatch):
+    # with one-column tiles, every path vertex between two compressed ones gets
+    # its b term in one tile and its a term in the next; applied tile by tile,
+    # the b term would come first, and from the second round on, where acc is
+    # no longer 0, the sums would differ in the last bits
+    monkeypatch.setattr(_kernels, "_SHIFT_BLOCK_BYTES", 32)
+    pen = _path_pencil()
+    assert not any(r[9] for r in pen.schedule.rounds[1:4])
+    lams = np.geomspace(0.25, 1e6, 48)
+    got = _kernels.inertia_counts(pen.schedule, pen.mass, pen.edge_c, lams)
+    for out, want in zip(got, inertia_counts_per_shift(pen.schedule, pen.mass, pen.edge_c, lams)):
+        np.testing.assert_array_equal(out, want)
+
+
+def test_zero_pivot_is_counted_and_guarded():
+    # leaf 3's conductance is lambda (1 + NUDGE) m, so its pivot c - lambda (1 + NUDGE) m
+    # is exactly 0: counted as nonpositive, then replaced by -_ZERO_PIVOT, so
+    # the term c h / p it sends its target is c**2 / _ZERO_PIVOT
+    lam, m3 = 2.0, 0.25
+    lam_eff = lam * (1.0 + _kernels.NUDGE)
+    c3 = lam_eff * m3
+    mass = np.array([0.3, 0.3, 0.5, m3])
+    pen = Pencil(np.array([3, 2, 2]), np.array([2, 0, 1]), np.array([c3, 1.0, 2.0]), mass, (0, 1))
+    sched = pen.schedule
+    assert len(sched.rounds) == 1 and sched.rounds[0][8]  # rake 3 into 2, then compress 2
+    assert c3 - lam_eff * m3 == 0.0
+    for lams in (np.array([lam]), np.array([0.5 * lam, lam, 3.0 * lam])):
+        got = _kernels.inertia_counts(sched, mass, pen.edge_c, lams)
+        for out, want in zip(got, inertia_counts_per_shift(sched, mass, pen.edge_c, lams)):
+            np.testing.assert_array_equal(out, want)
+        at = int(np.flatnonzero(lams == lam)[0])
+        y = c3 * (-(lam_eff * m3)) / -_kernels._ZERO_PIVOT
+        pivot2 = (1.0 + 2.0) + (y - lam_eff * mass[2])
+        assert got[3][at] == pivot2 and pivot2 > 1e28  # vertex 2's pivot takes the guarded term
+        assert got[2][at] == 1 and got[0][at] == 1  # the zero pivot counts, vertex 2's does not
+
+
+def test_dendrite_rounds_are_fused_and_disjoint():
+    # every round rakes its tips into its midpoints in the same order, and no
+    # vertex takes both an a and a b term; a sweep zeroes the vertices left
+    # after the first round and copies no edge conductance into g
+    for level in range(1, 11):
+        sched = structure(level).schedule
+        assert all(r[8] and r[9] for r in sched.rounds), level
+        assert sched.acc_live == 3 ** (level - 1) + 1 and sched.g_live == 0, level
+
+
+def test_a_vertex_with_an_a_and_a_b_term_is_not_disjoint():
+    # on the path 0 - 2 - 3 - 4 - 1, vertex 3 has the lowest mix64 priority, so
+    # 2 and 4 are compressed together: 3 is b for 2 (through 2's higher slot)
+    # and a for 4 (through 4's lower slot)
+    priority = {v: int(_kernels.mix64(np.uint64(v))) for v in (2, 3, 4)}
+    assert priority[3] < min(priority[2], priority[4])
+    sched = _kernels.contraction_schedule(np.array([0, 2, 3, 4]), np.array([2, 3, 4, 1]), 5, 0, 1)
+    _, _, _, mid, _, _, _, scatter, fused, disjoint = sched.rounds[0]
+    a, b = np.split(scatter_targets(scatter), 2)
+    assert np.arange(5)[mid].tolist() == [2, 4] and a.tolist() == [0, 3] and b.tolist() == [3, 1]
+    assert not fused and not disjoint
 
 
 def test_block_width_fits_the_budget():
