@@ -517,7 +517,7 @@ def inertia_counts(
     widest = max([1] + [min(cols, m.shape[0]) for pair in masses for m in pair])
     acc = np.empty((width, nv))
     g = np.empty((width, sched.n_slots))
-    g[:, : sched.g_live] = conduct[: sched.g_live]  # edge slots are only read
+    g[:, : sched.g_live] = conduct[: sched.g_live]  # the edge slots later rounds read; none is written
     flat = acc.reshape(-1)
     scratch: dict[int, np.ndarray] = {}
     views: dict[tuple[int, int], np.ndarray] = {}
