@@ -173,7 +173,8 @@ def _rayleigh(bits: np.ndarray) -> np.ndarray:
 # budget // (32 x width) columns runs in tiles of that many, so a tile's
 # four scratch rows fill the budget and its operands stay in L2 from one
 # pass to the next (a depth-12 first round would stream 1.4 MB per pass).
-# A narrower stage runs in one piece.
+# A narrower stage runs in one piece, and so does every stage when the
+# budget is too small for a tile of one column.
 #
 # Fused rounds. Where a round's rake targets are its compressed vertices in
 # the same order (every dendrite round), tile j's rakes run just before its
@@ -512,7 +513,7 @@ def inertia_counts(
     # once per call: the rounds' masses, the first round's lambda-free
     # conductance terms, and the steps of every round, tile by tile, over
     # views of acc, g and the scratch rows that every block reuses
-    cols = max(1, _SHIFT_BLOCK_BYTES // (32 * width))
+    cols = _SHIFT_BLOCK_BYTES // (32 * width) or nv  # no column fits: stages stay whole
     masses = [(mass[r[0]], mass[r[3]]) for r in sched.rounds]
     widest = max([1] + [min(cols, m.shape[0]) for pair in masses for m in pair])
     acc = np.empty((width, nv))
