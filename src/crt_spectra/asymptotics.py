@@ -194,12 +194,10 @@ def _median(x: np.ndarray) -> float:
     return float(0.0 + s[h]) if s.shape[0] % 2 else float((0.0 + s[h - 1] + s[h]) / 2)
 
 
-def _selfsimilar_replica(config: EnsembleConfig, r: int, ts: np.ndarray | None, check) -> Replica:
+def _selfsimilar_replica(config: EnsembleConfig, r: int, ts: np.ndarray | None) -> Replica:
     from .forms import diameter as net_diameter
 
     net = build_network(config.depth, config.replica_seed(r), config.debug_cascade)
-    if check is not None:
-        check(r, net)
     lams = config.lambda_grid
     # the counting sweep sets a depth-12 replica's peak RSS: with the
     # diameter pass before or after it, one replica peaks at 107.5-107.6 MB
@@ -233,14 +231,13 @@ def _excursion_replica(config: EnsembleConfig, r: int) -> Replica:
     return Replica(nd, nn, resolution)
 
 
-def run_ensemble(config: EnsembleConfig, ts: np.ndarray | None = None, check=None) -> EnsembleResult:
+def run_ensemble(config: EnsembleConfig, ts: np.ndarray | None = None) -> EnsembleResult:
     """Independent replicas on the lambda grid; deterministic in the config.
 
     Each replica is built once. Given renewal shifts ``ts`` (self-similar
-    route only), the same network also yields the replica's eta row; given
-    ``check``, ``check(r, net)`` sees each self-similar network before it
-    is counted and may raise. Records stay in replica order, so the
-    worker-thread count never changes any byte of the output.
+    route only), the same network also yields the replica's eta row.
+    Records stay in replica order, so the worker-thread count never
+    changes any byte of the output.
     """
     if ts is not None and config.route != "selfsimilar":
         raise ValueError("eta needs the self-similar route")
@@ -255,7 +252,7 @@ def run_ensemble(config: EnsembleConfig, ts: np.ndarray | None = None, check=Non
 
     def work(r: int) -> Replica:
         if config.route == "selfsimilar":
-            return _selfsimilar_replica(config, r, ts, check)
+            return _selfsimilar_replica(config, r, ts)
         return _excursion_replica(config, r)
 
     if config.threads > 1:

@@ -12,8 +12,8 @@ its ceiling grows with ``--leaves``. The ``renewal`` t grid spans
 
 Exit codes: 0 success, 2 usage error (a bad flag value or a flag
 combination that describes no valid run), 3 capacity exceeded, 4
-numerical guard tripped (tail or window failures, oracle or bracketing
-mismatch, a counting curve that falls, an unbracketed Dirichlet floor).
+numerical guard tripped (tail or window failures, a bracketing mismatch,
+a counting curve that falls, an unbracketed Dirichlet floor).
 Everything is deterministic in (seed, config): re-running a command
 reproduces the numeric payloads byte for byte, whatever the thread count.
 ``--threads`` spreads the replicas of ``ensemble``, ``renewal`` and
@@ -43,11 +43,10 @@ import sys
 from dataclasses import MISSING, fields
 from pathlib import Path
 
-# No command calls BLAS (the oracle's one LAPACK call is on at most 82
-# vertices), yet numpy's OpenBLAS starts a worker per core on import, and
-# the idle one costs start-up time and spins a core for about 0.13 s. A
-# user's own setting wins. This runs before numpy loads only because the
-# package's __init__ imports no submodule.
+# No command calls BLAS or LAPACK, yet numpy's OpenBLAS starts a worker
+# per core on import, and the idle one costs start-up time and spins a core
+# for about 0.13 s. A user's own setting wins. This runs before numpy loads
+# only because the package's __init__ imports no submodule.
 os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 import numpy as np
@@ -66,7 +65,7 @@ from .asymptotics import (
     write_results,
 )
 from .errors import CapacityError, CrtSpectraError, GuardError, TailError, WindowUnresolved
-from .spectrum import Pencil, bracketing_check, dense_count_pair, network_counts
+from .spectrum import bracketing_check, network_counts
 
 
 class UsageError(CrtSpectraError):
@@ -116,25 +115,6 @@ def _ensemble_config(args, route: str) -> EnsembleConfig:
         raise UsageError(str(exc)) from None
 
 
-def _oracle_check(config: EnsembleConfig):
-    """Dense-solver check of replicas 0-2, run on the networks the ensemble builds."""
-    if config.depth > 4:
-        raise UsageError("--oracle is limited to depth <= 4 (dense solver)")
-    lams = np.geomspace(config.lambda_lo, config.lambda_hi, 7)
-
-    def check(r: int, net) -> None:
-        if r >= 3:
-            return
-        nd, nn = network_counts(net, lams)
-        dd, dn = dense_count_pair(Pencil.from_network(net), lams)
-        bad = np.flatnonzero((nd != dd) | (nn != dn))
-        if bad.size:
-            kind = "dirichlet" if nd[bad[0]] != dd[bad[0]] else "neumann"
-            raise GuardError(f"oracle mismatch ({kind}) at lambda={lams[bad[0]]}")
-
-    return check
-
-
 def _fit(result, require: bool) -> ScalingFit | None:
     """The scaling fit, or None with a warning when no window resolves (unless one is required)."""
     try:
@@ -148,7 +128,7 @@ def _fit(result, require: bool) -> ScalingFit | None:
 
 def cmd_ensemble(args) -> int:
     config = _ensemble_config(args, "selfsimilar")
-    result = run_ensemble(config, check=_oracle_check(config) if args.oracle else None)
+    result = run_ensemble(config)
     write_results(args.out, result, _fit(result, args.require_fit))
     return 0
 
@@ -199,7 +179,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ensemble", help="replica ensemble of cascade networks")
     ensemble_args(p, "selfsimilar")
-    p.add_argument("--oracle", action="store_true", help="validate counts against the dense solver")
     p.add_argument("--debug-cascade", action="store_true")
     p.add_argument("--require-fit", action="store_true")
     p.set_defaults(fn=cmd_ensemble)

@@ -22,4 +22,4 @@ class WindowUnresolved(CrtSpectraError):
 
 
 class GuardError(CrtSpectraError):
-    """A numerical guard has failed: oracle, bracketing, count order or the Dirichlet floor."""
+    """A numerical guard has failed: bracketing, count order or the Dirichlet floor."""

@@ -1,25 +1,22 @@
 """Eigenvalue counting for L f = lambda M f on resistance networks.
 
-The fast path counts by Sylvester inertia: the number of nonpositive
-pivots of L - lambda M equals the number of eigenvalues <= lambda. The
-shift is nudged to lambda (1 + 1e-12) so exact jump points resolve
+Counts come from Sylvester inertia: the number of nonpositive pivots of
+L - lambda M equals the number of eigenvalues <= lambda. The shift is
+nudged to lambda (1 + 1e-12) so exact jump points resolve
 deterministically, and lambda = 0 is special-cased (the Laplacian of a
-connected tree has a simple kernel). The independent oracle for small
-problems is a dense Sylvester count: M is diagonal and positive, so the
-number of eigenvalues <= lambda is the number of nonpositive eigenvalues of
-the dense, unscaled L - lambda M, which the symmetric solver resolves on the
-scale of L.
+connected tree has a simple kernel). The dense Sylvester count that the
+tests check these counts against lives in ``tests/spectrum_oracle.py``.
 
 Dirichlet counts delete the two boundary rows and columns. A pencil has no
-boundary condition: every counter, the dense oracle too, returns the
-(Dirichlet, Neumann) pair. One engine counts every tree, dendrite network
-or excursion pencil: a rake/compress contraction schedule pivots leaves and
-degree-two vertices round by round, each compression adding one fill edge
-between its two neighbours, so the factorization costs O(V) per shift. The
-two boundary vertices are pivoted last, so one sweep yields both counts.
-The schedule depends only on the edges and the boundary, never on the
-shift; it is built once per dendrite level (shared by every replica) and
-once per pencil.
+boundary condition: every counter returns the (Dirichlet, Neumann) pair.
+One engine counts every tree, dendrite network or excursion pencil: a
+rake/compress contraction schedule pivots leaves and degree-two vertices
+round by round, each compression adding one fill edge between its two
+neighbours, so the factorization costs O(V) per shift. The two boundary
+vertices are pivoted last, so one sweep yields both counts. The schedule
+depends only on the edges and the boundary, never on the shift; it is
+built once per dendrite level (shared by every replica) and once per
+pencil.
 
 A sweep also returns the pivot of the last interior vertex, the Schur
 complement det(L_D - lambda M_D) / det(the same without that vertex). On
@@ -37,9 +34,9 @@ from functools import cached_property
 
 import numpy as np
 
-from ._kernels import NUDGE, ContractionSchedule, contraction_schedule, inertia_counts
+from ._kernels import ContractionSchedule, contraction_schedule, inertia_counts
 from .dendrite import structure
-from .errors import CapacityError, GuardError
+from .errors import GuardError
 from .excursion import MetricTree
 from .forms import ResistanceNetwork, subnetwork_fresh
 
@@ -77,12 +74,6 @@ class Pencil:
         return self.mass.shape[0]
 
     @classmethod
-    def from_network(cls, net: ResistanceNetwork) -> "Pencil":
-        """Pencil bounded by the dendrite's corners, vertices 0 and 1."""
-        e0, e1 = net.structure.ep0, net.structure.ep1
-        return cls(e0.copy(), e1.copy(), net.conductance.copy(), net.vertex_mass.copy(), (0, 1))
-
-    @classmethod
     def from_tree(cls, tree: MetricTree) -> "Pencil":
         """Pencil bounded by the tree root (vertex 0) and the first inserted leaf (a mu-random vertex)."""
         nonroot = np.arange(1, tree.n_vertices)
@@ -95,47 +86,7 @@ class Pencil:
         return contraction_schedule(self.edge_u, self.edge_v, self.n_vertices, *self.boundary)
 
 
-def dense_matrices(pencil: Pencil, dirichlet: bool) -> tuple[np.ndarray, np.ndarray]:
-    """Dense stiffness matrix and mass diagonal, with the boundary rows deleted when ``dirichlet``."""
-    nv = pencil.n_vertices
-    if nv > 4096:
-        raise CapacityError("dense path limited to 4096 vertices")
-    stiff = np.zeros((nv, nv))
-    for u, v, c in zip(pencil.edge_u, pencil.edge_v, pencil.edge_c):
-        stiff[u, u] += c
-        stiff[v, v] += c
-        stiff[u, v] -= c
-        stiff[v, u] -= c
-    mass = pencil.mass.copy()
-    if dirichlet:
-        keep = ~np.isin(np.arange(nv), pencil.boundary)
-        stiff, mass = stiff[np.ix_(keep, keep)], mass[keep]
-    return stiff, mass
-
-
-def dense_count_pair(pencil: Pencil, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """(Dirichlet, Neumann) counts of pencil eigenvalues <= each lambda, by a dense Sylvester count (the oracle path).
-
-    M is diagonal and positive, so by Sylvester's law of inertia the count
-    equals the number of nonpositive eigenvalues of L - lambda (1 + 1e-12) M
-    itself. eigvalsh errs by about eps times the matrix norm; scaling by
-    M**-1/2 would multiply that norm by up to 1 / min(M), which on random
-    cascades swamps the eigenvalues near lambda. For lambda <= 0 the count
-    is exact, as in the fast path: L is positive semidefinite with the
-    constants as its Neumann kernel on a connected tree, and eigvalsh
-    would round that zero eigenvalue to either sign.
-    """
-    pair = []
-    for dirichlet in (True, False):
-        stiff, mass = dense_matrices(pencil, dirichlet)
-        counts = np.array([int(lam == 0.0 and not dirichlet) for lam in lams], dtype=np.int64)
-        for i in np.flatnonzero(lams > 0.0):
-            counts[i] = (np.linalg.eigvalsh(stiff - np.diag(lams[i] * (1.0 + NUDGE) * mass)) <= 0.0).sum()
-        pair.append(counts)
-    return pair[0], pair[1]
-
-
-# -- fast inertia path -------------------------------------------------------
+# -- inertia counts ----------------------------------------------------------
 
 
 def count_pair(pencil: Pencil, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -143,6 +94,7 @@ def count_pair(pencil: Pencil, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray
     return inertia_counts(pencil.schedule, pencil.mass, pencil.edge_c, lams)[:2]
 
 
+# perfbench/layers.py probes this name (span spectrum.sweep); no command calls it
 def count_below(pencil: Pencil, lam: float, dirichlet: bool = False) -> int:
     """Number of pencil eigenvalues <= lambda, with multiplicity, Neumann unless ``dirichlet``."""
     if not np.isfinite(lam):
@@ -151,6 +103,7 @@ def count_below(pencil: Pencil, lam: float, dirichlet: bool = False) -> int:
     return int(nd[0] if dirichlet else nn[0])
 
 
+# perfbench/layers.py probes this name (span spectrum.sweep); no command calls it
 def block_counts(level: int, conduct: np.ndarray, cell_mass: np.ndarray, lams: np.ndarray):
     """(Dirichlet, Neumann) counts for a bare (conductance, cell-mass) block on the level graph.
 

@@ -1,5 +1,12 @@
 """Spectral functions the tests check the package's counts and identities with.
 
+The independent oracle for small problems is a dense Sylvester count,
+``dense_count_pair``: M is diagonal and positive, so the number of
+eigenvalues <= lambda is the number of nonpositive eigenvalues of the
+dense, unscaled L - lambda M, which the symmetric solver resolves on the
+scale of L. ``network_pencil`` is a dendrite network's pencil, bounded by
+its corners, and ``dense_matrices`` its dense stiffness matrix and mass
+diagonal; the dense path stops at 4096 vertices.
 ``dense_eigenvalues`` is the full dense spectrum of a small, well-scaled
 pencil, checked at its bottom by a Sylvester count; ``eigenvalues_up_to``
 extracts eigenvalues from the package's counts by bisection. The
@@ -26,13 +33,59 @@ from crt_spectra._kernels import _ZERO_PIVOT, NUDGE, ContractionSchedule
 from crt_spectra.asymptotics import EnsembleResult
 from crt_spectra.errors import CapacityError
 from crt_spectra.forms import ResistanceNetwork, subnetwork_fresh
-from crt_spectra.spectrum import Pencil, count_below, dense_count_pair, dense_matrices, network_counts
+from crt_spectra.spectrum import Pencil, count_below, network_counts
 
 from cascade_oracle import w_levels
 
 
 class TruncationError(Exception):
     """A heat-trace remainder bound exceeds the requested accuracy."""
+
+
+def network_pencil(net: ResistanceNetwork) -> Pencil:
+    """Pencil of a dendrite network, bounded by its corners, vertices 0 and 1."""
+    e0, e1 = net.structure.ep0, net.structure.ep1
+    return Pencil(e0.copy(), e1.copy(), net.conductance.copy(), net.vertex_mass.copy(), (0, 1))
+
+
+def dense_matrices(pencil: Pencil, dirichlet: bool) -> tuple[np.ndarray, np.ndarray]:
+    """Dense stiffness matrix and mass diagonal, with the boundary rows deleted when ``dirichlet``."""
+    nv = pencil.n_vertices
+    if nv > 4096:
+        raise CapacityError("dense path limited to 4096 vertices")
+    stiff = np.zeros((nv, nv))
+    for u, v, c in zip(pencil.edge_u, pencil.edge_v, pencil.edge_c):
+        stiff[u, u] += c
+        stiff[v, v] += c
+        stiff[u, v] -= c
+        stiff[v, u] -= c
+    mass = pencil.mass.copy()
+    if dirichlet:
+        keep = ~np.isin(np.arange(nv), pencil.boundary)
+        stiff, mass = stiff[np.ix_(keep, keep)], mass[keep]
+    return stiff, mass
+
+
+def dense_count_pair(pencil: Pencil, lams: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(Dirichlet, Neumann) counts of pencil eigenvalues <= each lambda, by a dense Sylvester count.
+
+    M is diagonal and positive, so by Sylvester's law of inertia the count
+    equals the number of nonpositive eigenvalues of L - lambda (1 + 1e-12) M
+    itself. eigvalsh errs by about eps times the matrix norm; scaling by
+    M**-1/2 would multiply that norm by up to 1 / min(M), which on random
+    cascades swamps the eigenvalues near lambda. For lambda <= 0 the count
+    is exact, as in the package's engine: L is positive semidefinite with
+    the constants as its Neumann kernel on a connected tree, and eigvalsh
+    would round that zero eigenvalue to either sign.
+    """
+    pair = []
+    for dirichlet in (True, False):
+        stiff, mass = dense_matrices(pencil, dirichlet)
+        counts = np.array([int(lam == 0.0 and not dirichlet) for lam in lams], dtype=np.int64)
+        for i in np.flatnonzero(lams > 0.0):
+            counts[i] = (np.linalg.eigvalsh(stiff - np.diag(lams[i] * (1.0 + NUDGE) * mass)) <= 0.0).sum()
+        pair.append(counts)
+    return pair[0], pair[1]
 
 
 def dense_eigenvalues(pencil: Pencil, dirichlet: bool = False) -> np.ndarray:

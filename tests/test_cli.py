@@ -7,7 +7,10 @@ import pytest
 
 from crt_spectra import cli
 from crt_spectra._kernels import RANDOM_STREAM
+from crt_spectra.asymptotics import EnsembleConfig, build_network
+from crt_spectra.spectrum import network_counts
 from conftest import run_fresh
+from spectrum_oracle import dense_count_pair, network_pencil
 
 
 def run(args):
@@ -28,7 +31,7 @@ def test_usage_error_exit_code(tmp_path, monkeypatch):
         ["renewal", "--replicas", "2", "--depth", "0", "--out", "x"],
         ["crt-route", "--replicas", "1", "--steps", "4", "--leaves", "10", "--out", "x"],
         ["spectrum", "--depth", "0", "--check-bracketing", "--out", "x"],
-        ["ensemble", "--replicas", "1", "--depth", "5", "--oracle", "--out", "x"],
+        ["ensemble", "--replicas", "1", "--depth", "5", "--oracle", "--out", "x"],  # no such flag
         ["ensemble", "--replicas", "1", "--depth", "2", "--lambda-lo", "0", "--out", "x"],
         ["renewal", "--replicas", "1", "--depth", "2", "--lambda-lo", "-1", "--out", "x"],
         ["crt-route", "--replicas", "1", "--lambda-lo", "0", "--out", "x"],
@@ -194,11 +197,11 @@ def test_assertion_error_is_not_a_guard(tmp_path, monkeypatch):
         run(["spectrum", "--depth", "2", "--out", str(tmp_path / "s")])
 
 
-def test_ensemble_with_oracle(tmp_path):
+def test_ensemble_command(tmp_path):
     out = tmp_path / "ens"
     code = run(
         ["ensemble", "--replicas", "2", "--depth", "3", "--seed", "11",
-         "--lambda-lo", "0.5", "--lambda-hi", "1e5", "--points", "17", "--oracle", "--out", str(out)]
+         "--lambda-lo", "0.5", "--lambda-hi", "1e5", "--points", "17", "--out", str(out)]
     )
     assert code == 0
     assert (out / "curves.csv").exists()
@@ -209,40 +212,29 @@ def test_ensemble_with_oracle(tmp_path):
     assert doc["stream"] == RANDOM_STREAM == "splitmix64-archimedes-rayleigh"
 
 
-def test_oracle_agrees_on_a_badly_scaled_replica(tmp_path):
+def test_oracle_agrees_on_a_badly_scaled_replica():
     # replica 1 of this ensemble is too badly scaled for eigvalsh on
     # M**-1/2 L M**-1/2, which returns -2.3e6 for a positive-definite
     # Dirichlet pencil; the Sylvester count on L - lambda M agrees with the
     # engine, and so does a 60-digit elimination
-    args = ["ensemble", "--depth", "4", "--replicas", "3", "--seed", "0", "--oracle", "--out", str(tmp_path / "ens")]
+    config = EnsembleConfig(replicas=3, depth=4, master_seed=0)
+    lams = np.geomspace(config.lambda_lo, config.lambda_hi, 7)
+    for r in range(3):
+        net = build_network(config.depth, config.replica_seed(r))
+        np.testing.assert_array_equal(dense_count_pair(network_pencil(net), lams), network_counts(net, lams))
+
+
+def test_oracle_checks_dirichlet_counts_at_depth_0(tmp_path):
+    # a depth-0 network has no interior vertex, so the dense and engine Dirichlet counts are 0 at every lambda
+    args = ["ensemble", "--depth", "0", "--replicas", "1", "--out", str(tmp_path / "ens")]
     assert run(args) == 0
-
-
-def test_oracle_checks_dirichlet_counts_at_depth_0(tmp_path, monkeypatch, capsys):
-    # a depth-0 network has no interior vertex, so the dense Dirichlet count is 0 at every lambda
-    args = ["ensemble", "--depth", "0", "--replicas", "1", "--oracle", "--out", str(tmp_path / "ens")]
-    assert run(args) == 0
-    capsys.readouterr()
-    counts = cli.network_counts
-    monkeypatch.setattr(cli, "network_counts", lambda net, lams: (counts(net, lams)[0] + 1, counts(net, lams)[1]))
-    assert run(args) == 4
-    assert capsys.readouterr().err == "numerical guard: oracle mismatch (dirichlet) at lambda=1.0\n"
-
-
-def test_oracle_builds_each_replica_once(tmp_path, monkeypatch):
-    from crt_spectra import asymptotics
-
-    args = ["ensemble", "--replicas", "3", "--depth", "3", "--seed", "11",
-            "--lambda-lo", "0.5", "--lambda-hi", "1e5", "--points", "17"]
-    assert run(args + ["--out", str(tmp_path / "plain")]) == 0
-    calls = []
-    build = asymptotics.build_network
-    monkeypatch.setattr(asymptotics, "build_network", lambda *a, **k: calls.append(a) or build(*a, **k))
-    assert run(args + ["--oracle", "--out", str(tmp_path / "oracle")]) == 0
-    assert len(calls) == 3
-    assert len(set(calls)) == 3
-    for name in ("config.json", "curves.csv"):
-        assert (tmp_path / "plain" / name).read_bytes() == (tmp_path / "oracle" / name).read_bytes()
+    config = EnsembleConfig(replicas=1, depth=0, master_seed=0)
+    lams = np.geomspace(config.lambda_lo, config.lambda_hi, 7)
+    net = build_network(config.depth, config.replica_seed(0))
+    dd, dn = dense_count_pair(network_pencil(net), lams)
+    nd, nn = network_counts(net, lams)
+    assert dd.tolist() == nd.tolist() == [0] * 7
+    assert dn.tolist() == nn.tolist()
 
 
 def test_ensemble_determinism_across_threads(tmp_path):

@@ -12,10 +12,10 @@ import pytest
 from crt_spectra import _kernels, excursion, forms, spectrum
 from crt_spectra.cascade import CascadeTree
 from crt_spectra.dendrite import structure
-from crt_spectra.spectrum import Pencil, dense_count_pair, dense_matrices
+from crt_spectra.spectrum import Pencil
 from conftest import small_network
 from excursion_oracle import gap_minima, lattice_path
-from spectrum_oracle import inertia_counts_per_shift, scatter_targets
+from spectrum_oracle import dense_count_pair, dense_matrices, inertia_counts_per_shift, network_pencil, scatter_targets
 
 
 def test_mix64_reference_values():
@@ -262,7 +262,7 @@ def test_last_interior_pivot_is_the_schur_complement(monkeypatch, block_bytes):
         for net in [small_network(depth, seed=seed) for seed in range(3)] + [debug]:
             v = _last_interior_vertex(net.structure.schedule)
             assert v == 2  # the level-1 midpoint
-            pen = Pencil.from_network(net)
+            pen = network_pencil(net)
             floor = spectrum.dirichlet_floor(net, forms.diameter(net))
             grid = floor * np.geomspace(1.0, 100.0, 200)
             one = grid[spectrum.network_counts(net, grid)[0] == 1]

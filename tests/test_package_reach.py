@@ -1,9 +1,10 @@
 """Every function and method in the package is reached by a command.
 
 The commands below cover each subcommand and flag at small sizes:
-bracketing, the dense oracle, worker threads, the debug cascade, the
-floor's fallback bracket, and the renewal and excursion routes. A
-definition none of them calls belongs in a test module.
+bracketing, worker threads, the debug cascade, the floor's fallback
+bracket, and the renewal and excursion routes. A definition none of them
+calls belongs in a test module. The package also imports nothing but
+numpy, the standard library and itself, and no command calls LAPACK.
 """
 
 import ast
@@ -15,6 +16,9 @@ from crt_spectra import cli, dendrite
 
 SRC = Path(cli.__file__).resolve().parent
 
+# what the runtime may import besides the package itself
+RUNTIME = sys.stdlib_module_names | {"numpy"}
+
 # perfbench/layers.py probes these; the commands reach neither
 PROBE_ONLY = {("spectrum.py", "block_counts"), ("spectrum.py", "count_below")}
 
@@ -24,8 +28,8 @@ def commands(tmp: Path) -> list[list[str]]:
     return [
         ["spectrum", "--depth", "2", "--seed", "1", "--points", "9", "--check-bracketing",
          "--out", str(tmp / "spec")],
-        # the dense oracle and two worker threads
-        ["ensemble", "--replicas", "2", "--depth", "3", "--seed", "0", "--threads", "2", "--oracle", *ens,
+        # two worker threads
+        ["ensemble", "--replicas", "2", "--depth", "3", "--seed", "0", "--threads", "2", *ens,
          "--out", str(tmp / "ens")],
         # the uniform cascade resolves a fit window from depth 4 on
         ["ensemble", "--replicas", "1", "--depth", "4", "--debug-cascade", "--require-fit", *ens,
@@ -81,3 +85,21 @@ def test_every_definition_is_reached_by_a_command(tmp_path):
         if (path, line) not in reached and (path.name, name) not in PROBE_ONLY
     )
     assert not missed, "defined in src/ but reached by no command:\n" + "\n".join(missed)
+
+
+def test_package_imports_numpy_and_the_standard_library_only():
+    # every import in a module, not only those at its top: scipy, mpmath and numba are for the tests
+    foreign, lapack = [], []
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:  # a relative import is the package itself
+                modules = [f"{node.module}.{alias.name}" for alias in node.names]
+            else:
+                modules = []
+            foreign += [f"{path.name}:{node.lineno} {m}" for m in modules if m.split(".")[0] not in RUNTIME]
+            names = [node.attr] if isinstance(node, ast.Attribute) else modules
+            lapack += [f"{path.name}:{node.lineno} {n}" for n in names if "linalg" in n.split(".")]
+    assert not foreign, "the runtime needs numpy and the standard library only:\n" + "\n".join(foreign)
+    assert not lapack, "no command calls LAPACK:\n" + "\n".join(lapack)

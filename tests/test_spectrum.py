@@ -14,7 +14,7 @@ from cascade_oracle import w_levels
 from conftest import small_network
 from dendrite_oracle import address_order_network
 from forms_oracle import cell_block
-from spectrum_oracle import TruncationError
+from spectrum_oracle import TruncationError, network_pencil
 
 
 def debug_network(depth):
@@ -28,7 +28,7 @@ def test_level0_closed_form_spectrum():
     # level 0 is one edge of conductance H/R between two half masses: {0, 4 H / R}
     net = small_network(0, seed=1)
     r = net.perturbations[0]
-    pen = Pencil.from_network(net)
+    pen = network_pencil(net)
     dense = spectrum_oracle.dense_eigenvalues(pen)
     want = np.array([0.0, 4.0 * HEIGHT_CONSTANT / r])
     np.testing.assert_allclose(dense, want, atol=1e-12)
@@ -54,7 +54,7 @@ def test_dense_count_at_and_below_zero():
         for seed in range(20):
             net = small_network(depth, seed=seed)
             lams = np.array([-1.0, 0.0])
-            dense = spectrum.dense_count_pair(Pencil.from_network(net), lams)
+            dense = spectrum_oracle.dense_count_pair(network_pencil(net), lams)
             np.testing.assert_array_equal(dense, spectrum.network_counts(net, lams))
 
 
@@ -72,13 +72,13 @@ def test_inertia_matches_dense_oracle(depth):
         net = debug_network(depth)
         nd, nn = spectrum.network_counts(net, lams)
         for dirichlet, counts in ((True, nd), (False, nn)):
-            eigs = spectrum_oracle.dense_eigenvalues(Pencil.from_network(net), dirichlet)
+            eigs = spectrum_oracle.dense_eigenvalues(network_pencil(net), dirichlet)
             np.testing.assert_array_equal((eigs[:, None] <= lams * (1.0 + 1e-12)).sum(axis=0), counts)
         return
     for seed in range(3):
         net = small_network(depth, seed=seed + 10 * depth)
         nd, nn = spectrum.network_counts(net, lams)
-        dd, dn = spectrum.dense_count_pair(Pencil.from_network(net), lams)
+        dd, dn = spectrum_oracle.dense_count_pair(network_pencil(net), lams)
         np.testing.assert_array_equal(dd, nd)
         np.testing.assert_array_equal(dn, nn)
 
@@ -121,9 +121,9 @@ def _mp_counts(pen: Pencil, lam: float) -> tuple[int, int]:
 
 def test_inertia_matches_mpmath_past_dense_cap():
     net = small_network(8, seed=3)
-    pen = Pencil.from_network(net)
+    pen = network_pencil(net)
     with pytest.raises(CapacityError):
-        spectrum.dense_matrices(pen, False)
+        spectrum_oracle.dense_matrices(pen, False)
     floor = spectrum.dirichlet_floor(net, forms.diameter(net))
     lams = np.geomspace(floor * (1.0 + 1e-6), 1e12, 12)
     nd, nn = spectrum.count_pair(pen, lams)
@@ -146,7 +146,7 @@ def test_counts_independent_of_elimination_order():
     rng = np.random.default_rng(4)
     tree = excursion.reduced_tree(excursion.sample_excursion(2**12, 41), 150, seed=3)
     cases = [
-        (Pencil.from_network(small_network(5, seed=5)), np.geomspace(0.3, 3e5, 40)),
+        (network_pencil(small_network(5, seed=5)), np.geomspace(0.3, 3e5, 40)),
         (Pencil.from_tree(tree), np.geomspace(1.0, 1e7, 40)),
     ]
     for pen, lams in cases:
@@ -170,10 +170,10 @@ def test_tree_engine_matches_dense_on_excursion_trees():
     p = excursion.sample_excursion(2048, 31)
     lams = np.geomspace(0.5, 1e4, 15)
     pencils = [Pencil.from_tree(excursion.reduced_tree(p, k, seed=2)) for k in (25, 1)]
-    pencils.append(Pencil.from_network(small_network(0, seed=3)))
+    pencils.append(network_pencil(small_network(0, seed=3)))
     assert [pen.n_vertices for pen in pencils[1:]] == [2, 2]
     for pen in pencils:
-        np.testing.assert_array_equal(spectrum.dense_count_pair(pen, lams), spectrum.count_pair(pen, lams))
+        np.testing.assert_array_equal(spectrum_oracle.dense_count_pair(pen, lams), spectrum.count_pair(pen, lams))
 
 
 def test_pencil_rejects_bad_boundary():
@@ -233,7 +233,7 @@ def test_homogeneity_of_counts():
 
 def test_dirichlet_floor_debug_against_dense():
     net = debug_network(1)
-    pen = Pencil.from_network(net)
+    pen = network_pencil(net)
     dense = spectrum_oracle.dense_eigenvalues(pen, dirichlet=True)
     floor = spectrum.dirichlet_floor(net, forms.diameter(net))
     assert abs(floor - dense[0]) < 1e-8 * dense[0]
@@ -475,7 +475,7 @@ def test_dense_spectrum_raises_when_it_loses_its_bottom():
 def test_eigenvalues_level0():
     net = small_network(0, seed=21)
     r = net.perturbations[0]
-    pen = Pencil.from_network(net)
+    pen = network_pencil(net)
     top = 4.0 * HEIGHT_CONSTANT / r
     eigs = spectrum_oracle.eigenvalues_up_to(pen, 1.5 * top, tol=1e-10)
     np.testing.assert_allclose(eigs, [0.0, top], atol=1e-9)
@@ -484,7 +484,7 @@ def test_eigenvalues_level0():
 def test_eigenvalues_match_debug_dense():
     # well-conditioned problem: the dense oracle is accurate here
     net = debug_network(3)
-    pen = Pencil.from_network(net)
+    pen = network_pencil(net)
     dense = spectrum_oracle.dense_eigenvalues(pen)
     lam_max = float(dense[-1] * 1.01)
     fast = spectrum_oracle.eigenvalues_up_to(pen, lam_max, tol=1e-8 * lam_max)
@@ -496,7 +496,7 @@ def test_eigenvalues_match_random_dense_scale_aware():
     # random cascades are badly conditioned: eigvalsh carries an absolute
     # error of order eps * lambda_max, so compare with a mixed tolerance
     net = small_network(4, seed=23)
-    pen = Pencil.from_network(net)
+    pen = network_pencil(net)
     dense = spectrum_oracle.dense_eigenvalues(pen)
     lam_max = float(dense[30] * 1.0001)
     fast = spectrum_oracle.eigenvalues_up_to(pen, lam_max, tol=1e-9 * lam_max)
@@ -508,7 +508,7 @@ def test_eigenvalues_match_random_dense_scale_aware():
 
 def test_eigenvalues_consistent_with_counts():
     net = small_network(3, seed=25)
-    pen = Pencil.from_network(net)
+    pen = network_pencil(net)
     eigs = spectrum_oracle.eigenvalues_up_to(pen, 500.0, tol=1e-9, dirichlet=True)
     assert (np.diff(eigs) >= 0).all()
     for lam in (0.5, 5.0, 50.0, 499.0):
@@ -517,7 +517,7 @@ def test_eigenvalues_consistent_with_counts():
 
 def test_eigenvalues_cap():
     net = small_network(3, seed=26)
-    pen = Pencil.from_network(net)
+    pen = network_pencil(net)
     with pytest.raises(CapacityError):
         spectrum_oracle.eigenvalues_up_to(pen, 1e12, tol=1.0, cap=5)
 
@@ -543,7 +543,7 @@ def test_heat_trace_remainder_guard():
 
 def test_trace_from_curve_matches_exact_list():
     net = small_network(3, seed=29)
-    pen = Pencil.from_network(net)
+    pen = network_pencil(net)
     eigs = spectrum_oracle.dense_eigenvalues(pen)
     lams = np.geomspace(1e-2, 10 * eigs[-1], 400)
     _, nn = spectrum.network_counts(net, lams)
