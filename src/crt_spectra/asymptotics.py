@@ -59,11 +59,17 @@ perturbations_pooled = perturbations
 
 
 def geometric_grid(lo: float, hi: float, points: int) -> np.ndarray:
-    """``points`` lambdas spaced geometrically over [lo, hi]; ValueError unless strictly increasing in (0, inf)."""
+    """``points`` lambdas spaced geometrically over [lo, hi]; ValueError unless strictly increasing in (0, inf).
+
+    CapacityError when ``points`` exceeds the cell budget, before anything is allocated.
+    """
     if not 0.0 < lo < hi < np.inf:
         raise ValueError("lambda grid must be positive, finite and increasing")
     if points < 1:
         raise ValueError("the lambda grid needs at least one point")
+    budget = cell_budget()
+    if points > budget:
+        raise CapacityError(f"{points} lambda points exceed budget {budget}")
     grid = np.geomspace(lo, hi, points)
     if (np.diff(grid) <= 0).any():
         raise ValueError(f"{points} points on [{lo}, {hi}] do not make a strictly increasing grid")

@@ -8,6 +8,8 @@ squared coordinates of a uniform point on the sphere, drawn by the
 Archimedes map from two counter-based uniforms per address
 (``_kernels.dirichlet_half_triples``); run records name that stream
 through ``_kernels.RANDOM_STREAM``, the ``stream`` field of provenance.
+Every per-address array is in the dendrite's child-major cell order: child
+d of every level-q address is in the d-th third of level q + 1.
 
 Resistance perturbations correct the tail fluctuations of the random
 weights: ``R_i`` is the limit of sums of ``l(ij)/l(i)`` over binary words
@@ -37,12 +39,22 @@ _TAG_PERTURB = 0x7A34
 
 
 def level_codes(q: int) -> np.ndarray:
-    """RNG codes of the addresses of level q, in lexicographic order.
+    """RNG codes of the addresses of level q, in cell order.
 
-    The root has code 0 and child d of code c has code 3c + d, so level q
-    holds the 3**q consecutive codes from (3**q - 1) / 2 = 1 + 3 + ... + 3**(q-1).
+    The root has code 0 and child d of code c has code 3c + d. Child d of
+    level-(q-1) cell k is level-q cell k + (d - 1) 3**(q-1), so each level is
+    built in place from the one above, the first third (the parents) last.
     """
-    return np.arange(3**q, dtype=np.uint64) + (3**q - 1) // 2
+    codes = np.empty(3**q, dtype=np.uint64)
+    codes[0] = 0
+    k = 1
+    for _ in range(q):
+        parents = codes[:k]
+        parents *= 3
+        for d in (3, 2, 1):
+            np.add(parents, d, out=codes[(d - 1) * k : d * k])
+        k *= 3
+    return codes
 
 
 class CascadeTree:
@@ -55,7 +67,7 @@ class CascadeTree:
 
     def __init__(self, depth: int, triples: list[np.ndarray], master_seed: int | None):
         self.depth = depth
-        self.triples = triples  # triples[q]: (3**q, 3) children masses
+        self.triples = triples  # triples[q]: (3**q, 3) children masses, rows in cell order
         self.master_seed = master_seed
 
     @classmethod
@@ -76,32 +88,29 @@ class CascadeTree:
 
     @cached_property
     def base_lengths(self) -> np.ndarray:
-        """l(i) at every base-level address, in address order: the product of weights sqrt(mass) from the root.
+        """l(i) at every base-level cell: the product of weights sqrt(mass) from the root.
 
-        Each level's weights multiply the repeated lengths of the level
-        above, and only the base level is kept.
+        Child d's weights multiply the lengths of the level above into the
+        d-th third of the next level, and only the base level is kept. The
+        product is asked for in C order: it would follow the transposed
+        weights' column-major layout, and the reshape would copy it.
         """
         l_arr = np.ones(1)
         for q in range(self.depth):
-            l_arr = np.repeat(l_arr, 3) * np.sqrt(self.triples[q].reshape(-1))
+            l_arr = np.multiply(l_arr, np.sqrt(self.triples[q]).T, order="C").reshape(-1)
         return l_arr
 
     def subtree(self, j: int) -> "CascadeTree":
-        """The depth-(n-1) cascade rooted at first-generation cell j."""
+        """The depth-(n-1) cascade rooted at first-generation cell j: every third cell of each level from j - 1."""
         if self.depth < 1:
             raise ValueError("no subtree below an empty cascade")
         if j not in (1, 2, 3):
             raise ValueError("first-generation cell must be 1, 2 or 3")
-        triples = []
-        for q in range(1, self.depth):
-            block = 3 ** (q - 1)
-            triples.append(self.triples[q][(j - 1) * block : j * block])
-        sub = CascadeTree(self.depth - 1, triples, None)
-        return sub
+        return CascadeTree(self.depth - 1, [t[j - 1 :: 3] for t in self.triples[1:]], None)
 
 
 def perturbations(cascade: CascadeTree) -> np.ndarray:
-    """Exact base-level perturbations: one Rayleigh draw per cell of level n, in address order.
+    """Exact base-level perturbations: one Rayleigh draw per cell of level n, in cell order.
 
     Base values are keyed by (seed, address code) on their own stream, so
     they are independent of the cascade's triples and of each other, and a

@@ -18,8 +18,7 @@ corners are 0 and 1, and the midpoint and tip created for level-q cell c
 get ids 3**q + 1 + c and 2 3**q + 1 + c. So every refinement level's
 midpoints, tips and cells are runs of consecutive ids, and each round of
 the level graph's contraction schedule reads its vertices and edge slots
-as step-1 slices. The cascade keeps address order, and
-:meth:`DendriteStructure.cell_order` maps its per-cell arrays into this one.
+as step-1 slices. The cascade draws its per-cell arrays in this order too.
 """
 
 from __future__ import annotations
@@ -51,14 +50,6 @@ class DendriteStructure:
             ep0, ep1 = np.concatenate((mids, mids, mids)), np.concatenate((ep0, ep1, mids + 3**q))
         self.ep0, self.ep1 = ep0, ep1
         self.n_vertices = 3**level + 1
-
-    def cell_order(self, x: np.ndarray) -> np.ndarray:
-        """A per-cell array in the cascade's address order, put into this structure's cell order.
-
-        Reversing the axes of the (3,) * level view reverses the digits of
-        each ordinal, so no index array is built.
-        """
-        return x.reshape((3,) * self.level).T.ravel()
 
     def lump(self, cell_mass: np.ndarray) -> np.ndarray:
         """Vertex masses with each cell's mass split half/half onto its endpoints."""

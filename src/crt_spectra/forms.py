@@ -40,7 +40,7 @@ class ResistanceNetwork:
         self.conductance = conductance
         self.cell_mass = cell_mass
         self.cascade = cascade
-        self.perturbations = perturbations  # base-level R, one per cell
+        self.perturbations = perturbations  # base-level R, one per cell in cell order
         self.vertex_mass = self.structure.lump(cell_mass)
         if not (conductance > 0).all():
             raise ValueError("conductances must be positive")
@@ -55,26 +55,23 @@ class ResistanceNetwork:
 def assemble(level: int, cascade: CascadeTree, r_base: np.ndarray) -> ResistanceNetwork:
     """Level-n network of a depth-n cascade and its base-level R: conductance H/(l R), masses l**2.
 
-    ``r_base`` is in the cascade's address order, and the network keeps it
-    so; conductances and cell masses are computed in that order and then
-    put into the level graph's child-major cell order.
+    The cascade's lengths, ``r_base`` and the level graph's cells share the
+    child-major cell order, so no array is reordered.
     """
     if cascade.depth != level:
         raise IncompleteCascade(f"cascade depth {cascade.depth} != graph level {level}")
     if r_base.shape != (3**level,):
         raise IncompleteCascade(f"perturbations of shape {r_base.shape} do not cover the 3**{level} base cells")
-    l_arr, to_cells = cascade.base_lengths, structure(level).cell_order
-    conduct = HEIGHT_CONSTANT / (l_arr * r_base)
-    return ResistanceNetwork(level, to_cells(conduct), to_cells(l_arr * l_arr), cascade, r_base)
+    l_arr = cascade.base_lengths
+    return ResistanceNetwork(level, HEIGHT_CONSTANT / (l_arr * r_base), l_arr * l_arr, cascade, r_base)
 
 
 def subnetwork_fresh(net: ResistanceNetwork, j: int) -> ResistanceNetwork:
-    """Fresh assembly of cell j from the shifted cascade and cell j's block of base R."""
+    """Fresh assembly of cell j from the shifted cascade and cell j's base R, every third cell from j - 1."""
     if net.cascade is None or net.perturbations is None:
         raise IncompleteCascade("fresh subnetwork needs cascade and perturbations")
     sub = net.cascade.subtree(j)
-    block = 3**sub.depth
-    return assemble(sub.depth, sub, net.perturbations[(j - 1) * block : j * block])
+    return assemble(sub.depth, sub, net.perturbations[j - 1 :: 3])
 
 
 def diameter(net: ResistanceNetwork) -> float:

@@ -1,9 +1,10 @@
 """Test oracles for the cascade: addresses and their ordinals, branching counts, moments.
 
 ``Address`` names a cell of the ternary tree by its word over {1, 2, 3};
-the package indexes cells by level ordinal only. ``cut_set`` and
-``branch_count_below`` give the cascade's branching structure:
-first-crossing antichains partition the mass, and the number of addresses
+the package indexes cells by level ordinal only, in the dendrite's
+child-major cell order, and ``ordinal`` reads a word as that ordinal.
+``cut_set`` and ``branch_count_below`` give the cascade's branching
+structure: first-crossing antichains partition the mass, and the number of addresses
 with -ln l(i) < t grows like exp(2t), the Malthusian exponent.
 ``beta_half_one_moment`` is the closed-form moment of a Dirichlet(1/2,1/2,1/2)
 component, the reference for the sampled triples. ``truncated_perturbations``
@@ -14,10 +15,12 @@ level through the exact recursion; the package keeps the base level only,
 so the lift is the reference for R above it (the coarser assemblies that
 the Schur trace must reproduce, the root R that is the boundary resistance).
 ``level_codes_chain`` builds every level's address codes child by child,
-the reference for ``cascade.level_codes``' closed form. ``w_levels`` and
+the reference for ``cascade.level_codes``' in-place build. ``w_levels`` and
 ``l_levels`` keep every level's weights and lengths; the package keeps
 the base-level lengths alone (``CascadeTree.base_lengths``), and the last
-entry of ``l_levels`` is the reference for them.
+entry of ``l_levels`` is the reference for them. Every per-level array is
+in cell order: child d of every level-q cell is in the d-th third of
+level q + 1.
 """
 
 from __future__ import annotations
@@ -47,11 +50,12 @@ class Address:
 
     @classmethod
     def from_ordinal(cls, level: int, ordinal: int) -> "Address":
+        """The address of cell ``ordinal`` of a level: its base-3 digits, least significant first."""
         digits = []
         for _ in range(level):
             digits.append(ordinal % 3 + 1)
             ordinal //= 3
-        return cls(tuple(reversed(digits)))
+        return cls(tuple(digits))
 
 
 def parse_address(text: str) -> Address:
@@ -59,33 +63,32 @@ def parse_address(text: str) -> Address:
 
 
 def ordinal(address: Address) -> int:
-    """Lexicographic index among words of the same length (inverts ``Address.from_ordinal``)."""
+    """Cell ordinal among words of the same length, first digit least significant (inverts ``Address.from_ordinal``)."""
     k = 0
-    for d in address.word:
+    for d in reversed(address.word):
         k = 3 * k + (d - 1)
     return k
 
 
 def level_codes_chain(depth: int) -> list[np.ndarray]:
-    """RNG codes of every address, per level, in lexicographic order: child d of code c is 3c + d."""
+    """RNG codes of every address, per level, in cell order: child d of code c is 3c + d, in the d-th third."""
     codes = [np.zeros(1, dtype=np.uint64)]
     for _ in range(depth):
         prev = codes[-1]
-        child = 3 * np.repeat(prev, 3) + np.tile(np.arange(1, 4, dtype=np.uint64), prev.shape[0])
-        codes.append(child.astype(np.uint64))
+        codes.append(np.concatenate([3 * prev + np.uint64(d) for d in (1, 2, 3)]))
     return codes
 
 
 def w_levels(cascade: CascadeTree) -> list[np.ndarray]:
-    """Per level q = 0..n, the weight sqrt(mass) of each address of length q, in address order (1 at the root)."""
-    return [np.ones(1)] + [np.sqrt(t.reshape(-1)) for t in cascade.triples]
+    """Per level q = 0..n, the weight sqrt(mass) of each cell of level q (1 at the root)."""
+    return [np.ones(1)] + [np.sqrt(t.T.reshape(-1)) for t in cascade.triples]
 
 
 def l_levels(cascade: CascadeTree) -> list[np.ndarray]:
-    """Per level q = 0..n, the product of weights along the path from the root to each address."""
+    """Per level q = 0..n, the product of weights along the path from the root to each cell."""
     out = [np.ones(1)]
     for w in w_levels(cascade)[1:]:
-        out.append(np.repeat(out[-1], 3) * w)
+        out.append(np.tile(out[-1], 3) * w)
     return out
 
 
@@ -107,7 +110,7 @@ def cut_set(cascade: CascadeTree, t: float) -> set[Address]:
     out: set[Address] = set()
     alive_ord = np.zeros(1, dtype=np.int64)  # ordinals of still-uncrossed addresses, root only
     for q in range(1, cascade.depth + 1):
-        child_ord = (3 * alive_ord[:, None] + np.arange(3)).reshape(-1)
+        child_ord = (alive_ord[:, None] + 3 ** (q - 1) * np.arange(3)).reshape(-1)
         s = -3.0 * np.log(ll[q][child_ord])
         crossed = s >= t
         for o in child_ord[crossed]:
@@ -149,14 +152,13 @@ def branch_count_below(seed: int, t_grid: np.ndarray, max_nodes: int = 5_000_000
 
 def lift_through_cascade(cascade: CascadeTree, r_base: np.ndarray) -> list[np.ndarray]:
     """Per level q = 0..n, R at each address of length q, from the base level by the exact recursion."""
-    # R_i = w(i1) R_i1 + w(i2) R_i2, bottom-up
+    # R_i = w(i1) R_i1 + w(i2) R_i2, bottom-up; children 1 and 2 are the first two thirds
     w = w_levels(cascade)
     levels = [None] * (cascade.depth + 1)
     levels[cascade.depth] = r_base
     for q in range(cascade.depth - 1, -1, -1):
-        child = levels[q + 1]
-        wq = w[q + 1]
-        levels[q] = wq[0::3] * child[0::3] + wq[1::3] * child[1::3]
+        child, wq, k = levels[q + 1], w[q + 1], 3**q
+        levels[q] = wq[:k] * child[:k] + wq[k : 2 * k] * child[k : 2 * k]
     return levels
 
 
@@ -164,7 +166,7 @@ def truncated_perturbations(cascade: CascadeTree, trunc_depth: int) -> np.ndarra
     """Truncated base-level perturbations by literal binary extension of the cascade.
 
     Computes ``R_i = sum over binary words j of length m of l(ij)/l(i)`` for
-    every base-level address, in address order, extending the cascade on
+    every base-level cell, in cell order, extending the cascade on
     demand along {1,2}-only descendants (the extension reuses the
     per-address stream, so a deeper sample of the same seed agrees with
     it). As m grows the base values converge in law

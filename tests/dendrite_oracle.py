@@ -7,10 +7,10 @@ in the plane, so the tests can check that the combinatorial identification
 matches the geometry, and that the words 1 1 2 2 ..., 2 1 2 2 ... and
 3 1 2 2 ... project onto one point, the p.c.f. critical set.
 
-``AddressOrderStructure`` is the level graph numbered in the cascade's
+``AddressOrderStructure`` is the level graph numbered in lexicographic
 address order, as the package numbered it before it went child-major;
-``address_order_network`` assembles a cascade network on it without the
-package's cell-order map. With ``address_ordinals`` and
+``address_order_network`` permutes a network's lengths and base R into
+that order and assembles them on it. With ``address_ordinals`` and
 ``address_vertex_ids`` relating the two numberings, it is the reference
 that every mass, count, pivot, diameter and floor of the child-major
 network must match bit for bit.
@@ -31,7 +31,10 @@ from crt_spectra.forms import ResistanceNetwork
 
 
 def address_ordinals(level: int) -> np.ndarray:
-    """The address ordinal of each child-major cell ordinal: its base-3 digits over ``level`` places, reversed."""
+    """The address ordinal of each child-major cell ordinal: its base-3 digits over ``level`` places, reversed.
+
+    Reversing the digits twice restores them, so the map is its own inverse.
+    """
     c = np.arange(3**level)
     p = np.zeros_like(c)
     for _ in range(level):
@@ -99,10 +102,10 @@ class AddressOrderNetwork:
 
 def address_order_network(net: ResistanceNetwork) -> AddressOrderNetwork:
     """The network's cascade and base R assembled in address order: conductance H/(l R), masses l**2."""
-    st = AddressOrderStructure(net.level)
-    l_arr = l_levels(net.cascade)[net.level]
+    st, to_address = AddressOrderStructure(net.level), address_ordinals(net.level)
+    l_arr, r_base = l_levels(net.cascade)[net.level][to_address], net.perturbations[to_address]
     cell_mass = l_arr * l_arr
-    return AddressOrderNetwork(net.level, st, HEIGHT_CONSTANT / (l_arr * net.perturbations), cell_mass, st.lump(cell_mass))
+    return AddressOrderNetwork(net.level, st, HEIGHT_CONSTANT / (l_arr * r_base), cell_mass, st.lump(cell_mass))
 
 
 def address_order_diameter(net: AddressOrderNetwork) -> float:
@@ -214,14 +217,6 @@ class DendriteGraph:
 
     def edge_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
         return self.structure.ep0, self.structure.ep1
-
-    def cell_address(self, ordinal: int) -> Address:
-        """The address of child-major cell ``ordinal``: its base-3 digits, least significant first."""
-        digits = []
-        for _ in range(self.level):
-            digits.append(ordinal % 3 + 1)
-            ordinal //= 3
-        return Address(tuple(digits))
 
 
 def refine(graph: DendriteGraph) -> DendriteGraph:

@@ -20,7 +20,6 @@ from crt_spectra.errors import IncompleteCascade
 from crt_spectra.forms import ResistanceNetwork
 
 from cascade_oracle import l_levels, lift_through_cascade, w_levels
-from dendrite_oracle import address_ordinals
 
 
 def trace_to_coarser(net: ResistanceNetwork) -> ResistanceNetwork:
@@ -44,7 +43,7 @@ def trace_to_coarser(net: ResistanceNetwork) -> ResistanceNetwork:
     level = net.level - 1
     coarse = CascadeTree(level, net.cascade.triples[:level], net.cascade.master_seed)
     r_coarse = lift_through_cascade(net.cascade, net.perturbations)[level]
-    l_coarse = l_levels(coarse)[level][address_ordinals(level)]
+    l_coarse = l_levels(coarse)[level]
     return ResistanceNetwork(level, traced, l_coarse * l_coarse, coarse, r_coarse)
 
 

@@ -10,6 +10,7 @@ from crt_spectra.errors import CapacityError, IncompleteCascade
 
 import cascade_oracle
 from cascade_oracle import Address, beta_half_one_moment, ordinal, parse_address
+from dendrite_oracle import address_ordinals
 from excursion_oracle import MassTriple
 
 
@@ -33,10 +34,20 @@ def test_address_codes_injective():
 
 
 def test_level_codes_match_the_child_chain():
+    # child d of level-(q-1) cell k is level-q cell k + (d - 1) 3**(q-1), so
+    # the codes are the lexicographic ones, (3**q - 1) / 2 + p at address
+    # ordinal p, with the base-3 digits of each cell ordinal reversed
     for level, codes in enumerate(cascade_oracle.level_codes_chain(12)):
         got = cascade.level_codes(level)
         assert got.dtype == np.uint64
         np.testing.assert_array_equal(got, codes)
+        lexicographic = np.arange(3**level, dtype=np.uint64) + (3**level - 1) // 2
+        np.testing.assert_array_equal(got, lexicographic[address_ordinals(level)])
+        for c in range(0, 3**level, 3**level // 7 + 1):
+            code = 0
+            for d in Address.from_ordinal(level, c).word:
+                code = 3 * code + d
+            assert int(got[c]) == code
 
 
 def test_mass_triple_validation():
@@ -175,8 +186,8 @@ def assert_recursion_bit_exact(casc: CascadeTree, r_base: np.ndarray) -> None:
     np.testing.assert_array_equal(r_levels[casc.depth], r_base)
     w = cascade_oracle.w_levels(casc)
     for q in range(casc.depth):
-        child = r_levels[q + 1]
-        want = w[q + 1][0::3] * child[0::3] + w[q + 1][1::3] * child[1::3]
+        child, k = r_levels[q + 1], 3**q  # children 1 and 2 of every cell: the first two thirds
+        want = w[q + 1][:k] * child[:k] + w[q + 1][k : 2 * k] * child[k : 2 * k]
         np.testing.assert_array_equal(r_levels[q], want)
 
 
@@ -188,7 +199,7 @@ def test_perturbations_trivial_truncation():
     r_base = cascade_oracle.truncated_perturbations(casc, 0)
     np.testing.assert_array_equal(r_base, np.ones(27))
     w = cascade_oracle.w_levels(casc)
-    want = w[3][0::3] + w[3][1::3]
+    want = w[3][:9] + w[3][9:18]
     np.testing.assert_array_equal(cascade_oracle.lift_through_cascade(casc, r_base)[2], want)
 
 
@@ -285,12 +296,11 @@ def test_exact_perturbations_depend_only_on_seed_and_address():
     depth, seed = 7, 41
     casc = CascadeTree.sample(depth, seed=seed)
     base = cascade.perturbations(casc)
-    # the cells below address 2, drawn on their own, are the same values
+    # the cells below address 2 (every third cell from 1), drawn on their own, are the same values
     key = cascade.derive_key(seed, cascade._TAG_PERTURB)
-    block = 3 ** (depth - 1)
     codes = cascade.level_codes(depth)
-    alone = cascade.rayleigh_perturbations(key, codes[block : 2 * block])
-    np.testing.assert_array_equal(alone, base[block : 2 * block])
+    alone = cascade.rayleigh_perturbations(key, codes[1::3])
+    np.testing.assert_array_equal(alone, base[1::3])
     # another seed's triples under the same seed leave the base level as it is
     other = CascadeTree(depth, CascadeTree.sample(depth, seed=seed + 1).triples, seed)
     np.testing.assert_array_equal(cascade.perturbations(other), base)
@@ -310,7 +320,7 @@ def test_exact_perturbations_independent_of_the_triples():
     base = cascade.perturbations(casc)
     n = base.shape[0]
     parent = casc.triples[9]
-    for other in (np.log(cascade_oracle.l_levels(casc)[10]), np.repeat(parent[:, 0], 3), cascade_oracle.w_levels(casc)[10]):
+    for other in (np.log(cascade_oracle.l_levels(casc)[10]), np.tile(parent[:, 0], 3), cascade_oracle.w_levels(casc)[10]):
         assert abs(np.corrcoef(base, other)[0, 1]) < 4.0 / np.sqrt(n)
     # nor with a cascade triple keyed by the same code on the triple stream
     key = cascade.derive_key(12, cascade._TAG_TRIPLES)

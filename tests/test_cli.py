@@ -354,6 +354,18 @@ def test_crt_route_budget(tmp_path, monkeypatch, capsys):
     assert run(argv + ["--out", str(tmp_path / "p")]) == 0
 
 
+@pytest.mark.parametrize("command", ["ensemble --replicas 1", "spectrum"])
+def test_grid_points_budget(tmp_path, monkeypatch, capsys, command):
+    # a lambda grid holds --points values; more than the budget is a capacity
+    # error before any grid is allocated, at the budget the run goes through
+    argv = command.split() + ["--depth", "2", "--seed", "1"]
+    monkeypatch.setenv("CRT_SPECTRA_BUDGET", "100")
+    assert run(argv + ["--points", "101", "--out", str(tmp_path / "o")]) == 3
+    assert capsys.readouterr().err == "capacity error: 101 lambda points exceed budget 100\n"
+    assert not (tmp_path / "o").exists()
+    assert run(argv + ["--points", "100", "--out", str(tmp_path / "p")]) == 0
+
+
 @pytest.mark.parametrize("raw", ["abc", "-5"])
 def test_malformed_budget_is_a_capacity_error(tmp_path, monkeypatch, capsys, raw):
     monkeypatch.setenv("CRT_SPECTRA_BUDGET", raw)

@@ -129,20 +129,9 @@ def test_coords_match_map_composition():
     g = DendriteGraph.build(3, sys)
     e0, e1 = g.edge_endpoints()
     for ordinal in (0, 5, 13, 26):
-        word = g.cell_address(ordinal)
+        word = Address.from_ordinal(3, ordinal)
         np.testing.assert_allclose(g.coords[e0[ordinal]], apply_word(sys, word, (0.0, 0.0)), atol=1e-15)
         np.testing.assert_allclose(g.coords[e1[ordinal]], apply_word(sys, word, (1.0, 0.0)), atol=1e-15)
-
-
-def test_cell_order_reverses_address_digits():
-    # child j of level-q cell c is level-(q + 1) cell c + (j - 1) 3**q
-    for level in range(6):
-        st = dendrite.structure(level)
-        np.testing.assert_array_equal(st.cell_order(np.arange(3**level)), address_ordinals(level))
-        g = DendriteGraph.build(level)
-        for c in range(0, 3**level, 7):
-            word = g.cell_address(c).word
-            assert sum((d - 1) * 3**k for k, d in enumerate(word)) == c
 
 
 def test_child_major_network_matches_address_order_reference():

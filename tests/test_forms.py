@@ -80,7 +80,7 @@ def test_mass_conservation_under_refinement():
     ll = l_levels(casc)
     for q in range(5):
         parent = ll[q] ** 2
-        child = (ll[q + 1] ** 2).reshape(-1, 3).sum(axis=1)
+        child = (ll[q + 1] ** 2).reshape(3, -1).sum(axis=0)
         np.testing.assert_allclose(child, parent, rtol=1e-14)
 
 
@@ -182,6 +182,23 @@ def test_rescaled_subnetwork_matches_fresh():
         np.testing.assert_allclose(scaled.conductance, fresh.conductance, rtol=1e-12)
         np.testing.assert_allclose(scaled.vertex_mass, fresh.vertex_mass, rtol=1e-12)
         assert abs(scaled.vertex_mass.sum() - 1.0) < 1e-9
+
+
+def test_subtree_and_fresh_subnetwork_take_every_third_cell():
+    # first-generation cell j holds every third cell of each level from
+    # j - 1, and its lengths are those of its own cascade times w(j); the
+    # products round in another order, by at most one ulp per factor
+    depth = 5
+    net = asymptotics.build_network(depth, 21)
+    casc = net.cascade
+    for j in (1, 2, 3):
+        sub = casc.subtree(j)
+        assert sub.depth == depth - 1
+        for q in range(depth - 1):
+            np.testing.assert_array_equal(sub.triples[q], casc.triples[q + 1][j - 1 :: 3])
+        w_j = np.sqrt(casc.triples[0][0, j - 1])
+        np.testing.assert_array_max_ulp(casc.base_lengths[j - 1 :: 3], w_j * sub.base_lengths, maxulp=depth)
+        np.testing.assert_array_equal(forms.subnetwork_fresh(net, j).perturbations, net.perturbations[j - 1 :: 3])
 
 
 def test_traced_network_cuts_into_fresh_subnetworks():
