@@ -17,7 +17,7 @@ _GOLD = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U64_MASK = (1 << 64) - 1
-_RNG_BLOCK = 1 << 14  # codes per pass of the triple sampler
+_RNG_BLOCK = 1 << 14  # codes per pass of the triple and perturbation samplers
 _SHIFT_BLOCK_BYTES = 1 << 20  # acc and g bytes per pass of the counting sweep
 
 # Every count <= lambda pivots at lambda (1 + NUDGE), so an eigenvalue at
@@ -121,10 +121,14 @@ def rayleigh_perturbations(key: np.uint64, codes: np.ndarray) -> np.ndarray:
     excursion: that height is Rayleigh (Aldous 1991) and splits by the same
     Dirichlet masses (Aldous 1994). So P(R <= r) = 1 - exp(-pi r**2 / 4),
     and E R**k = 1, 4/pi, 6/pi, 32/pi**2 for k = 1..4. u lies strictly
-    inside (0, 1), so every R is finite and positive.
+    inside (0, 1), so every R is finite and positive. Codes go in blocks,
+    as in the triple sampler, and change no bit.
     """
     codes = np.ascontiguousarray(codes, dtype=np.uint64)
-    return _rayleigh(mix64(mix64(codes + key)))
+    out = np.empty(codes.shape[0])
+    for lo in range(0, codes.shape[0], _RNG_BLOCK):
+        out[lo : lo + _RNG_BLOCK] = _rayleigh(mix64(mix64(codes[lo : lo + _RNG_BLOCK] + key)))
+    return out
 
 
 def _rayleigh(bits: np.ndarray) -> np.ndarray:
@@ -334,6 +338,18 @@ def _ends(lu: np.ndarray, lv: np.ndarray, ls: np.ndarray, cand: np.ndarray):
     return np.concatenate((lu[cu], lv[cv])), np.concatenate((lv[cu], lu[cv])), np.concatenate((ls[cu], ls[cv]))
 
 
+def schedule_round(parts: tuple, fill: int, a: np.ndarray, b: np.ndarray, fused: bool, mark: np.ndarray) -> tuple:
+    """A ContractionSchedule round from its six index sets, first fill slot and compress neighbours a, b.
+
+    ``mark``, a spent bool array over the vertices, is overwritten.
+    """
+    mark[:] = False
+    mark[a] = True
+    disjoint = not mark[b].any()
+    scatter = _scatter_plan(a.astype(np.int64, copy=False), b.astype(np.int64, copy=False))
+    return (*parts, fill, scatter, fused, disjoint)
+
+
 def contraction_schedule(edge_u, edge_v, n_vertices: int, b0: int, b1: int) -> ContractionSchedule:
     """Rake/compress rounds that eliminate every vertex of a tree but b0 and b1.
 
@@ -382,14 +398,11 @@ def contraction_schedule(edge_u, edge_v, n_vertices: int, b0: int, b1: int) -> C
         keep = ~dead[ls]
         fill = np.arange(n_slots, n_slots + mid.shape[0], dtype=np.int32)
         lu, lv, ls = np.concatenate((lu[keep], a)), np.concatenate((lv[keep], b)), np.concatenate((ls[keep], fill))
-        parts = (leaf, target, leaf_slot, mid, slot_a, slot_b)
-        scatter = _scatter_plan(a.astype(np.int64), b.astype(np.int64))
+        parts = tuple(_strided(x.astype(np.int64)) for x in (leaf, target, leaf_slot, mid, slot_a, slot_b))
         fused = np.array_equal(target, mid)
         mark = cand  # spent: reused as a vertex mask, so the build's peak memory stays put
-        mark[:] = False
-        mark[a] = True
-        disjoint = not mark[b].any()
-        if not rounds:
+        rounds.append(schedule_round(parts, n_slots, a, b, fused, mark))
+        if len(rounds) == 1:
             # the first round reads no acc of its leaves, nor of its midpoints when fused
             mark[:] = True
             mark[leaf] = False
@@ -400,7 +413,6 @@ def contraction_schedule(edge_u, edge_v, n_vertices: int, b0: int, b1: int) -> C
             read = read[read < ne]
             if read.shape[0]:
                 g_live = max(g_live, int(read.max()) + 1)
-        rounds.append((*(_strided(x.astype(np.int64)) for x in parts), n_slots, scatter, fused, disjoint))
         n_slots += mid.shape[0]
     if ls.shape[0] != 1 or {int(lu[0]), int(lv[0])} != {b0, b1}:
         raise ValueError("pencil graph is not connected")

@@ -23,11 +23,11 @@ as step-1 slices. The cascade draws its per-cell arrays in this order too.
 
 from __future__ import annotations
 
-from functools import cached_property, lru_cache
+from functools import lru_cache
 
 import numpy as np
 
-from ._kernels import ContractionSchedule, contraction_schedule
+from ._kernels import ContractionSchedule, schedule_round
 from .errors import CapacityError
 from .settings import cell_budget
 
@@ -39,27 +39,44 @@ class DendriteStructure:
     (``F_i(0,0)`` image first) and the level graph's contraction schedule.
     Child 1 joins its parent's midpoint to the parent's first endpoint,
     child 2 to the second and child 3 to the new tip.
+
+    The schedule is written down as the endpoints are refined, and equals
+    the generic builder's field for field. Round k eliminates level
+    q = n - 1 - k (K = 3**q): it rakes tips [2K + 1, 3K + 1) through slots
+    [s + 2K, s + 3K) into midpoints [K + 1, 2K + 1), then compresses those
+    through slots [s, s + K) and [s + K, s + 2K) into fill edges, level q's
+    cells, from slot ``fill`` on. s is 0, then the previous round's fill;
+    fill is 3**n, then grows by the previous K.
     """
 
     def __init__(self, level: int):
         self.level = level
+        n_cells = 3**level
+        self.n_vertices = n_cells + 1
         ep0 = np.zeros(1, dtype=np.int64)
         ep1 = np.ones(1, dtype=np.int64)
+        mark = np.empty(self.n_vertices, dtype=bool)
+        rounds = []
         for q in range(level):
-            mids = np.arange(3**q + 1, 2 * 3**q + 1, dtype=np.int64)
-            ep0, ep1 = np.concatenate((mids, mids, mids)), np.concatenate((ep0, ep1, mids + 3**q))
+            k = 3**q
+            fill = n_cells + (n_cells - 3 * k) // 2
+            s = 0 if q == level - 1 else n_cells + (n_cells - 9 * k) // 2
+            tip, mid = slice(2 * k + 1, 3 * k + 1, 1), slice(k + 1, 2 * k + 1, 1)
+            parts = (tip, mid, slice(s + 2 * k, s + 3 * k, 1), mid, slice(s, s + k, 1), slice(s + k, s + 2 * k, 1))
+            rounds.append(schedule_round(parts, fill, ep0, ep1, True, mark))
+            mids = np.arange(k + 1, 2 * k + 1, dtype=np.int64)
+            ep0, ep1 = np.concatenate((mids, mids, mids)), np.concatenate((ep0, ep1, mids + k))
         self.ep0, self.ep1 = ep0, ep1
-        self.n_vertices = 3**level + 1
+        n_slots = n_cells + (n_cells - 1) // 2
+        acc_live, g_live = (3 ** (level - 1) + 1, 0) if level else (2, 1)
+        self.schedule = ContractionSchedule(
+            tuple(reversed(rounds)), self.n_vertices, n_slots, n_slots - 1, 0, 1, acc_live, g_live
+        )
 
     def lump(self, cell_mass: np.ndarray) -> np.ndarray:
         """Vertex masses with each cell's mass split half/half onto its endpoints."""
         half, nv = 0.5 * cell_mass, self.n_vertices
         return np.bincount(self.ep0, weights=half, minlength=nv) + np.bincount(self.ep1, weights=half, minlength=nv)
-
-    @cached_property
-    def schedule(self) -> ContractionSchedule:
-        """Elimination rounds of the level graph with corners 0 and 1 kept, built on first use."""
-        return contraction_schedule(self.ep0, self.ep1, self.n_vertices, 0, 1)
 
 
 @lru_cache(maxsize=32)

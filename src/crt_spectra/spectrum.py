@@ -14,9 +14,10 @@ rake/compress contraction schedule pivots leaves and degree-two vertices
 round by round, each compression adding one fill edge between its two
 neighbours, so the factorization costs O(V) per shift. The two boundary
 vertices are pivoted last, so one sweep yields both counts. The schedule
-depends only on the edges and the boundary, never on the shift; it is
-built once per dendrite level (shared by every replica) and once per
-pencil.
+depends only on the edges and the boundary, never on the shift. A
+dendrite level writes its schedule down with its level graph, once per
+level (shared by every replica); a pencil's is built by the generic tree
+builder on first use.
 
 A sweep also returns the pivot of the last interior vertex, the Schur
 complement det(L_D - lambda M_D) / det(the same without that vertex). On

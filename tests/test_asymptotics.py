@@ -159,6 +159,21 @@ def test_median_matches_numpy_bit_for_bit():
                 assert np.float64(got).tobytes() == want.tobytes(), x
 
 
+def test_length_quantile_matches_the_weighted_quantile_bit_for_bit():
+    # the ceiling's exponent read off the sorted lengths is the argsort
+    # quantile of -3 ln l weighted by l**2; q = 0 and 1 hit the index clamp,
+    # and the debug cascade's lengths are all tied
+    cascades = [cascade.CascadeTree.sample(d, s) for d in range(1, 12) for s in range(40)]
+    cascades += [cascade.CascadeTree.sample(12, s) for s in range(3)]
+    cascades += [cascade.CascadeTree.debug(d) for d in (1, 6, 10)]
+    for casc in cascades:
+        l_arr = casc.base_lengths
+        for q in (0.0, asymptotics._CEILING_DEFICIT, 0.5, 0.97, 1.0):
+            got = asymptotics._length_quantile(l_arr, q)
+            want = asymptotics._weighted_quantile(-3.0 * np.log(l_arr), l_arr**2, q)
+            assert type(got) is float and got.hex() == want.hex(), (casc.depth, casc.master_seed, q)
+
+
 def test_auto_window_warns_when_the_grid_end_sets_window_hi(capsys):
     cfg = small_config(replicas=3)
     lams = cfg.lambda_grid

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -171,3 +173,43 @@ def test_dendrite_rounds_read_step_one_slices():
             for x in r[:6]:
                 assert isinstance(x, slice) and x.step == 1, (level, x)
             assert r[6] >= 3**level
+
+
+def _same(x, y) -> bool:
+    # equal types and values: slices by (start, stop, step), arrays by dtype
+    # and entries, tuples entry by entry
+    if isinstance(x, tuple):
+        return isinstance(y, tuple) and len(x) == len(y) and all(map(_same, x, y))
+    if isinstance(x, np.ndarray):
+        return isinstance(y, np.ndarray) and x.dtype == y.dtype and np.array_equal(x, y)
+    return type(x) is type(y) and x == y
+
+
+def test_written_down_schedule_equals_the_generic_builder():
+    # every round's index sets, fill slot, scatter ranges, fused and
+    # disjoint, and every scalar field, as the generic tree builder finds them
+    fields = ("n_vertices", "n_slots", "final", "b0", "b1", "acc_live", "g_live")
+    for level in range(10):
+        st = dendrite.structure(level)
+        got, want = st.schedule, _kernels.contraction_schedule(st.ep0, st.ep1, st.n_vertices, 0, 1)
+        for name in fields:
+            assert _same(getattr(got, name), getattr(want, name)), (level, name)
+        assert len(got.rounds) == len(want.rounds) == level
+        for k, (r, w) in enumerate(zip(got.rounds, want.rounds)):
+            assert len(r) == len(w) == 10
+            for j, (x, y) in enumerate(zip(r, w)):
+                assert _same(x, y), (level, k, j)
+
+
+def test_structure_build_stays_near_its_endpoint_arrays():
+    # the build, schedule included, peaks below 2.5 times the endpoint
+    # arrays it keeps (the generic builder's round masks and sorts took it to
+    # 4.5); tracemalloc counts allocations, so the ratio is deterministic
+    tracemalloc.start()
+    try:
+        st = dendrite.DendriteStructure(10)
+        assert len(st.schedule.rounds) == 10
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * (st.ep0.nbytes + st.ep1.nbytes)
