@@ -9,7 +9,7 @@ so every count and distance is reproducible bit for bit.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -169,7 +169,7 @@ def _rayleigh(bits: np.ndarray) -> np.ndarray:
 # dendrite, whose one row already exceeds the budget, sweeps one shift at a
 # time. The scratch rows are allocated once per call and written with
 # ``out=``, so blocks reuse them; the schedule, which replica threads share,
-# keeps only what depends on it alone. Every pivot is the same elementwise
+# is never written. Every pivot is the same elementwise
 # expression, in the same order, as in a one-shift sweep, so every count,
 # eta and pivot is bit-identical whatever the block width or tile.
 #
@@ -188,8 +188,8 @@ def _rayleigh(bits: np.ndarray) -> np.ndarray:
 #
 # The first round. acc is zero there and every slot is an edge slot, so the
 # round reads the conductances themselves: a rake's h is (-lambda) m, exact
-# since 0 - x = -x, a fused midpoint's h is y - lambda m, and a sweep of
-# several blocks forms the lambda-free ga + gb and ga gb once per call. A
+# since 0 - x = -x, and a fused midpoint's h is y - lambda m. Its compresses
+# form p = (ga + gb) + h and the fill ga gb / p as every other round's do. A
 # block zeroes only acc[:, :acc_live], the vertices that it reads (on the
 # dendrite, those left after the first round), and only the edge slots
 # that later rounds read are copied into g (on the dendrite, none); the
@@ -200,20 +200,23 @@ def _rayleigh(bits: np.ndarray) -> np.ndarray:
 # which keeps the division defined; a zero already counts as nonpositive,
 # so the count is the same.
 #
-# Scatter order. A compress round scatters its a terms, then its b terms,
-# into acc, and a vertex may receive several terms. The schedule cuts that
-# sequence into consecutive ranges: a range of at least _MIN_VIEW terms
-# whose targets step evenly upward is added as one view add onto
-# acc[:, targets], which gives each target one term; every other range goes
-# through np.add.at, in index order, on acc's flat view at row * V +
-# vertex. On the dendrite's child-major numbering almost every term falls
-# in a view range (depth 12, round 0: all but 1,458 of 354,294). For
-# tiles, the schedule cuts the ranges again at every tile's edge
-# (``ContractionSchedule.tile_cuts``). Where no vertex is both an a and a
-# b target (``disjoint``, every dendrite round), each tile applies its a
-# ranges and then its b ranges; otherwise the b terms of every tile are
-# collected in one row buffer and applied after the last tile. Either way
-# each vertex receives its terms in the one-shift order.
+# Scatter plans. Rakes and compresses move their terms into acc in one
+# form. A non-fused round's rakes send one term to each target; a compress
+# round scatters its a terms, then its b terms, and a vertex may receive
+# several. The schedule cuts each sequence into consecutive ranges, its
+# scatter plan: a range of at least _MIN_VIEW terms whose targets step
+# evenly upward is added as one view add onto acc[:, targets], which gives
+# each target one term; every other range goes through np.add.at, in index
+# order, on acc's flat view at row * V + vertex. On the dendrite's
+# child-major numbering almost every compress term falls in a view range
+# (depth 12, round 0: all but 1,458 of 354,294). A tile clips the plan's
+# ranges to its own terms when the sweep's steps are laid out, so the plan
+# is the same for every tile width. Where no vertex is both an a and a b
+# target (``disjoint``, every dendrite round), each tile applies its a
+# terms and then its b terms; otherwise the b terms of every tile are
+# collected in one row buffer, terms n to 2 n of the plan, and applied
+# after the last tile. Either way each vertex receives its terms in the
+# one-shift order.
 # ---------------------------------------------------------------------------
 
 # The shortest run of evenly stepping targets that becomes a view range.
@@ -225,21 +228,23 @@ _MIN_VIEW = 512
 
 @dataclass(frozen=True)
 class ContractionSchedule:
-    """Rounds ``(leaf, target, leaf_slot, mid, slot_a, slot_b, fill, scatter, fused, disjoint)``.
+    """Rounds ``(leaf, rake, leaf_slot, mid, slot_a, slot_b, fill, scatter, fused, disjoint)``.
 
-    Raked leaves with their targets and edge slots, then compressed vertices
-    with their edge slots (``slot_a`` the lower); the i-th fill edge of a
-    round takes slot ``fill + i``. ``scatter`` is the compress scatter plan:
-    ranges ``(lo, hi, targets)`` that cut the 2 k terms of the round's k
-    compressed vertices (the neighbours a through the lower slot, then the
-    neighbours b) into consecutive pieces, none across a and b, so that
-    concatenating the targets gives a then b. ``fused``: the rake targets
-    are the compressed vertices, in the same order; ``disjoint``: no vertex
-    is both an a and a b target. Both hold on every dendrite round. An
-    index set is an int64 array, or a slice where it is an upward
-    arithmetic progression, which keeps the schedule as small as the level
-    graph and lets the kernel read views; on the dendrite's numbering every
-    vertex and slot set is a step-1 slice. A sweep zeroes acc columns
+    Raked leaves with the scatter plan of their targets and their edge
+    slots, then compressed vertices with their edge slots (``slot_a`` the
+    lower); the i-th fill edge of a round takes slot ``fill + i``. A scatter
+    plan is a tuple of ranges ``(lo, hi, targets)`` that cut a sequence of
+    terms into consecutive pieces, so that concatenating the targets gives
+    the sequence's targets. ``rake`` covers the round's raked leaves, one
+    term each; ``scatter`` covers the 2 k terms of its k compressed
+    vertices (the neighbours a through the lower slot, then the neighbours
+    b), no range across a and b. ``fused``: the rake targets are the
+    compressed vertices, in the same order; ``disjoint``: no vertex is both
+    an a and a b target. Both hold on every dendrite round. The other index
+    sets are int64 arrays from the generic builder and step-1 slices from
+    the dendrite, whose numbering makes every vertex and slot set of a
+    round a run of consecutive ids, so the kernel reads views and the
+    schedule stays as small as the level graph. A sweep zeroes acc columns
     ``[0, acc_live)``, every vertex whose acc it reads, and copies into g
     the edge slots ``[0, g_live)``, every one a round after the first
     reads; on the dendrite, the vertices left after the first round and no
@@ -254,32 +259,11 @@ class ContractionSchedule:
     b1: int
     acc_live: int
     g_live: int
-    _cuts: dict = field(default_factory=dict, repr=False, compare=False)
 
     @property
     def block_width(self) -> int:
         """Shifts per counting pass: the acc and g columns that fit the block budget, at least 1."""
         return max(1, _SHIFT_BLOCK_BYTES // (8 * (self.n_vertices + self.n_slots)))
-
-    def tile_cuts(self, cols: int) -> tuple[tuple, ...]:
-        """Per round and per tile of ``cols`` compressed vertices, the scatter ranges of its a and of its b terms.
-
-        The round's ranges are cut at every ``cols``-th term of a and of b,
-        so each tile scatters whole ranges. Built on first use per tile
-        width and kept with the schedule, so calls pay for it once.
-        """
-        cuts = self._cuts.get(cols)
-        if cuts is None:
-            cuts = self._cuts[cols] = tuple(_tile_cut(r[7], cols) for r in self.rounds)
-        return cuts
-
-
-def _strided(idx: np.ndarray):
-    if idx.shape[0]:
-        step = int(idx[1] - idx[0]) if idx.shape[0] > 1 else 1
-        if step > 0 and (np.diff(idx) == step).all():
-            return slice(int(idx[0]), int(idx[-1]) + 1, step)
-    return idx
 
 
 def _scatter_plan(a: np.ndarray, b: np.ndarray) -> tuple[tuple, ...]:
@@ -317,37 +301,27 @@ def _sub(idx, lo: int, hi: int):
     return idx[lo:hi]
 
 
-def _tile_cut(scatter, cols: int) -> tuple[tuple, ...]:
-    # per tile of cols compressed vertices, the ranges (lo, hi, targets) of
-    # its a terms and of its b terms: the plan's ranges cut where a term's
-    # position within a (0 .. k) or within b (k .. 2 k) is a multiple of cols
-    k = scatter[-1][1] // 2 if scatter else 0
-    tiles = [([], []) for _ in range(0, k, cols)]
-    for lo, hi, tgt in scatter:
-        side = int(lo >= k)
-        base = side * k
-        cuts = list(range(base + ((lo - base) // cols + 1) * cols, hi, cols))
-        for s, e in zip([lo, *cuts], [*cuts, hi]):
-            tiles[(s - base) // cols][side].append((s, e, _sub(tgt, s - lo, e - lo)))
-    return tuple((tuple(a), tuple(b)) for a, b in tiles)
-
-
 def _ends(lu: np.ndarray, lv: np.ndarray, ls: np.ndarray, cand: np.ndarray):
     # (vertex, neighbour, slot) for each end of a live edge at a candidate vertex
     cu, cv = cand[lu], cand[lv]
     return np.concatenate((lu[cu], lv[cv])), np.concatenate((lv[cu], lu[cv])), np.concatenate((ls[cu], ls[cv]))
 
 
-def schedule_round(parts: tuple, fill: int, a: np.ndarray, b: np.ndarray, fused: bool, mark: np.ndarray) -> tuple:
-    """A ContractionSchedule round from its six index sets, first fill slot and compress neighbours a, b.
+def schedule_round(
+    parts: tuple, target: np.ndarray, fill: int, a: np.ndarray, b: np.ndarray, fused: bool, mark: np.ndarray
+) -> tuple:
+    """A ContractionSchedule round from its index sets, rake targets, first fill slot and compress neighbours.
 
+    ``parts`` holds ``(leaf, leaf_slot, mid, slot_a, slot_b)``; the rake
+    and compress scatter plans are built from ``target`` and from a, b.
     ``mark``, a spent bool array over the vertices, is overwritten.
     """
     mark[:] = False
     mark[a] = True
     disjoint = not mark[b].any()
+    rake = tuple(_scatter_ranges(target.astype(np.int64, copy=False), 0))
     scatter = _scatter_plan(a.astype(np.int64, copy=False), b.astype(np.int64, copy=False))
-    return (*parts, fill, scatter, fused, disjoint)
+    return (parts[0], rake, *parts[1:], fill, scatter, fused, disjoint)
 
 
 def contraction_schedule(edge_u, edge_v, n_vertices: int, b0: int, b1: int) -> ContractionSchedule:
@@ -398,10 +372,10 @@ def contraction_schedule(edge_u, edge_v, n_vertices: int, b0: int, b1: int) -> C
         keep = ~dead[ls]
         fill = np.arange(n_slots, n_slots + mid.shape[0], dtype=np.int32)
         lu, lv, ls = np.concatenate((lu[keep], a)), np.concatenate((lv[keep], b)), np.concatenate((ls[keep], fill))
-        parts = tuple(_strided(x.astype(np.int64)) for x in (leaf, target, leaf_slot, mid, slot_a, slot_b))
+        parts = tuple(x.astype(np.int64) for x in (leaf, leaf_slot, mid, slot_a, slot_b))
         fused = np.array_equal(target, mid)
         mark = cand  # spent: reused as a vertex mask, so the build's peak memory stays put
-        rounds.append(schedule_round(parts, n_slots, a, b, fused, mark))
+        rounds.append(schedule_round(parts, target, n_slots, a, b, fused, mark))
         if len(rounds) == 1:
             # the first round reads no acc of its leaves, nor of its midpoints when fused
             mark[:] = True
@@ -435,35 +409,28 @@ def _flat_index(x: np.ndarray, idx: np.ndarray) -> np.ndarray:
     return idx if width == 1 else (np.arange(width)[:, None] * nv + idx).reshape(-1)
 
 
-def _adder(x: np.ndarray, idx):
-    """An in-place x[:, idx] += y for distinct idx; an index array goes through x's flat view."""
-    if isinstance(idx, slice):
-        view = x[:, idx]
-        return lambda y: np.add(view, y, out=view)
-    flat, at = x.reshape(-1), _flat_index(x, idx)
+def _scatter_adds(acc: np.ndarray, plan, y: np.ndarray, lo: int) -> list[tuple]:
+    """The adds that apply y's terms by a scatter plan, y's column i being term lo + i.
 
-    def add(y):
-        flat[at] += y.reshape(-1)
-
-    return add
-
-
-def _scatter_adds(acc: np.ndarray, scatter, y: np.ndarray, lo: int) -> list[tuple]:
-    """The scatter ranges whose terms y holds, y's column i being term lo + i.
-
-    Each becomes (acc view, y part, None) for a view add, or (None, y part,
-    flat index) for np.add.at on acc's flat view at row * V + vertex.
+    Each plan range is clipped to y's window [lo, lo + k), k its column
+    count, so a tile cuts the ranges at its edges; the plan is in term
+    order, so the ranges before the window are skipped and the first one
+    past it ends the walk. Each piece becomes (acc view, y part, None) for a view add, or (None,
+    y part, flat index) for np.add.at on acc's flat view at row * V + vertex.
     """
-    out = []
-    for start, stop, tgt in scatter:
-        if lo <= start < lo + y.shape[1]:
-            part = y[:, start - lo : stop - lo]
+    hi, out = lo + y.shape[1], []
+    for start, stop, tgt in plan:
+        if start >= hi:
+            break
+        if stop > lo:
+            s, e = max(start, lo), min(stop, hi)
+            part, tgt = y[:, s - lo : e - lo], _sub(tgt, s - start, e - start)
             out.append((acc[:, tgt], part, None) if isinstance(tgt, slice) else (None, part, _flat_index(acc, tgt)))
     return out
 
 
 def _scatter(flat: np.ndarray, adds) -> None:
-    # one compress scatter of _scatter_adds, in order: a view add, or np.add.at on acc's flat view
+    # the adds of _scatter_adds, in order: a view add, or np.add.at on acc's flat view
     for view, part, at in adds:
         if at is None:
             np.add(view, part, out=view)
@@ -522,9 +489,8 @@ def inertia_counts(
     width = -(-todo.shape[0] // n_blocks)
     todo = np.append(todo, np.full(n_blocks * width - todo.shape[0], todo[-1]))
 
-    # once per call: the rounds' masses, the first round's lambda-free
-    # conductance terms, and the steps of every round, tile by tile, over
-    # views of acc, g and the scratch rows that every block reuses
+    # once per call: the rounds' masses and the steps of every round, tile
+    # by tile, over views of acc, g and the scratch rows that every block reuses
     cols = _SHIFT_BLOCK_BYTES // (32 * width) or nv  # no column fits: stages stay whole
     masses = [(mass[r[0]], mass[r[3]]) for r in sched.rounds]
     widest = max([1] + [min(cols, m.shape[0]) for pair in masses for m in pair])
@@ -546,46 +512,44 @@ def inertia_counts(
         return views[k, n]
 
     plan, last_pivots = [], None
-    for i, (rnd, (m_leaf, m_mid), cut) in enumerate(zip(sched.rounds, masses, sched.tile_cuts(cols))):
-        leaf, target, leaf_slot, mid, slot_a, slot_b, fill, scatter, fused, disjoint = rnd
+    for i, (rnd, (m_leaf, m_mid)) in enumerate(zip(sched.rounds, masses)):
+        leaf, rake, leaf_slot, mid, slot_a, slot_b, fill, scatter, fused, disjoint = rnd
         rakes, compresses, deferred = [], [], []
         if i == 0:  # every slot is an edge slot, and acc is zero
             c0, ga0, gb0 = conduct[leaf_slot], conduct[slot_a], conduct[slot_b]
-            gab0, gagb0 = (ga0 + gb0, ga0 * gb0) if n_blocks > 1 else (None, None)
         n = m_leaf.shape[0]
         for lo in range(0, n, cols):
             k = min(cols, n - lo)
             c = (lambda c=c0[lo : lo + k]: c) if i == 0 else _cols(g, _sub(leaf_slot, lo, lo + k), buf, 0, k)
             acc_leaf = None if i == 0 else _cols(acc, _sub(leaf, lo, lo + k), buf, 1, k)
-            to_target = None if fused else _adder(acc, _sub(target, lo, lo + k))
-            rakes.append((c, acc_leaf, m_leaf[lo : lo + k], buf(2, k), buf(3, k), buf(-1, k), to_target))
+            h, p = buf(2, k), buf(3, k)
+            to_target = [] if fused else _scatter_adds(acc, rake, h, lo)
+            rakes.append((c, acc_leaf, m_leaf[lo : lo + k], h, p, buf(-1, k), to_target))
         n = m_mid.shape[0]
         if n > cols and not disjoint:
             b_terms = np.empty((width, n))  # applied after the round's last tile
             deferred = _scatter_adds(acc, scatter, b_terms, n)
-        for (a_ranges, b_ranges), lo in zip(cut, range(0, n, cols)):
+        for lo in range(0, n, cols):
             k = min(cols, n - lo)
             part = slice(lo, lo + k)
             if i == 0:
                 ga, gb = (lambda x=ga0[part]: x), (lambda x=gb0[part]: x)
-                gab, gagb = (None, None) if gab0 is None else (gab0[part], gagb0[part])
             else:
                 ga, gb = _cols(g, _sub(slot_a, lo, lo + k), buf, 0, k), _cols(g, _sub(slot_b, lo, lo + k), buf, 1, k)
-                gab = gagb = None
             acc_mid = None if fused and i == 0 else _cols(acc, _sub(mid, lo, lo + k), buf, 4, k)
-            y = buf(4, k)
+            h, p, y = buf(2, k), buf(3, k), buf(4, k)
             y_b = b_terms[:, part] if deferred else y
-            to_a = _scatter_adds(acc, a_ranges, y, lo)
-            to_b = [] if deferred else _scatter_adds(acc, b_ranges, y, n + lo)
-            compresses.append((ga, gb, gab, gagb, acc_mid, fused, m_mid[part], buf(2, k), buf(3, k), y, y_b,
-                               buf(-1, k), to_a, to_b, g[:, fill + lo : fill + lo + k]))
+            to_a = _scatter_adds(acc, scatter, y, lo)
+            to_b = [] if deferred else _scatter_adds(acc, scatter, y, n + lo)
+            compresses.append((ga, gb, acc_mid, fused, m_mid[part], h, p, y, y_b, buf(-1, k), to_a, to_b,
+                               g[:, fill + lo : fill + lo + k]))
         if fused:  # rake tile j, then compress tile j
             steps = [s for pair in zip(rakes, compresses) for s in ((True, pair[0]), (False, pair[1]))]
         else:
             steps = [(True, s) for s in rakes] + [(False, s) for s in compresses]
         plan.append((steps, deferred))
-        if steps:  # the last step's pivot row (p), which after a block holds the final round's last
-            last_pivots = steps[-1][1][4 if steps[-1][0] else 8]
+        if steps:  # the last step's pivot row, which after a block holds the final round's last
+            last_pivots = p
 
     for start in range(0, todo.shape[0], width):
         sel = todo[start : start + width]
@@ -611,11 +575,10 @@ def inertia_counts(
                     last += _nonpositive(p, z)
                     np.multiply(c, h, out=h)
                     np.divide(h, p, out=h)
-                    if to_target is not None:
-                        to_target(h)
+                    _scatter(flat, to_target)
                     continue
-                # compress: p = ga + gb + h, g h / p onto a and b, and ga gb / p fills
-                ga, gb, gab, gagb, acc_mid, fused, m, h, p, y, y_b, z, to_a, to_b, g_fill = step
+                # compress: p = (ga + gb) + h, g h / p onto a and b, and ga gb / p fills
+                ga, gb, acc_mid, fused, m, h, p, y, y_b, z, to_a, to_b, g_fill = step
                 ga, gb = ga(), gb()
                 if fused:  # h = (acc + y) - lambda m, y the raked term in h's row
                     if acc_mid is not None:
@@ -625,11 +588,8 @@ def inertia_counts(
                 else:
                     np.multiply(lam_col, m, out=h)
                     np.subtract(acc_mid(), h, out=h)
-                if gab is None:
-                    np.add(ga, gb, out=p)
-                    np.add(p, h, out=p)
-                else:
-                    np.add(gab, h, out=p)
+                np.add(ga, gb, out=p)
+                np.add(p, h, out=p)
                 last += _nonpositive(p, z)
                 np.multiply(ga, h, out=y)
                 np.divide(y, p, out=y)
@@ -637,11 +597,8 @@ def inertia_counts(
                 np.multiply(gb, h, out=y_b)
                 np.divide(y_b, p, out=y_b)
                 _scatter(flat, to_b)
-                if gagb is None:
-                    np.multiply(ga, gb, out=y)
-                    np.divide(y, p, out=g_fill)
-                else:
-                    np.divide(gagb, p, out=g_fill)
+                np.multiply(ga, gb, out=y)
+                np.divide(y, p, out=g_fill)
             _scatter(flat, deferred)
             interior += last
         gf = g[:, sched.final]

@@ -62,9 +62,9 @@ class DendriteStructure:
             fill = n_cells + (n_cells - 3 * k) // 2
             s = 0 if q == level - 1 else n_cells + (n_cells - 9 * k) // 2
             tip, mid = slice(2 * k + 1, 3 * k + 1, 1), slice(k + 1, 2 * k + 1, 1)
-            parts = (tip, mid, slice(s + 2 * k, s + 3 * k, 1), mid, slice(s, s + k, 1), slice(s + k, s + 2 * k, 1))
-            rounds.append(schedule_round(parts, fill, ep0, ep1, True, mark))
+            parts = (tip, slice(s + 2 * k, s + 3 * k, 1), mid, slice(s, s + k, 1), slice(s + k, s + 2 * k, 1))
             mids = np.arange(k + 1, 2 * k + 1, dtype=np.int64)
+            rounds.append(schedule_round(parts, mids, fill, ep0, ep1, True, mark))
             ep0, ep1 = np.concatenate((mids, mids, mids)), np.concatenate((ep0, ep1, mids + k))
         self.ep0, self.ep1 = ep0, ep1
         n_slots = n_cells + (n_cells - 1) // 2

@@ -17,8 +17,8 @@ package's one-sweep eta, and ``telescoping_identity_gap`` checks the
 embedded telescoping identity with it. ``inertia_counts_per_shift`` sweeps
 one shift at a time, the bit-for-bit reference for the package's
 shift-blocked counting kernel and its last interior pivot;
-``scatter_targets`` reads a compress round's neighbours off its scatter
-plan.
+``scatter_targets`` reads the targets off a round's scatter plan: its
+rake targets, or its compress neighbours a then b.
 ``dirichlet_floor_sequential`` bisects one arithmetic midpoint per sweep to
 relative 1e-12, the reference that the package's interpolating floor must
 match within its 1e-9 tolerance.
@@ -194,9 +194,10 @@ def inertia_counts_per_shift(
     """(Dirichlet, Neumann, final-round) counts <= lambda and the last interior pivot, one sweep per shift.
 
     The reference for the package's shift-blocked ``inertia_counts``, which
-    must return the same four arrays bit for bit. Each compress round
-    scatters with plain ``np.add.at`` over its a and b neighbours, taken
-    from the concatenated targets of the round's scatter plan.
+    must return the same four arrays bit for bit. Each round adds its rake
+    terms to the targets of its rake plan, and scatters its compress terms
+    with plain ``np.add.at`` over its a and b neighbours, taken from the
+    concatenated targets of its compress plan.
     """
     lams = np.ascontiguousarray(lams, dtype=np.float64)
     b0, b1 = sched.b0, sched.b1
@@ -215,7 +216,7 @@ def inertia_counts_per_shift(
         g = np.empty(sched.n_slots)
         g[: conduct.shape[0]] = conduct
         interior = last = 0
-        for leaf, target, leaf_slot, mid, slot_a, slot_b, fill, scatter, *_ in sched.rounds:
+        for leaf, rake, leaf_slot, mid, slot_a, slot_b, fill, scatter, *_ in sched.rounds:
             a, b = np.split(scatter_targets(scatter), 2)
             c = g[leaf_slot]
             h = acc[leaf] - lam_eff * mass[leaf]
@@ -224,7 +225,7 @@ def inertia_counts_per_shift(
             last = int((p <= 0.0).sum())
             if p.shape[0]:
                 out_pivot[t] = p[-1]
-            acc[target] += c * h / p
+            acc[scatter_targets(rake)] += c * h / p
             ga, gb = g[slot_a], g[slot_b]
             h = acc[mid] - lam_eff * mass[mid]
             p = ga + gb + h
@@ -253,7 +254,7 @@ def inertia_counts_per_shift(
 
 
 def scatter_targets(scatter) -> np.ndarray:
-    """A compress round's scatter targets in plan order, slices resolved: its a neighbours, then its b."""
+    """A scatter plan's targets in term order, slices resolved: a round's rake targets, or its a then b neighbours."""
     parts = [np.arange(t.start, t.stop, t.step) if isinstance(t, slice) else t for _, _, t in scatter]
     return np.concatenate([np.zeros(0, dtype=np.int64)] + parts)
 

@@ -276,12 +276,14 @@ def test_last_interior_pivot_is_the_schur_complement(monkeypatch, block_bytes):
             assert pivots[0] > 0.0 and nd.tolist() == [0, 1]
 
 
-# -- compress scatter plan ---------------------------------------------------------------
+# -- scatter plans ------------------------------------------------------------------
 
 
 def _scatter_cases():
-    # random targets with repeats, long upward runs (two sharing an end), a
-    # downward run and a constant run; a path's and a dendrite's rounds
+    # (name, vertices, plan, term sides): compress plans of random targets
+    # with repeats, long upward runs (two sharing an end), a downward run and
+    # a constant run, and of a path's and a dendrite's rounds; rake plans of
+    # an excursion tree's first round and of a dendrite round's midpoints
     rng = np.random.default_rng(8)
     a = rng.integers(0, 5000, size=4000)
     a[100:900] = np.arange(1000, 2600, 2)
@@ -290,36 +292,48 @@ def _scatter_cases():
     a[3000:3600] = 17
     b = rng.integers(0, 5000, size=4000)
     b[3300:] = np.arange(10, 710)
-    yield "random", 5000, a, b
+    yield "random", 5000, _kernels._scatter_plan(a, b), (a, b)
     n = 2**14
     path = _kernels.contraction_schedule(np.arange(n - 1), np.arange(1, n), n, 0, n - 1)
     for level, sched in (("path", path), ("dendrite-9", structure(9).schedule)):
         for i in (0, 1, len(sched.rounds) - 1):
             a, b = np.split(scatter_targets(sched.rounds[i][7]), 2)
-            yield f"{level} round {i}", sched.n_vertices, a, b
+            yield f"{level} round {i}", sched.n_vertices, _kernels._scatter_plan(a, b), (a, b)
+    sched = Pencil.from_tree(excursion.reduced_tree(excursion.sample_excursion(2**14, 3), 1000, seed=1)).schedule
+    t = scatter_targets(sched.rounds[0][1])
+    assert t.shape[0] > 64 and np.unique(t).shape[0] == t.shape[0]  # one leaf per target
+    yield "excursion round 0 rakes", sched.n_vertices, sched.rounds[0][1], (t,)
+    sched = structure(9).schedule
+    for i in (0, 8):  # round i rakes level 8 - i's tips into its midpoints
+        k = 3 ** (8 - i)
+        yield f"dendrite-9 round {i} rakes", sched.n_vertices, sched.rounds[i][1], (np.arange(k + 1, 2 * k + 1),)
 
 
 def test_scatter_plan_matches_add_at():
     # terms of 1e16 and 1 do not commute in floating point, so a plan that
-    # reordered any vertex's terms would show; rows stand for a shift block
+    # reordered any vertex's terms would show; rows stand for a shift block.
+    # Each side's terms are applied window by window, as a sweep's tiles cut
+    # them, and every window lies within one side
     rng = np.random.default_rng(9)
     views = 0
-    for name, nv, a, b in _scatter_cases():
-        plan = _kernels._scatter_plan(a, b)
-        np.testing.assert_array_equal(scatter_targets(plan), np.concatenate((a, b)), err_msg=name)
-        n = a.shape[0]
-        assert all(hi <= n or lo >= n for lo, hi, _ in plan), name
+    for name, nv, plan, sides in _scatter_cases():
+        np.testing.assert_array_equal(scatter_targets(plan), np.concatenate(sides), err_msg=name)
+        edges = np.cumsum([0] + [t.shape[0] for t in sides])
         for lo, hi, tgt in plan:
+            assert np.searchsorted(edges, lo, "right") == np.searchsorted(edges, hi, "left"), name  # within a side
             if isinstance(tgt, slice):
                 views += 1
                 assert hi - lo >= _kernels._MIN_VIEW and tgt.step > 0
         for width in (1, 3):
-            acc = rng.choice([1e16, -1e16, 1.0, 0.5], size=(width, nv))
-            ref = acc.copy()
-            for idx, lo in ((a, 0), (b, n)):
-                y = rng.choice([1e16, -1e16, 1.0, 3.0], size=(width, n))
-                for row in range(width):
-                    np.add.at(ref[row], idx, y[row])
-                _kernels._scatter(acc.reshape(-1), _kernels._scatter_adds(acc, plan, y, lo))
-            np.testing.assert_array_equal(acc, ref, err_msg=f"{name}, width {width}")
-    assert views >= 8
+            for cols in (1, 64, 700):
+                acc = rng.choice([1e16, -1e16, 1.0, 0.5], size=(width, nv))
+                ref = acc.copy()
+                for idx, offset in zip(sides, edges):
+                    y = rng.choice([1e16, -1e16, 1.0, 3.0], size=(width, idx.shape[0]))
+                    for row in range(width):
+                        np.add.at(ref[row], idx, y[row])
+                    for lo in range(0, idx.shape[0], cols):
+                        window = y[:, lo : lo + cols]
+                        _kernels._scatter(acc.reshape(-1), _kernels._scatter_adds(acc, plan, window, offset + lo))
+                np.testing.assert_array_equal(acc, ref, err_msg=f"{name}, width {width}, windows of {cols}")
+    assert views >= 10

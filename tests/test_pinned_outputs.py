@@ -6,9 +6,13 @@ Together they cover a fit window whose ceiling the Dirichlet floor sets
 (``window_hi``), on the default grid and on the earlier [1, 1e8] one,
 windows that collapse on that ceiling (the ceiling is named on stderr),
 the floor's fallback bracket (``--lambda-lo 1e4`` puts the grid above the
-floor), the renewal and excursion routes, and the bracketing check. A
-change meant to keep every number must keep every digest; one meant to
-move them re-pins the digests and says so.
+floor), the renewal and excursion routes, and the bracketing check. Two
+more reach the counting sweep's less common paths: a depth-11 replica,
+whose first round rakes and compresses 59,049 vertices in two column
+tiles, and the ``crt-route-2e16`` benchmark command, whose excursion tree
+rakes without fusing, in blocks of several shifts, and scatters through
+``np.add.at``. A change meant to keep every number must keep every
+digest; one meant to move them re-pins the digests and says so.
 
 The digests were taken with numpy ``PINNED_NUMPY``; the floating-point
 results may round differently under another numpy, so the test skips
@@ -69,6 +73,16 @@ PINNED = {
         "meta.json": "613d62f89862f0824f4d02df1e8b0e70281386d1353907e9e0bf254b867321d8",
         "spectrum_dirichlet.csv": "e896c19cabd38d2bc2eb7065444826e14a911524c8ef6dce9c2db9e8643a5393",
         "spectrum_neumann.csv": "ed86d5b04044daa39974086be9737d142d80e910e9ce5e7003d799fbe7953974",
+    }),
+    ("ensemble", "--depth", "11", "--replicas", "1", "--seed", "2"): ("", {
+        "config.json": "edd49d984ac2da036012ede27757a144a7f04fba1014211be89da30a5bef21e3",
+        "curves.csv": "88280396750ff1c3668cc5ef3a185e0675c1a3d1656378c725b43185b37b9244",
+        "fit.json": "3b807aaf342dadcc0a374407768ef290c035d68339d44566a336499a2b20e643",
+    }),
+    ("crt-route", "--steps", "65536", "--leaves", "3000", "--replicas", "1", "--seed", "7"): ("", {
+        "config.json": "4179ce2e2e5b530df36f49292110f6361481b967eccb9696fcd361f92656995c",
+        "curves.csv": "d58b5b1beb5c5ce4253eedebc1a9b6daf32ccc769d39e9de986b0b3503f71ee2",
+        "fit.json": "7ac478f0b15a5873c12b9c08cfa1a1300e12fbb5cabe5f0d58dbac4596038cc9",
     }),
 }
 

@@ -442,9 +442,9 @@ def test_dendrite_schedule_final_round_pivots_midpoint_and_tip():
     for n in range(1, 9):
         sched = structure(n).schedule
         assert len(sched.rounds) == n
-        leaf, target, _, mid, _, _, _, scatter = sched.rounds[-1][:8]
+        leaf, rake, _, mid, _, _, _, scatter = sched.rounds[-1][:8]
         ids = np.arange(structure(n).n_vertices)  # resolves slice-stored index sets
-        assert ids[leaf].tolist() == [3] and ids[target].tolist() == [2]
+        assert ids[leaf].tolist() == [3] and spectrum_oracle.scatter_targets(rake).tolist() == [2]
         assert ids[mid].tolist() == [2]
         assert sorted(spectrum_oracle.scatter_targets(scatter).tolist()) == [0, 1]
 
