@@ -169,12 +169,15 @@ class RenewalEstimate:
 # ---------------------------------------------------------------------------
 
 
-def build_network(depth: int, seed: int, debug: bool = False) -> ResistanceNetwork:
-    """Cascade network at a depth with exact perturbations; the uniform cascade with R = 1 when debugging."""
-    if debug:
-        return assemble(depth, CascadeTree.debug(depth), np.ones(3**depth))
-    casc = CascadeTree.sample(depth, seed)
-    return assemble(depth, casc, perturbations(casc))
+def build_network(depth: int, seed: int, debug: bool = False) -> tuple[ResistanceNetwork, float]:
+    """Network of a cascade with exact R (uniform, R = 1, when debugging), and the log of its ceiling over its floor.
+
+    Only the network outlives the call; the triples go once the base lengths are read, before R is drawn.
+    """
+    lengths = (CascadeTree.debug(depth) if debug else CascadeTree.sample(depth, seed)).base_lengths
+    log_ceiling = _length_quantile(lengths, _CEILING_DEFICIT)
+    r_base = np.ones(lengths.shape[0]) if debug else perturbations(depth, seed)
+    return assemble(depth, lengths, r_base), log_ceiling
 
 
 def _weighted_quantile(x: np.ndarray, w: np.ndarray, q: float) -> float:
@@ -216,18 +219,17 @@ def _median(x: np.ndarray) -> float:
 def _selfsimilar_replica(config: EnsembleConfig, r: int, ts: np.ndarray | None) -> Replica:
     from .forms import diameter as net_diameter
 
-    net = build_network(config.depth, config.replica_seed(r), config.debug_cascade)
+    net, log_ceiling = build_network(config.depth, config.replica_seed(r), config.debug_cascade)
     lams = config.lambda_grid
-    # the counting sweep sets a depth-12 replica's peak: under tracemalloc,
-    # 48.3 MiB over the 34.6 MiB live before it, and one replica alone
-    # peaks at 86-88 MB RSS in-process
+    # the build sets a depth-12 replica's peak: staged VmHWM reads 66.2 MB
+    # in-process after build_network, and no later stage raises it
     diameter = net_diameter(net) if net.level >= 1 else None
     nd, nn = network_counts(net, lams)
     floor = dirichlet_floor(net, diameter, lams, nd) if net.level >= 1 else np.inf
     # resolution ceiling: the lambda at which a _CEILING_DEFICIT fraction of
     # spectral mass sits in cells whose internal modes (first eigenvalue
     # about floor / l**3) are already distorted by the lumping
-    resolution = floor * np.exp(_length_quantile(net.cascade.base_lengths, _CEILING_DEFICIT))
+    resolution = floor * np.exp(log_ceiling)
     return Replica(nd, nn, resolution, None if ts is None else eta_many(net, ts))
 
 

@@ -109,19 +109,19 @@ class CascadeTree:
         return CascadeTree(self.depth - 1, [t[j - 1 :: 3] for t in self.triples[1:]], None)
 
 
-def perturbations(cascade: CascadeTree) -> np.ndarray:
-    """Exact base-level perturbations: one Rayleigh draw per cell of level n, in cell order.
+def perturbations(depth: int, seed: int | None) -> np.ndarray:
+    """Exact base-level perturbations of a depth-n cascade: one Rayleigh draw per cell of level n, in cell order.
 
     Base values are keyed by (seed, address code) on their own stream, so
     they are independent of the cascade's triples and of each other, and a
-    cell's value does not depend on which other cells are drawn. They are
-    not those of a deeper sample of the same seed: the base R of a depth-n
-    cascade stands for the triples below depth n, which it never reads.
+    cell's value does not depend on which other cells are drawn; the draw
+    reads only the cascade's depth and seed. They are not those of a
+    deeper sample of the same seed: the base R of a depth-n cascade stands
+    for the triples below depth n, which it never reads.
     """
-    if cascade.master_seed is None:
+    if seed is None:
         raise IncompleteCascade("cascade has no seed; cannot key its perturbations")
-    key = derive_key(cascade.master_seed, _TAG_PERTURB)
-    return rayleigh_perturbations(key, level_codes(cascade.depth))
+    return rayleigh_perturbations(derive_key(seed, _TAG_PERTURB), level_codes(depth))
 
 
 # ---------------------------------------------------------------------------

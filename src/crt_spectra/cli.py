@@ -64,7 +64,9 @@ from .asymptotics import (
     write_json,
     write_results,
 )
+from .cascade import CascadeTree, perturbations
 from .errors import CapacityError, CrtSpectraError, GuardError, TailError, WindowUnresolved
+from .forms import assemble
 from .spectrum import bracketing_check, network_counts
 
 
@@ -73,8 +75,6 @@ class UsageError(CrtSpectraError):
 
 
 def cmd_spectrum(args) -> int:
-    from .asymptotics import build_network
-
     if args.depth < 0:
         raise UsageError("need --depth >= 0")
     if args.check_bracketing and args.depth < 1:
@@ -83,7 +83,8 @@ def cmd_spectrum(args) -> int:
         lams = geometric_grid(args.lambda_lo, args.lambda_hi, args.points)
     except ValueError as exc:
         raise UsageError(str(exc)) from None
-    net = build_network(args.depth, args.seed)
+    casc, r_base = CascadeTree.sample(args.depth, args.seed), perturbations(args.depth, args.seed)
+    net = assemble(args.depth, casc.base_lengths, r_base)
     nd, nn = network_counts(net, lams)
     if (np.diff(nd) < 0).any() or (np.diff(nn) < 0).any():
         raise GuardError("counts must be nondecreasing in lambda")
@@ -96,7 +97,7 @@ def cmd_spectrum(args) -> int:
         rows = "".join(f"{lam:.17g},{int(c)},{kind}\n" for lam, c in zip(lams, counts))
         (outdir / f"spectrum_{kind}.csv").write_text("lambda,count,boundary\n" + rows)
     if args.check_bracketing:
-        bad = np.flatnonzero(bracketing_check(net, lams, nd, nn))
+        bad = np.flatnonzero(bracketing_check(casc, r_base, lams, nd, nn))
         if bad.size:
             raise GuardError(f"bracketing violated at {bad.size} lambda values, first at {float(lams[bad[0]])}")
     return 0

@@ -37,6 +37,7 @@ class DendriteStructure:
 
     Holds the endpoint ids of each level-n cell in child-major order
     (``F_i(0,0)`` image first) and the level graph's contraction schedule.
+    The ids are int32.
     Child 1 joins its parent's midpoint to the parent's first endpoint,
     child 2 to the second and child 3 to the new tip.
 
@@ -53,8 +54,8 @@ class DendriteStructure:
         self.level = level
         n_cells = 3**level
         self.n_vertices = n_cells + 1
-        ep0 = np.zeros(1, dtype=np.int64)
-        ep1 = np.ones(1, dtype=np.int64)
+        ep0 = np.zeros(1, dtype=np.int32)
+        ep1 = np.ones(1, dtype=np.int32)
         mark = np.empty(self.n_vertices, dtype=bool)
         rounds = []
         for q in range(level):
@@ -63,7 +64,7 @@ class DendriteStructure:
             s = 0 if q == level - 1 else n_cells + (n_cells - 9 * k) // 2
             tip, mid = slice(2 * k + 1, 3 * k + 1, 1), slice(k + 1, 2 * k + 1, 1)
             parts = (tip, slice(s + 2 * k, s + 3 * k, 1), mid, slice(s, s + k, 1), slice(s + k, s + 2 * k, 1))
-            mids = np.arange(k + 1, 2 * k + 1, dtype=np.int64)
+            mids = np.arange(k + 1, 2 * k + 1, dtype=np.int32)
             rounds.append(schedule_round(parts, mids, fill, ep0, ep1, True, mark))
             ep0, ep1 = np.concatenate((mids, mids, mids)), np.concatenate((ep0, ep1, mids + k))
         self.ep0, self.ep1 = ep0, ep1
@@ -73,14 +74,16 @@ class DendriteStructure:
             tuple(reversed(rounds)), self.n_vertices, n_slots, n_slots - 1, 0, 1, acc_live, g_live
         )
 
-    def lump(self, cell_mass: np.ndarray) -> np.ndarray:
-        """Vertex masses with each cell's mass split half/half onto its endpoints."""
-        half, nv = 0.5 * cell_mass, self.n_vertices
-        return np.bincount(self.ep0, weights=half, minlength=nv) + np.bincount(self.ep1, weights=half, minlength=nv)
+    def lump(self, half_mass: np.ndarray) -> np.ndarray:
+        """Vertex masses with half of each cell's mass on each of its endpoints, given those halves."""
+        vertex_mass = np.bincount(self.ep0, weights=half_mass, minlength=self.n_vertices)
+        vertex_mass += np.bincount(self.ep1, weights=half_mass, minlength=self.n_vertices)
+        return vertex_mass
 
 
 @lru_cache(maxsize=32)
 def structure(level: int) -> DendriteStructure:
-    if 3**level > cell_budget():
-        raise CapacityError(f"3**{level} cells exceed budget {cell_budget()}")
+    budget = min(cell_budget(), 2**31 - 2)  # vertex ids 0..3**level are int32
+    if 3**level > budget:
+        raise CapacityError(f"3**{level} cells exceed budget {budget}")
     return DendriteStructure(level)

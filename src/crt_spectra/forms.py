@@ -10,9 +10,10 @@ family compatible: tracing the level-(n+1) form onto the level-n vertices
 the level-n conductances up to rounding, because the series sum
 telescopes through the R recursion (the trace and the lift of R onto
 coarser levels live with the tests, in ``tests/forms_oracle.py`` and
-``tests/cascade_oracle.py``). A network keeps only the base-level R it was
-assembled from; :func:`diameter` reads the coarser levels' path
-resistances off one bottom-up pass.
+``tests/cascade_oracle.py``). A network keeps only what a count reads; the
+cascade and base R it was assembled from stay with the caller that drew
+them. :func:`diameter` reads the coarser levels' path resistances off one
+bottom-up pass.
 """
 
 from __future__ import annotations
@@ -25,26 +26,16 @@ from .errors import IncompleteCascade
 
 
 class ResistanceNetwork:
-    """Edge conductances and lumped vertex masses on the level-n graph."""
+    """Edge conductances and lumped vertex masses on the level-n graph, all that a count reads."""
 
-    def __init__(
-        self,
-        level: int,
-        conductance: np.ndarray,
-        cell_mass: np.ndarray,
-        cascade: CascadeTree | None = None,
-        perturbations: np.ndarray | None = None,
-    ):
+    def __init__(self, level: int, conductance: np.ndarray, vertex_mass: np.ndarray):
         self.level = level
         self.structure = structure(level)
         self.conductance = conductance
-        self.cell_mass = cell_mass
-        self.cascade = cascade
-        self.perturbations = perturbations  # base-level R, one per cell in cell order
-        self.vertex_mass = self.structure.lump(cell_mass)
+        self.vertex_mass = vertex_mass
         if not (conductance > 0).all():
             raise ValueError("conductances must be positive")
-        if abs(self.vertex_mass.sum() - 1.0) > 1e-9:
+        if abs(vertex_mass.sum() - 1.0) > 1e-9:
             raise ValueError("vertex masses must sum to 1")
 
     @property
@@ -52,26 +43,25 @@ class ResistanceNetwork:
         return self.structure.n_vertices
 
 
-def assemble(level: int, cascade: CascadeTree, r_base: np.ndarray) -> ResistanceNetwork:
-    """Level-n network of a depth-n cascade and its base-level R: conductance H/(l R), masses l**2.
+def assemble(level: int, lengths: np.ndarray, r_base: np.ndarray) -> ResistanceNetwork:
+    """Level-n network of a depth-n cascade's base lengths l and base-level R: conductance H/(l R), masses l**2.
 
-    The cascade's lengths, ``r_base`` and the level graph's cells share the
-    child-major cell order, so no array is reordered.
+    The lengths, ``r_base`` and the level graph's cells share the
+    child-major cell order, so no array is reordered. The cell masses are
+    lumped and dropped before the conductances are formed in place.
     """
-    if cascade.depth != level:
-        raise IncompleteCascade(f"cascade depth {cascade.depth} != graph level {level}")
-    if r_base.shape != (3**level,):
-        raise IncompleteCascade(f"perturbations of shape {r_base.shape} do not cover the 3**{level} base cells")
-    l_arr = cascade.base_lengths
-    return ResistanceNetwork(level, HEIGHT_CONSTANT / (l_arr * r_base), l_arr * l_arr, cascade, r_base)
+    if lengths.shape != (3**level,) or r_base.shape != (3**level,):
+        raise IncompleteCascade(f"lengths {lengths.shape} or R {r_base.shape} miss the 3**{level} base cells")
+    vertex_mass = structure(level).lump(lengths * lengths * 0.5)
+    conductance = np.multiply(lengths, r_base)
+    np.divide(HEIGHT_CONSTANT, conductance, out=conductance)
+    return ResistanceNetwork(level, conductance, vertex_mass)
 
 
-def subnetwork_fresh(net: ResistanceNetwork, j: int) -> ResistanceNetwork:
-    """Fresh assembly of cell j from the shifted cascade and cell j's base R, every third cell from j - 1."""
-    if net.cascade is None or net.perturbations is None:
-        raise IncompleteCascade("fresh subnetwork needs cascade and perturbations")
-    sub = net.cascade.subtree(j)
-    return assemble(sub.depth, sub, net.perturbations[j - 1 :: 3])
+def subnetwork_fresh(cascade: CascadeTree, r_base: np.ndarray, j: int) -> ResistanceNetwork:
+    """Fresh assembly of first-generation cell j from the shifted cascade and every third base R from j - 1."""
+    sub = cascade.subtree(j)
+    return assemble(sub.depth, sub.base_lengths, r_base[j - 1 :: 3])
 
 
 def diameter(net: ResistanceNetwork) -> float:

@@ -36,6 +36,7 @@ from functools import cached_property
 import numpy as np
 
 from ._kernels import ContractionSchedule, contraction_schedule, inertia_counts
+from .cascade import CascadeTree
 from .dendrite import structure
 from .errors import GuardError
 from .excursion import MetricTree
@@ -112,7 +113,7 @@ def block_counts(level: int, conduct: np.ndarray, cell_mass: np.ndarray, lams: n
     :func:`eta_many` reads off the full network's sweep.
     """
     st = structure(level)
-    return inertia_counts(st.schedule, st.lump(cell_mass), conduct, lams)[:2]
+    return inertia_counts(st.schedule, st.lump(0.5 * cell_mass), conduct, lams)[:2]
 
 
 def network_counts(net: ResistanceNetwork, lams: np.ndarray, pivot: bool = False) -> tuple[np.ndarray, ...]:
@@ -246,9 +247,12 @@ def dirichlet_floor(
 # ---------------------------------------------------------------------------
 
 
-def bracketing_check(net: ResistanceNetwork, lams: np.ndarray, full_d: np.ndarray, full_n: np.ndarray) -> np.ndarray:
-    """Where the decomposition chains fail: a mask over ``lams``, given the full network's counts there.
+def bracketing_check(
+    cascade: CascadeTree, r_base: np.ndarray, lams: np.ndarray, full_d: np.ndarray, full_n: np.ndarray
+) -> np.ndarray:
+    """Where the decomposition chains fail: a mask over ``lams``, given the full counts there.
 
+    The full network is assembled from ``cascade`` and base R ``r_base``.
     At each lambda the cell counts must bracket the full ones,
     sub_D <= N_D <= N_N <= sub_N, and the full Neumann count may exceed the
     Dirichlet one by at most 2. Cell subproblems are assembled fresh from
@@ -256,11 +260,11 @@ def bracketing_check(net: ResistanceNetwork, lams: np.ndarray, full_d: np.ndarra
     eigenvalue scaling of the renormalized cells.
     """
     lams = np.asarray(lams, dtype=np.float64)
-    w1 = np.sqrt(net.cascade.triples[0].reshape(-1))  # first-generation weights
+    w1 = np.sqrt(cascade.triples[0].reshape(-1))  # first-generation weights
     sub_d = np.zeros(lams.shape[0], dtype=np.int64)
     sub_n = np.zeros(lams.shape[0], dtype=np.int64)
     for j in (1, 2, 3):
-        sub = subnetwork_fresh(net, j)
+        sub = subnetwork_fresh(cascade, r_base, j)
         w3 = float(w1[j - 1]) ** 3
         d, n = network_counts(sub, lams * w3)
         sub_d += d

@@ -45,10 +45,18 @@ def tent_path(n: int = 100) -> excursion.ExcursionPath:
     return excursion.ExcursionPath(vals)
 
 
+def drawn_network(
+    depth: int, seed: int, trunc: int = 8
+) -> tuple[forms.ResistanceNetwork, cascade.CascadeTree, np.ndarray]:
+    """Cascade network with truncated (binary-extension) perturbations, with the cascade and base R it was assembled from."""
+    casc = cascade.CascadeTree.sample(depth, seed)
+    r_base = truncated_perturbations(casc, trunc)
+    return forms.assemble(depth, casc.base_lengths, r_base), casc, r_base
+
+
 def small_network(depth: int, seed: int, trunc: int = 8) -> forms.ResistanceNetwork:
     """Cascade network with truncated (binary-extension) perturbations."""
-    casc = cascade.CascadeTree.sample(depth, seed)
-    return forms.assemble(depth, casc, truncated_perturbations(casc, trunc))
+    return drawn_network(depth, seed, trunc)[0]
 
 
 @pytest.fixture

@@ -9,8 +9,8 @@ matches the geometry, and that the words 1 1 2 2 ..., 2 1 2 2 ... and
 
 ``AddressOrderStructure`` is the level graph numbered in lexicographic
 address order, as the package numbered it before it went child-major;
-``address_order_network`` permutes a network's lengths and base R into
-that order and assembles them on it. With ``address_ordinals`` and
+``address_order_network`` permutes a cascade's base lengths and base R
+into that order and assembles them on it. With ``address_ordinals`` and
 ``address_vertex_ids`` relating the two numberings, it is the reference
 that every mass, count, pivot, diameter and floor of the child-major
 network must match bit for bit.
@@ -25,9 +25,8 @@ import numpy as np
 
 from cascade_oracle import Address, l_levels
 from crt_spectra._kernels import contraction_schedule
-from crt_spectra.cascade import HEIGHT_CONSTANT
+from crt_spectra.cascade import HEIGHT_CONSTANT, CascadeTree
 from crt_spectra.dendrite import structure
-from crt_spectra.forms import ResistanceNetwork
 
 
 def address_ordinals(level: int) -> np.ndarray:
@@ -100,12 +99,13 @@ class AddressOrderNetwork:
         return self.structure.n_vertices
 
 
-def address_order_network(net: ResistanceNetwork) -> AddressOrderNetwork:
-    """The network's cascade and base R assembled in address order: conductance H/(l R), masses l**2."""
-    st, to_address = AddressOrderStructure(net.level), address_ordinals(net.level)
-    l_arr, r_base = l_levels(net.cascade)[net.level][to_address], net.perturbations[to_address]
+def address_order_network(cascade: CascadeTree, r_base: np.ndarray) -> AddressOrderNetwork:
+    """A cascade and its base R assembled in address order: conductance H/(l R), masses l**2."""
+    level = cascade.depth
+    st, to_address = AddressOrderStructure(level), address_ordinals(level)
+    l_arr, r_base = l_levels(cascade)[level][to_address], r_base[to_address]
     cell_mass = l_arr * l_arr
-    return AddressOrderNetwork(net.level, st, HEIGHT_CONSTANT / (l_arr * r_base), cell_mass, st.lump(cell_mass))
+    return AddressOrderNetwork(level, st, HEIGHT_CONSTANT / (l_arr * r_base), cell_mass, st.lump(cell_mass))
 
 
 def address_order_diameter(net: AddressOrderNetwork) -> float:

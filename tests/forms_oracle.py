@@ -4,7 +4,9 @@
 with the perturbations' exact recursion it reproduces the coarser assembly,
 which is what makes the family of forms compatible. ``cell_block`` and
 ``subnetwork_rescaled`` cut a first-generation cell out of an assembled
-network, the blocks the one-sweep eta is checked against.
+network, the blocks the one-sweep eta is checked against. A network keeps
+neither its cascade nor its base R, so each of these takes what it needs
+of them from the caller that drew them.
 ``effective_resistance`` is the path-sum brute force that
 ``forms.diameter`` is checked against, and ``cell_diameters`` the per-level
 pass (every level's path resistances kept) that its one bottom-up pass
@@ -16,39 +18,39 @@ from __future__ import annotations
 import numpy as np
 
 from crt_spectra.cascade import CascadeTree
-from crt_spectra.errors import IncompleteCascade
+from crt_spectra.dendrite import structure
 from crt_spectra.forms import ResistanceNetwork
 
 from cascade_oracle import l_levels, lift_through_cascade, w_levels
 
 
-def trace_to_coarser(net: ResistanceNetwork) -> ResistanceNetwork:
-    """Schur-complement trace onto the coarser vertex set.
+def trace_to_coarser(
+    net: ResistanceNetwork, cascade: CascadeTree, r_base: np.ndarray
+) -> tuple[ResistanceNetwork, CascadeTree, np.ndarray]:
+    """Schur-complement trace onto the coarser vertex set, of a network assembled from ``cascade`` and ``r_base``.
 
     Each cell's tip is a dangling leaf (drops); eliminating the midpoint
     puts the first two child conductances in series. With R-values tied by
     the exact recursion this reproduces the coarser assembly to rounding.
-    The traced network carries the depth-(n-1) cascade and R lifted one
-    level, as a coarser assembly would. Children j of every cell are the
-    j-th third of the level, in the child-major order.
+    The traced network comes with the depth-(n-1) cascade and R lifted one
+    level, as a coarser assembly would be drawn. Children j of every cell
+    are the j-th third of the level, in the child-major order.
     """
     if net.level < 1:
         raise ValueError("level-0 network has no coarser trace")
-    if net.cascade is None or net.perturbations is None:
-        raise IncompleteCascade("trace needs the originating cascade for coarse masses")
     k = net.conductance.shape[0] // 3
     c1 = net.conductance[:k]
     c2 = net.conductance[k : 2 * k]
     traced = c1 * c2 / (c1 + c2)
     level = net.level - 1
-    coarse = CascadeTree(level, net.cascade.triples[:level], net.cascade.master_seed)
-    r_coarse = lift_through_cascade(net.cascade, net.perturbations)[level]
+    coarse = CascadeTree(level, cascade.triples[:level], cascade.master_seed)
+    r_coarse = lift_through_cascade(cascade, r_base)[level]
     l_coarse = l_levels(coarse)[level]
-    return ResistanceNetwork(level, traced, l_coarse * l_coarse, coarse, r_coarse)
+    return ResistanceNetwork(level, traced, structure(level).lump(0.5 * (l_coarse * l_coarse))), coarse, r_coarse
 
 
-def cell_block(net: ResistanceNetwork, j: int) -> tuple[np.ndarray, np.ndarray]:
-    """(conductance, cell mass) slices of first-generation cell j.
+def cell_block(net: ResistanceNetwork, cell_mass: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
+    """(conductance, cell mass) slices of first-generation cell j, given the network's cell masses l**2.
 
     These are bit-exact principal sub-blocks of the assembled pencil; the
     block counted at lambda equals the normalized copy counted at
@@ -57,20 +59,18 @@ def cell_block(net: ResistanceNetwork, j: int) -> tuple[np.ndarray, np.ndarray]:
     """
     if j not in (1, 2, 3):
         raise ValueError("first-generation cell must be 1, 2 or 3")
-    return net.conductance[j - 1 :: 3], net.cell_mass[j - 1 :: 3]
+    return net.conductance[j - 1 :: 3], cell_mass[j - 1 :: 3]
 
 
-def subnetwork_rescaled(net: ResistanceNetwork, j: int) -> ResistanceNetwork:
-    """Cell j renormalized to a standalone network.
+def subnetwork_rescaled(net: ResistanceNetwork, cascade: CascadeTree, j: int) -> ResistanceNetwork:
+    """Cell j of a network assembled from ``cascade``, renormalized to a standalone network.
 
     Conductances scale by w(j), masses by w(j)**-2; by the cascade's
     self-similarity the result is a fresh level-(n-1) network.
     """
-    if net.cascade is None:
-        raise IncompleteCascade("rescaling needs the originating cascade")
-    w = float(w_levels(net.cascade)[1][j - 1])
-    conduct, cmass = cell_block(net, j)
-    return ResistanceNetwork(net.level - 1, conduct * w, cmass / (w * w))
+    w = float(w_levels(cascade)[1][j - 1])
+    conduct, cmass = cell_block(net, cascade.base_lengths**2, j)
+    return ResistanceNetwork(net.level - 1, conduct * w, structure(net.level - 1).lump(0.5 * (cmass / (w * w))))
 
 
 def _cell_path_resistances(net: ResistanceNetwork) -> list[np.ndarray]:

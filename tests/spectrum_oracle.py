@@ -31,8 +31,9 @@ import numpy as np
 from crt_spectra import spectrum
 from crt_spectra._kernels import _ZERO_PIVOT, NUDGE, ContractionSchedule
 from crt_spectra.asymptotics import EnsembleResult
+from crt_spectra.cascade import CascadeTree
 from crt_spectra.errors import CapacityError
-from crt_spectra.forms import ResistanceNetwork, subnetwork_fresh
+from crt_spectra.forms import ResistanceNetwork, assemble, subnetwork_fresh
 from crt_spectra.spectrum import Pencil, count_below, network_counts
 
 from cascade_oracle import w_levels
@@ -282,25 +283,26 @@ def dirichlet_floor_sequential(net: ResistanceNetwork, diameter: float) -> float
     return hi
 
 
-def eta_fresh(net: ResistanceNetwork, ts: np.ndarray) -> np.ndarray:
+def eta_fresh(net: ResistanceNetwork, cascade: CascadeTree, r_base: np.ndarray, ts: np.ndarray) -> np.ndarray:
     """eta(t) = N_D(e**t) - sum_j N_D,j(e**t w(j)**3) with every cell re-assembled.
 
-    Each first-generation cell is assembled from the shifted cascade and
+    ``net`` is assembled from ``cascade`` and its base R ``r_base``. Each
+    first-generation cell is assembled from the shifted cascade and
     counted at the rescaled shift, independently of the final contraction
     round that :func:`eta_many` reads; the two agree except on a
     measure-zero set of shifts.
     """
     lams = np.exp(np.asarray(ts, dtype=np.float64))
     full_d, _ = network_counts(net, lams)
-    w1 = w_levels(net.cascade)[1]
+    w1 = w_levels(cascade)[1]
     for j in (1, 2, 3):
-        d, _ = network_counts(subnetwork_fresh(net, j), lams * float(w1[j - 1]) ** 3)
+        d, _ = network_counts(subnetwork_fresh(cascade, r_base, j), lams * float(w1[j - 1]) ** 3)
         full_d -= d
     return full_d
 
 
-def telescoping_identity_gap(net: ResistanceNetwork, ts: np.ndarray, k_max: int) -> np.ndarray:
-    """Check X(t) = sum_{|i|<k} eta_i(t + 3 ln l(i)) + level-k boundary sum.
+def telescoping_identity_gap(cascade: CascadeTree, r_base: np.ndarray, ts: np.ndarray, k_max: int) -> np.ndarray:
+    """Check X(t) = sum_{|i|<k} eta_i(t + 3 ln l(i)) + level-k boundary sum on the network of a cascade and its base R.
 
     All per-address terms are computed on freshly assembled subnetworks at
     the rescaled shifts, independently of the one-sweep path used by
@@ -308,22 +310,23 @@ def telescoping_identity_gap(net: ResistanceNetwork, ts: np.ndarray, k_max: int)
     array algebra. Returns the integer gaps (zero when the identity holds).
     """
     ts = np.asarray(ts, dtype=np.float64)
-    full_d, _ = network_counts(net, np.exp(ts))
+    full_d, _ = network_counts(assemble(cascade.depth, cascade.base_lengths, r_base), np.exp(ts))
     acc = np.zeros(ts.shape[0], dtype=np.int64)
 
-    def visit(sub: ResistanceNetwork, l_i: float, depth: int) -> None:
+    def visit(casc: CascadeTree, r: np.ndarray, l_i: float, depth: int) -> None:
         nonlocal acc
+        sub = assemble(casc.depth, casc.base_lengths, r)
         lams_i = np.exp(ts) * l_i**3
         if depth == k_max or sub.level == 0:
             d, _ = network_counts(sub, lams_i)
             acc += d
             return
-        acc += eta_fresh(sub, ts + 3.0 * np.log(l_i))
-        w1 = w_levels(sub.cascade)[1]
+        acc += eta_fresh(sub, casc, r, ts + 3.0 * np.log(l_i))
+        w1 = w_levels(casc)[1]
         for j in (1, 2, 3):
-            visit(subnetwork_fresh(sub, j), l_i * float(w1[j - 1]), depth + 1)
+            visit(casc.subtree(j), r[j - 1 :: 3], l_i * float(w1[j - 1]), depth + 1)
 
-    visit(net, 1.0, 0)
+    visit(cascade, r_base, 1.0, 0)
     return full_d - acc
 
 

@@ -1,10 +1,11 @@
 import json
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from crt_spectra import asymptotics, cascade, spectrum
+from crt_spectra import asymptotics, cascade, dendrite, spectrum
 from crt_spectra.asymptotics import EnsembleConfig, run_ensemble
 from crt_spectra.errors import CapacityError, TailError, WindowUnresolved
 
@@ -102,8 +103,7 @@ def test_ensemble_budget():
 def test_level0_ensemble_curve_jump():
     cfg = small_config(replicas=1, depth=0, lambda_points=33)
     res = run_ensemble(cfg)
-    net = asymptotics.build_network(0, cfg.replica_seed(0))
-    r = net.perturbations[0]
+    r = cascade.perturbations(0, cfg.replica_seed(0))[0]
     jump = 4.0 * cascade.HEIGHT_CONSTANT / r
     nn = res.neumann[0]
     assert set(nn.tolist()) <= {1, 2}
@@ -254,10 +254,28 @@ def test_ensemble_eta_rows_match_per_replica_eta():
     np.testing.assert_array_equal(with_eta.dirichlet, plain.dirichlet)
     np.testing.assert_array_equal(with_eta.resolutions, plain.resolutions)
     for r in range(cfg.replicas):
-        net = asymptotics.build_network(cfg.depth, cfg.replica_seed(r))
+        net, _ = asymptotics.build_network(cfg.depth, cfg.replica_seed(r))
         np.testing.assert_array_equal(with_eta.eta[r], spectrum.eta_many(net, ts))
     with pytest.raises(ValueError):
         run_ensemble(small_config(route="excursion", replicas=1, steps=2**8, leaves=10), ts)
+
+
+def test_replica_peaks_near_the_arrays_its_counters_read():
+    # a network keeps its conductances and vertex masses alone, and its
+    # build spares full-length temporaries: one depth-10 replica peaks at
+    # 3.0 times those two arrays (5.2 when the network also kept its
+    # cascade, cell masses and base R, and the build held the triples).
+    # tracemalloc counts allocations, so the ratio is deterministic
+    cfg = EnsembleConfig(replicas=1, depth=10, master_seed=0)
+    dendrite.structure(cfg.depth)  # the level graph is cached across replicas
+    tracemalloc.start()
+    try:
+        asymptotics._selfsimilar_replica(cfg, 0, None)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    net, _ = asymptotics.build_network(cfg.depth, cfg.replica_seed(0))
+    assert peak < 3.5 * (net.conductance.nbytes + net.vertex_mass.nbytes)
 
 
 def test_eta_exact_zero_below_diameter_per_replica():
@@ -265,7 +283,7 @@ def test_eta_exact_zero_below_diameter_per_replica():
 
     cfg = small_config(replicas=4, depth=5)
     for r in range(cfg.replicas):
-        net = asymptotics.build_network(cfg.depth, cfg.replica_seed(r))
+        net, _ = asymptotics.build_network(cfg.depth, cfg.replica_seed(r))
         tmax = -np.log(forms.diameter(net))
         ts = np.linspace(tmax - 3.0, tmax - 1e-9, 20)
         assert (spectrum.eta_many(net, ts) == 0).all()

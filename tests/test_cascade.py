@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from crt_spectra import _kernels, asymptotics, cascade
+from crt_spectra import _kernels, cascade
 from crt_spectra.cascade import CascadeTree
 from crt_spectra.errors import CapacityError, IncompleteCascade
 
@@ -209,7 +209,7 @@ def test_perturbation_recursion_bit_exact():
     # the exact draws are one float per base cell, and lift like any other
     for depth, seed in ((0, 1), (1, 2), (5, 3), (8, 4)):
         casc = CascadeTree.sample(depth, seed=seed)
-        r_base = cascade.perturbations(casc)
+        r_base = cascade.perturbations(casc.depth, casc.master_seed)
         assert r_base.shape == (3**depth,) and r_base.dtype == np.float64
         assert_recursion_bit_exact(casc, r_base)
 
@@ -256,7 +256,7 @@ def test_perturbations_need_seed():
     with pytest.raises(IncompleteCascade):
         cascade_oracle.truncated_perturbations(casc, 2)
     with pytest.raises(IncompleteCascade):
-        cascade.perturbations(casc)
+        cascade.perturbations(casc.depth, casc.master_seed)
 
 
 def test_exact_perturbation_moments():
@@ -265,7 +265,7 @@ def test_exact_perturbation_moments():
     # from the exact variance E R**2k - (E R**k)**2
     for k, want in enumerate(RAYLEIGH_MOMENTS, start=1):
         assert abs(rayleigh_moment(k) - want) < 1e-15
-    base = cascade.perturbations(CascadeTree.sample(11, seed=6))
+    base = cascade.perturbations(11, 6)
     n = base.shape[0]
     for k, want in enumerate(RAYLEIGH_MOMENTS, start=1):
         se = np.sqrt((rayleigh_moment(2 * k) - want**2) / n)
@@ -284,7 +284,7 @@ def test_exact_perturbations_match_binary_extension_in_law():
     exact, truncated = [], []
     for seed in range(200, 204):
         casc = CascadeTree.sample(6, seed=seed)
-        exact.append(cascade.perturbations(casc))
+        exact.append(cascade.perturbations(casc.depth, casc.master_seed))
         truncated.append(cascade_oracle.truncated_perturbations(casc, 14))
     a, b = np.concatenate(exact), np.concatenate(truncated)
     n = a.shape[0]
@@ -297,7 +297,7 @@ def test_exact_perturbations_depend_only_on_seed_and_address():
     # sampler blocks, cut at different codes
     depth, seed = 10, 41
     casc = CascadeTree.sample(depth, seed=seed)
-    base = cascade.perturbations(casc)
+    base = cascade.perturbations(casc.depth, casc.master_seed)
     # the cells below address 2 (every third cell from 1), drawn on their own, are the same values
     key = cascade.derive_key(seed, cascade._TAG_PERTURB)
     codes = cascade.level_codes(depth)
@@ -305,12 +305,12 @@ def test_exact_perturbations_depend_only_on_seed_and_address():
     np.testing.assert_array_equal(alone, base[1::3])
     # another seed's triples under the same seed leave the base level as it is
     other = CascadeTree(depth, CascadeTree.sample(depth, seed=seed + 1).triples, seed)
-    np.testing.assert_array_equal(cascade.perturbations(other), base)
-    # built on one thread or two, every network's perturbations are the same
+    np.testing.assert_array_equal(cascade.perturbations(other.depth, other.master_seed), base)
+    # drawn on one thread or two, every network's perturbations are the same
     seeds = list(range(10, 16))
-    serial = [asymptotics.build_network(5, s).perturbations for s in seeds]
+    serial = [cascade.perturbations(5, s) for s in seeds]
     with ThreadPoolExecutor(max_workers=2) as pool:
-        threaded = [net.perturbations for net in pool.map(lambda s: asymptotics.build_network(5, s), seeds)]
+        threaded = list(pool.map(lambda s: cascade.perturbations(5, s), seeds))
     for a, b in zip(serial, threaded):
         np.testing.assert_array_equal(a, b)
 
@@ -319,7 +319,7 @@ def test_exact_perturbations_independent_of_the_triples():
     # base R is uncorrelated with its cell's length and with the triple of
     # its parent, within 4 standard errors of a zero correlation
     casc = CascadeTree.sample(10, seed=12)
-    base = cascade.perturbations(casc)
+    base = cascade.perturbations(casc.depth, casc.master_seed)
     n = base.shape[0]
     parent = casc.triples[9]
     for other in (np.log(cascade_oracle.l_levels(casc)[10]), np.tile(parent[:, 0], 3), cascade_oracle.w_levels(casc)[10]):

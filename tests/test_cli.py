@@ -175,7 +175,7 @@ def test_spectrum_check_bracketing_sweeps_the_network_once(tmp_path, monkeypatch
     monkeypatch.setattr(spectrum, "inertia_counts", record)
     argv = ["spectrum", "--depth", "3", "--seed", "4", "--points", "15", "--check-bracketing"]
     assert run(argv + ["--out", str(tmp_path / "s")]) == 0
-    full = asymptotics.build_network(3, 4).n_vertices
+    full = asymptotics.build_network(3, 4)[0].n_vertices
     # one sweep of the full network, one of each first-generation cell
     assert sizes.count(full) == 1 and len(sizes) == 4, sizes
 
@@ -220,7 +220,7 @@ def test_oracle_agrees_on_a_badly_scaled_replica():
     config = EnsembleConfig(replicas=3, depth=4, master_seed=0)
     lams = np.geomspace(config.lambda_lo, config.lambda_hi, 7)
     for r in range(3):
-        net = build_network(config.depth, config.replica_seed(r))
+        net, _ = build_network(config.depth, config.replica_seed(r))
         np.testing.assert_array_equal(dense_count_pair(network_pencil(net), lams), network_counts(net, lams))
 
 
@@ -230,7 +230,7 @@ def test_oracle_checks_dirichlet_counts_at_depth_0(tmp_path):
     assert run(args) == 0
     config = EnsembleConfig(replicas=1, depth=0, master_seed=0)
     lams = np.geomspace(config.lambda_lo, config.lambda_hi, 7)
-    net = build_network(config.depth, config.replica_seed(0))
+    net, _ = build_network(config.depth, config.replica_seed(0))
     dd, dn = dense_count_pair(network_pencil(net), lams)
     nd, nn = network_counts(net, lams)
     assert dd.tolist() == nd.tolist() == [0] * 7

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from crt_spectra import _kernels, asymptotics, dendrite, forms, spectrum
+from crt_spectra.cascade import CascadeTree, perturbations
+from crt_spectra.errors import CapacityError
 
 from cascade_oracle import Address
 from dendrite_oracle import (
@@ -85,6 +87,15 @@ def test_structure_caching():
     assert a is b
 
 
+def test_structure_keeps_vertex_ids_in_int32(monkeypatch):
+    # the endpoint ids are int32, so a budget set past them still stops
+    # below 3**20 cells, before anything is built
+    monkeypatch.setenv("CRT_SPECTRA_BUDGET", str(3**25))
+    with pytest.raises(CapacityError, match=f"exceed budget {2**31 - 2}"):
+        dendrite.structure(20)
+    assert dendrite.structure(9).ep0.dtype == dendrite.structure(9).ep1.dtype == np.int32
+
+
 def test_endpoint_convention():
     # cell k1 joins the midpoint to F_k(0,0), k2 to F_k(1,0), k3 to the tip
     g2 = DendriteGraph.build(2)
@@ -145,8 +156,10 @@ def test_child_major_network_matches_address_order_reference():
     # tolerance (by one ulp on the depth-8 debug network)
     lams = np.concatenate(([-1.0, 0.0], np.geomspace(0.5, 1e7, 45)))
     for depth in range(10):
-        for net in (asymptotics.build_network(depth, 30 + depth), asymptotics.build_network(depth, 0, debug=True)):
-            ref = address_order_network(net)
+        seed = 30 + depth
+        sampled = (CascadeTree.sample(depth, seed), perturbations(depth, seed))
+        for debug, drawn in ((False, sampled), (True, (CascadeTree.debug(depth), np.ones(3**depth)))):
+            net, ref = asymptotics.build_network(depth, seed, debug)[0], address_order_network(*drawn)
             np.testing.assert_array_equal(net.vertex_mass, ref.vertex_mass[address_vertex_ids(depth)])
             np.testing.assert_array_equal(net.conductance, ref.conductance[address_ordinals(depth)])
             got = _kernels.inertia_counts(net.structure.schedule, net.vertex_mass, net.conductance, lams)

@@ -2,19 +2,19 @@ import numpy as np
 import pytest
 
 from crt_spectra import asymptotics, forms
-from crt_spectra.cascade import CascadeTree, HEIGHT_CONSTANT
+from crt_spectra.cascade import CascadeTree, HEIGHT_CONSTANT, perturbations
 from crt_spectra.errors import IncompleteCascade
 
 import forms_oracle
 from cascade_oracle import l_levels, lift_through_cascade, truncated_perturbations
-from conftest import small_network
+from conftest import drawn_network, small_network
 from dendrite_oracle import address_order_network, address_ordinals
 
 
 def test_level0_assembly():
     casc = CascadeTree.sample(0, seed=1)
     r_base = truncated_perturbations(casc, 8)
-    net = forms.assemble(0, casc, r_base)
+    net = forms.assemble(0, casc.base_lengths, r_base)
     r = r_base[0]
     assert np.allclose(net.conductance, [HEIGHT_CONSTANT / r])
     np.testing.assert_allclose(net.vertex_mass, [0.5, 0.5])
@@ -22,14 +22,14 @@ def test_level0_assembly():
 
 def test_total_mass_every_level():
     for depth in (1, 3, 5):
-        net = small_network(depth, seed=depth)
+        net, casc, _ = drawn_network(depth, seed=depth)
         assert abs(net.vertex_mass.sum() - 1.0) < 1e-12
-        assert abs(net.cell_mass.sum() - 1.0) < 1e-9
+        assert abs((casc.base_lengths**2).sum() - 1.0) < 1e-9
 
 
 def test_debug_cascade_edge_resistance():
     for depth in (1, 2, 4):
-        net = forms.assemble(depth, CascadeTree.debug(depth), np.ones(3**depth))
+        net = forms.assemble(depth, CascadeTree.debug(depth).base_lengths, np.ones(3**depth))
         want = 3.0 ** (-depth / 2.0) / HEIGHT_CONSTANT
         np.testing.assert_allclose(1.0 / net.conductance, want, rtol=1e-14)
 
@@ -37,9 +37,9 @@ def test_debug_cascade_edge_resistance():
 def test_assembly_validations():
     casc = CascadeTree.sample(3, seed=2)
     with pytest.raises(IncompleteCascade):
-        forms.assemble(4, casc, truncated_perturbations(casc, 4))
+        forms.assemble(4, casc.base_lengths, truncated_perturbations(CascadeTree.sample(4, seed=2), 4))
     with pytest.raises(IncompleteCascade):
-        forms.assemble(3, casc, np.ones(3**2))
+        forms.assemble(3, casc.base_lengths, np.ones(3**2))
 
 
 def test_trace_reproduces_coarser_assembly():
@@ -47,19 +47,16 @@ def test_trace_reproduces_coarser_assembly():
     # telescopes through the R recursion into the coarser conductances
     casc = CascadeTree.sample(6, seed=9)
     r_levels = lift_through_cascade(casc, truncated_perturbations(casc, 6))
-    net = forms.assemble(6, casc, r_levels[6])
+    net, net_casc = forms.assemble(6, casc.base_lengths, r_levels[6]), casc
     for level in range(6, 0, -1):
-        traced = forms_oracle.trace_to_coarser(net)
-        coarse = forms.assemble(
-            level - 1,
-            CascadeTree(level - 1, casc.triples[: level - 1], casc.master_seed),
-            r_levels[level - 1],
-        )
+        traced, _, _ = forms_oracle.trace_to_coarser(net, net_casc, r_levels[level])
+        net_casc = CascadeTree(level - 1, casc.triples[: level - 1], casc.master_seed)
+        coarse = forms.assemble(level - 1, net_casc.base_lengths, r_levels[level - 1])
         rel = np.abs(traced.conductance / coarse.conductance - 1.0)
         assert rel.max() < 1e-9
         net = coarse
     with pytest.raises(ValueError):
-        forms_oracle.trace_to_coarser(net)  # level 0
+        forms_oracle.trace_to_coarser(net, net_casc, r_levels[0])  # level 0
 
 
 def test_trace_series_formula_and_debug_mismatch():
@@ -67,11 +64,11 @@ def test_trace_series_formula_and_debug_mismatch():
     # a direct coarser assembly: the perturbations are what make the family
     # compatible
     depth = 3
-    net = forms.assemble(depth, CascadeTree.debug(depth), np.ones(3**depth))
-    traced = forms_oracle.trace_to_coarser(net)
+    casc, r_base = CascadeTree.debug(depth), np.ones(3**depth)
+    traced, _, _ = forms_oracle.trace_to_coarser(forms.assemble(depth, casc.base_lengths, r_base), casc, r_base)
     r_child = 3.0 ** (-depth / 2.0) / HEIGHT_CONSTANT
     np.testing.assert_allclose(1.0 / traced.conductance, 2.0 * r_child, rtol=1e-14)
-    direct = forms.assemble(depth - 1, CascadeTree.debug(depth - 1), np.ones(3 ** (depth - 1)))
+    direct = forms.assemble(depth - 1, CascadeTree.debug(depth - 1).base_lengths, np.ones(3 ** (depth - 1)))
     assert not np.allclose(1.0 / traced.conductance, 1.0 / direct.conductance, rtol=1e-3)
 
 
@@ -85,9 +82,9 @@ def test_mass_conservation_under_refinement():
 
 
 def test_effective_resistance_boundary_pair():
-    net = small_network(4, seed=7)
+    net, casc, r_base = drawn_network(4, seed=7)
     r = forms_oracle.effective_resistance(net, 0, 1)
-    want = lift_through_cascade(net.cascade, net.perturbations)[0][0] / HEIGHT_CONSTANT
+    want = lift_through_cascade(casc, r_base)[0][0] / HEIGHT_CONSTANT
     assert abs(r / want - 1.0) < 1e-12
     assert forms_oracle.effective_resistance(net, 5, 5) == 0.0
 
@@ -113,7 +110,7 @@ def test_mean_boundary_resistance():
 def test_diameter_level0():
     casc = CascadeTree.sample(0, seed=3)
     r_base = truncated_perturbations(casc, 6)
-    net = forms.assemble(0, casc, r_base)
+    net = forms.assemble(0, casc.base_lengths, r_base)
     assert abs(forms.diameter(net) - r_base[0] / HEIGHT_CONSTANT) < 1e-15
 
 
@@ -122,11 +119,7 @@ def test_diameter_monotone_in_level():
     r_levels = lift_through_cascade(casc, truncated_perturbations(casc, 6))
     prev = 0.0
     for level in range(6):
-        net = forms.assemble(
-            level,
-            CascadeTree(level, casc.triples[:level], casc.master_seed),
-            r_levels[level],
-        )
+        net = forms.assemble(level, CascadeTree(level, casc.triples[:level], casc.master_seed).base_lengths, r_levels[level])
         d = forms.diameter(net)
         assert d >= prev - 1e-12
         prev = d
@@ -141,7 +134,7 @@ def test_diameter_agrees_with_pairwise_search():
 def test_diameter_matches_per_level_pass_bit_for_bit():
     # the one bottom-up pass does the per-level oracle's arithmetic in its order
     for depth in range(11):
-        for net in (asymptotics.build_network(depth, 40 + depth), asymptotics.build_network(depth, 0, debug=True)):
+        for net, _ in (asymptotics.build_network(depth, 40 + depth), asymptotics.build_network(depth, 0, debug=True)):
             assert forms.diameter(net) == forms_oracle.cell_diameters(net, 0)[0]
 
 
@@ -175,10 +168,10 @@ def test_cell_diameters_decay():
 
 
 def test_rescaled_subnetwork_matches_fresh():
-    net = small_network(4, seed=15)
+    net, casc, r_base = drawn_network(4, seed=15)
     for j in (1, 2, 3):
-        scaled = forms_oracle.subnetwork_rescaled(net, j)
-        fresh = forms.subnetwork_fresh(net, j)
+        scaled = forms_oracle.subnetwork_rescaled(net, casc, j)
+        fresh = forms.subnetwork_fresh(casc, r_base, j)
         np.testing.assert_allclose(scaled.conductance, fresh.conductance, rtol=1e-12)
         np.testing.assert_allclose(scaled.vertex_mass, fresh.vertex_mass, rtol=1e-12)
         assert abs(scaled.vertex_mass.sum() - 1.0) < 1e-9
@@ -187,10 +180,10 @@ def test_rescaled_subnetwork_matches_fresh():
 def test_subtree_and_fresh_subnetwork_take_every_third_cell():
     # first-generation cell j holds every third cell of each level from
     # j - 1, and its lengths are those of its own cascade times w(j); the
-    # products round in another order, by at most one ulp per factor
+    # products round in another order, by at most one ulp per factor. Its
+    # fresh network takes every third base R from j - 1
     depth = 5
-    net = asymptotics.build_network(depth, 21)
-    casc = net.cascade
+    casc, r_base = CascadeTree.sample(depth, 21), perturbations(depth, 21)
     for j in (1, 2, 3):
         sub = casc.subtree(j)
         assert sub.depth == depth - 1
@@ -198,21 +191,25 @@ def test_subtree_and_fresh_subnetwork_take_every_third_cell():
             np.testing.assert_array_equal(sub.triples[q], casc.triples[q + 1][j - 1 :: 3])
         w_j = np.sqrt(casc.triples[0][0, j - 1])
         np.testing.assert_array_max_ulp(casc.base_lengths[j - 1 :: 3], w_j * sub.base_lengths, maxulp=depth)
-        np.testing.assert_array_equal(forms.subnetwork_fresh(net, j).perturbations, net.perturbations[j - 1 :: 3])
+        fresh = forms.subnetwork_fresh(casc, r_base, j)
+        np.testing.assert_array_equal(fresh.conductance, HEIGHT_CONSTANT / (sub.base_lengths * r_base[j - 1 :: 3]))
 
 
 def test_traced_network_cuts_into_fresh_subnetworks():
-    # the trace carries the coarser cascade and lifted R, so its fresh cells
-    # are those of the coarse assembly, and its traced conductances cut into
-    # the same cells
-    net = small_network(4, seed=3)
-    traced = forms_oracle.trace_to_coarser(net)
-    r_levels = lift_through_cascade(net.cascade, net.perturbations)
-    coarse = forms.assemble(3, CascadeTree(3, net.cascade.triples[:3], net.cascade.master_seed), r_levels[3])
+    # the trace comes with the coarser cascade and lifted R, so its fresh
+    # cells are those of the coarse assembly, and its traced conductances
+    # cut into the same cells
+    net, casc, r_base = drawn_network(4, seed=3)
+    traced, traced_casc, traced_r = forms_oracle.trace_to_coarser(net, casc, r_base)
+    coarse_casc = CascadeTree(3, casc.triples[:3], casc.master_seed)
+    coarse_r = lift_through_cascade(casc, r_base)[3]
     for j in (1, 2, 3):
-        fresh = forms.subnetwork_fresh(traced, j)
+        fresh = forms.subnetwork_fresh(traced_casc, traced_r, j)
         assert fresh.level == 2
-        for other in (forms.subnetwork_fresh(coarse, j), forms_oracle.subnetwork_rescaled(traced, j)):
+        for other in (
+            forms.subnetwork_fresh(coarse_casc, coarse_r, j),
+            forms_oracle.subnetwork_rescaled(traced, traced_casc, j),
+        ):
             np.testing.assert_allclose(fresh.conductance, other.conductance, rtol=1e-9)
             np.testing.assert_allclose(fresh.vertex_mass, other.vertex_mass, rtol=1e-9)
 
@@ -220,9 +217,10 @@ def test_traced_network_cuts_into_fresh_subnetworks():
 def test_cell_block_slices_are_views_of_assembly():
     # cell 2's block holds the assembly's cells under address 2 (ordinals 9-17
     # in address order), each as cell of the level-2 graph in child-major order
-    net = small_network(3, seed=16)
-    conduct, cmass = forms_oracle.cell_block(net, 2)
-    ref = address_order_network(net)
+    net, casc, r_base = drawn_network(3, seed=16)
+    cell_mass = casc.base_lengths**2
+    conduct, cmass = forms_oracle.cell_block(net, cell_mass, 2)
+    ref = address_order_network(casc, r_base)
     np.testing.assert_array_equal(conduct, ref.conductance[9:18][address_ordinals(2)])
     np.testing.assert_array_equal(cmass, ref.cell_mass[9:18][address_ordinals(2)])
-    assert np.shares_memory(conduct, net.conductance) and np.shares_memory(cmass, net.cell_mass)
+    assert np.shares_memory(conduct, net.conductance) and np.shares_memory(cmass, cell_mass)

@@ -117,7 +117,7 @@ def _pencils():
     for depth in range(9):
         net = small_network(depth, seed=depth)
         yield f"random-{depth}", net.structure.schedule, net.vertex_mass, net.conductance
-        net = forms.assemble(depth, CascadeTree.debug(depth), np.ones(3**depth))
+        net = forms.assemble(depth, CascadeTree.debug(depth).base_lengths, np.ones(3**depth))
         yield f"debug-{depth}", net.structure.schedule, net.vertex_mass, net.conductance
     # 200 leaves: both first rounds rake more than 64 leaves, and the gaussian
     # tree's compresses more than 64 vertices whose a and b targets meet
@@ -258,7 +258,7 @@ def test_last_interior_pivot_is_the_schur_complement(monkeypatch, block_bytes):
     # the dense inverse itself loses about 6e-9 to conditioning at depth 6
     monkeypatch.setattr(_kernels, "_SHIFT_BLOCK_BYTES", block_bytes)
     for depth in range(1, 7):
-        debug = forms.assemble(depth, CascadeTree.debug(depth), np.ones(3**depth))
+        debug = forms.assemble(depth, CascadeTree.debug(depth).base_lengths, np.ones(3**depth))
         for net in [small_network(depth, seed=seed) for seed in range(3)] + [debug]:
             v = _last_interior_vertex(net.structure.schedule)
             assert v == 2  # the level-1 midpoint

@@ -6,7 +6,8 @@ Together they cover a fit window whose ceiling the Dirichlet floor sets
 (``window_hi``), on the default grid and on the earlier [1, 1e8] one,
 windows that collapse on that ceiling (the ceiling is named on stderr),
 the floor's fallback bracket (``--lambda-lo 1e4`` puts the grid above the
-floor), the renewal and excursion routes, and the bracketing check. Two
+floor), the renewal and excursion routes, the bracketing check and the
+uniform ``--debug-cascade`` build (every triple a third, R = 1). Two
 more reach the counting sweep's less common paths: a depth-11 replica,
 whose first round rakes and compresses 59,049 vertices in two column
 tiles, and the ``crt-route-2e16`` benchmark command, whose excursion tree
@@ -73,6 +74,11 @@ PINNED = {
         "meta.json": "613d62f89862f0824f4d02df1e8b0e70281386d1353907e9e0bf254b867321d8",
         "spectrum_dirichlet.csv": "e896c19cabd38d2bc2eb7065444826e14a911524c8ef6dce9c2db9e8643a5393",
         "spectrum_neumann.csv": "ed86d5b04044daa39974086be9737d142d80e910e9ce5e7003d799fbe7953974",
+    }),
+    ("ensemble", "--depth", "6", "--replicas", "2", "--debug-cascade"): ("", {
+        "config.json": "8cd9b35b8b96f9e12b41e49024bb268e4a32d78f671349af3b962cf979836528",
+        "curves.csv": "24461c2f4cfd2f71afcc7fb2fe5880b00edc3735ecec13e97a04e9908c24dd50",
+        "fit.json": "b05af61d71fb5b1a5f48039f1391c5604e5756d21b7015af02a6618ac9615680",
     }),
     ("ensemble", "--depth", "11", "--replicas", "1", "--seed", "2"): ("", {
         "config.json": "edd49d984ac2da036012ede27757a144a7f04fba1014211be89da30a5bef21e3",

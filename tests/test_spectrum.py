@@ -11,14 +11,14 @@ from crt_spectra.spectrum import Pencil
 
 import spectrum_oracle
 from cascade_oracle import w_levels
-from conftest import small_network
+from conftest import drawn_network, small_network
 from dendrite_oracle import address_order_network
 from forms_oracle import cell_block
 from spectrum_oracle import TruncationError, network_pencil
 
 
 def debug_network(depth):
-    return forms.assemble(depth, CascadeTree.debug(depth), np.ones(3**depth))
+    return forms.assemble(depth, CascadeTree.debug(depth).base_lengths, np.ones(3**depth))
 
 
 # -- level-0 closed form ----------------------------------------------------------
@@ -26,8 +26,8 @@ def debug_network(depth):
 
 def test_level0_closed_form_spectrum():
     # level 0 is one edge of conductance H/R between two half masses: {0, 4 H / R}
-    net = small_network(0, seed=1)
-    r = net.perturbations[0]
+    net, _, r_base = drawn_network(0, seed=1)
+    r = r_base[0]
     pen = network_pencil(net)
     dense = spectrum_oracle.dense_eigenvalues(pen)
     want = np.array([0.0, 4.0 * HEIGHT_CONSTANT / r])
@@ -220,7 +220,7 @@ def test_homogeneity_of_counts():
     # scaling all conductances by a multiplies every eigenvalue by a
     net = small_network(3, seed=5)
     a = 7.3
-    scaled = forms.ResistanceNetwork(3, net.conductance * a, net.cell_mass)
+    scaled = forms.ResistanceNetwork(3, net.conductance * a, net.vertex_mass)
     lams = np.geomspace(0.5, 1e5, 30)
     nd0, nn0 = spectrum.network_counts(net, lams)
     nd1, nn1 = spectrum.network_counts(scaled, a * lams)
@@ -352,7 +352,7 @@ def test_floor_scaling_in_mass():
     # by 4, which a mass-one network cannot take) multiply the floor by 4
     net = small_network(3, seed=9)
     floor = spectrum.dirichlet_floor(net, forms.diameter(net))
-    stiff = forms.ResistanceNetwork(3, net.conductance * 4.0, net.cell_mass)
+    stiff = forms.ResistanceNetwork(3, net.conductance * 4.0, net.vertex_mass)
     floor4 = spectrum.dirichlet_floor(stiff, forms.diameter(stiff))
     assert abs(floor4 / (4.0 * floor) - 1.0) < 1e-9
 
@@ -361,33 +361,33 @@ def test_floor_scaling_in_mass():
 
 
 def test_bracketing_trivial_below_floor():
-    net = small_network(3, seed=11)
+    net, casc, r_base = drawn_network(3, seed=11)
     floor = spectrum.dirichlet_floor(net, forms.diameter(net))
     lams = np.array([0.5 * floor])
     nd, nn = spectrum.network_counts(net, lams)
     assert nd[0] == 0 and nn[0] >= 1
-    assert not spectrum.bracketing_check(net, lams, nd, nn).any()
+    assert not spectrum.bracketing_check(casc, r_base, lams, nd, nn).any()
 
 
 def test_bracketing_exact_chains():
     lams = np.geomspace(1.0, 1e6, 50)
     for seed in range(5):
-        net = small_network(5, seed=seed + 40)
+        net, casc, r_base = drawn_network(5, seed=seed + 40)
         nd, nn = spectrum.network_counts(net, lams)
-        assert not spectrum.bracketing_check(net, lams, nd, nn).any(), seed
+        assert not spectrum.bracketing_check(casc, r_base, lams, nd, nn).any(), seed
 
 
 def test_bracketing_flags_each_broken_link():
     # full counts broken at one lambda: a Dirichlet count of -1, below any cell sum;
     # Dirichlet above Neumann; Neumann above the cells' sum; a gap of 3
-    net = small_network(4, seed=2)
+    net, casc, r_base = drawn_network(4, seed=2)
     lams = np.geomspace(1.0, 1e5, 20)
     nd, nn = spectrum.network_counts(net, lams)
     k = 12
     for which, value in (("d", -1), ("d", nn[k] + 1), ("n", 10**6), ("n", nd[k] + 3)):
         d, n = nd.copy(), nn.copy()
         (d if which == "d" else n)[k] = value
-        bad = spectrum.bracketing_check(net, lams, d, n)
+        bad = spectrum.bracketing_check(casc, r_base, lams, d, n)
         np.testing.assert_array_equal(np.flatnonzero(bad), [k], err_msg=f"{which}={value}")
 
 
@@ -403,23 +403,23 @@ def test_eta_bounded_and_zero_below_floor():
 
 
 def test_eta_methods_agree():
-    net = small_network(4, seed=71)
+    net, casc, r_base = drawn_network(4, seed=71)
     ts = np.linspace(-1.0, 10.0, 80)
-    np.testing.assert_array_equal(spectrum.eta_many(net, ts), spectrum_oracle.eta_fresh(net, ts))
+    np.testing.assert_array_equal(spectrum.eta_many(net, ts), spectrum_oracle.eta_fresh(net, casc, r_base, ts))
 
 
 def test_evolution_identity_exact():
     # N_D(e**t) = eta(t) + sum_j N_D,j(e**t w(j)**3): the one-sweep eta
     # plus fresh cell assemblies counted at the rescaled shifts
     for seed in (5, 6):
-        net = small_network(5, seed=seed)
+        net, casc, r_base = drawn_network(5, seed=seed)
         ts = np.linspace(-1.0, 11.0, 40)
         lams = np.exp(ts)
         gap, _ = spectrum.network_counts(net, lams)
         gap -= spectrum.eta_many(net, ts)
-        w1 = w_levels(net.cascade)[1]
+        w1 = w_levels(casc)[1]
         for j in (1, 2, 3):
-            sub = forms.subnetwork_fresh(net, j)
+            sub = forms.subnetwork_fresh(casc, r_base, j)
             gap -= spectrum.network_counts(sub, lams * float(w1[j - 1]) ** 3)[0]
         np.testing.assert_array_equal(gap, 0)
 
@@ -431,10 +431,10 @@ def test_one_sweep_eta_matches_cell_block_sweeps(depth):
     ts = np.linspace(-3.0, np.log(1e8), 241)
     lams = np.exp(ts)
     for seed in range(4):
-        net = small_network(depth, seed=100 * depth + seed)
+        net, casc, _ = drawn_network(depth, seed=100 * depth + seed)
         want, _ = spectrum.network_counts(net, lams)
         for j in (1, 2, 3):
-            want -= spectrum.block_counts(depth - 1, *cell_block(net, j), lams)[0]
+            want -= spectrum.block_counts(depth - 1, *cell_block(net, casc.base_lengths**2, j), lams)[0]
         np.testing.assert_array_equal(spectrum.eta_many(net, ts), want)
 
 
@@ -450,10 +450,10 @@ def test_dendrite_schedule_final_round_pivots_midpoint_and_tip():
 
 
 def test_telescoping_identity_exact():
-    net = small_network(5, seed=77)
+    _, casc, r_base = drawn_network(5, seed=77)
     ts = np.linspace(0.0, 10.0, 9)
     for k in (1, 2, 3):
-        np.testing.assert_array_equal(spectrum_oracle.telescoping_identity_gap(net, ts, k), 0)
+        np.testing.assert_array_equal(spectrum_oracle.telescoping_identity_gap(casc, r_base, ts, k), 0)
 
 
 # -- eigenvalue extraction ---------------------------------------------------------------
@@ -466,15 +466,15 @@ def test_dense_spectrum_raises_when_it_loses_its_bottom():
     # values (clipped at 0) finds none where the scaled spectrum has one. The
     # pencil is numbered in address order: the dense solver's rounding, and so
     # the size of that error, depends on the vertex order
-    ref = address_order_network(small_network(6, seed=3))
+    ref = address_order_network(*drawn_network(6, seed=3)[1:])
     pen = Pencil(ref.structure.ep0, ref.structure.ep1, ref.conductance, ref.vertex_mass, (0, 1))
     with pytest.raises(ValueError, match="lost its bottom"):
         spectrum_oracle.dense_eigenvalues(pen, dirichlet=True)
 
 
 def test_eigenvalues_level0():
-    net = small_network(0, seed=21)
-    r = net.perturbations[0]
+    net, _, r_base = drawn_network(0, seed=21)
+    r = r_base[0]
     pen = network_pencil(net)
     top = 4.0 * HEIGHT_CONSTANT / r
     eigs = spectrum_oracle.eigenvalues_up_to(pen, 1.5 * top, tol=1e-10)
