@@ -48,7 +48,7 @@ def tent_path(n: int = 100) -> excursion.ExcursionPath:
 def drawn_network(
     depth: int, seed: int, trunc: int = 8
 ) -> tuple[forms.ResistanceNetwork, cascade.CascadeTree, np.ndarray]:
-    """Cascade network with truncated (binary-extension) perturbations, with the cascade and base R it was assembled from."""
+    """Cascade network with truncated (binary-extension) perturbations, and the cascade and base R it came from."""
     casc = cascade.CascadeTree.sample(depth, seed)
     r_base = truncated_perturbations(casc, trunc)
     return forms.assemble(depth, casc.base_lengths, r_base), casc, r_base

@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from crt_spectra import _kernels, cascade
+from crt_spectra import _kernels, asymptotics, cascade
 from crt_spectra.cascade import CascadeTree
 from crt_spectra.errors import CapacityError, IncompleteCascade
 
@@ -306,11 +306,12 @@ def test_exact_perturbations_depend_only_on_seed_and_address():
     # another seed's triples under the same seed leave the base level as it is
     other = CascadeTree(depth, CascadeTree.sample(depth, seed=seed + 1).triples, seed)
     np.testing.assert_array_equal(cascade.perturbations(other.depth, other.master_seed), base)
-    # drawn on one thread or two, every network's perturbations are the same
+    # built on one thread or two, every network's conductances H / (l R),
+    # and so its perturbations, are the same
     seeds = list(range(10, 16))
-    serial = [cascade.perturbations(5, s) for s in seeds]
+    serial = [asymptotics.build_network(5, s)[0].conductance for s in seeds]
     with ThreadPoolExecutor(max_workers=2) as pool:
-        threaded = list(pool.map(lambda s: cascade.perturbations(5, s), seeds))
+        threaded = [net.conductance for net, _ in pool.map(lambda s: asymptotics.build_network(5, s), seeds)]
     for a, b in zip(serial, threaded):
         np.testing.assert_array_equal(a, b)
 

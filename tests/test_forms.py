@@ -119,7 +119,8 @@ def test_diameter_monotone_in_level():
     r_levels = lift_through_cascade(casc, truncated_perturbations(casc, 6))
     prev = 0.0
     for level in range(6):
-        net = forms.assemble(level, CascadeTree(level, casc.triples[:level], casc.master_seed).base_lengths, r_levels[level])
+        lengths = CascadeTree(level, casc.triples[:level], casc.master_seed).base_lengths
+        net = forms.assemble(level, lengths, r_levels[level])
         d = forms.diameter(net)
         assert d >= prev - 1e-12
         prev = d
