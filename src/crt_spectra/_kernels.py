@@ -173,18 +173,16 @@ def _rayleigh(bits: np.ndarray) -> np.ndarray:
 # expression, in the same order, as in a one-shift sweep, so every count,
 # eta and pivot is bit-identical whatever the block width or tile.
 #
-# Column tiles. A stage (a round's rakes, or its compresses) wider than
-# budget // (32 x width) columns runs in tiles of that many, so a tile's
-# four scratch rows fill the budget and its operands stay in L2 from one
-# pass to the next (a depth-12 first round would stream 1.4 MB per pass).
-# A narrower stage runs in one piece, and so does every stage when the
-# budget is too small for a tile of one column.
-#
-# Fused rounds. Where a round's rake targets are its compressed vertices in
-# the same order (every dendrite round), tile j's rakes run just before its
-# compresses and each leaf's term y feeds its midpoint directly, h = (acc +
-# y) - lambda m; nothing is written to acc for a vertex that the round
-# eliminates. Elsewhere all rake tiles run before the compress tiles.
+# Column tiles and fused rounds. Where a round's rake targets are its
+# compressed vertices in the same order and no vertex is both an a and a b
+# target (``fused``, every dendrite round), its stages run in tiles of
+# budget // (32 x width) columns, so a tile's four scratch rows fill the
+# budget and its operands stay in L2 from one pass to the next (a depth-12
+# first round would stream 1.4 MB per pass). Tile j's rakes run just before
+# its compresses, and each leaf's term y feeds its midpoint directly, h =
+# (acc + y) - lambda m; nothing is written to acc for a vertex that the
+# round eliminates. Every other round runs each stage whole, rakes first,
+# and so does every round when no tile of one column fits the budget.
 #
 # The first round. acc is zero there and every slot is an edge slot, so the
 # round reads the conductances themselves: a rake's h is (-lambda) m, exact
@@ -211,12 +209,10 @@ def _rayleigh(bits: np.ndarray) -> np.ndarray:
 # child-major numbering almost every compress term falls in a view range
 # (depth 12, round 0: all but 1,458 of 354,294). A tile clips the plan's
 # ranges to its own terms when the sweep's steps are laid out, so the plan
-# is the same for every tile width. Where no vertex is both an a and a b
-# target (``disjoint``, every dendrite round), each tile applies its a
-# terms and then its b terms; otherwise the b terms of every tile are
-# collected in one row buffer, terms n to 2 n of the plan, and applied
-# after the last tile. Either way each vertex receives its terms in the
-# one-shift order.
+# is the same for every tile width. Each tile of a fused round applies its
+# a terms and then its b terms, and no vertex takes both, so each vertex
+# receives its terms in the one-shift order; a whole stage applies them in
+# that order anyway.
 # ---------------------------------------------------------------------------
 
 # The shortest run of evenly stepping targets that becomes a view range.
@@ -228,7 +224,7 @@ _MIN_VIEW = 512
 
 @dataclass(frozen=True)
 class ContractionSchedule:
-    """Rounds ``(leaf, rake, leaf_slot, mid, slot_a, slot_b, fill, scatter, fused, disjoint)``.
+    """Rounds ``(leaf, rake, leaf_slot, mid, slot_a, slot_b, fill, scatter, fused)``.
 
     Raked leaves with the scatter plan of their targets and their edge
     slots, then compressed vertices with their edge slots (``slot_a`` the
@@ -239,8 +235,8 @@ class ContractionSchedule:
     term each; ``scatter`` covers the 2 k terms of its k compressed
     vertices (the neighbours a through the lower slot, then the neighbours
     b), no range across a and b. ``fused``: the rake targets are the
-    compressed vertices, in the same order; ``disjoint``: no vertex is both
-    an a and a b target. Both hold on every dendrite round. The other index
+    compressed vertices, in the same order, and no vertex is both an a and
+    a b target; it holds on every dendrite round. The other index
     sets are int64 arrays from the generic builder and step-1 slices from
     the dendrite, whose numbering makes every vertex and slot set of a
     round a run of consecutive ids, so the kernel reads views and the
@@ -307,21 +303,15 @@ def _ends(lu: np.ndarray, lv: np.ndarray, ls: np.ndarray, cand: np.ndarray):
     return np.concatenate((lu[cu], lv[cv])), np.concatenate((lv[cu], lu[cv])), np.concatenate((ls[cu], ls[cv]))
 
 
-def schedule_round(
-    parts: tuple, target: np.ndarray, fill: int, a: np.ndarray, b: np.ndarray, fused: bool, mark: np.ndarray
-) -> tuple:
+def schedule_round(parts: tuple, target: np.ndarray, fill: int, a: np.ndarray, b: np.ndarray, fused: bool) -> tuple:
     """A ContractionSchedule round from its index sets, rake targets, first fill slot and compress neighbours.
 
     ``parts`` holds ``(leaf, leaf_slot, mid, slot_a, slot_b)``; the rake
     and compress scatter plans are built from ``target`` and from a, b.
-    ``mark``, a spent bool array over the vertices, is overwritten.
     """
-    mark[:] = False
-    mark[a] = True
-    disjoint = not mark[b].any()
     rake = tuple(_scatter_ranges(target.astype(np.int64, copy=False), 0))
     scatter = _scatter_plan(a.astype(np.int64, copy=False), b.astype(np.int64, copy=False))
-    return (parts[0], rake, *parts[1:], fill, scatter, fused, disjoint)
+    return (parts[0], rake, *parts[1:], fill, scatter, fused)
 
 
 def contraction_schedule(edge_u, edge_v, n_vertices: int, b0: int, b1: int) -> ContractionSchedule:
@@ -373,15 +363,19 @@ def contraction_schedule(edge_u, edge_v, n_vertices: int, b0: int, b1: int) -> C
         fill = np.arange(n_slots, n_slots + mid.shape[0], dtype=np.int32)
         lu, lv, ls = np.concatenate((lu[keep], a)), np.concatenate((lv[keep], b)), np.concatenate((ls[keep], fill))
         parts = tuple(x.astype(np.int64) for x in (leaf, leaf_slot, mid, slot_a, slot_b))
+        # cand is spent: it is reused as a vertex mask, so the build's peak memory stays put
         fused = np.array_equal(target, mid)
-        mark = cand  # spent: reused as a vertex mask, so the build's peak memory stays put
-        rounds.append(schedule_round(parts, target, n_slots, a, b, fused, mark))
+        if fused:  # and no vertex is both an a and a b target
+            cand[:] = False
+            cand[a] = True
+            fused = not cand[b].any()
+        rounds.append(schedule_round(parts, target, n_slots, a, b, fused))
         if len(rounds) == 1:
             # the first round reads no acc of its leaves, nor of its midpoints when fused
-            mark[:] = True
-            mark[leaf] = False
-            mark[mid] = not fused
-            acc_live = int(np.flatnonzero(mark)[-1]) + 1
+            cand[:] = True
+            cand[leaf] = False
+            cand[mid] = not fused
+            acc_live = int(np.flatnonzero(cand)[-1]) + 1
         else:
             read = np.concatenate((leaf_slot, slot_a, slot_b))
             read = read[read < ne]
@@ -471,8 +465,8 @@ def inertia_counts(
     det(the same with v deleted). It is NaN for shifts <= 0, which are not
     swept, and on a schedule without rounds. The positive shifts are swept
     in equal blocks of at most ``sched.block_width``, the last one padded
-    with copies of its final shift; each stage runs in column tiles, fused
-    with the next where the schedule says so. The section comment above
+    with copies of its final shift; the stages of a fused round run in
+    column tiles, every other stage whole. The section comment above
     says how, and why every output is bit-identical to a one-shift sweep.
     """
     lams = np.ascontiguousarray(lams, dtype=np.float64)
@@ -493,7 +487,8 @@ def inertia_counts(
     # by tile, over views of acc, g and the scratch rows that every block reuses
     cols = _SHIFT_BLOCK_BYTES // (32 * width) or nv  # no column fits: stages stay whole
     masses = [(mass[r[0]], mass[r[3]]) for r in sched.rounds]
-    widest = max([1] + [min(cols, m.shape[0]) for pair in masses for m in pair])
+    tiles = [cols if r[8] else nv for r in sched.rounds]  # a non-fused round's stages stay whole
+    widest = max([1] + [min(t, m.shape[0]) for t, pair in zip(tiles, masses) for m in pair])
     acc = np.empty((width, nv))
     g = np.empty((width, sched.n_slots))
     g[:, : sched.g_live] = conduct[: sched.g_live]  # the edge slots later rounds read; none is written
@@ -512,25 +507,22 @@ def inertia_counts(
         return views[k, n]
 
     plan, last_pivots = [], None
-    for i, (rnd, (m_leaf, m_mid)) in enumerate(zip(sched.rounds, masses)):
-        leaf, rake, leaf_slot, mid, slot_a, slot_b, fill, scatter, fused, disjoint = rnd
-        rakes, compresses, deferred = [], [], []
+    for i, (rnd, (m_leaf, m_mid), tile) in enumerate(zip(sched.rounds, masses, tiles)):
+        leaf, rake, leaf_slot, mid, slot_a, slot_b, fill, scatter, fused = rnd
+        rakes, compresses = [], []
         if i == 0:  # every slot is an edge slot, and acc is zero
             c0, ga0, gb0 = conduct[leaf_slot], conduct[slot_a], conduct[slot_b]
         n = m_leaf.shape[0]
-        for lo in range(0, n, cols):
-            k = min(cols, n - lo)
+        for lo in range(0, n, tile):
+            k = min(tile, n - lo)
             c = (lambda c=c0[lo : lo + k]: c) if i == 0 else _cols(g, _sub(leaf_slot, lo, lo + k), buf, 0, k)
             acc_leaf = None if i == 0 else _cols(acc, _sub(leaf, lo, lo + k), buf, 1, k)
             h, p = buf(2, k), buf(3, k)
             to_target = [] if fused else _scatter_adds(acc, rake, h, lo)
             rakes.append((c, acc_leaf, m_leaf[lo : lo + k], h, p, buf(-1, k), to_target))
         n = m_mid.shape[0]
-        if n > cols and not disjoint:
-            b_terms = np.empty((width, n))  # applied after the round's last tile
-            deferred = _scatter_adds(acc, scatter, b_terms, n)
-        for lo in range(0, n, cols):
-            k = min(cols, n - lo)
+        for lo in range(0, n, tile):
+            k = min(tile, n - lo)
             part = slice(lo, lo + k)
             if i == 0:
                 ga, gb = (lambda x=ga0[part]: x), (lambda x=gb0[part]: x)
@@ -538,16 +530,14 @@ def inertia_counts(
                 ga, gb = _cols(g, _sub(slot_a, lo, lo + k), buf, 0, k), _cols(g, _sub(slot_b, lo, lo + k), buf, 1, k)
             acc_mid = None if fused and i == 0 else _cols(acc, _sub(mid, lo, lo + k), buf, 4, k)
             h, p, y = buf(2, k), buf(3, k), buf(4, k)
-            y_b = b_terms[:, part] if deferred else y
-            to_a = _scatter_adds(acc, scatter, y, lo)
-            to_b = [] if deferred else _scatter_adds(acc, scatter, y, n + lo)
-            compresses.append((ga, gb, acc_mid, fused, m_mid[part], h, p, y, y_b, buf(-1, k), to_a, to_b,
+            to_a, to_b = _scatter_adds(acc, scatter, y, lo), _scatter_adds(acc, scatter, y, n + lo)
+            compresses.append((ga, gb, acc_mid, fused, m_mid[part], h, p, y, buf(-1, k), to_a, to_b,
                                g[:, fill + lo : fill + lo + k]))
         if fused:  # rake tile j, then compress tile j
             steps = [s for pair in zip(rakes, compresses) for s in ((True, pair[0]), (False, pair[1]))]
         else:
             steps = [(True, s) for s in rakes] + [(False, s) for s in compresses]
-        plan.append((steps, deferred))
+        plan.append(steps)
         if steps:  # the last step's pivot row, which after a block holds the final round's last
             last_pivots = p
 
@@ -558,7 +548,7 @@ def inertia_counts(
         acc[:, : sched.acc_live].fill(0.0)
         interior = np.zeros(width, dtype=np.int64)
         last = 0
-        for steps, deferred in plan:
+        for steps in plan:
             last = 0
             for rake, step in steps:
                 if rake:
@@ -578,7 +568,7 @@ def inertia_counts(
                     _scatter(flat, to_target)
                     continue
                 # compress: p = (ga + gb) + h, g h / p onto a and b, and ga gb / p fills
-                ga, gb, acc_mid, fused, m, h, p, y, y_b, z, to_a, to_b, g_fill = step
+                ga, gb, acc_mid, fused, m, h, p, y, z, to_a, to_b, g_fill = step
                 ga, gb = ga(), gb()
                 if fused:  # h = (acc + y) - lambda m, y the raked term in h's row
                     if acc_mid is not None:
@@ -594,12 +584,11 @@ def inertia_counts(
                 np.multiply(ga, h, out=y)
                 np.divide(y, p, out=y)
                 _scatter(flat, to_a)
-                np.multiply(gb, h, out=y_b)
-                np.divide(y_b, p, out=y_b)
+                np.multiply(gb, h, out=y)
+                np.divide(y, p, out=y)
                 _scatter(flat, to_b)
                 np.multiply(ga, gb, out=y)
                 np.divide(y, p, out=g_fill)
-            _scatter(flat, deferred)
             interior += last
         gf = g[:, sched.final]
         h0 = acc[:, b0] - lam_eff * mass[b0]

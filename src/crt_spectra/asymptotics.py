@@ -221,8 +221,8 @@ def _selfsimilar_replica(config: EnsembleConfig, r: int, ts: np.ndarray | None) 
 
     net, log_ceiling = build_network(config.depth, config.replica_seed(r), config.debug_cascade)
     lams = config.lambda_grid
-    # the build sets most of a depth-12 replica's peak: in-process VmHWM reads
-    # 63.0-63.2 MB after build_network, and the later stages add 0.4-1.4 MB
+    # the build sets a depth-12 replica's peak: in-process VmHWM reads
+    # 58.2-58.5 MB after build_network, and no later stage raises it
     diameter = net_diameter(net) if net.level >= 1 else None
     nd, nn = network_counts(net, lams)
     floor = dirichlet_floor(net, diameter, lams, nd) if net.level >= 1 else np.inf

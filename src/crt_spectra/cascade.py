@@ -65,10 +65,9 @@ class CascadeTree:
     and re-sampling at a larger depth extends the same realization.
     """
 
-    def __init__(self, depth: int, triples: list[np.ndarray], master_seed: int | None):
+    def __init__(self, depth: int, triples: list[np.ndarray]):
         self.depth = depth
         self.triples = triples  # triples[q]: (3**q, 3) children masses, rows in cell order
-        self.master_seed = master_seed
 
     @classmethod
     def sample(cls, depth: int, seed: int) -> "CascadeTree":
@@ -78,13 +77,13 @@ class CascadeTree:
             raise CapacityError(f"3**{depth} cells exceed budget {cell_budget()}")
         key = derive_key(seed, _TAG_TRIPLES)
         triples = [dirichlet_half_triples(key, level_codes(q)) for q in range(depth)]
-        return cls(depth, triples, seed)
+        return cls(depth, triples)
 
     @classmethod
     def debug(cls, depth: int) -> "CascadeTree":
         """Deterministic cascade with every triple equal to (1/3,1/3,1/3)."""
         triples = [np.full((3**q, 3), 1.0 / 3.0) for q in range(depth)]
-        return cls(depth, triples, None)
+        return cls(depth, triples)
 
     @cached_property
     def base_lengths(self) -> np.ndarray:
@@ -106,7 +105,7 @@ class CascadeTree:
             raise ValueError("no subtree below an empty cascade")
         if j not in (1, 2, 3):
             raise ValueError("first-generation cell must be 1, 2 or 3")
-        return CascadeTree(self.depth - 1, [t[j - 1 :: 3] for t in self.triples[1:]], None)
+        return CascadeTree(self.depth - 1, [t[j - 1 :: 3] for t in self.triples[1:]])
 
 
 def perturbations(depth: int, seed: int | None) -> np.ndarray:

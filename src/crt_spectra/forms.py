@@ -10,10 +10,11 @@ family compatible: tracing the level-(n+1) form onto the level-n vertices
 the level-n conductances up to rounding, because the series sum
 telescopes through the R recursion (the trace and the lift of R onto
 coarser levels live with the tests, in ``tests/forms_oracle.py`` and
-``tests/cascade_oracle.py``). A network keeps only what a count reads; the
-cascade and base R it was assembled from stay with the caller that drew
-them. :func:`diameter` reads the coarser levels' path resistances off one
-bottom-up pass.
+``tests/cascade_oracle.py``). A network keeps only what a count reads: the
+level graph's shared contraction schedule, the conductances and the
+lumped masses. The cascade and base R it was assembled from stay with the
+caller that drew them. :func:`diameter` reads the coarser levels' path
+resistances off one bottom-up pass.
 """
 
 from __future__ import annotations
@@ -21,16 +22,16 @@ from __future__ import annotations
 import numpy as np
 
 from .cascade import CascadeTree, HEIGHT_CONSTANT
-from .dendrite import structure
+from .dendrite import lump, structure
 from .errors import IncompleteCascade
 
 
 class ResistanceNetwork:
-    """Edge conductances and lumped vertex masses on the level-n graph, all that a count reads."""
+    """The level-n graph's contraction schedule, per-cell conductances and lumped vertex masses: all a count reads."""
 
     def __init__(self, level: int, conductance: np.ndarray, vertex_mass: np.ndarray):
         self.level = level
-        self.structure = structure(level)
+        self.schedule = structure(level)
         self.conductance = conductance
         self.vertex_mass = vertex_mass
         if not (conductance > 0).all():
@@ -40,7 +41,12 @@ class ResistanceNetwork:
 
     @property
     def n_vertices(self) -> int:
-        return self.structure.n_vertices
+        return self.schedule.n_vertices
+
+    @property
+    def corner_cells(self) -> tuple[int, int]:
+        """The base cells ending at corners 0 and 1: cells 0 and 1 at level 1, then child 2 of those a level up."""
+        return ((3**self.level - 3) // 2, (3**self.level - 1) // 2)
 
 
 def assemble(level: int, lengths: np.ndarray, r_base: np.ndarray) -> ResistanceNetwork:
@@ -52,7 +58,7 @@ def assemble(level: int, lengths: np.ndarray, r_base: np.ndarray) -> ResistanceN
     """
     if lengths.shape != (3**level,) or r_base.shape != (3**level,):
         raise IncompleteCascade(f"lengths {lengths.shape} or R {r_base.shape} miss the 3**{level} base cells")
-    vertex_mass = structure(level).lump(lengths * lengths * 0.5)
+    vertex_mass = lump(lengths * lengths * 0.5)
     conductance = np.multiply(lengths, r_base)
     np.divide(HEIGHT_CONSTANT, conductance, out=conductance)
     return ResistanceNetwork(level, conductance, vertex_mass)

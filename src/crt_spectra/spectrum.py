@@ -15,9 +15,9 @@ round by round, each compression adding one fill edge between its two
 neighbours, so the factorization costs O(V) per shift. The two boundary
 vertices are pivoted last, so one sweep yields both counts. The schedule
 depends only on the edges and the boundary, never on the shift. A
-dendrite level writes its schedule down with its level graph, once per
-level (shared by every replica); a pencil's is built by the generic tree
-builder on first use.
+dendrite level is its schedule, written down once per level as the level
+graph is refined (shared by every replica); a pencil's is built by the
+generic tree builder on first use.
 
 A sweep also returns the pivot of the last interior vertex, the Schur
 complement det(L_D - lambda M_D) / det(the same without that vertex). On
@@ -37,7 +37,7 @@ import numpy as np
 
 from ._kernels import ContractionSchedule, contraction_schedule, inertia_counts
 from .cascade import CascadeTree
-from .dendrite import structure
+from .dendrite import lump, structure
 from .errors import GuardError
 from .excursion import MetricTree
 from .forms import ResistanceNetwork, subnetwork_fresh
@@ -112,13 +112,12 @@ def block_counts(level: int, conduct: np.ndarray, cell_mass: np.ndarray, lams: n
     Counted in a sweep of its own: the reference for the eta that
     :func:`eta_many` reads off the full network's sweep.
     """
-    st = structure(level)
-    return inertia_counts(st.schedule, st.lump(0.5 * cell_mass), conduct, lams)[:2]
+    return inertia_counts(structure(level), lump(0.5 * cell_mass), conduct, lams)[:2]
 
 
 def network_counts(net: ResistanceNetwork, lams: np.ndarray, pivot: bool = False) -> tuple[np.ndarray, ...]:
     """(Dirichlet, Neumann) counting-function samples for a network, and with ``pivot`` the last interior pivot."""
-    nd, nn, _, last = inertia_counts(net.structure.schedule, net.vertex_mass, net.conductance, lams)
+    nd, nn, _, last = inertia_counts(net.schedule, net.vertex_mass, net.conductance, lams)
     return (nd, nn, last) if pivot else (nd, nn)
 
 
@@ -194,9 +193,9 @@ def dirichlet_floor(
         raise ValueError("problem has no Dirichlet eigenvalues")
     if (lams is None) != (counts is None):
         raise ValueError("lams and counts bracket the floor together: pass both or neither")
-    cut = (net.structure.ep0 < 2) != (net.structure.ep1 < 2)
+    c0, c1 = net.corner_cells  # the cells with one corner: the indicator's energy
     bound_lo = (1.0 - 1e-9) / diameter
-    bound_hi = float(net.conductance[cut].sum() / net.vertex_mass[2:].sum())
+    bound_hi = float((net.conductance[c0] + net.conductance[c1]) / net.vertex_mass[2:].sum())
     points: list[tuple[float, float]] = []  # (shift, last interior pivot) at counts <= 1
     steps: list[float] = []  # log of each shift placed inside the bracket
     hit = np.flatnonzero(np.asarray(counts) >= 1) if lams is not None else []
@@ -288,4 +287,4 @@ def eta_many(net: ResistanceNetwork, ts: np.ndarray) -> np.ndarray:
     if net.level < 1:
         raise ValueError("eta needs at least one refinement level")
     lams = np.exp(np.asarray(ts, dtype=np.float64))
-    return inertia_counts(net.structure.schedule, net.vertex_mass, net.conductance, lams)[2]
+    return inertia_counts(net.schedule, net.vertex_mass, net.conductance, lams)[2]

@@ -162,8 +162,8 @@ def lift_through_cascade(cascade: CascadeTree, r_base: np.ndarray) -> list[np.nd
     return levels
 
 
-def truncated_perturbations(cascade: CascadeTree, trunc_depth: int) -> np.ndarray:
-    """Truncated base-level perturbations by literal binary extension of the cascade.
+def truncated_perturbations(cascade: CascadeTree, trunc_depth: int, seed: int | None) -> np.ndarray:
+    """Truncated base-level perturbations by literal binary extension of the cascade drawn from ``seed``.
 
     Computes ``R_i = sum over binary words j of length m of l(ij)/l(i)`` for
     every base-level cell, in cell order, extending the cascade on
@@ -180,9 +180,9 @@ def truncated_perturbations(cascade: CascadeTree, trunc_depth: int) -> np.ndarra
         raise CapacityError(f"binary extension needs 3**{n} * 2**{m} cells; over budget {cell_budget()}")
     if m == 0:
         return np.ones(3**n)
-    if cascade.master_seed is None:
+    if seed is None:
         raise IncompleteCascade("cascade has no seed; cannot extend along binary branches")
-    key = derive_key(cascade.master_seed, _TAG_TRIPLES)
+    key = derive_key(seed, _TAG_TRIPLES)
     # base cells extend independently: a chunk of them at a time bounds the memory
     chunk = max(1, 2**20 >> m)
     base_codes = level_codes(n)

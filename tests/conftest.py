@@ -50,7 +50,7 @@ def drawn_network(
 ) -> tuple[forms.ResistanceNetwork, cascade.CascadeTree, np.ndarray]:
     """Cascade network with truncated (binary-extension) perturbations, and the cascade and base R it came from."""
     casc = cascade.CascadeTree.sample(depth, seed)
-    r_base = truncated_perturbations(casc, trunc)
+    r_base = truncated_perturbations(casc, trunc, seed)
     return forms.assemble(depth, casc.base_lengths, r_base), casc, r_base
 
 

@@ -7,6 +7,9 @@ in the plane, so the tests can check that the combinatorial identification
 matches the geometry, and that the words 1 1 2 2 ..., 2 1 2 2 ... and
 3 1 2 2 ... project onto one point, the p.c.f. critical set.
 
+``child_major_endpoints`` lists the endpoint ids of each cell of the
+package's child-major level graph, the one reference for its edges; the
+package keeps none, only the contraction schedule.
 ``AddressOrderStructure`` is the level graph numbered in lexicographic
 address order, as the package numbered it before it went child-major;
 ``address_order_network`` permutes a cascade's base lengths and base R
@@ -26,7 +29,23 @@ import numpy as np
 from cascade_oracle import Address, l_levels
 from crt_spectra._kernels import contraction_schedule
 from crt_spectra.cascade import HEIGHT_CONSTANT, CascadeTree
-from crt_spectra.dendrite import structure
+
+
+def child_major_endpoints(level: int) -> tuple[np.ndarray, np.ndarray]:
+    """The (first, second) endpoint ids of each level-n cell, in child-major cell order.
+
+    Child j of level-q cell c is level-(q + 1) cell c + (j - 1) 3**q; all
+    three start at the cell's midpoint 3**q + 1 + c, and children 1, 2, 3
+    end at the cell's first endpoint, its second and its new tip
+    2 3**q + 1 + c.
+    """
+    ep0 = np.zeros(1, dtype=np.int64)
+    ep1 = np.ones(1, dtype=np.int64)
+    for q in range(level):
+        k = 3**q
+        mids = np.arange(k + 1, 2 * k + 1, dtype=np.int64)
+        ep0, ep1 = np.concatenate((mids, mids, mids)), np.concatenate((ep0, ep1, mids + k))
+    return ep0, ep1
 
 
 def address_ordinals(level: int) -> np.ndarray:
@@ -98,6 +117,17 @@ class AddressOrderNetwork:
     def n_vertices(self) -> int:
         return self.structure.n_vertices
 
+    @property
+    def schedule(self):
+        return self.structure.schedule
+
+    @property
+    def corner_cells(self) -> tuple[int, int]:
+        """The cells with exactly one endpoint in {0, 1}, read off the endpoint lists."""
+        st = self.structure
+        c0, c1 = np.flatnonzero((st.ep0 < 2) != (st.ep1 < 2)).tolist()
+        return c0, c1
+
 
 def address_order_network(cascade: CascadeTree, r_base: np.ndarray) -> AddressOrderNetwork:
     """A cascade and its base R assembled in address order: conductance H/(l R), masses l**2."""
@@ -167,7 +197,7 @@ def project(sys: ContractionSystem, word: Address, depth: int) -> tuple[float, f
 class DendriteGraph:
     """Level-n approximation: 3**n edges, 3**n + 1 vertices, a tree.
 
-    The vertex ids and edges are those of ``structure(n)``; the coordinates
+    The vertex ids and edges are those of ``child_major_endpoints(n)``; the coordinates
     place them in the plane (they depend on c, the ids do not). Per-cell affine data
     (origin and the images of the unit vectors) lets refinement place the
     new midpoints and tips without recomposing map words.
@@ -184,7 +214,6 @@ class DendriteGraph:
     ):
         self.sys = sys
         self.level = level
-        self.structure = structure(level)
         self.coords = coords
         self.boundary = (0, 1)
         self._origin = origin  # F_cell(0, 0) per cell
@@ -209,14 +238,14 @@ class DendriteGraph:
 
     @property
     def n_vertices(self) -> int:
-        return self.structure.n_vertices
+        return 3**self.level + 1
 
     @property
     def n_edges(self) -> int:
         return 3**self.level
 
     def edge_endpoints(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.structure.ep0, self.structure.ep1
+        return child_major_endpoints(self.level)
 
 
 def refine(graph: DendriteGraph) -> DendriteGraph:
@@ -232,8 +261,7 @@ def refine(graph: DendriteGraph) -> DendriteGraph:
     c = sys.c
     level = graph.level
     nc = 3**level
-    st = structure(level + 1)
-    coords = np.empty((st.n_vertices, 2))
+    coords = np.empty((3 * nc + 1, 2))
     coords[: graph.n_vertices] = graph.coords
     o, ux, uy = graph._origin, graph._ux, graph._uy
     mid = o + 0.5 * ux

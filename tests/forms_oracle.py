@@ -18,10 +18,11 @@ from __future__ import annotations
 import numpy as np
 
 from crt_spectra.cascade import CascadeTree
-from crt_spectra.dendrite import structure
+from crt_spectra.dendrite import lump
 from crt_spectra.forms import ResistanceNetwork
 
 from cascade_oracle import l_levels, lift_through_cascade, w_levels
+from dendrite_oracle import child_major_endpoints
 
 
 def trace_to_coarser(
@@ -43,10 +44,10 @@ def trace_to_coarser(
     c2 = net.conductance[k : 2 * k]
     traced = c1 * c2 / (c1 + c2)
     level = net.level - 1
-    coarse = CascadeTree(level, cascade.triples[:level], cascade.master_seed)
+    coarse = CascadeTree(level, cascade.triples[:level])
     r_coarse = lift_through_cascade(cascade, r_base)[level]
     l_coarse = l_levels(coarse)[level]
-    return ResistanceNetwork(level, traced, structure(level).lump(0.5 * (l_coarse * l_coarse))), coarse, r_coarse
+    return ResistanceNetwork(level, traced, lump(0.5 * (l_coarse * l_coarse))), coarse, r_coarse
 
 
 def cell_block(net: ResistanceNetwork, cell_mass: np.ndarray, j: int) -> tuple[np.ndarray, np.ndarray]:
@@ -70,7 +71,7 @@ def subnetwork_rescaled(net: ResistanceNetwork, cascade: CascadeTree, j: int) ->
     """
     w = float(w_levels(cascade)[1][j - 1])
     conduct, cmass = cell_block(net, cascade.base_lengths**2, j)
-    return ResistanceNetwork(net.level - 1, conduct * w, structure(net.level - 1).lump(0.5 * (cmass / (w * w))))
+    return ResistanceNetwork(net.level - 1, conduct * w, lump(0.5 * (cmass / (w * w))))
 
 
 def _cell_path_resistances(net: ResistanceNetwork) -> list[np.ndarray]:
@@ -152,7 +153,7 @@ def _parent_array(net: ResistanceNetwork) -> np.ndarray:
     """Parent pointers toward corner 0 in the level-n graph."""
     nv = net.n_vertices
     parent = np.full(nv, -1, dtype=np.int64)
-    e0, e1 = net.structure.ep0, net.structure.ep1
+    e0, e1 = child_major_endpoints(net.level)
     adj: list[list[int]] = [[] for _ in range(nv)]
     for p in range(e0.shape[0]):
         a, b = int(e0[p]), int(e1[p])

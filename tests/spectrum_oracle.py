@@ -37,6 +37,7 @@ from crt_spectra.forms import ResistanceNetwork, assemble, subnetwork_fresh
 from crt_spectra.spectrum import Pencil, count_below, network_counts
 
 from cascade_oracle import w_levels
+from dendrite_oracle import child_major_endpoints
 
 
 class TruncationError(Exception):
@@ -45,8 +46,8 @@ class TruncationError(Exception):
 
 def network_pencil(net: ResistanceNetwork) -> Pencil:
     """Pencil of a dendrite network, bounded by its corners, vertices 0 and 1."""
-    e0, e1 = net.structure.ep0, net.structure.ep1
-    return Pencil(e0.copy(), e1.copy(), net.conductance.copy(), net.vertex_mass.copy(), (0, 1))
+    e0, e1 = child_major_endpoints(net.level)
+    return Pencil(e0, e1, net.conductance.copy(), net.vertex_mass.copy(), (0, 1))
 
 
 def dense_matrices(pencil: Pencil, dirichlet: bool) -> tuple[np.ndarray, np.ndarray]:

@@ -166,12 +166,12 @@ def test_length_quantile_matches_the_weighted_quantile_bit_for_bit():
     cascades = [cascade.CascadeTree.sample(d, s) for d in range(1, 12) for s in range(40)]
     cascades += [cascade.CascadeTree.sample(12, s) for s in range(3)]
     cascades += [cascade.CascadeTree.debug(d) for d in (1, 6, 10)]
-    for casc in cascades:
+    for i, casc in enumerate(cascades):
         l_arr = casc.base_lengths
         for q in (0.0, asymptotics._CEILING_DEFICIT, 0.5, 0.97, 1.0):
             got = asymptotics._length_quantile(l_arr, q)
             want = asymptotics._weighted_quantile(-3.0 * np.log(l_arr), l_arr**2, q)
-            assert type(got) is float and got.hex() == want.hex(), (casc.depth, casc.master_seed, q)
+            assert type(got) is float and got.hex() == want.hex(), (i, casc.depth, q)
 
 
 def test_auto_window_warns_when_the_grid_end_sets_window_hi(capsys):

@@ -196,7 +196,7 @@ def test_perturbations_trivial_truncation():
     # coarser levels still follow the recursion (the lift keeps one
     # truncation horizon so the trace identity stays exact)
     casc = CascadeTree.sample(3, seed=4)
-    r_base = cascade_oracle.truncated_perturbations(casc, 0)
+    r_base = cascade_oracle.truncated_perturbations(casc, 0, 4)
     np.testing.assert_array_equal(r_base, np.ones(27))
     w = cascade_oracle.w_levels(casc)
     want = w[3][:9] + w[3][9:18]
@@ -205,11 +205,11 @@ def test_perturbations_trivial_truncation():
 
 def test_perturbation_recursion_bit_exact():
     casc = CascadeTree.sample(4, seed=10)
-    assert_recursion_bit_exact(casc, cascade_oracle.truncated_perturbations(casc, 6))
+    assert_recursion_bit_exact(casc, cascade_oracle.truncated_perturbations(casc, 6, 10))
     # the exact draws are one float per base cell, and lift like any other
     for depth, seed in ((0, 1), (1, 2), (5, 3), (8, 4)):
         casc = CascadeTree.sample(depth, seed=seed)
-        r_base = cascade.perturbations(casc.depth, casc.master_seed)
+        r_base = cascade.perturbations(casc.depth, seed)
         assert r_base.shape == (3**depth,) and r_base.dtype == np.float64
         assert_recursion_bit_exact(casc, r_base)
 
@@ -219,7 +219,7 @@ def test_perturbation_direct_sum_oracle():
     # the weight products; enumerate them directly as the oracle
     casc = CascadeTree.sample(0, seed=31)
     m = 7
-    r_base = cascade_oracle.truncated_perturbations(casc, m)
+    r_base = cascade_oracle.truncated_perturbations(casc, m, 31)
     key = cascade.derive_key(31, 0x7A31)
 
     total = 0.0
@@ -240,23 +240,23 @@ def test_perturbations_match_deeper_cascade():
     # through a deeper sample of the same seed gives identical values
     c3 = CascadeTree.sample(3, seed=8)
     c4 = CascadeTree.sample(4, seed=8)
-    t3 = cascade_oracle.truncated_perturbations(c3, 3)
-    t4 = cascade_oracle.truncated_perturbations(c4, 2)
+    t3 = cascade_oracle.truncated_perturbations(c3, 3, 8)
+    t4 = cascade_oracle.truncated_perturbations(c4, 2, 8)
     np.testing.assert_array_equal(t3, cascade_oracle.lift_through_cascade(c4, t4)[3])
 
 
 def test_perturbations_budget():
     casc = CascadeTree.sample(4, seed=1)
     with pytest.raises(CapacityError):
-        cascade_oracle.truncated_perturbations(casc, 40)
+        cascade_oracle.truncated_perturbations(casc, 40, 1)
 
 
 def test_perturbations_need_seed():
     casc = CascadeTree.debug(2)
     with pytest.raises(IncompleteCascade):
-        cascade_oracle.truncated_perturbations(casc, 2)
+        cascade_oracle.truncated_perturbations(casc, 2, None)
     with pytest.raises(IncompleteCascade):
-        cascade.perturbations(casc.depth, casc.master_seed)
+        cascade.perturbations(casc.depth, None)
 
 
 def test_exact_perturbation_moments():
@@ -284,8 +284,8 @@ def test_exact_perturbations_match_binary_extension_in_law():
     exact, truncated = [], []
     for seed in range(200, 204):
         casc = CascadeTree.sample(6, seed=seed)
-        exact.append(cascade.perturbations(casc.depth, casc.master_seed))
-        truncated.append(cascade_oracle.truncated_perturbations(casc, 14))
+        exact.append(cascade.perturbations(casc.depth, seed))
+        truncated.append(cascade_oracle.truncated_perturbations(casc, 14, seed))
     a, b = np.concatenate(exact), np.concatenate(truncated)
     n = a.shape[0]
     assert n == b.shape[0] == 4 * 3**6
@@ -296,16 +296,15 @@ def test_exact_perturbations_depend_only_on_seed_and_address():
     # depth 10 draws 59,049 codes, and every third cell 19,683: several
     # sampler blocks, cut at different codes
     depth, seed = 10, 41
-    casc = CascadeTree.sample(depth, seed=seed)
-    base = cascade.perturbations(casc.depth, casc.master_seed)
+    base = cascade.perturbations(depth, seed)
     # the cells below address 2 (every third cell from 1), drawn on their own, are the same values
     key = cascade.derive_key(seed, cascade._TAG_PERTURB)
     codes = cascade.level_codes(depth)
     alone = cascade.rayleigh_perturbations(key, codes[1::3])
     np.testing.assert_array_equal(alone, base[1::3])
-    # another seed's triples under the same seed leave the base level as it is
-    other = CascadeTree(depth, CascadeTree.sample(depth, seed=seed + 1).triples, seed)
-    np.testing.assert_array_equal(cascade.perturbations(other.depth, other.master_seed), base)
+    # the next seed draws another base level: a shared value would be a
+    # coincidence of 52-bit uniforms, so all but a handful of cells differ
+    assert np.count_nonzero(cascade.perturbations(depth, seed + 1) == base) <= 3
     # built on one thread or two, every network's conductances H / (l R),
     # and so its perturbations, are the same
     seeds = list(range(10, 16))
@@ -320,7 +319,7 @@ def test_exact_perturbations_independent_of_the_triples():
     # base R is uncorrelated with its cell's length and with the triple of
     # its parent, within 4 standard errors of a zero correlation
     casc = CascadeTree.sample(10, seed=12)
-    base = cascade.perturbations(casc.depth, casc.master_seed)
+    base = cascade.perturbations(casc.depth, 12)
     n = base.shape[0]
     parent = casc.triples[9]
     for other in (np.log(cascade_oracle.l_levels(casc)[10]), np.tile(parent[:, 0], 3), cascade_oracle.w_levels(casc)[10]):

@@ -16,6 +16,7 @@ from dendrite_oracle import (
     address_ordinals,
     address_vertex_ids,
     apply_map,
+    child_major_endpoints,
     apply_word,
     project,
     refine,
@@ -88,20 +89,18 @@ def test_structure_caching():
 
 
 def test_structure_keeps_vertex_ids_in_int32(monkeypatch):
-    # the endpoint ids are int32, so a budget set past them still stops
-    # below 3**20 cells, before anything is built
+    # the writer's endpoint ids are int32, so a budget set past them still
+    # stops below 3**20 cells, before anything is built
     monkeypatch.setenv("CRT_SPECTRA_BUDGET", str(3**25))
     with pytest.raises(CapacityError, match=f"exceed budget {2**31 - 2}"):
         dendrite.structure(20)
-    assert dendrite.structure(9).ep0.dtype == dendrite.structure(9).ep1.dtype == np.int32
 
 
 def test_endpoint_convention():
     # cell k1 joins the midpoint to F_k(0,0), k2 to F_k(1,0), k3 to the tip
     g2 = DendriteGraph.build(2)
     e0, e1 = g2.edge_endpoints()
-    st = dendrite.structure(1)
-    e0p, e1p = st.ep0, st.ep1
+    e0p, e1p = child_major_endpoints(1)
     # child j of level-1 cell p is level-2 cell p + 3 (j - 1); p's midpoint and tip are 4 + p and 7 + p
     for parent in range(3):
         mid = 3 + 1 + parent
@@ -162,8 +161,8 @@ def test_child_major_network_matches_address_order_reference():
             net, ref = asymptotics.build_network(depth, seed, debug)[0], address_order_network(*drawn)
             np.testing.assert_array_equal(net.vertex_mass, ref.vertex_mass[address_vertex_ids(depth)])
             np.testing.assert_array_equal(net.conductance, ref.conductance[address_ordinals(depth)])
-            got = _kernels.inertia_counts(net.structure.schedule, net.vertex_mass, net.conductance, lams)
-            want = _kernels.inertia_counts(ref.structure.schedule, ref.vertex_mass, ref.conductance, lams)
+            got = _kernels.inertia_counts(net.schedule, net.vertex_mass, net.conductance, lams)
+            want = _kernels.inertia_counts(ref.schedule, ref.vertex_mass, ref.conductance, lams)
             for kind, g, w in zip(("dirichlet", "neumann", "final", "pivot"), got, want):
                 np.testing.assert_array_equal(g, w, err_msg=f"depth {depth}, {kind}")
             d = forms.diameter(net)
@@ -181,7 +180,7 @@ def test_dendrite_rounds_read_step_one_slices():
     # the last round's single vertices too, is a step-1 slice; the fill
     # slots follow the edge slots
     for level in range(2, 11):
-        sched = dendrite.structure(level).schedule
+        sched = dendrite.structure(level)
         assert len(sched.rounds) == level
         for r in sched.rounds:
             for x in (r[0], *r[2:6]):
@@ -201,18 +200,18 @@ def _same(x, y) -> bool:
 
 def test_written_down_schedule_equals_the_generic_builder():
     # every round's index sets, fill slot, rake and compress scatter plans,
-    # fused and disjoint, and every scalar field, as the generic tree builder
+    # fused, and every scalar field, as the generic tree builder
     # finds them; the builder keeps its index sets as int64 arrays, so the
     # dendrite's slices are compared by the ids they select
     fields = ("n_vertices", "n_slots", "final", "b0", "b1", "acc_live", "g_live")
     for level in range(10):
-        st = dendrite.structure(level)
-        got, want = st.schedule, _kernels.contraction_schedule(st.ep0, st.ep1, st.n_vertices, 0, 1)
+        got = dendrite.structure(level)
+        want = _kernels.contraction_schedule(*child_major_endpoints(level), got.n_vertices, 0, 1)
         for name in fields:
             assert _same(getattr(got, name), getattr(want, name)), (level, name)
         assert len(got.rounds) == len(want.rounds) == level
         for k, (r, w) in enumerate(zip(got.rounds, want.rounds)):
-            assert len(r) == len(w) == 10
+            assert len(r) == len(w) == 9
             for j, (x, y) in enumerate(zip(r, w)):
                 if j in (0, 2, 3, 4, 5):
                     assert isinstance(x, slice) and isinstance(y, np.ndarray) and y.dtype == np.int64, (level, k, j)
@@ -222,14 +221,53 @@ def test_written_down_schedule_equals_the_generic_builder():
 
 
 def test_structure_build_stays_near_its_endpoint_arrays():
-    # the build, schedule included, peaks below 2.5 times the endpoint
-    # arrays it keeps (the generic builder's round masks and sorts took it to
-    # 4.5); tracemalloc counts allocations, so the ratio is deterministic
+    # the build peaks below 2.5 times the two int32 endpoint arrays of level
+    # 10 (the generic builder's round masks and sorts took it to 4.5);
+    # tracemalloc counts allocations, so the peak is deterministic
     tracemalloc.start()
     try:
-        st = dendrite.DendriteStructure(10)
-        assert len(st.schedule.rounds) == 10
+        sched = dendrite.structure.__wrapped__(10)  # a fresh build, past the cache
+        assert len(sched.rounds) == 10
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 2.5 * (st.ep0.nbytes + st.ep1.nbytes)
+    assert peak < 2.5 * 2 * 4 * 3**10
+
+
+def test_a_cached_level_keeps_no_per_cell_array():
+    # a written-down level is its schedule: slices, scatter plans of a few
+    # ranges and scalars, under 4 bytes per cell (one int32 array per cell
+    # would be 4 on its own); tracemalloc's count is deterministic
+    tracemalloc.start()
+    try:
+        sched = dendrite.structure.__wrapped__(10)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(sched.rounds) == 10
+    assert kept < 4 * 3**10
+
+
+def test_lump_equals_two_bincounts_over_the_endpoints():
+    # the thirds lumping adds each vertex's halves in cell order, as the
+    # per-endpoint bincounts do, so the masses agree bit for bit: on sampled
+    # halves l**2 / 2 and on random positive halves
+    rng = np.random.default_rng(17)
+    for level in range(11):
+        ep0, ep1 = child_major_endpoints(level)
+        nv = 3**level + 1
+        lengths = CascadeTree.sample(level, 60 + level).base_lengths
+        for half in (lengths * lengths * 0.5, rng.uniform(1e-9, 1.0, 3**level)):
+            want = np.bincount(ep0, weights=half, minlength=nv)
+            want += np.bincount(ep1, weights=half, minlength=nv)
+            np.testing.assert_array_equal(dendrite.lump(half), want, err_msg=f"level {level}")
+
+
+def test_corner_cells_hold_one_corner_each():
+    # the two base cells with exactly one endpoint in {0, 1}, corner 0's first
+    for level in range(1, 13):
+        ep0, ep1 = child_major_endpoints(level)
+        want = np.flatnonzero((ep0 < 2) != (ep1 < 2))
+        net = forms.ResistanceNetwork(level, np.ones(3**level), np.full(3**level + 1, 1.0 / (3**level + 1)))
+        assert net.corner_cells == tuple(want.tolist()), level
+        assert ep1[net.corner_cells[0]] == 0 and ep1[net.corner_cells[1]] == 1

@@ -13,7 +13,7 @@ from dendrite_oracle import address_order_network, address_ordinals
 
 def test_level0_assembly():
     casc = CascadeTree.sample(0, seed=1)
-    r_base = truncated_perturbations(casc, 8)
+    r_base = truncated_perturbations(casc, 8, 1)
     net = forms.assemble(0, casc.base_lengths, r_base)
     r = r_base[0]
     assert np.allclose(net.conductance, [HEIGHT_CONSTANT / r])
@@ -37,7 +37,7 @@ def test_debug_cascade_edge_resistance():
 def test_assembly_validations():
     casc = CascadeTree.sample(3, seed=2)
     with pytest.raises(IncompleteCascade):
-        forms.assemble(4, casc.base_lengths, truncated_perturbations(CascadeTree.sample(4, seed=2), 4))
+        forms.assemble(4, casc.base_lengths, truncated_perturbations(CascadeTree.sample(4, seed=2), 4, 2))
     with pytest.raises(IncompleteCascade):
         forms.assemble(3, casc.base_lengths, np.ones(3**2))
 
@@ -46,11 +46,11 @@ def test_trace_reproduces_coarser_assembly():
     # the Schur trace puts the first two child resistances in series, which
     # telescopes through the R recursion into the coarser conductances
     casc = CascadeTree.sample(6, seed=9)
-    r_levels = lift_through_cascade(casc, truncated_perturbations(casc, 6))
+    r_levels = lift_through_cascade(casc, truncated_perturbations(casc, 6, 9))
     net, net_casc = forms.assemble(6, casc.base_lengths, r_levels[6]), casc
     for level in range(6, 0, -1):
         traced, _, _ = forms_oracle.trace_to_coarser(net, net_casc, r_levels[level])
-        net_casc = CascadeTree(level - 1, casc.triples[: level - 1], casc.master_seed)
+        net_casc = CascadeTree(level - 1, casc.triples[: level - 1])
         coarse = forms.assemble(level - 1, net_casc.base_lengths, r_levels[level - 1])
         rel = np.abs(traced.conductance / coarse.conductance - 1.0)
         assert rel.max() < 1e-9
@@ -109,17 +109,17 @@ def test_mean_boundary_resistance():
 
 def test_diameter_level0():
     casc = CascadeTree.sample(0, seed=3)
-    r_base = truncated_perturbations(casc, 6)
+    r_base = truncated_perturbations(casc, 6, 3)
     net = forms.assemble(0, casc.base_lengths, r_base)
     assert abs(forms.diameter(net) - r_base[0] / HEIGHT_CONSTANT) < 1e-15
 
 
 def test_diameter_monotone_in_level():
     casc = CascadeTree.sample(5, seed=11)
-    r_levels = lift_through_cascade(casc, truncated_perturbations(casc, 6))
+    r_levels = lift_through_cascade(casc, truncated_perturbations(casc, 6, 11))
     prev = 0.0
     for level in range(6):
-        lengths = CascadeTree(level, casc.triples[:level], casc.master_seed).base_lengths
+        lengths = CascadeTree(level, casc.triples[:level]).base_lengths
         net = forms.assemble(level, lengths, r_levels[level])
         d = forms.diameter(net)
         assert d >= prev - 1e-12
@@ -202,7 +202,7 @@ def test_traced_network_cuts_into_fresh_subnetworks():
     # cut into the same cells
     net, casc, r_base = drawn_network(4, seed=3)
     traced, traced_casc, traced_r = forms_oracle.trace_to_coarser(net, casc, r_base)
-    coarse_casc = CascadeTree(3, casc.triples[:3], casc.master_seed)
+    coarse_casc = CascadeTree(3, casc.triples[:3])
     coarse_r = lift_through_cascade(casc, r_base)[3]
     for j in (1, 2, 3):
         fresh = forms.subnetwork_fresh(traced_casc, traced_r, j)

@@ -1,5 +1,6 @@
 """Kernel checks: RNG reference values, the shift-blocked counting sweep
-against one sweep per shift (in whole stages and in column tiles), its
+against one sweep per shift (in whole stages and in the column tiles of
+fused rounds), which rounds the schedule builders fuse, its
 zero-pivot guard, its last interior pivot against a dense inverse, and the
 projection against a brute-force oracle.
 
@@ -116,11 +117,12 @@ def _path_pencil(n: int = 256) -> Pencil:
 def _pencils():
     for depth in range(9):
         net = small_network(depth, seed=depth)
-        yield f"random-{depth}", net.structure.schedule, net.vertex_mass, net.conductance
+        yield f"random-{depth}", net.schedule, net.vertex_mass, net.conductance
         net = forms.assemble(depth, CascadeTree.debug(depth).base_lengths, np.ones(3**depth))
-        yield f"debug-{depth}", net.structure.schedule, net.vertex_mass, net.conductance
+        yield f"debug-{depth}", net.schedule, net.vertex_mass, net.conductance
     # 200 leaves: both first rounds rake more than 64 leaves, and the gaussian
-    # tree's compresses more than 64 vertices whose a and b targets meet
+    # tree's compresses more than 64 vertices whose a and b targets meet; no
+    # round of either is fused, so every stage runs whole
     for name, path in (("gaussian", excursion.sample_excursion(4096, 3)), ("lattice", lattice_path(4096, 5))):
         pen = Pencil.from_tree(excursion.reduced_tree(path, 200, seed=1))
         yield name, pen.schedule, pen.mass, pen.edge_c
@@ -132,31 +134,36 @@ def _pencils():
 
 
 def _stage_sizes(sched) -> list[tuple[int, int, bool]]:
-    # (raked leaves, compressed vertices, disjoint) per round
+    # (raked leaves, compressed vertices, fused) per round
     ids = np.arange(sched.n_vertices)
-    return [(ids[r[0]].shape[0], ids[r[3]].shape[0], r[9]) for r in sched.rounds]
+    return [(ids[r[0]].shape[0], ids[r[3]].shape[0], r[8]) for r in sched.rounds]
+
+
+def _disjoint(rnd) -> bool:
+    # no vertex is both an a and a b target of the round, read off its scatter plan
+    a, b = np.split(scatter_targets(rnd[7]), 2)
+    return not np.isin(a, b).any()
 
 
 @pytest.mark.parametrize("block_bytes", [_kernels._SHIFT_BLOCK_BYTES, 2048], ids=["budget", "64-column-tiles"])
 def test_blocked_counts_match_one_sweep_per_shift(monkeypatch, block_bytes):
     # grids of length 0, 1, w - 1, w and w + 1 for the pencil's width w, drawn
     # unsorted and with repeats from values that include negatives and 0; the
-    # one-shift oracle runs once per distinct value. A 2 KiB budget cuts stages
-    # into tiles of 64 columns at width 1: every dendrite from depth 5 on, both
-    # excursion trees and the path split a stage, and the gaussian tree and the
-    # path split rounds whose a and b targets meet, so their b terms wait for
-    # the round's last tile
+    # one-shift oracle runs once per distinct value. A 2 KiB budget cuts the
+    # stages of fused rounds into tiles of 64 columns at width 1: every
+    # dendrite from depth 5 on splits a stage, while both excursion trees and
+    # the path, whose rounds are not fused, run stages wider than that whole
     monkeypatch.setattr(_kernels, "_SHIFT_BLOCK_BYTES", block_bytes)
     rng = np.random.default_rng(0)
     values = np.concatenate(([-3.0, -1e-300, 0.0, -0.0, 1e-300], np.geomspace(0.25, 1e6, 48)))
-    split, deferred = set(), set()
+    split, whole = set(), set()
     cols = block_bytes // 32  # at width 1
     for name, sched, mass, conduct in _pencils():
         sizes = _stage_sizes(sched)
-        if sched.block_width == 1 and any(max(n_leaf, n_mid) > cols for n_leaf, n_mid, _ in sizes):
+        if sched.block_width == 1 and any(fused and max(n_leaf, n_mid) > cols for n_leaf, n_mid, fused in sizes):
             split.add(name)
-        if sched.block_width == 1 and any(n_mid > cols and not disjoint for _, n_mid, disjoint in sizes):
-            deferred.add(name)
+        if sched.block_width == 1 and any(not fused and max(n_leaf, n_mid) > cols for n_leaf, n_mid, fused in sizes):
+            whole.add(name)
         w = sched.block_width
         ref = inertia_counts_per_shift(sched, mass, conduct, values)
         for n in sorted({0, 1, w - 1, w, w + 1}):
@@ -167,20 +174,20 @@ def test_blocked_counts_match_one_sweep_per_shift(monkeypatch, block_bytes):
                 assert out.dtype == (np.float64 if kind == "pivot" else np.int64)
                 np.testing.assert_array_equal(out, want[pick], err_msg=f"{name}, {n} shifts, {kind}")
     if block_bytes == 2048:
-        want_split = {f"{kind}-{d}" for kind in ("random", "debug") for d in range(5, 9)} | {"gaussian", "lattice", "path"}
-        assert split == want_split and deferred == {"gaussian", "path"}
+        want_split = {f"{kind}-{d}" for kind in ("random", "debug") for d in range(5, 9)}
+        assert split == want_split and whole == {"gaussian", "lattice", "path"}
     else:
         assert not split
 
 
 def test_tiles_keep_each_vertex_term_order(monkeypatch):
-    # with one-column tiles, every path vertex between two compressed ones gets
-    # its b term in one tile and its a term in the next; applied tile by tile,
-    # the b term would come first, and from the second round on, where acc is
-    # no longer 0, the sums would differ in the last bits
+    # every path vertex between two compressed ones gets a b term and an a
+    # term; in one-column tiles the b term would come first, and from the
+    # second round on, where acc is no longer 0, the sums would differ in the
+    # last bits. Such a round is not fused, so its stages run whole
     monkeypatch.setattr(_kernels, "_SHIFT_BLOCK_BYTES", 32)
     pen = _path_pencil()
-    assert not any(r[9] for r in pen.schedule.rounds[1:4])
+    assert not any(r[8] or _disjoint(r) for r in pen.schedule.rounds[1:4])
     lams = np.geomspace(0.25, 1e6, 48)
     got = _kernels.inertia_counts(pen.schedule, pen.mass, pen.edge_c, lams)
     for out, want in zip(got, inertia_counts_per_shift(pen.schedule, pen.mass, pen.edge_c, lams)):
@@ -215,8 +222,8 @@ def test_dendrite_rounds_are_fused_and_disjoint():
     # vertex takes both an a and a b term; a sweep zeroes the vertices left
     # after the first round and copies no edge conductance into g
     for level in range(1, 11):
-        sched = structure(level).schedule
-        assert all(r[8] and r[9] for r in sched.rounds), level
+        sched = structure(level)
+        assert all(r[8] and _disjoint(r) for r in sched.rounds), level
         assert sched.acc_live == 3 ** (level - 1) + 1 and sched.g_live == 0, level
 
 
@@ -227,21 +234,42 @@ def test_a_vertex_with_an_a_and_a_b_term_is_not_disjoint():
     priority = {v: int(_kernels.mix64(np.uint64(v))) for v in (2, 3, 4)}
     assert priority[3] < min(priority[2], priority[4])
     sched = _kernels.contraction_schedule(np.array([0, 2, 3, 4]), np.array([2, 3, 4, 1]), 5, 0, 1)
-    _, _, _, mid, _, _, _, scatter, fused, disjoint = sched.rounds[0]
+    _, _, _, mid, _, _, _, scatter, fused = sched.rounds[0]
     a, b = np.split(scatter_targets(scatter), 2)
     assert np.arange(5)[mid].tolist() == [2, 4] and a.tolist() == [0, 3] and b.tolist() == [3, 1]
-    assert not fused and not disjoint
+    assert not fused and not _disjoint(sched.rounds[0])
+
+
+def test_generic_builder_does_not_fuse_a_round_whose_a_and_b_targets_meet(monkeypatch):
+    # the same path with leaf 5 on 2 and leaf 6 on 4: the first round rakes
+    # them into its compressed vertices [2, 4], in order, but 3 is b for 2 and
+    # a for 4, so the round is not fused; at a one-column budget its stages
+    # run whole and every output matches one sweep per shift
+    u, v = np.array([0, 2, 3, 4, 2, 4]), np.array([2, 3, 4, 1, 5, 6])
+    rng = np.random.default_rng(12)
+    pen = Pencil(u, v, rng.uniform(0.5, 2.0, 6), rng.uniform(0.5, 2.0, 7), (0, 1))
+    leaf, rake, _, mid, _, _, _, scatter, fused = pen.schedule.rounds[0]
+    ids = np.arange(7)
+    assert ids[leaf].tolist() == [5, 6] and scatter_targets(rake).tolist() == ids[mid].tolist() == [2, 4]
+    assert np.split(scatter_targets(scatter), 2)[1].tolist() == [3, 1]
+    assert not fused and not _disjoint(pen.schedule.rounds[0])
+    monkeypatch.setattr(_kernels, "_SHIFT_BLOCK_BYTES", 32)
+    assert pen.schedule.block_width == 1 and _kernels._SHIFT_BLOCK_BYTES // 32 == 1  # one column per tile
+    lams = np.geomspace(0.05, 50.0, 40)
+    got = _kernels.inertia_counts(pen.schedule, pen.mass, pen.edge_c, lams)
+    for out, want in zip(got, inertia_counts_per_shift(pen.schedule, pen.mass, pen.edge_c, lams)):
+        np.testing.assert_array_equal(out, want)
 
 
 def test_block_width_fits_the_budget():
-    scheds = [structure(d).schedule for d in (0, 4, 8, 10)]
+    scheds = [structure(d) for d in (0, 4, 8, 10)]
     scheds += [Pencil.from_tree(excursion.reduced_tree(excursion.sample_excursion(4096, 3), 60, seed=1)).schedule]
     for sched in scheds:
         w, column = sched.block_width, 8 * (sched.n_vertices + sched.n_slots)
         assert w >= 1
         assert w * column <= _kernels._SHIFT_BLOCK_BYTES or w == 1
         assert (w + 1) * column > _kernels._SHIFT_BLOCK_BYTES
-    assert structure(10).schedule.block_width == 1
+    assert structure(10).block_width == 1
 
 
 def _last_interior_vertex(sched) -> int:
@@ -260,7 +288,7 @@ def test_last_interior_pivot_is_the_schur_complement(monkeypatch, block_bytes):
     for depth in range(1, 7):
         debug = forms.assemble(depth, CascadeTree.debug(depth).base_lengths, np.ones(3**depth))
         for net in [small_network(depth, seed=seed) for seed in range(3)] + [debug]:
-            v = _last_interior_vertex(net.structure.schedule)
+            v = _last_interior_vertex(net.schedule)
             assert v == 2  # the level-1 midpoint
             pen = network_pencil(net)
             floor = spectrum.dirichlet_floor(net, forms.diameter(net))
@@ -295,7 +323,7 @@ def _scatter_cases():
     yield "random", 5000, _kernels._scatter_plan(a, b), (a, b)
     n = 2**14
     path = _kernels.contraction_schedule(np.arange(n - 1), np.arange(1, n), n, 0, n - 1)
-    for level, sched in (("path", path), ("dendrite-9", structure(9).schedule)):
+    for level, sched in (("path", path), ("dendrite-9", structure(9))):
         for i in (0, 1, len(sched.rounds) - 1):
             a, b = np.split(scatter_targets(sched.rounds[i][7]), 2)
             yield f"{level} round {i}", sched.n_vertices, _kernels._scatter_plan(a, b), (a, b)
@@ -303,7 +331,7 @@ def _scatter_cases():
     t = scatter_targets(sched.rounds[0][1])
     assert t.shape[0] > 64 and np.unique(t).shape[0] == t.shape[0]  # one leaf per target
     yield "excursion round 0 rakes", sched.n_vertices, sched.rounds[0][1], (t,)
-    sched = structure(9).schedule
+    sched = structure(9)
     for i in (0, 8):  # round i rakes level 8 - i's tips into its midpoints
         k = 3 ** (8 - i)
         yield f"dendrite-9 round {i} rakes", sched.n_vertices, sched.rounds[i][1], (np.arange(k + 1, 2 * k + 1),)

@@ -158,7 +158,7 @@ def test_counts_independent_of_elimination_order():
         np.testing.assert_array_equal(sn, nn)
     # a level-n dendrite contracts one refinement level per round
     for level in range(1, 7):
-        assert len(structure(level).schedule.rounds) == level
+        assert len(structure(level).rounds) == level
     # a path contracts by compressing alone, in O(log V) rounds
     n = 2**14
     path = contraction_schedule(np.arange(n - 1), np.arange(1, n), n, 0, n - 1)
@@ -440,7 +440,7 @@ def test_one_sweep_eta_matches_cell_block_sweeps(depth):
 
 def test_dendrite_schedule_final_round_pivots_midpoint_and_tip():
     for n in range(1, 9):
-        sched = structure(n).schedule
+        sched = structure(n)
         assert len(sched.rounds) == n
         leaf, rake, _, mid, _, _, _, scatter = sched.rounds[-1][:8]
         ids = np.arange(structure(n).n_vertices)  # resolves slice-stored index sets
