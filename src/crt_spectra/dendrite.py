@@ -40,11 +40,12 @@ def structure(level: int) -> ContractionSchedule:
     live only while it is written, and equals the generic builder's field
     for field. Child 1 joins its parent's midpoint to the parent's first
     endpoint, child 2 to the second and child 3 to the new tip. Round k
-    eliminates level q = n - 1 - k (K = 3**q): it rakes tips [2K + 1, 3K +
-    1) through slots [s + 2K, s + 3K) into midpoints [K + 1, 2K + 1), then
-    compresses those through slots [s, s + K) and [s + K, s + 2K) into fill
-    edges, level q's cells, from slot ``fill`` on. s is 0, then the
-    previous round's fill; fill is 3**n, then grows by the previous K.
+    eliminates level q = n - 1 - k (K = 3**q): it rakes tips
+    [2K + 1, 3K + 1) through slots [s + 2K, s + 3K) into midpoints
+    [K + 1, 2K + 1), then compresses those through slots [s, s + K) and
+    [s + K, s + 2K) into fill edges, level q's cells, from slot ``fill`` on.
+    s is 0, then the previous round's fill; fill is 3**n, then grows by the
+    previous K.
     Every round is fused: it rakes its tips into its midpoints in their
     order, and its a targets, the first endpoints of level q's cells, are
     level q - 1's midpoints (corner 0 at q = 0), the second endpoint of no

@@ -45,7 +45,7 @@ class ResistanceNetwork:
 
     @property
     def corner_cells(self) -> tuple[int, int]:
-        """The base cells ending at corners 0 and 1: cells 0 and 1 at level 1, then child 2 of those a level up."""
+        """Base cells ending at corners 0 and 1 (n >= 1): cells 0 and 1 at level 1, then child 2 of those a level up."""
         return ((3**self.level - 3) // 2, (3**self.level - 1) // 2)
 
 
